@@ -6,7 +6,7 @@ from .algebra import (Element, Generator, GradedMap, Monomial, Truncation,
 from .fields import FieldSpec, QQ, GF2
 from .lie import (LiePresentation, check_differential, check_lie_axioms,
                   desuspend, random_lie_presentation)
-from .bv import (BVStructure, bv_extend, bv_operator, free_bv,
+from .bv import (BVStructure, bv_operator, free_bv,
                  free_bv_structure, poisson_bracket, user_bv_structure,
                  verify_bv_axioms)
 from .homology import ChainComplex, betti, build_ce_complex, bv_chain_complex
@@ -21,7 +21,7 @@ __all__ = [
     "Element", "Generator", "GradedMap", "Monomial", "Truncation",
     "monomial_basis", "normalize_word", "product", "FieldSpec", "QQ", "GF2",
     "LiePresentation", "check_differential", "check_lie_axioms", "desuspend",
-    "random_lie_presentation", "BVStructure", "bv_extend", "bv_operator",
+    "random_lie_presentation", "BVStructure", "bv_operator",
     "free_bv", "free_bv_structure", "poisson_bracket", "user_bv_structure",
     "verify_bv_axioms", "ChainComplex", "betti", "build_ce_complex",
     "bv_chain_complex", "antipode", "coproduct", "is_coderivation",

@@ -17,8 +17,9 @@ at most 1; over characteristic 2 the algebra is fully polynomial.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fields import FieldSpec, Scalar
 
@@ -366,6 +367,25 @@ def monomial_basis(field: FieldSpec, generators: Sequence[Generator],
     return out
 
 
+def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
+                  symmetric: bool = False) -> Iterator[Tuple[Monomial, ...]]:
+    """Tuples of `arity` basis monomials of total degree <= bound, in
+    lexicographic order of basis position; with `symmetric`, positions are
+    nondecreasing.  The basis must be sorted by degree first, as
+    monomial_basis returns it, so each slot ranges over a prefix of it."""
+    degrees = [m.degree for m in basis]
+
+    def extend(prefix, start, budget):
+        if len(prefix) == arity:
+            yield prefix
+            return
+        for i in range(start, bisect_right(degrees, budget)):
+            yield from extend(prefix + (basis[i],), i if symmetric else 0,
+                              budget - degrees[i])
+
+    return extend((), 0, bound)
+
+
 def basis_by_degree(field: FieldSpec, generators: Sequence[Generator],
                     max_degree: int) -> Dict[int, List[Monomial]]:
     table: Dict[int, List[Monomial]] = {d: [] for d in range(max_degree + 1)}
@@ -377,12 +397,38 @@ def basis_by_degree(field: FieldSpec, generators: Sequence[Generator],
 # -- graded linear maps -------------------------------------------------------
 
 
-class UndefinedValueError(Exception):
-    """A linear extension hit a basis monomial with no tabulated value."""
+@dataclass(frozen=True)
+class Undefined:
+    """A value blocked by a missing table entry, named in `blocking`.
 
-    def __init__(self, mono: Monomial):
-        self.monomial = mono
-        super().__init__(f"operator undefined on {mono}")
+    The one gap type: maps, brackets and operators return it in place of
+    an Element, and verifiers count an instance that meets it as skipped.
+    """
+
+    blocking: str
+
+
+MaybeElement = Union[Element, Undefined]
+
+
+def first_undefined(*values) -> Optional[Undefined]:
+    """The first Undefined among values, or None when all are defined."""
+    for value in values:
+        if isinstance(value, Undefined):
+            return value
+    return None
+
+
+def linear_extension(fn: Callable[[Monomial], MaybeElement],
+                     element: Element) -> MaybeElement:
+    """Extend a map on monomials linearly; the first gap met is returned."""
+    out = Element.zero(element.field)
+    for mono, coeff in element.terms():
+        value = fn(mono)
+        if isinstance(value, Undefined):
+            return value
+        out = out + value.scale(coeff)
+    return out
 
 
 class GradedMap:
@@ -396,18 +442,22 @@ class GradedMap:
 
     def __init__(self, field: FieldSpec, degree: Optional[int],
                  values: Optional[Dict[Monomial, Element]] = None,
-                 rule: Optional[Callable[[Monomial], Optional[Element]]] = None,
+                 rule: Optional[Callable[[Monomial], MaybeElement]] = None,
                  undefined: Iterable[Monomial] = (),
                  name: str = ""):
         self.field = field
         self.degree = degree
         self.name = name
         self._rule = rule
-        self._undefined = set(undefined)
-        self._values: Dict[Monomial, Element] = {}
+        self._values: Dict[Monomial, MaybeElement] = {}
         for mono, val in (values or {}).items():
             self._check_degree(mono, val)
             self._values[mono] = val
+        for mono in undefined:
+            self._values[mono] = self._gap(mono)
+
+    def _gap(self, mono: Monomial) -> Undefined:
+        return Undefined(f"{self.name or 'map'}({mono})")
 
     def _check_degree(self, mono: Monomial, val: Element) -> None:
         if self.degree is None or val.is_zero:
@@ -421,46 +471,32 @@ class GradedMap:
     def zero(field: FieldSpec, degree: Optional[int] = 0, name: str = "0") -> "GradedMap":
         return GradedMap(field, degree, rule=lambda m: Element.zero(field), name=name)
 
-    def value(self, mono: Monomial) -> Optional[Element]:
-        """Value on a basis monomial, or None when undefined."""
-        if mono in self._undefined:
-            return None
-        if mono in self._values:
-            return self._values[mono]
-        if self._rule is not None:
-            val = self._rule(mono)
-            if val is None:
-                self._undefined.add(mono)
-                return None
-            self._check_degree(mono, val)
+    def value(self, mono: Monomial) -> MaybeElement:
+        """Value on a basis monomial, or Undefined at a gap."""
+        val = self._values.get(mono)
+        if val is None:
+            val = self._rule(mono) if self._rule is not None else self._gap(mono)
+            if isinstance(val, Element):
+                self._check_degree(mono, val)
             self._values[mono] = val
-            return val
-        return None
+        return val
 
     def defined_on(self, mono: Monomial) -> bool:
-        return self.value(mono) is not None
+        return isinstance(self.value(mono), Element)
 
-    def apply(self, element: Element) -> Element:
-        """Linear extension; raises UndefinedValueError at the first gap."""
-        out = Element.zero(self.field)
-        for mono, coeff in element.terms():
-            val = self.value(mono)
-            if val is None:
-                raise UndefinedValueError(mono)
-            out = out + val.scale(coeff)
-        return out
+    def apply(self, element: Element) -> MaybeElement:
+        """Linear extension; the first gap met is returned as Undefined."""
+        return linear_extension(self.value, element)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if self.field != other.field:
             raise ValueError("field mismatch")
         degree = self.degree if self.degree == other.degree else None
 
-        def rule(mono: Monomial) -> Optional[Element]:
+        def rule(mono: Monomial) -> MaybeElement:
             a = self.value(mono)
             b = other.value(mono)
-            if a is None or b is None:
-                return None
-            return a + b
+            return first_undefined(a, b) or a + b
 
         return GradedMap(self.field, degree, rule=rule,
                          name=f"{self.name}+{other.name}".strip("+"))

@@ -19,29 +19,24 @@ report them as skipped coverage rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import (Element, Generator, GradedMap, Monomial, Truncation,
-                      UndefinedValueError, monomial_basis, normalize_word,
-                      sign_exponent)
+from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
+                      Truncation, Undefined, derivation_from_generator_values,
+                      first_undefined, linear_extension, monomial_basis, normalize_word,
+                      sign_exponent, window_tuples)
 from .fields import FieldSpec
 from .lie import LiePresentation
-from .report import CheckAccumulator, Report, merge_reports
+from .report import FAIL, Report, compare, merge_reports, run_checks, vanishes
 
 FREE = "free"
 USER = "user"
 
 
 @dataclass(frozen=True)
-class Undefined:
-    """Marker for a value blocked by a missing table entry."""
-
-    blocking: str
-
-
-@dataclass(frozen=True)
-class OutOfWindow:
-    """Marker for a tabulated value whose degree exceeds the window."""
+class OutOfWindow(Undefined):
+    """A stored table value whose degree exceeds the window."""
 
     degree: int
     limit: int
@@ -56,11 +51,12 @@ class InconsistentExtensionError(Exception):
         super().__init__(f"inconsistent bv extension on {mono}: {values}")
 
 
-MaybeElement = Union[Element, Undefined]
-
-
 class BVStructure:
-    """Algebra + bracket + (possibly partial) degree-(n-1) operator."""
+    """Algebra + bracket + (possibly partial) degree-(n-1) operator.
+
+    `d0` is the derivation extending the negated Lie differential (degree
+    -1), the first summand of the free operator.
+    """
 
     def __init__(self,
                  presentation: LiePresentation,
@@ -78,6 +74,8 @@ class BVStructure:
         self.brackets_total = brackets_total
         self.has_bv = has_bv
         self.metadata = dict(metadata or {})
+        self.d0 = derivation_from_generator_values(
+            self.field, {g: -d for g, d in presentation.differential.items()}, -1, name="d0")
         self._partial_brackets: Dict[Tuple[str, str], Element] = {}
         if partial_brackets is not None:
             for (x, y), value in partial_brackets.items():
@@ -121,9 +119,6 @@ class BVStructure:
             return Undefined(f"bracket [{key[0]},{key[1]}]")
         return value.scale(self.presentation._flip_sign(x, y)) if flip else value
 
-    def bracket_defined(self, x: Generator, y: Generator) -> bool:
-        return not isinstance(self.bracket_pair(x, y), Undefined)
-
     # -- operator values ----------------------------------------------------
 
     def stored_bv(self, mono: Monomial) -> Optional[Element]:
@@ -139,42 +134,42 @@ class BVStructure:
         if cached is not None:
             return cached
         if self.provenance == FREE:
-            value: MaybeElement = _free_bv_monomial(self, mono)
+            value: MaybeElement = free_bv(self, Element.from_monomial(self.field, mono))
         else:
             value = _user_bv_monomial(self, mono)
         self._bv_cache[mono] = value
         return value
 
-    def bv_status(self, mono: Monomial):
-        """('ok', Element) | ('undefined', reason) | ('out-of-window', marker).
+    def windowed_bv(self, mono: Monomial) -> MaybeElement:
+        """Operator value on a basis monomial as reports may use it.
 
         Stored user table entries are window artifacts: a stored value whose
-        degree exceeds the truncation is flagged, never silently used in
-        reports.  Closed-form values are exact and never flagged.
+        degree exceeds the truncation is flagged OutOfWindow, never silently
+        used in reports.  Closed-form values are exact and never flagged.
         """
         stored = self.stored_bv(mono)
         if stored is not None and stored.max_degree() > self.truncation:
-            return ("out-of-window", OutOfWindow(stored.max_degree(), self.truncation))
-        value = self.bv_monomial(mono)
+            return OutOfWindow(f"bv({mono}) out of window", stored.max_degree(),
+                               self.truncation)
+        return self.bv_monomial(mono)
+
+    def bv_status(self, mono: Monomial):
+        """('ok', Element) | ('undefined', reason) | ('out-of-window', marker)."""
+        value = self.windowed_bv(mono)
+        if isinstance(value, OutOfWindow):
+            return ("out-of-window", value)
         if isinstance(value, Undefined):
             return ("undefined", value.blocking)
         return ("ok", value)
 
     def bv_element(self, element: Element) -> MaybeElement:
-        out = self.zero()
-        for mono, coeff in element.terms():
-            value = self.bv_monomial(mono)
-            if isinstance(value, Undefined):
-                return value
-            out = out + value.scale(coeff)
-        return out
+        return linear_extension(self.bv_monomial, element)
 
     def defined_bv_generator_values(self) -> List[Tuple[Generator, Element]]:
         out = []
         for g in sorted(self.generators, key=lambda g: g.sort_key):
-            mono = Monomial(((g, 1),))
-            status, value = self.bv_status(mono)
-            if status == "ok":
+            value = self.windowed_bv(_gen_monomial(g))
+            if isinstance(value, Element):
                 out.append((g, value))
         return out
 
@@ -254,26 +249,6 @@ def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
 # -- the free operator ----------------------------------------------------------
 
 
-def differential_part(s: BVStructure, element: Element) -> Element:
-    """Derivation-style extension of the negated Lie differential: the i-th
-    letter is replaced by its differential with the sign -(-1)^(n_i), where
-    n_i is the total degree of the preceding letters."""
-    field = s.field
-    out = s.zero()
-    for mono, coeff in element.terms():
-        word = mono.word()
-        prefix = 0
-        for i, g in enumerate(word):
-            image = s.presentation.diff(g.id)
-            if not image.is_zero:
-                head = Element.from_monomial(field, Monomial.from_sorted_word(word[:i]))
-                tail = Element.from_monomial(field, Monomial.from_sorted_word(word[i + 1:]))
-                sgn = field.neg(field.sign(prefix))
-                out = out + (head * image * tail).scale(field.mul(coeff, sgn))
-            prefix += g.degree
-    return out
-
-
 def bracket_part(s: BVStructure, element: Element) -> MaybeElement:
     """Wordlength-lowering contraction: sum over position pairs i < j of
     {x_i, x_j} wedge (the word with both letters deleted), with the sign
@@ -303,16 +278,12 @@ def bracket_part(s: BVStructure, element: Element) -> MaybeElement:
 
 
 def free_bv(s: BVStructure, element: Element) -> Element:
-    """The free operator: differential part plus bracket contraction."""
+    """The free operator: differential part plus bracket contraction (a free
+    structure's bracket table is total, so neither part has gaps)."""
     if s.provenance != FREE:
         raise ValueError("free operator requested on a user-supplied structure")
     contraction = bracket_part(s, element)
-    assert isinstance(contraction, Element)
-    return differential_part(s, element) + contraction
-
-
-def _free_bv_monomial(s: BVStructure, mono: Monomial) -> Element:
-    return free_bv(s, Element.from_monomial(s.field, mono))
+    return s.d0.apply(element) + contraction
 
 
 # -- user-supplied operators via the deviation recursion -------------------------
@@ -366,45 +337,26 @@ def _user_bv_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
     return distinct[0]
 
 
-def bv_extend(s: BVStructure, element: Element) -> MaybeElement:
-    """Operator value by the deviation recursion from generator data.
-
-    Returns Undefined with the blocking symbol when a needed value or
-    bracket is missing; raises InconsistentExtensionError when two peeling
-    orders disagree.
-    """
-    return s.bv_element(element)
-
-
 def bv_operator(s: BVStructure, name: str = "bv") -> GradedMap:
     """The structure's operator as a graded map (gaps are explicit)."""
-
-    def rule(mono: Monomial) -> Optional[Element]:
-        value = s.bv_monomial(mono)
-        return None if isinstance(value, Undefined) else value
-
-    return GradedMap(s.field, s.shift - 1, rule=rule, name=name)
+    return GradedMap(s.field, s.shift - 1, rule=s.bv_monomial, name=name)
 
 
 # -- deviation bracket extraction -------------------------------------------------
 
 
 def bracket_from_operator(field: FieldSpec,
-                          op_value: Callable[[Monomial], Optional[Element]],
-                          a: Monomial, b: Monomial) -> Optional[Element]:
+                          op_value: Callable[[Monomial], MaybeElement],
+                          a: Monomial, b: Monomial) -> MaybeElement:
     """The bracket an operator induces through its deviation from being a
-    product derivation; None when a needed value is missing."""
-    prod = normalize_word(field, a.word() + b.word())
-    op_ab = Element.zero(field)
-    for mono, coeff in prod.terms():
-        value = op_value(mono)
-        if value is None:
-            return None
-        op_ab = op_ab + value.scale(coeff)
+    product derivation; Undefined when a needed value is missing."""
+    op_ab = linear_extension(op_value, normalize_word(field, a.word() + b.word()))
+    if isinstance(op_ab, Undefined):
+        return op_ab
     op_a = op_value(a)
     op_b = op_value(b)
-    if op_a is None or op_b is None:
-        return None
+    if gap := first_undefined(op_a, op_b):
+        return gap
     a_elt = Element.from_monomial(field, a)
     b_elt = Element.from_monomial(field, b)
     sgn = field.sign(a.degree)
@@ -414,18 +366,8 @@ def bracket_from_operator(field: FieldSpec,
 # -- verifiers --------------------------------------------------------------------
 
 
-def _pairs(basis: Sequence[Monomial], bound: int):
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            if a.degree + b.degree <= bound:
-                yield a, b
-
-
-def _all_pairs(basis: Sequence[Monomial], bound: int):
-    for a in basis:
-        for b in basis:
-            if a.degree + b.degree <= bound:
-                yield a, b
+def _pair_inputs(a: Monomial, b: Monomial) -> Dict[str, str]:
+    return {"a": str(a), "b": str(b)}
 
 
 def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Report:
@@ -433,193 +375,111 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
     structures the two summands and their anticommutator are checked
     separately."""
     bound = s.truncation if max_degree is None else max_degree
-    basis = s.basis(bound)
+    monos = list(window_tuples(s.basis(bound), 1, bound))
     checks = []
     if s.provenance == FREE and s.has_bv:
-        d0_sq = CheckAccumulator("d0-squared")
-        d1_sq = CheckAccumulator("d1-squared")
-        anti = CheckAccumulator("d0-d1-anticommute")
-        for mono in basis:
-            elt = Element.from_monomial(s.field, mono)
-            d0 = differential_part(s, elt)
-            d1 = bracket_part(s, elt)
-            assert isinstance(d1, Element)
-            _record_zero(d0_sq, differential_part(s, d0), mono)
-            d1_d1 = bracket_part(s, d1)
-            assert isinstance(d1_d1, Element)
-            _record_zero(d1_sq, d1_d1, mono)
-            cross = bracket_part(s, d0)
-            assert isinstance(cross, Element)
-            _record_zero(anti, differential_part(s, d1) + cross, mono)
-        checks.extend([d0_sq.result(), d1_sq.result(), anti.result()])
-    bv_sq = CheckAccumulator("bv-squared")
+        def summands(mono):
+            inputs = {"input": str(mono)}
+            d0 = s.d0.value(mono)
+            d1 = bracket_part(s, Element.from_monomial(s.field, mono))
+            return (vanishes(inputs, "value", s.d0.apply(d0)),
+                    vanishes(inputs, "value", bracket_part(s, d1)),
+                    vanishes(inputs, "value", s.d0.apply(d1) + bracket_part(s, d0)))
+
+        checks += run_checks(("d0-squared", "d1-squared", "d0-d1-anticommute"),
+                             monos, summands)
     if s.has_bv:
-        for mono in basis:
-            status, value = s.bv_status(mono)
-            if status != "ok":
-                bv_sq.record_skip()
-                continue
-            second = s.bv_element(value)
-            if isinstance(second, Undefined):
-                bv_sq.record_skip()
-                continue
-            _record_zero(bv_sq, second, mono)
-        checks.append(bv_sq.result())
+        def bv_squared(mono):
+            value = s.windowed_bv(mono)
+            second = value if isinstance(value, Undefined) else s.bv_element(value)
+            return vanishes({"input": str(mono)}, "value", second)
+
+        checks += run_checks(("bv-squared",), monos, bv_squared)
     return Report(checks=checks)
-
-
-def _record_zero(acc: CheckAccumulator, value: Element, mono: Monomial) -> None:
-    if value.is_zero:
-        acc.record_pass()
-    else:
-        acc.record_fail({"input": str(mono), "value": str(value)})
 
 
 def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """The bracket equals the operator's deviation from being a derivation,
     on every homogeneous basis pair in the window."""
     bound = s.truncation if max_degree is None else max_degree
-    basis = s.basis(bound)
-    acc = CheckAccumulator("bv-deviation-is-bracket")
-    if not s.has_bv:
-        return Report(checks=[acc.result()])
 
-    def op_value(mono: Monomial) -> Optional[Element]:
-        status, value = s.bv_status(mono)
-        return value if status == "ok" else None
-
-    for a, b in _all_pairs(basis, bound):
+    def deviation(a, b):
         lhs = _bracket_monomials(s, a, b)
         if isinstance(lhs, Undefined):
-            acc.record_skip()
-            continue
-        rhs = bracket_from_operator(s.field, op_value, a, b)
-        if rhs is None:
-            acc.record_skip()
-            continue
-        if lhs == rhs:
-            acc.record_pass()
-        else:
-            acc.record_fail({
-                "a": str(a), "b": str(b),
-                "bracket": str(lhs),
-                "operator deviation": str(rhs),
-            })
-    return Report(checks=[acc.result()])
+            return lhs
+        return compare(_pair_inputs(a, b), "bracket", lhs, "operator deviation",
+                       bracket_from_operator(s.field, s.windowed_bv, a, b))
+
+    pairs = window_tuples(s.basis(bound), 2, bound) if s.has_bv else ()
+    return Report(checks=run_checks(("bv-deviation-is-bracket",), pairs, deviation))
 
 
 def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """bv{a,b} = {bv a, b} + (-1)^(|a|+1) {a, bv b} on basis pairs."""
     bound = s.truncation if max_degree is None else max_degree
-    basis = s.basis(bound)
-    acc = CheckAccumulator("bv-bracket-compatibility")
-    if not s.has_bv:
-        return Report(checks=[acc.result()])
-    for a, b in _all_pairs(basis, bound):
+    field = s.field
+
+    def compatibility(a, b):
         br = _bracket_monomials(s, a, b)
         if isinstance(br, Undefined):
-            acc.record_skip()
-            continue
-        lhs = s.bv_element(br)
-        bv_a = s.bv_monomial(a)
-        bv_b = s.bv_monomial(b)
-        if any(isinstance(v, Undefined) for v in (lhs, bv_a, bv_b)):
-            acc.record_skip()
-            continue
-        first = poisson_bracket(s, bv_a, Element.from_monomial(s.field, b))
-        second = poisson_bracket(s, Element.from_monomial(s.field, a), bv_b)
-        if isinstance(first, Undefined) or isinstance(second, Undefined):
-            acc.record_skip()
-            continue
-        rhs = first + second.scale(s.field.sign(a.degree + 1))
-        if lhs == rhs:
-            acc.record_pass()
-        else:
-            acc.record_fail({
-                "a": str(a), "b": str(b),
-                "bv{a,b}": str(lhs),
-                "{bv a,b} + sign*{a,bv b}": str(rhs),
-            })
-    return Report(checks=[acc.result()])
+            return br
+        lhs, bv_a, bv_b = s.bv_element(br), s.bv_monomial(a), s.bv_monomial(b)
+        if gap := first_undefined(lhs, bv_a, bv_b):
+            return gap
+        first = poisson_bracket(s, bv_a, Element.from_monomial(field, b))
+        second = poisson_bracket(s, Element.from_monomial(field, a), bv_b)
+        return first_undefined(first, second) or compare(
+            _pair_inputs(a, b), "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}",
+            first + second.scale(field.sign(a.degree + 1)))
+
+    pairs = window_tuples(s.basis(bound), 2, bound) if s.has_bv else ()
+    return Report(checks=run_checks(("bv-bracket-compatibility",), pairs, compatibility))
 
 
 def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
                         triple_degree: Optional[int] = None) -> Report:
     """Shifted antisymmetry on pairs; Jacobi and the Poisson relation on
-    triples of basis monomials."""
+    triples of basis monomials (one enumeration, so an undefined inner
+    bracket skips both)."""
     p_bound = s.truncation if pair_degree is None else pair_degree
     t_bound = p_bound if triple_degree is None else triple_degree
     basis = s.basis(p_bound)
     field = s.field
-    antisym = CheckAccumulator("bracket-antisymmetry")
-    for a, b in _all_pairs(basis, p_bound):
-        lhs = _bracket_monomials(s, a, b)
-        rhs = _bracket_monomials(s, b, a)
-        if isinstance(lhs, Undefined) or isinstance(rhs, Undefined):
-            antisym.record_skip()
-            continue
-        pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
-        expected = rhs.scale(-sign_exponent(pa * pb))
-        if lhs == expected:
-            antisym.record_pass()
-        else:
-            antisym.record_fail({"a": str(a), "b": str(b),
-                                 "{a,b}": str(lhs), "-sign*{b,a}": str(expected)})
 
-    jacobi = CheckAccumulator("bracket-jacobi")
-    poisson = CheckAccumulator("poisson-relation")
-    triple_basis = [m for m in basis if m.degree <= t_bound]
-    for a in triple_basis:
-        a_elt = Element.from_monomial(field, a)
-        pa = a.degree + s.shift - 1
-        for b in triple_basis:
-            if a.degree + b.degree > t_bound:
-                continue
-            b_elt = Element.from_monomial(field, b)
-            pb = b.degree + s.shift - 1
-            for c in triple_basis:
-                if a.degree + b.degree + c.degree > t_bound:
-                    continue
-                c_elt = Element.from_monomial(field, c)
-                inner_bc = _bracket_monomials(s, b, c)
-                inner_ac = _bracket_monomials(s, a, c)
-                inner_ab = _bracket_monomials(s, a, b)
-                if any(isinstance(v, Undefined) for v in (inner_bc, inner_ac, inner_ab)):
-                    jacobi.record_skip()
-                    poisson.record_skip()
-                    continue
-                lhs = poisson_bracket(s, a_elt, inner_bc)
-                first = poisson_bracket(s, inner_ab, c_elt)
-                second = poisson_bracket(s, b_elt, inner_ac)
-                if any(isinstance(v, Undefined) for v in (lhs, first, second)):
-                    jacobi.record_skip()
-                else:
-                    rhs = first + second.scale(sign_exponent(pa * pb))
-                    if lhs == rhs:
-                        jacobi.record_pass()
-                    else:
-                        jacobi.record_fail({
-                            "triple": f"({a},{b},{c})",
-                            "{a,{b,c}}": str(lhs),
-                            "{{a,b},c} + sign*{b,{a,c}}": str(rhs),
-                        })
-                product_bc = b_elt * c_elt
-                lhs_p = poisson_bracket(s, a_elt, product_bc)
-                ac = poisson_bracket(s, a_elt, c_elt)
-                if isinstance(lhs_p, Undefined) or isinstance(ac, Undefined):
-                    poisson.record_skip()
-                    continue
-                rhs_p = (inner_ab * c_elt
-                         + (b_elt * ac).scale(field.sign(pa * b.degree)))
-                if lhs_p == rhs_p:
-                    poisson.record_pass()
-                else:
-                    poisson.record_fail({
-                        "triple": f"({a},{b},{c})",
-                        "{a,bc}": str(lhs_p),
-                        "{a,b}c + sign*b{a,c}": str(rhs_p),
-                    })
-    return Report(checks=[antisym.result(), jacobi.result(), poisson.result()])
+    def antisymmetry(a, b):
+        lhs, rhs = _bracket_monomials(s, a, b), _bracket_monomials(s, b, a)
+        if gap := first_undefined(lhs, rhs):
+            return gap
+        pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
+        return compare(_pair_inputs(a, b), "{a,b}", lhs, "-sign*{b,a}",
+                       rhs.scale(-sign_exponent(pa * pb)))
+
+    def jacobi_and_poisson(a, b, c):
+        inner_bc = _bracket_monomials(s, b, c)
+        inner_ac = _bracket_monomials(s, a, c)
+        inner_ab = _bracket_monomials(s, a, b)
+        if gap := first_undefined(inner_bc, inner_ac, inner_ab):
+            return gap, gap
+        a_elt, b_elt, c_elt = (Element.from_monomial(field, m) for m in (a, b, c))
+        pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
+        inputs = {"triple": f"({a},{b},{c})"}
+        lhs = poisson_bracket(s, a_elt, inner_bc)
+        first = poisson_bracket(s, inner_ab, c_elt)
+        second = poisson_bracket(s, b_elt, inner_ac)
+        jacobi = first_undefined(lhs, first, second) or compare(
+            inputs, "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}",
+            first + second.scale(sign_exponent(pa * pb)))
+        lhs_p = poisson_bracket(s, a_elt, b_elt * c_elt)
+        ac = poisson_bracket(s, a_elt, c_elt)
+        poisson = first_undefined(lhs_p, ac) or compare(
+            inputs, "{a,bc}", lhs_p, "{a,b}c + sign*b{a,c}",
+            inner_ab * c_elt + (b_elt * ac).scale(field.sign(pa * b.degree)))
+        return jacobi, poisson
+
+    return Report(checks=(
+        run_checks(("bracket-antisymmetry",), window_tuples(basis, 2, p_bound), antisymmetry)
+        + run_checks(("bracket-jacobi", "poisson-relation"),
+                     window_tuples(basis, 3, t_bound), jacobi_and_poisson)))
 
 
 def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
@@ -635,11 +495,9 @@ def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
             verify_gerstenhaber(s, bound, triple_degree),
         )
     except InconsistentExtensionError as exc:
-        acc = CheckAccumulator("bv-extension-consistency")
-        certificate = {"input": str(exc.monomial)}
-        certificate.update(exc.values)
-        acc.record_fail(certificate)
-        return Report(checks=[acc.result()])
+        certificate = {"input": str(exc.monomial), **exc.values}
+        return Report(checks=run_checks(("bv-extension-consistency",), [()],
+                                        lambda: certificate))
     for g, value in s.defined_bv_generator_values():
         report.details[f"bv({g.id})"] = value
     return report
@@ -658,87 +516,60 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
     if source.provenance != FREE:
         raise ValueError("morphism extension needs a free source structure")
     field = source.field
-    degree_acc = CheckAccumulator("morphism-degrees")
-    for g in source.generators:
-        image = assignment.get(g.id, Element.zero(target.field))
-        d = image.homogeneous_degree()
-        if image.is_zero or d == g.degree:
-            degree_acc.record_pass()
-        else:
-            degree_acc.record_fail({
-                "generator": g.id, "degree": str(g.degree),
-                "image": str(image), "image degree": str(d),
-            })
-    if degree_acc.failures:
-        return None, Report(checks=[degree_acc.result()])
+    gens = [(g,) for g in source.generators]
+
+    def image(gen_id: str) -> Element:
+        return assignment.get(gen_id, target.zero())
+
+    def degree(g):
+        value = image(g.id)
+        d = value.homogeneous_degree()
+        if value.is_zero or d == g.degree:
+            return None
+        return {"generator": g.id, "degree": str(g.degree),
+                "image": str(value), "image degree": str(d)}
+
+    checks = run_checks(("morphism-degrees",), gens, degree)
+    if checks[0].verdict == FAIL:
+        return None, Report(checks=checks)
 
     def apply_span(value: Element) -> Element:
-        out = Element.zero(target.field)
-        for mono, coeff in value.terms():
-            out = out + assignment.get(mono.word()[0].id,
-                                       Element.zero(target.field)).scale(coeff)
-        return out
+        return linear_extension(lambda mono: image(mono.word()[0].id), value)
 
-    bracket_acc = CheckAccumulator("morphism-brackets")
-    for i, x in enumerate(source.generators):
-        for y in source.generators[i:]:
-            lhs = apply_span(source.presentation.bracket(x.id, y.id))
-            rhs = poisson_bracket(target, assignment.get(x.id, target.zero()),
-                                  assignment.get(y.id, target.zero()))
-            if isinstance(rhs, Undefined):
-                bracket_acc.record_skip()
-            elif lhs == rhs:
-                bracket_acc.record_pass()
-            else:
-                bracket_acc.record_fail({
-                    "pair": f"[{x.id},{y.id}]",
-                    "image of bracket": str(lhs),
-                    "bracket of images": str(rhs),
-                })
+    def brackets(x, y):
+        return compare({"pair": f"[{x.id},{y.id}]"},
+                       "image of bracket", apply_span(source.presentation.bracket(x.id, y.id)),
+                       "bracket of images", poisson_bracket(target, image(x.id), image(y.id)))
 
-    diff_acc = CheckAccumulator("morphism-operators")
-    for g in source.generators:
-        lhs = apply_span(source.presentation.diff(g.id)).scale(-1)
-        rhs = target.bv_element(assignment.get(g.id, target.zero()))
-        if isinstance(rhs, Undefined):
-            diff_acc.record_skip()
-        elif lhs == rhs:
-            diff_acc.record_pass()
-        else:
-            diff_acc.record_fail({
-                "generator": g.id,
-                "image of -d(x)": str(lhs),
-                "bv of image": str(rhs),
-            })
+    def operators(g):
+        return compare({"generator": g.id},
+                       "image of -d(x)", apply_span(source.presentation.diff(g.id)).scale(-1),
+                       "bv of image", target.bv_element(image(g.id)))
 
-    if bracket_acc.failures or diff_acc.failures:
-        return None, Report(checks=[degree_acc.result(), bracket_acc.result(),
-                                    diff_acc.result()])
+    checks += run_checks(("morphism-brackets",),
+                         combinations_with_replacement(source.generators, 2), brackets)
+    checks += run_checks(("morphism-operators",), gens, operators)
+    if any(c.verdict == FAIL for c in checks):
+        return None, Report(checks=checks)
 
     def extension_rule(mono: Monomial) -> Element:
         out = Element.unit(target.field)
         for g in mono.word():
-            out = out * assignment.get(g.id, Element.zero(target.field))
+            out = out * image(g.id)
         return out
 
     extension = GradedMap(target.field, 0, rule=extension_rule, name="morphism")
     bound = source.truncation if max_degree is None else max_degree
-    commute = CheckAccumulator("morphism-commutes-with-bv")
-    for mono in source.basis(bound):
-        lhs = extension.apply(free_bv(source, Element.from_monomial(field, mono)))
-        rhs = target.bv_element(extension_rule(mono))
-        if isinstance(rhs, Undefined):
-            commute.record_skip()
-        elif lhs == rhs:
-            commute.record_pass()
-        else:
-            commute.record_fail({
-                "input": str(mono),
-                "morphism(bv(m))": str(lhs),
-                "bv(morphism(m))": str(rhs),
-            })
-    report = Report(checks=[degree_acc.result(), bracket_acc.result(),
-                            diff_acc.result(), commute.result()])
+
+    def commutes(mono):
+        return compare({"input": str(mono)},
+                       "morphism(bv(m))",
+                       extension.apply(free_bv(source, Element.from_monomial(field, mono))),
+                       "bv(morphism(m))", target.bv_element(extension_rule(mono)))
+
+    checks += run_checks(("morphism-commutes-with-bv",),
+                         window_tuples(source.basis(bound), 1, bound), commutes)
+    report = Report(checks=checks)
     return (extension if report.passed else None), report
 
 
@@ -750,31 +581,22 @@ def check_derivation(op: GradedMap, generators: Sequence[Generator],
     """Product-derivation law on all basis pairs in the window."""
     field = op.field
     degree = op.degree if op.degree is not None else op_degree
-    acc = CheckAccumulator("derivation-law")
     if degree is None:
-        acc.record_fail({"reason": "operator degree unknown; no Koszul sign"})
-        return Report(checks=[acc.result()])
-    basis = monomial_basis(field, generators, max_degree)
-    for a, b in _pairs(basis, max_degree):
-        product = normalize_word(field, a.word() + b.word())
-        try:
-            lhs = op.apply(product)
-            va = op.apply(Element.from_monomial(field, a))
-            vb = op.apply(Element.from_monomial(field, b))
-        except UndefinedValueError:
-            acc.record_skip()
-            continue
-        rhs = (va * Element.from_monomial(field, b)
-               + (Element.from_monomial(field, a) * vb).scale(field.sign(degree * a.degree)))
-        if lhs == rhs:
-            acc.record_pass()
-        else:
-            acc.record_fail({
-                "a": str(a), "b": str(b),
-                "op(ab)": str(lhs),
-                "op(a)b + sign*a op(b)": str(rhs),
-            })
-    return Report(checks=[acc.result()])
+        return Report(checks=run_checks(
+            ("derivation-law",), [()],
+            lambda: {"reason": "operator degree unknown; no Koszul sign"}))
+
+    def law(a, b):
+        a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)
+        lhs = op.apply(normalize_word(field, a.word() + b.word()))
+        va, vb = op.apply(a_elt), op.apply(b_elt)
+        return first_undefined(lhs, va, vb) or compare(
+            _pair_inputs(a, b), "op(ab)", lhs, "op(a)b + sign*a op(b)",
+            va * b_elt + (a_elt * vb).scale(field.sign(degree * a.degree)))
+
+    pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
+                          symmetric=True)
+    return Report(checks=run_checks(("derivation-law",), pairs, law))
 
 
 def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
@@ -790,21 +612,13 @@ def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
     field = base_op.field
     report = check_derivation(derivation_op, generators, max_degree, derivation_degree)
     total = base_op + derivation_op
-    acc = CheckAccumulator("bracket-unchanged-by-derivation")
-    basis = monomial_basis(field, generators, max_degree)
-    for a, b in _pairs(basis, max_degree):
-        combined = bracket_from_operator(field, total.value, a, b)
-        base = bracket_from_operator(field, base_op.value, a, b)
-        if combined is None or base is None:
-            acc.record_skip()
-            continue
-        if combined == base:
-            acc.record_pass()
-        else:
-            acc.record_fail({
-                "a": str(a), "b": str(b),
-                "bracket of sum": str(combined),
-                "bracket of base": str(base),
-            })
-    report.checks.append(acc.result())
+
+    def unchanged(a, b):
+        return compare(_pair_inputs(a, b),
+                       "bracket of sum", bracket_from_operator(field, total.value, a, b),
+                       "bracket of base", bracket_from_operator(field, base_op.value, a, b))
+
+    pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
+                          symmetric=True)
+    report.checks += run_checks(("bracket-unchanged-by-derivation",), pairs, unchanged)
     return total, report

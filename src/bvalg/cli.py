@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union
 
-from .algebra import OutOfWindowError, check_window
-from .bv import BVStructure, verify_bv_axioms, free_bv, poisson_bracket, Undefined
+from .algebra import OutOfWindowError, Undefined, check_window
+from .bv import BVStructure, verify_bv_axioms, free_bv, poisson_bracket
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .fields import FieldSpec
 from .fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture)
@@ -43,12 +43,15 @@ def _read_source(path: str) -> PresentationSource:
                       for d in exc.diagnostics)) from exc
 
 
-def _window(source: PresentationSource, args) -> int:
-    if getattr(args, "max_degree", None) is not None:
-        return args.max_degree
-    if source.truncate is not None:
-        return source.truncate
-    return 10
+def _read_structure(args) -> Tuple[PresentationSource, BVStructure]:
+    """The file's structure; its bases need every generator in positive
+    degree (check-lie alone accepts degree 0)."""
+    source = _read_source(args.file)
+    for g in source.generators:
+        if g.degree == 0:
+            raise InputError(f"{args.file}: generator {g.id!r} has degree 0: "
+                             "the degree window is not finite")
+    return source, source.to_structure(args.max_degree)
 
 
 def _emit(report: Report, fmt: str) -> None:
@@ -75,9 +78,7 @@ def _cmd_check_lie(args) -> int:
 
 
 def _cmd_check_bv(args) -> int:
-    source = _read_source(args.file)
-    structure = source.to_structure(_window(source, args)
-                                    if args.max_degree is not None else None)
+    _, structure = _read_structure(args)
     with Stopwatch() as clock:
         report = verify_bv_axioms(structure)
     report.elapsed = clock.elapsed
@@ -85,8 +86,7 @@ def _cmd_check_bv(args) -> int:
 
 
 def _element_command(args, compute) -> int:
-    source = _read_source(args.file)
-    structure = source.to_structure(args.max_degree)
+    source, structure = _read_structure(args)
     result = compute(source, structure)
     if isinstance(result, Undefined):
         raise InputError(f"value undefined: blocked by {result.blocking}")
@@ -212,18 +212,34 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_descriptor(args) -> int:
-    n = args.n if args.n == "infinity" else int(args.n)
     try:
-        descriptor = framed_disks_descriptor(n, FieldSpec.parse(args.field))
+        descriptor = framed_disks_descriptor(args.n, FieldSpec.parse(args.field))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return _finish(_describe_descriptor(descriptor), args.format)
 
 
+def _window_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _n_arg(text: str) -> Union[int, str]:
+    if text == "infinity":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'infinity', got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser, max_degree: bool = True) -> None:
     parser.add_argument("--format", choices=("human", "json"), default="human")
     if max_degree:
-        parser.add_argument("--max-degree", type=int, default=None)
+        parser.add_argument("--max-degree", type=_window_arg, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fixture)
 
     p = sub.add_parser("descriptor", help="operator inventory for n and a field")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", required=True, type=_n_arg)
     p.add_argument("--field", required=True)
     _add_common(p, max_degree=False)
     p.set_defaults(func=_cmd_descriptor)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .algebra import Element, Generator, Monomial
+from .algebra import Element, Generator, MaybeElement, Monomial, Undefined
 from .fields import FieldSpec, QQ
 from .lie import LiePresentation, desuspend
 from .bv import BVStructure, free_bv_structure, user_bv_structure
@@ -139,15 +139,17 @@ class SphericalTag:
     eta_composite: Optional[Element]
 
 
-def spherical_bv(tag: SphericalTag, field: FieldSpec) -> Optional[Element]:
+def spherical_bv(tag: SphericalTag, field: FieldSpec) -> MaybeElement:
     """Value of the degree-1 operator on a spherical class.
 
     Away from characteristic 2 the suspended Hopf map composite is null, so
     the value is zero; in characteristic 2 it is the stored composite image
-    (the sign -(-1)^j collapses mod 2), or None when not tabulated.
+    (the sign -(-1)^j collapses mod 2), or Undefined when not tabulated.
     """
     if field.characteristic != 2:
         return Element.zero(field)
+    if tag.eta_composite is None:
+        return Undefined(f"eta composite of {tag.witness}")
     return tag.eta_composite
 
 

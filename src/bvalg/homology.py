@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .algebra import Element, Monomial, basis_by_degree
+from .algebra import Element, Monomial, Undefined, basis_by_degree
 from .fields import FieldSpec, Scalar
-from .bv import BVStructure, FREE, Undefined, free_bv_structure
+from .bv import BVStructure, FREE, free_bv_structure
 from .lie import LiePresentation
 from .linalg import rank
 

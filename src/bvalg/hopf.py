@@ -9,13 +9,14 @@ Koszul sign when op moves past the left tensor factor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import (Element, Generator, GradedMap, Monomial, basis_by_degree,
-                      normalize_word)
+from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
+                      Undefined, basis_by_degree, first_undefined, linear_extension,
+                      monomial_basis, normalize_word, window_tuples)
 from .fields import FieldSpec, Scalar
 from .linalg import nullspace
-from .report import CheckAccumulator, Report
+from .report import Report, compare, run_checks
 
 TensorKey = Tuple[Monomial, ...]
 
@@ -89,18 +90,18 @@ class TensorElement:
                 out = out + _combine_slots(field, slot_elements, coeff)
         return out
 
-    def apply_slot(self, slot: int, fn: Callable[[Monomial], Optional[Element]],
-                   fn_degree: int) -> "TensorElement":
+    def apply_slot(self, slot: int, fn: Callable[[Monomial], MaybeElement],
+                   fn_degree: int) -> Union["TensorElement", Undefined]:
         """Apply a map of the given degree to one slot, with the Koszul sign
-        for moving it past the slots to the left.  Returns None-propagating
-        UndefinedSlot via exception when fn has a gap."""
+        for moving it past the slots to the left; the first gap of fn is
+        returned as Undefined."""
         field = self.field
         out = TensorElement.zero(field, self.arity)
         for key, coeff in self._terms.items():
             left_degree = sum(m.degree for m in key[:slot])
             value = fn(key[slot])
-            if value is None:
-                raise UndefinedSlot(key[slot])
+            if isinstance(value, Undefined):
+                return value
             sgn = field.sign(fn_degree * left_degree)
             for mono, c in value.terms():
                 new_key = key[:slot] + (mono,) + key[slot + 1:]
@@ -135,12 +136,6 @@ class TensorElement:
         return " + ".join(parts)
 
 
-class UndefinedSlot(Exception):
-    def __init__(self, mono: Monomial):
-        self.monomial = mono
-        super().__init__(f"operator undefined on {mono}")
-
-
 def _combine_slots(field: FieldSpec, slots: List[Element], coeff) -> TensorElement:
     """Tensor of single-slot Elements (each a normalized scalar multiple)."""
     key: List[Monomial] = []
@@ -171,10 +166,6 @@ def coproduct(element: Element) -> TensorElement:
     for mono, coeff in element.terms():
         out = out + coproduct_monomial(element.field, mono).scale(coeff)
     return out
-
-
-def counit(element: Element) -> Scalar:
-    return element.coefficient(Monomial.unit())
 
 
 def reduced_coproduct(element: Element) -> TensorElement:
@@ -214,34 +205,26 @@ def primitive_basis(field: FieldSpec, generators: Sequence[Generator],
     return out
 
 
-_ANTIPODE_CACHE: Dict[Tuple[FieldSpec, Monomial], Element] = {}
-
-
-def _antipode_monomial(field: FieldSpec, mono: Monomial) -> Element:
-    """Solve mu(antipode (x) id)(coproduct m) = 0 for positive degree,
-    recursing on the strictly smaller left tensor factors."""
-    if mono.is_unit:
-        return Element.unit(field)
-    key = (field, mono)
-    cached = _ANTIPODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    total = Element.zero(field)
-    for (left, right), coeff in coproduct_monomial(field, mono).terms():
-        if left == mono:
-            continue
-        total = total + (_antipode_monomial(field, left)
-                         * Element.from_monomial(field, right)).scale(coeff)
-    result = -total
-    _ANTIPODE_CACHE[key] = result
-    return result
-
-
 def antipode(element: Element) -> Element:
-    out = Element.zero(element.field)
-    for mono, coeff in element.terms():
-        out = out + _antipode_monomial(element.field, mono).scale(coeff)
-    return out
+    """Solve mu(antipode (x) id)(coproduct m) = 0 for each monomial m of
+    positive degree, recursing on the strictly smaller left tensor factors
+    (memoized for this call only)."""
+    field = element.field
+    memo: Dict[Monomial, Element] = {}
+
+    def on_monomial(mono: Monomial) -> Element:
+        if mono.is_unit:
+            return Element.unit(field)
+        if mono not in memo:
+            total = Element.zero(field)
+            for (left, right), coeff in coproduct_monomial(field, mono).terms():
+                if left != mono:
+                    total = total + (on_monomial(left)
+                                     * Element.from_monomial(field, right)).scale(coeff)
+            memo[mono] = -total
+        return memo[mono]
+
+    return linear_extension(on_monomial, element)
 
 
 def is_coderivation(op: GradedMap, generators: Sequence[Generator],
@@ -250,31 +233,20 @@ def is_coderivation(op: GradedMap, generators: Sequence[Generator],
     undefined operator values are reported as skipped coverage."""
     field = op.field
     degree = op.degree if op.degree is not None else 0
-    acc = CheckAccumulator("coderivation")
-    bound = max_degree - degree if degree > 0 else max_degree
-    for mono in sorted(
-            (m for ms in basis_by_degree(field, generators, max(bound, 0)).values()
-             for m in ms),
-            key=Monomial.order_key):
+    bound = max(max_degree - degree if degree > 0 else max_degree, 0)
+
+    def coderivation(mono):
         value = op.value(mono)
-        if value is None:
-            acc.record_skip()
-            continue
-        lhs = coproduct(value)
-        try:
-            delta = coproduct_monomial(field, mono)
-            rhs = (delta.apply_slot(0, op.value, degree)
-                   + delta.apply_slot(1, op.value, degree))
-        except UndefinedSlot:
-            acc.record_skip()
-            continue
-        if lhs == rhs:
-            acc.record_pass()
-        else:
-            acc.record_fail({
-                "input": str(mono),
-                "coproduct of image": str(lhs),
-                "coderivation expansion": str(rhs),
-            })
-    report = Report(checks=[acc.result()])
-    return report
+        if isinstance(value, Undefined):
+            return value
+        delta = coproduct_monomial(field, mono)
+        left = delta.apply_slot(0, op.value, degree)
+        if isinstance(left, Undefined):
+            return left
+        right = delta.apply_slot(1, op.value, degree)
+        return first_undefined(right) or compare(
+            {"input": str(mono)}, "coproduct of image", coproduct(value),
+            "coderivation expansion", left + right)
+
+    monos = window_tuples(monomial_basis(field, generators, bound), 1, bound)
+    return Report(checks=run_checks(("coderivation",), monos, coderivation))

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Element, Generator, sign_exponent
+from .algebra import Element, Generator, linear_extension, sign_exponent
 from .fields import FieldSpec
-from .report import CheckAccumulator, Report
+from .report import FAIL, Report, compare, run_checks, vanishes
 
 BracketKey = Tuple[str, str]
 
@@ -104,10 +105,7 @@ class LiePresentation:
         return self.differential.get(gen_id, Element.zero(self.field))
 
     def diff_element(self, u: Element) -> Element:
-        out = Element.zero(self.field)
-        for mono, coeff in u.terms():
-            out = out + self.diff(mono.word()[0].id).scale(coeff)
-        return out
+        return linear_extension(lambda mono: self.diff(mono.word()[0].id), u)
 
     @property
     def has_differential(self) -> bool:
@@ -133,11 +131,9 @@ def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentati
         new_gens.append(ng)
 
     def remap(value: Element) -> Element:
-        out = Element.zero(presentation.field)
-        for mono, coeff in value.terms():
-            g = mono.word()[0]
-            out = out + Element.from_generator(presentation.field, mapping[g.id], coeff)
-        return out
+        return linear_extension(
+            lambda mono: Element.from_generator(presentation.field, mapping[mono.word()[0].id]),
+            value)
 
     return LiePresentation(
         field=presentation.field,
@@ -149,22 +145,12 @@ def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentati
     )
 
 
-def _structural_check(presentation: LiePresentation) -> CheckAccumulator:
-    acc = CheckAccumulator("bracket-degree")
-    for (x_id, y_id), value in sorted(presentation.brackets.items()):
-        x, y = presentation.gen(x_id), presentation.gen(y_id)
-        expected = presentation.bracket_degree(x, y)
-        got = value.homogeneous_degree()
-        if value.is_zero or got == expected:
-            acc.record_pass()
-        else:
-            acc.record_fail({
-                "pair": f"[{x_id},{y_id}]",
-                "expected degree": str(expected),
-                "value": str(value),
-                "value degree": str(got),
-            })
-    return acc
+def _degree_outcome(inputs: Dict[str, str], expected: int, value: Element):
+    got = value.homogeneous_degree()
+    if value.is_zero or got == expected:
+        return None
+    return {**inputs, "expected degree": str(expected), "value": str(value),
+            "value degree": str(got)}
 
 
 def check_lie_axioms(presentation: LiePresentation) -> Report:
@@ -173,99 +159,69 @@ def check_lie_axioms(presentation: LiePresentation) -> Report:
     A degree mismatch in the table is a structural error reported before
     (and instead of) the axiom checks.
     """
-    structural = _structural_check(presentation)
-    if structural.failures:
-        return Report(checks=[structural.result()])
-
     p = presentation
-    antisym = CheckAccumulator("bracket-antisymmetry")
-    for x in p.generators:
-        for y in p.generators:
-            lhs = p.bracket(x.id, y.id)
-            rhs = p.bracket(y.id, x.id).scale(-sign_exponent(p.parity(x) * p.parity(y)))
-            if x == y and p.parity(x) % 2 == 0 and p.field.characteristic != 2:
-                # antisymmetry forces 2{x,x} = 0 here, so {x,x} = 0 away from char 2
-                if lhs.is_zero:
-                    antisym.record_pass()
-                else:
-                    antisym.record_fail({
-                        "pair": f"[{x.id},{x.id}]",
-                        "constraint": "even shifted parity forces {x,x} = 0",
-                        "value": str(lhs),
-                    })
-            elif lhs == rhs:
-                antisym.record_pass()
-            else:
-                antisym.record_fail({
-                    "pair": f"[{x.id},{y.id}]",
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                })
 
-    jacobi = CheckAccumulator("bracket-jacobi")
-    for x in p.generators:
-        for y in p.generators:
-            for z in p.generators:
-                lhs = p.bracket_elements(p.span_element(x.id), p.bracket(y.id, z.id))
-                first = p.bracket_elements(p.bracket(x.id, y.id), p.span_element(z.id))
-                second = p.bracket_elements(p.span_element(y.id), p.bracket(x.id, z.id))
-                rhs = first + second.scale(sign_exponent(p.parity(x) * p.parity(y)))
-                if lhs == rhs:
-                    jacobi.record_pass()
-                else:
-                    jacobi.record_fail({
-                        "triple": f"({x.id},{y.id},{z.id})",
-                        "lhs {x,{y,z}}": str(lhs),
-                        "rhs {{x,y},z} + sign*{y,{x,z}}": str(rhs),
-                    })
+    def bracket_degree(x_id, y_id, value):
+        return _degree_outcome({"pair": f"[{x_id},{y_id}]"},
+                               p.bracket_degree(p.gen(x_id), p.gen(y_id)), value)
 
-    return Report(checks=[structural.result(), antisym.result(), jacobi.result()])
+    structural = run_checks(("bracket-degree",),
+                            ((x, y, v) for (x, y), v in sorted(p.brackets.items())),
+                            bracket_degree)
+    if structural[0].verdict == FAIL:
+        return Report(checks=structural)
+
+    def antisymmetry(x, y):
+        lhs = p.bracket(x.id, y.id)
+        if x == y and p.parity(x) % 2 == 0 and p.field.characteristic != 2:
+            # antisymmetry forces 2{x,x} = 0 here, so {x,x} = 0 away from char 2
+            return vanishes({"pair": f"[{x.id},{x.id}]",
+                             "constraint": "even shifted parity forces {x,x} = 0"},
+                            "value", lhs)
+        rhs = p.bracket(y.id, x.id).scale(-sign_exponent(p.parity(x) * p.parity(y)))
+        return compare({"pair": f"[{x.id},{y.id}]"}, "lhs", lhs, "rhs", rhs)
+
+    def jacobi(x, y, z):
+        lhs = p.bracket_elements(p.span_element(x.id), p.bracket(y.id, z.id))
+        first = p.bracket_elements(p.bracket(x.id, y.id), p.span_element(z.id))
+        second = p.bracket_elements(p.span_element(y.id), p.bracket(x.id, z.id))
+        return compare({"triple": f"({x.id},{y.id},{z.id})"}, "lhs {x,{y,z}}", lhs,
+                       "rhs {{x,y},z} + sign*{y,{x,z}}",
+                       first + second.scale(sign_exponent(p.parity(x) * p.parity(y))))
+
+    return Report(checks=(
+        structural
+        + run_checks(("bracket-antisymmetry",), product(p.generators, repeat=2), antisymmetry)
+        + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi)))
 
 
 def check_differential(presentation: LiePresentation) -> Report:
     """d has degree -1, squares to zero, and is a bracket derivation."""
     p = presentation
-    degree_acc = CheckAccumulator("differential-degree")
-    for x_id, value in sorted(p.differential.items()):
-        expected = p.gen(x_id).degree - 1
-        got = value.homogeneous_degree()
-        if value.is_zero or got == expected:
-            degree_acc.record_pass()
-        else:
-            degree_acc.record_fail({
-                "generator": x_id,
-                "expected degree": str(expected),
-                "value": str(value),
-                "value degree": str(got),
-            })
-    if degree_acc.failures:
-        return Report(checks=[degree_acc.result()])
 
-    square = CheckAccumulator("differential-squared")
-    for x in p.generators:
-        value = p.diff_element(p.diff(x.id))
-        if value.is_zero:
-            square.record_pass()
-        else:
-            square.record_fail({"generator": x.id, "d(d(x))": str(value)})
+    def degree(x_id, value):
+        return _degree_outcome({"generator": x_id}, p.gen(x_id).degree - 1, value)
 
-    leibniz = CheckAccumulator("differential-bracket-derivation")
-    for x in p.generators:
-        for y in p.generators:
-            lhs = p.diff_element(p.bracket(x.id, y.id))
-            rhs = (p.bracket_elements(p.diff(x.id), p.span_element(y.id))
-                   + p.bracket_elements(p.span_element(x.id), p.diff(y.id))
-                   .scale(sign_exponent(p.parity(x))))
-            if lhs == rhs:
-                leibniz.record_pass()
-            else:
-                leibniz.record_fail({
-                    "pair": f"[{x.id},{y.id}]",
-                    "d{x,y}": str(lhs),
-                    "{dx,y} + sign*{x,dy}": str(rhs),
-                })
+    checks = run_checks(("differential-degree",), sorted(p.differential.items()), degree)
+    if checks[0].verdict == FAIL:
+        return Report(checks=checks)
 
-    return Report(checks=[degree_acc.result(), square.result(), leibniz.result()])
+    def square(x):
+        return vanishes({"generator": x.id}, "d(d(x))", p.diff_element(p.diff(x.id)))
+
+    def leibniz(x, y):
+        rhs = (p.bracket_elements(p.diff(x.id), p.span_element(y.id))
+               + p.bracket_elements(p.span_element(x.id), p.diff(y.id))
+               .scale(sign_exponent(p.parity(x))))
+        return compare({"pair": f"[{x.id},{y.id}]"},
+                       "d{x,y}", p.diff_element(p.bracket(x.id, y.id)),
+                       "{dx,y} + sign*{x,dy}", rhs)
+
+    return Report(checks=(
+        checks
+        + run_checks(("differential-squared",), product(p.generators, repeat=1), square)
+        + run_checks(("differential-bracket-derivation",), product(p.generators, repeat=2),
+                     leibniz)))
 
 
 def random_lie_presentation(rng: random.Random,

@@ -1,10 +1,24 @@
-"""Machine-readable verification reports.
+"""Machine-readable verification reports and the identity driver.
 
 A report is a list of named checks, each pass/fail/skipped with an optional
 counterexample certificate (rendered inputs and both sides of the failed
 identity), plus a coverage fraction for partially defined structures.
 JSON output is deterministic: sorted keys, all numbers as strings, no
 timing data.
+
+Every check is run by ``run_checks(names, instances, identity)``.  The
+identity is called once per instance (a tuple of arguments) and returns one
+outcome per check name, as a tuple when there are several names:
+
+  * ``None``: the instance passes;
+  * an ``Undefined``: a needed value is missing, the instance is skipped;
+  * a dict of strings: the instance fails, and the dict is its certificate.
+
+The certificate of a check is its first failing instance in enumeration
+order.  A check is ``fail`` if any instance fails, ``skipped`` if every
+instance was skipped, and ``pass`` otherwise.  Checks that share an
+enumeration (one identity returning several outcomes) see the same
+instances in the same order.
 """
 
 from __future__ import annotations
@@ -13,7 +27,9 @@ import json
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+
+from .algebra import Element, Undefined, element_to_pairs, first_undefined
 
 PASS = "pass"
 FAIL = "fail"
@@ -22,11 +38,11 @@ SKIPPED = "skipped"
 # Detail values may be plain strings or algebra Elements; Elements are
 # rendered as strings for humans and as sorted (monomial, coefficient)
 # pair lists in JSON.
-DetailValue = Union[str, "Element"]  # noqa: F821 (structural, no import cycle)
+DetailValue = Union[str, Element]
+Outcome = Union[None, Undefined, Dict[str, str]]
 
 
 def _detail_json(value):
-    from .algebra import Element, element_to_pairs
     if isinstance(value, Element):
         return [list(pair) for pair in element_to_pairs(value)]
     return str(value)
@@ -43,7 +59,7 @@ class CheckResult:
 
 class CheckAccumulator:
     """Tallies one named check over many instances, keeping the first
-    counterexample as the certificate."""
+    counterexample as the certificate; the private tally of `run_checks`."""
 
     def __init__(self, name: str):
         self.name = name
@@ -73,6 +89,42 @@ class CheckAccumulator:
             verdict = PASS
         return CheckResult(self.name, verdict, self.checked, self.skipped,
                            self.certificate)
+
+
+def run_checks(names: Sequence[str], instances: Iterable[tuple],
+               identity: Callable[..., object]) -> List[CheckResult]:
+    """Tally identity(*instance) over the instances, one check per name
+    (the outcome contract is in the module docstring)."""
+    tallies = [CheckAccumulator(name) for name in names]
+    for instance in instances:
+        outcomes = identity(*instance)
+        if not isinstance(outcomes, tuple):
+            outcomes = (outcomes,)
+        for tally, outcome in zip(tallies, outcomes):
+            if outcome is None:
+                tally.record_pass()
+            elif isinstance(outcome, Undefined):
+                tally.record_skip()
+            else:
+                tally.record_fail(outcome)
+    return [tally.result() for tally in tallies]
+
+
+def compare(inputs: Dict[str, str], lhs_label: str, lhs, rhs_label: str,
+            rhs) -> Outcome:
+    """Outcome of the identity lhs == rhs: the first Undefined side, None
+    when equal, else a certificate of the inputs and both rendered sides."""
+    gap = first_undefined(lhs, rhs)
+    if gap is not None or lhs == rhs:
+        return gap
+    return {**inputs, lhs_label: str(lhs), rhs_label: str(rhs)}
+
+
+def vanishes(inputs: Dict[str, str], label: str, value) -> Outcome:
+    """Outcome of the identity value == 0."""
+    if isinstance(value, Undefined):
+        return value
+    return None if value.is_zero else {**inputs, label: str(value)}
 
 
 @dataclass

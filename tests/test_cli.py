@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from bvalg.cli import main
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -11,7 +13,10 @@ def fixture_path(name):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects malformed arguments this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -169,3 +174,36 @@ def test_json_failure_carries_certificate(capsys, tmp_path):
     assert code == 1
     doc = json.loads(out)
     assert doc["certificates"], "failure exits must carry a certificate"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bv", fixture_path("loops2_s4.lie")],
+    ["free-bv", fixture_path("loops2_s4.lie"), "--apply", "a"],
+    ["bracket", fixture_path("loops2_s4.lie"), "a", "a"],
+    ["ce-homology", fixture_path("heisenberg.lie")],
+    ["fixture", "loopspace:2:4", "--verify"],
+])
+def test_negative_window_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err and "Traceback" not in err
+
+
+def test_descriptor_non_integer_n_is_input_error(capsys):
+    code, out, err = run(capsys, "descriptor", "--n", "abc", "--field", "Q")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", [
+    ["check-bv"], ["free-bv", "--apply", "b"], ["bracket", "b", "b"],
+])
+def test_degree_zero_generator_is_input_error(capsys, tmp_path, verb):
+    path = tmp_path / "zero.lie"
+    path.write_text("field Q\nshift n=2\ngen a : 0\ngen b : 2\ntruncate 4\n")
+    code, out, err = run(capsys, verb[0], str(path), *verb[1:])
+    assert code == 2
+    assert out == ""
+    assert "'a' has degree 0" in err

@@ -129,7 +129,7 @@ def test_spherical_bv_char_two_uses_stored_composite():
     assert spherical_bv(SphericalTag("id of the 3-sphere", 1, composite), GF2) \
         == composite
     assert spherical_bv(SphericalTag("null", 1, Element.zero(GF2)), GF2).is_zero
-    assert spherical_bv(SphericalTag("unknown", 1, None), GF2) is None
+    assert isinstance(spherical_bv(SphericalTag("unknown", 1, None), GF2), Undefined)
 
 
 def test_omega2_generators_and_bottom_value():
