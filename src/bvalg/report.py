@@ -115,8 +115,10 @@ def compare(inputs: Dict[str, str], lhs_label: str, lhs, rhs_label: str,
     """Outcome of the identity lhs == rhs: the first Undefined side, None
     when equal, else a certificate of the inputs and both rendered sides."""
     gap = first_undefined(lhs, rhs)
-    if gap is not None or lhs == rhs:
+    if gap is not None:
         return gap
+    if lhs == rhs:
+        return None
     return {**inputs, lhs_label: str(lhs), rhs_label: str(rhs)}
 
 

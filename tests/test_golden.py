@@ -36,12 +36,11 @@ def _cases():
     cases = {}
     for path in _lie_files():
         stem = os.path.splitext(os.path.basename(path))[0]
-        rel = os.path.relpath(path, ROOT)
-        cases[f"check-lie_{stem}"] = ["check-lie", rel]
-        cases[f"check-bv_{stem}"] = ["check-bv", rel]
+        cases[f"check-lie_{stem}"] = ["check-lie", path]
+        cases[f"check-bv_{stem}"] = ["check-bv", path]
         with open(path, encoding="utf-8") as handle:
             if "shift n=0\n" in handle.read():
-                cases[f"ce-homology_{stem}"] = ["ce-homology", rel]
+                cases[f"ce-homology_{stem}"] = ["ce-homology", path]
     for name in FIXTURES:
         cases[f"fixture_{name.replace(':', '-')}_D10"] = [
             "fixture", name, "--verify", "--max-degree", "10"]
@@ -54,14 +53,9 @@ CASES = _cases()
 
 
 def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--format", "json"])
-    finally:
-        os.chdir(cwd)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--format", "json"])
     return f"exit: {code}\n" + out.getvalue()
 
 
