@@ -63,7 +63,6 @@ class BVStructure:
                  truncation: int,
                  bv_values: Optional[Dict[Union[str, Monomial], Element]] = None,
                  partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None,
-                 brackets_total: bool = True,
                  has_bv: bool = True,
                  metadata: Optional[Dict] = None):
         self.presentation = presentation
@@ -71,13 +70,14 @@ class BVStructure:
         self.shift = presentation.shift
         self.generators = list(presentation.generators)
         self.truncation = truncation
-        self.brackets_total = brackets_total
         self.has_bv = has_bv
         self.metadata = dict(metadata or {})
         self.d0 = derivation_from_generator_values(
             self.field, {g: -d for g, d in presentation.differential.items()}, -1, name="d0")
-        self._partial_brackets: Dict[Tuple[str, str], Element] = {}
+        # The bracket table is partial exactly when one is given.
+        self._partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None
         if partial_brackets is not None:
+            self._partial_brackets = {}
             for (x, y), value in partial_brackets.items():
                 gx, gy = presentation.gen(x), presentation.gen(y)
                 key, flip = presentation._canonical_pair(gx, gy)
@@ -111,7 +111,7 @@ class BVStructure:
     # -- bracket ----------------------------------------------------------
 
     def bracket_pair(self, x: Generator, y: Generator) -> MaybeElement:
-        if self.brackets_total:
+        if self._partial_brackets is None:
             return self.presentation.bracket(x.id, y.id)
         key, flip = self.presentation._canonical_pair(x, y)
         value = self._partial_brackets.get(key)
@@ -183,11 +183,9 @@ def free_bv_structure(presentation: LiePresentation, truncation: int,
 def user_bv_structure(presentation: LiePresentation, truncation: int,
                       bv_values: Dict[Union[str, Monomial], Element],
                       partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None,
-                      brackets_total: bool = True,
                       metadata: Optional[Dict] = None) -> BVStructure:
     return BVStructure(presentation, truncation, bv_values=bv_values,
-                       partial_brackets=partial_brackets,
-                       brackets_total=brackets_total, metadata=metadata)
+                       partial_brackets=partial_brackets, metadata=metadata)
 
 
 # -- the Poisson-extended bracket ------------------------------------------------

@@ -16,9 +16,9 @@ from .bv import BVStructure, verify_bv_axioms, free_bv, poisson_bracket
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .fields import FieldSpec
 from .fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture)
-from .homology import betti, build_ce_complex
+from .homology import BoundarySquareError, betti, build_ce_complex
 from .lie import LiePresentation, check_differential, check_lie_axioms
-from .report import Report, Stopwatch, merge_reports
+from .report import Report, Stopwatch, merge_reports, run_checks
 
 EXIT_PASS = 0
 EXIT_AXIOM_FAILURE = 1
@@ -134,6 +134,11 @@ def _cmd_ce_homology(args) -> int:
         complex_ = build_ce_complex(presentation,
                                     args.max_degree if args.max_degree is not None
                                     else source.truncate)
+    except BoundarySquareError as exc:
+        certificate = {"grade": str(exc.grade), "input": str(exc.source),
+                       "d(d(input))": str(exc.composite)}
+        return _finish(Report(checks=run_checks(("boundary-squared",), [()],
+                                                lambda: certificate)), args.format)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = Report(betti=betti(complex_))

@@ -175,7 +175,7 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     structure = user_bv_structure(
         presentation, max_degree,
         bv_values={"u1": u1_squared},
-        partial_brackets={}, brackets_total=False,
+        partial_brackets={},
         metadata={
             "name": "omega2-s3-f2",
             "spherical": ("u1",),

@@ -21,6 +21,17 @@ from .linalg import rank
 Matrix = List[List[Scalar]]
 
 
+class BoundarySquareError(ValueError):
+    """The boundary squares to nonzero: d(d(source)) = composite, with the
+    source in the given grade."""
+
+    def __init__(self, grade: int, source: Monomial, composite: Element):
+        self.grade = grade
+        self.source = source
+        self.composite = composite
+        super().__init__(f"boundary composite nonzero out of grade {grade}")
+
+
 @dataclass
 class ChainComplex:
     """Grade-indexed exact boundary matrices with a fixed degree step."""
@@ -32,38 +43,34 @@ class ChainComplex:
     boundaries: Dict[int, Matrix]
 
     def __post_init__(self) -> None:
+        """Check d∘d = 0, multiplying over the nonzero entries only."""
+        field = self.field
         for g in sorted(self.basis):
             first = self.boundaries.get(g)
             second = self.boundaries.get(g + self.step)
-            if first is None or second is None or not first or not second:
+            if not first or not second:
                 continue
-            composite_is_zero = all(
-                self.field.is_zero(sum(
-                    (self.field.mul(second[i][k], first[k][j])
-                     for k in range(len(first))), self.field.zero()))
-                for i in range(len(second)) for j in range(len(first[0])))
-            if not composite_is_zero:
-                raise ValueError(f"boundary composite nonzero out of grade {g}")
+            second_columns = [[(i, row[k]) for i, row in enumerate(second)
+                               if not field.is_zero(row[k])]
+                              for k in range(len(second[0]))]
+            for j, source in enumerate(self.basis[g]):
+                composite: Dict[int, Scalar] = {}
+                for k, row in enumerate(first):
+                    if field.is_zero(row[j]):
+                        continue
+                    for i, y in second_columns[k]:
+                        composite[i] = field.add(composite.get(i, field.zero()),
+                                                 field.mul(y, row[j]))
+                if any(not field.is_zero(c) for c in composite.values()):
+                    target = self.basis[g + 2 * self.step]
+                    raise BoundarySquareError(g, source, Element(
+                        field, {target[i]: c for i, c in composite.items()}))
 
     def dimension(self, grade: int) -> int:
         return len(self.basis.get(grade, []))
 
     def grades(self) -> List[int]:
         return sorted(self.basis)
-
-
-def _operator_matrix(field: FieldSpec, source: List[Monomial],
-                     target: List[Monomial],
-                     values: Dict[Monomial, Element]) -> Matrix:
-    index = {m: i for i, m in enumerate(target)}
-    matrix = [[field.zero()] * len(source) for _ in target]
-    for col, mono in enumerate(source):
-        for m, coeff in values[mono].terms():
-            row = index.get(m)
-            if row is None:
-                raise ValueError(f"boundary of {mono} leaves the window at {m}")
-            matrix[row][col] = coeff
-    return matrix
 
 
 def bv_chain_complex(structure: BVStructure, max_degree: Optional[int] = None,
@@ -75,44 +82,36 @@ def bv_chain_complex(structure: BVStructure, max_degree: Optional[int] = None,
     """
     bound = structure.truncation if max_degree is None else max_degree
     field = structure.field
-    step = structure.shift - 1
     degree_basis = basis_by_degree(field, structure.generators, bound)
-    values: Dict[Monomial, Element] = {}
-    for d in sorted(degree_basis):
-        for mono in degree_basis[d]:
-            value = structure.bv_monomial(mono)
-            if isinstance(value, Undefined):
-                raise ValueError(f"operator undefined on {mono}: no chain complex")
-            values[mono] = value
-
     if grading == "total":
-        basis = {d: ms for d, ms in degree_basis.items()}
-        key = lambda m: m.degree
+        basis, step = degree_basis, structure.shift - 1
     elif grading == "wordlength":
         if structure.provenance == FREE and structure.presentation.has_differential:
             raise ValueError("wordlength grading needs a vanishing differential part")
-        basis = {}
+        basis, step = {}, -1
         for d in sorted(degree_basis):
             for mono in degree_basis[d]:
                 basis.setdefault(mono.wordlength, []).append(mono)
-        step = -1
-        key = lambda m: m.wordlength
     else:
         raise ValueError(f"unknown grading {grading!r}")
 
     boundaries: Dict[int, Matrix] = {}
     for g in sorted(basis):
-        source = basis[g]
         target = basis.get(g + step, [])
-        clipped: Dict[Monomial, Element] = {}
-        for mono in source:
-            value = values[mono]
-            kept = {m: c for m, c in value.terms() if key(m) == g + step and m in set(target)}
-            dropped = [m for m, _ in value.terms() if key(m) != g + step or m not in set(target)]
-            if dropped and (g + step) in basis:
-                raise ValueError(f"boundary of {mono} not homogeneous for {grading} grading")
-            clipped[mono] = Element(field, kept)
-        boundaries[g] = _operator_matrix(field, source, target, clipped)
+        row_of = {m: i for i, m in enumerate(target)}
+        matrix = [[field.zero()] * len(basis[g]) for _ in target]
+        for col, mono in enumerate(basis[g]):
+            value = structure.bv_monomial(mono)
+            if isinstance(value, Undefined):
+                raise ValueError(f"operator undefined on {mono}: no chain complex")
+            for m, coeff in value.terms():
+                row = row_of.get(m)
+                if row is not None:
+                    matrix[row][col] = coeff
+                elif g + step in basis:
+                    raise ValueError(
+                        f"boundary of {mono} not homogeneous for {grading} grading")
+        boundaries[g] = matrix
     return ChainComplex(field, grading, step, basis, boundaries)
 
 
@@ -141,14 +140,9 @@ def betti(complex_: ChainComplex) -> List[int]:
     grades = complex_.grades()
     if not grades:
         return []
-    top = max(grades)
-    out = []
-    for g in range(top + 1):
-        dim = complex_.dimension(g)
-        out_rank = rank(complex_.boundaries.get(g, []), complex_.field)
-        in_rank = rank(complex_.boundaries.get(g - complex_.step, []), complex_.field)
-        out.append(dim - out_rank - in_rank)
-    return out
+    ranks = {g: rank(matrix, complex_.field) for g, matrix in complex_.boundaries.items()}
+    return [complex_.dimension(g) - ranks.get(g, 0) - ranks.get(g - complex_.step, 0)
+            for g in range(max(grades) + 1)]
 
 
 def euler_characteristic(complex_: ChainComplex) -> int:

@@ -1,54 +1,18 @@
 """Exact dense linear algebra over Q and F_p, at desk scale.
 
-Rank over Q goes through fraction-free (Bareiss) elimination on an integer
-matrix obtained by clearing denominators row by row; rank over F_p and all
-nullspace computations use straightforward Gauss-Jordan elimination with
-field inverses.  Pivot choice is deterministic (first nonzero in column
-order), so results are byte-stable across runs.
+One Gauss-Jordan elimination with field inverses serves both fields: rank
+and nullspace both read the reduced row echelon form.  Pivot choice is
+deterministic (first nonzero in column order), so results are byte-stable
+across runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .fields import FieldSpec, Scalar
 
 Matrix = List[List[Scalar]]
-
-
-def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
-    for row in rows:
-        scale = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        out.append([int(Fraction(x) * scale) for x in row])
-    return out
-
-
-def _bareiss_rank(matrix: List[List[int]]) -> int:
-    m = [row[:] for row in matrix]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                if num % prev != 0:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                m[i][j] = num // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
 
 
 def rref(matrix: Matrix, field: FieldSpec) -> Tuple[Matrix, List[int]]:
@@ -77,12 +41,7 @@ def rref(matrix: Matrix, field: FieldSpec) -> Tuple[Matrix, List[int]]:
 
 
 def rank(matrix: Matrix, field: FieldSpec) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    if field.kind == "rational":
-        return _bareiss_rank(_clear_denominators(matrix))
-    _, pivots = rref(matrix, field)
-    return len(pivots)
+    return len(rref(matrix, field)[1])
 
 
 def nullspace(matrix: Matrix, field: FieldSpec) -> List[List[Scalar]]:

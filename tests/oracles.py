@@ -45,3 +45,12 @@ def betti_from_boundaries(dimensions, boundaries, step):
         rank_in = fraction_rank(boundaries.get(g - step, []))
         out.append(dim - rank_out - rank_in)
     return out
+
+
+def dense_product(a, b, modulus=None):
+    """The matrix product a*b by the textbook triple loop over Fraction,
+    each entry reduced mod `modulus` when one is given."""
+    out = [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))),
+                Fraction(0))
+            for j in range(len(b[0]))] for i in range(len(a))]
+    return out if modulus is None else [[x % modulus for x in row] for row in out]

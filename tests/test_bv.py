@@ -156,8 +156,7 @@ def test_bv_extend_char2_square():
     c = gen_elt(f, u2)
     s = user_bv_structure(base.presentation, 6,
                           bv_values={"u1": Element.from_monomial(f, Monomial(((u1, 2),)))},
-                          partial_brackets={("u1", "u1"): c},
-                          brackets_total=False)
+                          partial_brackets={("u1", "u1"): c})
     sq = Monomial(((u1, 2),))
     assert s.bv_monomial(sq) == c
 

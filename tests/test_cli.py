@@ -95,6 +95,19 @@ def test_ce_homology_rejects_wrong_shift(capsys):
     assert "shift 0" in err
 
 
+def test_ce_homology_non_complex_is_axiom_failure(capsys):
+    # [x,y] = x, [y,z] = y fails Jacobi, so the boundary does not square to zero
+    bad = os.path.join(os.path.dirname(__file__), "data", "bad_jacobi.lie")
+    code, out, err = run(capsys, "ce-homology", bad, "--format", "json")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["verdicts"] == [{"check": "boundary-squared", "checked": "1",
+                                "skipped": "0", "verdict": "fail"}]
+    assert doc["certificates"] == [{"check": "boundary-squared", "grade": "3",
+                                    "input": "x*y*z", "d(d(input))": "-x"}]
+
+
 def test_fixture_verify_loopspace(capsys):
     code, out, _ = run(capsys, "fixture", "loopspace:2:4", "--verify",
                        "--max-degree", "10")

@@ -5,19 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvalg.algebra import Element, Generator, Monomial
-from bvalg.fields import GF2, QQ
+from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation
 from bvalg.bv import free_bv_structure
 from bvalg.fixtures import abelian_ungraded, heisenberg, loopspace_model
-from bvalg.homology import (ChainComplex, betti, build_ce_complex, bv_chain_complex,
-                            euler_characteristic)
+from bvalg.homology import (BoundarySquareError, ChainComplex, betti, build_ce_complex,
+                            bv_chain_complex, euler_characteristic)
 from bvalg.linalg import rank
 
-from oracles import betti_from_boundaries, fraction_rank
+from oracles import betti_from_boundaries, dense_product, fraction_rank
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+F5 = FieldSpec.prime(5)
 
 
 def load_heisenberg_oracle():
@@ -101,6 +103,55 @@ def test_boundary_composite_checked_on_construction():
         # 1x1 identity in both directions
         ChainComplex(field, "total", -1, {0: basis[0], 1: basis[1], 2: basis[1]},
                      {2: [[Fraction(1)]], 1: [[Fraction(1)]], 0: []})
+
+
+@st.composite
+def boundary_pair(draw, field):
+    """(first, second), of shapes n1 x n2 and n0 x n1 with small sparse
+    entries.  Half the time second = S [M | -I] and first = [F; M F], so
+    that their composite vanishes by cancellation; then one entry of either
+    may be bumped, which usually makes the composite nonzero."""
+    entries = ([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+               if field.kind == "rational" else [0, 0, 0, 1, 2, 3, 4])
+    scalar = st.sampled_from(entries)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(scalar, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    n0, na, nb, n2 = (draw(st.integers(1, 3)) for _ in range(4))
+    if draw(st.booleans()):
+        f, m, s = matrix(na, n2), matrix(nb, na), matrix(n0, nb)
+        first = f + dense_product(m, f)
+        second = [sm + [-x for x in srow] for sm, srow in zip(dense_product(s, m), s)]
+    else:
+        first, second = matrix(na + nb, n2), matrix(n0, na + nb)
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([first, second]))
+        row = draw(st.sampled_from(target))
+        col = draw(st.integers(0, len(row) - 1))
+        row[col] += draw(st.sampled_from(entries[3:]))
+    return tuple([[field.coerce(x) for x in row] for row in m] for m in (first, second))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_square_check_matches_dense_oracle(field, data):
+    first, second = data.draw(boundary_pair(field))
+    basis = {g: [Monomial(((Generator(f"e{g}_{i}", 1), 1),)) for i in range(n)]
+             for g, n in ((0, len(second)), (1, len(first)), (2, len(first[0])))}
+    composite = dense_product(second, first, field.characteristic or None)
+    nonzero = [j for j in range(len(first[0])) if any(row[j] != 0 for row in composite)]
+    boundaries = {2: first, 1: second, 0: []}
+    if not nonzero:
+        ChainComplex(field, "total", -1, basis, boundaries)
+        return
+    with pytest.raises(BoundarySquareError) as exc:
+        ChainComplex(field, "total", -1, basis, boundaries)
+    assert (exc.value.grade, exc.value.source) == (2, basis[2][nonzero[0]])
+    assert exc.value.composite == Element(field, {
+        basis[0][i]: row[nonzero[0]] for i, row in enumerate(composite)})
 
 
 def test_euler_characteristic_matches_alternating_betti_sum():
