@@ -50,11 +50,35 @@ class Generator:
         return self.id
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Normal-form monomial: factors sorted by (degree, id), multiplicities >= 1."""
+    """Normal-form monomial: factors sorted by (degree, id), multiplicities >= 1.
 
-    factors: Tuple[Tuple[Generator, int], ...]
+    Immutable by convention.  Degree, wordlength, word, sort key and hash are
+    computed once, at construction; equality compares the factors.
+    """
+
+    __slots__ = ("factors", "degree", "wordlength", "_word", "_key", "_hash")
+
+    def __init__(self, factors: Tuple[Tuple[Generator, int], ...]):
+        self.factors = factors = tuple(factors)
+        word: List[Generator] = []
+        for g, m in factors:
+            word.extend([g] * m)
+        self._word = tuple(word)
+        self.degree = sum(g.degree for g in word)
+        self.wordlength = len(word)
+        self._key = (self.degree, self.wordlength,
+                     tuple((g.degree, g.id, m) for g, m in factors))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Monomial) and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Monomial(factors={self.factors!r})"
 
     @staticmethod
     def unit() -> "Monomial":
@@ -72,22 +96,11 @@ class Monomial:
         return Monomial(tuple(factors))
 
     @property
-    def degree(self) -> int:
-        return sum(g.degree * m for g, m in self.factors)
-
-    @property
-    def wordlength(self) -> int:
-        return sum(m for _, m in self.factors)
-
-    @property
     def is_unit(self) -> bool:
         return not self.factors
 
     def word(self) -> Tuple[Generator, ...]:
-        out: List[Generator] = []
-        for g, m in self.factors:
-            out.extend([g] * m)
-        return tuple(out)
+        return self._word
 
     def remove_one(self, gen: Generator) -> "Monomial":
         """Drop one copy of gen (which must occur)."""
@@ -105,7 +118,7 @@ class Monomial:
         return Monomial(tuple(factors))
 
     def order_key(self) -> Tuple:
-        return (self.degree, self.wordlength, tuple((g.degree, g.id, m) for g, m in self.factors))
+        return self._key
 
     def __str__(self) -> str:
         if not self.factors:
@@ -151,11 +164,20 @@ class Element:
                 clean[mono] = c
         self._terms = clean
 
+    @staticmethod
+    def _trusted(field: FieldSpec, terms: Dict[Monomial, Scalar]) -> "Element":
+        """An element over terms whose coefficients are canonical and nonzero,
+        taken as given: the results of arithmetic on elements."""
+        out = object.__new__(Element)
+        out.field = field
+        out._terms = terms
+        return out
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(field: FieldSpec) -> "Element":
-        return Element(field)
+        return Element._trusted(field, {})
 
     @staticmethod
     def unit(field: FieldSpec, coeff=1) -> "Element":
@@ -199,27 +221,44 @@ class Element:
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_field(self, other: "Element") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same_field(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        add = self.field.add
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            out[mono] = self.field.add(out.get(mono, self.field.zero()), coeff)
-        return Element(self.field, out)
+            old = out.get(mono)
+            if old is None:
+                out[mono] = coeff
+            else:
+                total = add(old, coeff)
+                if total:
+                    out[mono] = total
+                else:
+                    del out[mono]
+        return Element._trusted(self.field, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.field, {m: self.field.neg(c) for m, c in self._terms.items()})
+        neg = self.field.neg
+        return Element._trusted(self.field, {m: neg(c) for m, c in self._terms.items()})
 
     def scale(self, coeff) -> "Element":
         c = self.field.coerce(coeff)
         if self.field.is_zero(c):
             return Element.zero(self.field)
-        return Element(self.field, {m: self.field.mul(cc, c) for m, cc in self._terms.items()})
+        if c == 1:
+            return self
+        mul = self.field.mul
+        return Element._trusted(self.field, {m: mul(cc, c) for m, cc in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -290,7 +329,9 @@ def normalize_word(field: FieldSpec, word: Sequence[Generator], coeff=1) -> Elem
             if a == b and a.degree % 2 == 1:
                 return Element.zero(field)
     c = field.mul(field.coerce(coeff), field.sign(exp))
-    return Element(field, {Monomial.from_sorted_word(letters): c})
+    if field.is_zero(c):
+        return Element.zero(field)
+    return Element._trusted(field, {Monomial.from_sorted_word(letters): c})
 
 
 # -- truncation -------------------------------------------------------------

@@ -41,6 +41,7 @@ class FieldSpec:
                 raise ValueError(f"characteristic {self.characteristic} is not prime")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "_signs", (self.coerce(1), self.coerce(-1)))
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -66,11 +67,12 @@ class FieldSpec:
     # -- scalar arithmetic -------------------------------------------------
 
     def coerce(self, value) -> Scalar:
-        """Bring an int or Fraction into canonical form for this field."""
+        """Bring an int or Fraction into canonical form for this field.
+        A Fraction is already canonical over Q and comes back unchanged."""
         if isinstance(value, float):
             raise TypeError("floating point scalars are not allowed")
         if self.kind == "rational":
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         p = self.characteristic
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
@@ -111,7 +113,7 @@ class FieldSpec:
 
     def sign(self, exponent: int) -> Scalar:
         """(-1)**exponent as a field element."""
-        return self.coerce(-1 if exponent % 2 else 1)
+        return self._signs[exponent % 2]
 
     # -- parsing / rendering -----------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Independent oracles for the test suite: tiny Fraction-only linear algebra
-with no imports from the package under test."""
+"""Independent oracles for the test suite, with no imports from the package
+under test: tiny Fraction-only linear algebra, and a term-by-term reference
+for the free graded-commutative algebra."""
 
 from fractions import Fraction
 
@@ -54,3 +55,76 @@ def dense_product(a, b, modulus=None):
                 Fraction(0))
             for j in range(len(b[0]))] for i in range(len(a))]
     return out if modulus is None else [[x % modulus for x in row] for row in out]
+
+
+# -- reference algebra kernel --------------------------------------------------
+#
+# Letters are (id, degree) pairs, a monomial is a tuple of letters sorted by
+# (degree, id), and an element is a dict monomial -> nonzero coefficient: a
+# Fraction over Q (p = 0) or a residue in range(p).
+
+
+def ref_scalar(value, p):
+    """An int or Fraction as a canonical scalar of Q (p = 0) or F_p."""
+    q = Fraction(value)
+    if p == 0:
+        return q
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def ref_sort_word(word):
+    """Insertion sort by (degree, id); each adjacent swap of letters a, b
+    adds |a|*|b| to the returned Koszul exponent."""
+    letters = list(word)
+    exp = 0
+    for i in range(1, len(letters)):
+        j = i
+        while j > 0 and letters[j][::-1] < letters[j - 1][::-1]:
+            exp += letters[j][1] * letters[j - 1][1]
+            letters[j - 1], letters[j] = letters[j], letters[j - 1]
+            j -= 1
+    return letters, exp
+
+
+def ref_normalize_word(word, coeff, p):
+    """coeff times the word in normal form; outside characteristic 2 a
+    repeated odd letter kills it."""
+    letters, exp = ref_sort_word(word)
+    if p != 2 and any(a == b and a[1] % 2 for a, b in zip(letters, letters[1:])):
+        return {}
+    c = ref_scalar(coeff * (-1) ** exp, p)
+    return {tuple(letters): c} if c else {}
+
+
+def ref_add(x, y, p):
+    out = dict(x)
+    for mono, c in y.items():
+        out[mono] = ref_scalar(out.get(mono, 0) + c, p)
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_scale(x, coeff, p):
+    return {m: ref_scalar(c * coeff, p) for m, c in x.items() if ref_scalar(c * coeff, p)}
+
+
+def ref_mul(x, y, p):
+    """Product term by term: each pair of words is concatenated and normalized."""
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            out = ref_add(out, ref_normalize_word(m1 + m2, c1 * c2, p), p)
+    return out
+
+
+def ref_terms(x):
+    """(letters, degree, wordlength, coefficient) per term, ordered by degree,
+    wordlength, then the (degree, id, multiplicity) runs of the word."""
+    def key(mono):
+        runs = []
+        for letter in mono:
+            if runs and runs[-1][:2] == letter[::-1]:
+                runs[-1] = (letter[1], letter[0], runs[-1][2] + 1)
+            else:
+                runs.append((letter[1], letter[0], 1))
+        return (sum(d for _, d in mono), len(mono), tuple(runs))
+    return [(m, key(m)[0], key(m)[1], x[m]) for m in sorted(x, key=key)]

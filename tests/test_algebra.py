@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,8 @@ from bvalg.algebra import (Element, Generator, GradedMap, Monomial, OutOfWindowE
                            derivation_from_generator_values, monomial_basis,
                            normalize_word, product)
 from bvalg.fields import FieldSpec, GF2, QQ
+
+from oracles import ref_add, ref_mul, ref_normalize_word, ref_scale, ref_terms
 
 X = Generator("x", 1)
 Y = Generator("y", 1)
@@ -178,3 +182,97 @@ def test_normalization_is_idempotent(word, field):
     for m, c in first.terms():
         again = normalize_word(field, m.word(), c)
         assert again == Element.from_monomial(field, m, c)
+
+
+# -- the kernel against the reference in oracles.py ---------------------------
+
+KERNEL_GENS = GENS + [Generator("b", 4), Generator("z", 1)]
+COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 3]))
+WORDS = st.lists(st.sampled_from(KERNEL_GENS), max_size=6)
+
+
+def as_ref(element):
+    """An Element as the reference's terms, read from its factors alone."""
+    return [(tuple((g.id, g.degree) for g, k in m.factors for _ in range(k)),
+             sum(g.degree * k for g, k in m.factors), sum(k for _, k in m.factors), c)
+            for m, c in element.terms()]
+
+
+@st.composite
+def kernel_elements(draw, field):
+    """An Element and the reference's dict for it, summed from random words."""
+    element, ref = Element.zero(field), {}
+    for _ in range(draw(st.integers(0, 3))):
+        word, coeff = draw(WORDS), draw(COEFFS)
+        element = element + normalize_word(field, word, coeff)
+        ref = ref_add(ref, ref_normalize_word([(g.id, g.degree) for g in word], coeff,
+                                              field.characteristic), field.characteristic)
+    return element, ref
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    return (field, draw(kernel_elements(field)), draw(kernel_elements(field)),
+            draw(COEFFS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), WORDS, COEFFS)
+def test_normalize_word_matches_reference(field, word, coeff):
+    ref = ref_normalize_word([(g.id, g.degree) for g in word], coeff, field.characteristic)
+    assert as_ref(normalize_word(field, word, coeff)) == ref_terms(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_arithmetic_matches_reference(case):
+    field, (a, ra), (b, rb), k = case
+    p = field.characteristic
+    assert as_ref(a) == ref_terms(ra)
+    assert as_ref(a * b) == ref_terms(ref_mul(ra, rb, p))
+    assert as_ref(a + b) == ref_terms(ref_add(ra, rb, p))
+    assert as_ref(a - b) == ref_terms(ref_add(ra, ref_scale(rb, -1, p), p))
+    assert as_ref(a.scale(k)) == ref_terms(ref_scale(ra, k, p))
+
+
+# -- monomials: values stored at construction ---------------------------------
+
+def recomputed(m):
+    word = tuple(g for g, k in m.factors for _ in range(k))
+    degree = sum(g.degree for g in word)
+    key = (degree, len(word), tuple((g.degree, g.id, k) for g, k in m.factors))
+    return degree, len(word), key, word
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(KERNEL_GENS), min_size=1, max_size=5))
+def test_monomial_paths_agree_and_store_true_values(letters):
+    word = sorted(letters, key=lambda g: g.sort_key)
+    by_word = Monomial.from_sorted_word(word)
+    factors = []
+    for g in word:
+        if factors and factors[-1][0] == g:
+            factors[-1] = (g, factors[-1][1] + 1)
+        else:
+            factors.append((g, 1))
+    by_init = Monomial(tuple(factors))
+    by_removal = Monomial.from_sorted_word(sorted(word + [word[0]], key=lambda g: g.sort_key)
+                                           ).remove_one(word[0])
+    basis = monomial_basis(GF2, KERNEL_GENS, by_word.degree)
+    by_basis = basis[basis.index(by_word)]
+    paths = [by_init, by_word, by_removal, by_basis]
+    table = {m: i for i, m in enumerate(paths)}
+    assert len(table) == 1
+    for m in paths:
+        assert m == by_init and hash(m) == hash(by_init) and table[m] == 3
+        assert (m.degree, m.wordlength, m.order_key(), m.word()) == recomputed(m)
+    for m in basis:
+        assert (m.degree, m.wordlength, m.order_key(), m.word()) == recomputed(m)
+
+
+def test_monomials_differ_with_generator_degree():
+    low, high = Monomial(((Generator("a", 3), 1),)), Monomial(((Generator("a", 4), 1),))
+    assert low != high
+    assert len({low: 0, high: 1}) == 2
+    assert (low.degree, high.degree) == (3, 4)

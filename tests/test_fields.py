@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bvalg.fields import FieldSpec, QQ
+from bvalg.algebra import Element, Generator, Monomial
+from bvalg.fields import FieldSpec, GF2, QQ
+
+F5 = FieldSpec.prime(5)
 
 
 def test_parse_and_render():
@@ -35,6 +38,8 @@ def test_prime_field_residues_are_canonical():
     assert f5.render_annotated(1) == "1 (mod 5)"
     with pytest.raises(ZeroDivisionError):
         f5.coerce(Fraction(1, 5))
+    with pytest.raises(ZeroDivisionError):
+        FieldSpec.prime(2).coerce(Fraction(1, 6))
 
 
 def test_sign_collapses_in_characteristic_two():
@@ -45,8 +50,11 @@ def test_sign_collapses_in_characteristic_two():
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        QQ.coerce(0.5)
+    for field in (QQ, F5):
+        with pytest.raises(TypeError):
+            field.coerce(0.5)
+        with pytest.raises(TypeError):
+            Element(field, {Monomial(((Generator("x", 1), 1),)): 0.5})
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -59,3 +67,17 @@ def test_field_ops_match_integers_mod_p(a, b):
 @given(st.fractions(max_denominator=30))
 def test_rational_string_round_trip(q):
     assert QQ.from_string(QQ.render(QQ.coerce(q))) == q
+
+
+def test_rational_coerce_returns_a_fraction_unchanged():
+    q = Fraction(-3, 4)
+    assert QQ.coerce(q) == q
+    assert QQ.coerce(q) is q
+    assert QQ.coerce(2) == Fraction(2) and type(QQ.coerce(2)) is Fraction
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, F5])
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_sign_matches_coerced_power(field, k):
+    power = field.coerce(Fraction(-1) ** k)  # (-1) ** k is a float for k < 0
+    assert field.sign(k) == power and type(field.sign(k)) is type(power)
