@@ -104,7 +104,7 @@ def ref_add(x, y, p):
 
 
 def ref_scale(x, coeff, p):
-    return {m: ref_scalar(c * coeff, p) for m, c in x.items() if ref_scalar(c * coeff, p)}
+    return ref_add({}, {m: c * coeff for m, c in x.items()}, p)
 
 
 def ref_mul(x, y, p):
@@ -127,4 +127,4 @@ def ref_terms(x):
             else:
                 runs.append((letter[1], letter[0], 1))
         return (sum(d for _, d in mono), len(mono), tuple(runs))
-    return [(m, key(m)[0], key(m)[1], x[m]) for m in sorted(x, key=key)]
+    return [(m, *key(m)[:2], x[m]) for m in sorted(x, key=key)]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,13 +251,7 @@ def recomputed(m):
 def test_monomial_paths_agree_and_store_true_values(letters):
     word = sorted(letters, key=lambda g: g.sort_key)
     by_word = Monomial.from_sorted_word(word)
-    factors = []
-    for g in word:
-        if factors and factors[-1][0] == g:
-            factors[-1] = (g, factors[-1][1] + 1)
-        else:
-            factors.append((g, 1))
-    by_init = Monomial(tuple(factors))
+    by_init = Monomial(tuple((g, len(list(run))) for g, run in groupby(word)))
     by_removal = Monomial.from_sorted_word(sorted(word + [word[0]], key=lambda g: g.sort_key)
                                            ).remove_one(word[0])
     basis = monomial_basis(GF2, KERNEL_GENS, by_word.degree)
