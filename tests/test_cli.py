@@ -72,9 +72,11 @@ def test_free_bv_out_of_window_is_input_error(capsys, tmp_path):
     small = tmp_path / "small.lie"
     small.write_text("field Q\nshift n=2\ngen a : 2\ngen b : 5\n"
                      "bracket [a,a] = b\ntruncate 4\n")
-    code, out, err = run(capsys, "free-bv", str(small), "--apply", "a^2")
-    assert code == 2
-    assert "out of window" in err
+    line = "error: result out of window: term b of degree 5 exceeds truncation 4\n"
+    code, _, err = run(capsys, "free-bv", str(small), "--apply", "a^2")
+    assert (code, err) == (2, line)
+    code, _, err = run(capsys, "bracket", str(small), "a", "a")
+    assert (code, err) == (2, line)
 
 
 def test_bracket_command(capsys):

@@ -46,6 +46,9 @@ def _cases():
             "fixture", name, "--verify", "--max-degree", "10"]
     cases["fixture_omega2-s3-f2_D12"] = [
         "fixture", "omega2-s3-f2", "--verify", "--max-degree", "12"]
+    cases["fixture_omega2-s3-f2_D1"] = ["fixture", "omega2-s3-f2", "--max-degree", "1"]
+    cases["fixture_omega2-s3-f2_D1_verify"] = [
+        "fixture", "omega2-s3-f2", "--verify", "--max-degree", "1"]
     return cases
 
 
