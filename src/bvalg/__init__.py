@@ -1,8 +1,8 @@
 """Exact computational algebra for graded-commutative algebras carrying a
 degree-(n-1) bracket and a square-zero operator of the same degree."""
 
-from .algebra import (Element, Generator, GradedMap, Monomial, Truncation,
-                      monomial_basis, normalize_word, product)
+from .algebra import (Element, Generator, GradedMap, Monomial, monomial_basis,
+                      normalize_word)
 from .fields import FieldSpec, QQ, GF2
 from .lie import (LiePresentation, check_differential, check_lie_axioms,
                   desuspend, random_lie_presentation)
@@ -18,8 +18,8 @@ from .dsl import parse_presentation, render_presentation
 from .report import Report
 
 __all__ = [
-    "Element", "Generator", "GradedMap", "Monomial", "Truncation",
-    "monomial_basis", "normalize_word", "product", "FieldSpec", "QQ", "GF2",
+    "Element", "Generator", "GradedMap", "Monomial", "monomial_basis",
+    "normalize_word", "FieldSpec", "QQ", "GF2",
     "LiePresentation", "check_differential", "check_lie_axioms", "desuspend",
     "random_lie_presentation", "BVStructure", "bv_operator",
     "free_bv", "free_bv_structure", "poisson_bracket", "user_bv_structure",

@@ -181,15 +181,16 @@ class Element:
 
     @staticmethod
     def unit(field: FieldSpec, coeff=1) -> "Element":
-        return Element(field, {Monomial.unit(): coeff})
+        return Element.from_monomial(field, Monomial.unit(), coeff)
 
     @staticmethod
     def from_monomial(field: FieldSpec, mono: Monomial, coeff=1) -> "Element":
-        return Element(field, {mono: coeff})
+        c = field.coerce(coeff)
+        return Element._trusted(field, {} if field.is_zero(c) else {mono: c})
 
     @staticmethod
     def from_generator(field: FieldSpec, gen: Generator, coeff=1) -> "Element":
-        return Element(field, {Monomial(((gen, 1),)): coeff})
+        return Element.from_monomial(field, Monomial(((gen, 1),)), coeff)
 
     # -- queries ---------------------------------------------------------
 
@@ -332,46 +333,6 @@ def normalize_word(field: FieldSpec, word: Sequence[Generator], coeff=1) -> Elem
     if field.is_zero(c):
         return Element.zero(field)
     return Element._trusted(field, {Monomial.from_sorted_word(letters): c})
-
-
-# -- truncation -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Hard degree window: bases, tabulations and windowed products live in
-    total degree <= max_degree."""
-
-    max_degree: int
-
-    def __post_init__(self) -> None:
-        if self.max_degree < 0:
-            raise ValueError("truncation degree must be >= 0")
-
-    def admits(self, mono: Monomial) -> bool:
-        return mono.degree <= self.max_degree
-
-
-class OutOfWindowError(Exception):
-    """A computed term exceeds the truncation window (never silently dropped)."""
-
-    def __init__(self, mono: Monomial, limit: int):
-        self.monomial = mono
-        self.limit = limit
-        super().__init__(f"term {mono} has degree {mono.degree} > truncation {limit}")
-
-
-def check_window(element: Element, window: Optional[Truncation]) -> Element:
-    if window is not None:
-        for mono in element.monomials():
-            if not window.admits(mono):
-                raise OutOfWindowError(mono, window.max_degree)
-    return element
-
-
-def product(a: Element, b: Element, window: Optional[Truncation] = None) -> Element:
-    """Graded-commutative product; raises OutOfWindowError past the window."""
-    return check_window(a * b, window)
 
 
 # -- basis enumeration --------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Truncation, Undefined, derivation_from_generator_values,
+                      Undefined, derivation_from_generator_values,
                       first_undefined, linear_extension, monomial_basis, normalize_word,
                       sign_exponent, window_tuples)
 from .fields import FieldSpec
@@ -75,14 +75,9 @@ class BVStructure:
         self.d0 = derivation_from_generator_values(
             self.field, {g: -d for g, d in presentation.differential.items()}, -1, name="d0")
         # The bracket table is partial exactly when one is given.
-        self._partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None
-        if partial_brackets is not None:
-            self._partial_brackets = {}
-            for (x, y), value in partial_brackets.items():
-                gx, gy = presentation.gen(x), presentation.gen(y)
-                key, flip = presentation._canonical_pair(gx, gy)
-                self._partial_brackets[key] = (
-                    value.scale(presentation._flip_sign(gx, gy)) if flip else value)
+        self._partial_brackets: Optional[Dict[Tuple[str, str], Element]] = (
+            None if partial_brackets is None
+            else presentation.canonical_table(partial_brackets))
         self._bv_values: Optional[Dict[Monomial, Element]] = None
         if bv_values is not None:
             self._bv_values = {}
@@ -97,10 +92,6 @@ class BVStructure:
     def provenance(self) -> str:
         return FREE if self._bv_values is None else USER
 
-    @property
-    def window(self) -> Truncation:
-        return Truncation(self.truncation)
-
     def zero(self) -> Element:
         return Element.zero(self.field)
 
@@ -113,21 +104,15 @@ class BVStructure:
     def bracket_pair(self, x: Generator, y: Generator) -> MaybeElement:
         if self._partial_brackets is None:
             return self.presentation.bracket(x.id, y.id)
-        key, flip = self.presentation._canonical_pair(x, y)
-        value = self._partial_brackets.get(key)
-        if value is None:
-            return Undefined(f"bracket [{key[0]},{key[1]}]")
-        return value.scale(self.presentation._flip_sign(x, y)) if flip else value
+        value = self.presentation.table_bracket(self._partial_brackets, x, y)
+        return Undefined(f"bracket [{x.id},{y.id}]") if value is None else value
 
     # -- operator values ----------------------------------------------------
 
-    def stored_bv(self, mono: Monomial) -> Optional[Element]:
-        if self._bv_values is None:
-            return None
-        return self._bv_values.get(mono)
-
     def bv_monomial(self, mono: Monomial) -> MaybeElement:
-        """Exact operator value on a basis monomial (no window flagging)."""
+        """Operator value on a basis monomial: Undefined at a gap, and
+        OutOfWindow where a stored table value lies past the truncation.
+        Closed-form values are exact and never flagged."""
         if not self.has_bv:
             return Undefined("no bv operator")
         cached = self._bv_cache.get(mono)
@@ -140,35 +125,13 @@ class BVStructure:
         self._bv_cache[mono] = value
         return value
 
-    def windowed_bv(self, mono: Monomial) -> MaybeElement:
-        """Operator value on a basis monomial as reports may use it.
-
-        Stored user table entries are window artifacts: a stored value whose
-        degree exceeds the truncation is flagged OutOfWindow, never silently
-        used in reports.  Closed-form values are exact and never flagged.
-        """
-        stored = self.stored_bv(mono)
-        if stored is not None and stored.max_degree() > self.truncation:
-            return OutOfWindow(f"bv({mono}) out of window", stored.max_degree(),
-                               self.truncation)
-        return self.bv_monomial(mono)
-
-    def bv_status(self, mono: Monomial):
-        """('ok', Element) | ('undefined', reason) | ('out-of-window', marker)."""
-        value = self.windowed_bv(mono)
-        if isinstance(value, OutOfWindow):
-            return ("out-of-window", value)
-        if isinstance(value, Undefined):
-            return ("undefined", value.blocking)
-        return ("ok", value)
-
     def bv_element(self, element: Element) -> MaybeElement:
         return linear_extension(self.bv_monomial, element)
 
     def defined_bv_generator_values(self) -> List[Tuple[Generator, Element]]:
         out = []
         for g in sorted(self.generators, key=lambda g: g.sort_key):
-            value = self.windowed_bv(_gen_monomial(g))
+            value = self.bv_monomial(_gen_monomial(g))
             if isinstance(value, Element):
                 out.append((g, value))
         return out
@@ -251,27 +214,30 @@ def bracket_part(s: BVStructure, element: Element) -> MaybeElement:
     """Wordlength-lowering contraction: sum over position pairs i < j of
     {x_i, x_j} wedge (the word with both letters deleted), with the sign
     (-1)^(|x_i|) (-1)^(n_ij) where (-1)^(n_ij) moves x_i, x_j to the front."""
+    return linear_extension(lambda mono: _contract_monomial(s, mono), element)
+
+
+def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
     field = s.field
     out = s.zero()
-    for mono, coeff in element.terms():
-        word = mono.word()
-        k = len(word)
-        prefix = [0] * (k + 1)
-        for i, g in enumerate(word):
-            prefix[i + 1] = prefix[i] + g.degree
-        for i in range(k):
-            for j in range(i + 1, k):
-                br = s.bracket_pair(word[i], word[j])
-                if isinstance(br, Undefined):
-                    return br
-                if br.is_zero:
-                    continue
-                n_ij = (word[i].degree * prefix[i]
-                        + word[j].degree * (prefix[j] - word[i].degree))
-                sgn = sign_exponent(word[i].degree) * sign_exponent(n_ij)
-                rest = Element.from_monomial(
-                    field, Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:]))
-                out = out + (br * rest).scale(field.mul(coeff, field.coerce(sgn)))
+    word = mono.word()
+    k = len(word)
+    prefix = [0] * (k + 1)
+    for i, g in enumerate(word):
+        prefix[i + 1] = prefix[i] + g.degree
+    for i in range(k):
+        for j in range(i + 1, k):
+            br = s.bracket_pair(word[i], word[j])
+            if isinstance(br, Undefined):
+                return br
+            if br.is_zero:
+                continue
+            n_ij = (word[i].degree * prefix[i]
+                    + word[j].degree * (prefix[j] - word[i].degree))
+            sgn = sign_exponent(word[i].degree) * sign_exponent(n_ij)
+            rest = Element.from_monomial(
+                field, Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:]))
+            out = out + (br * rest).scale(sgn)
     return out
 
 
@@ -291,8 +257,11 @@ def _user_bv_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
     field = s.field
     if mono.is_unit:
         return s.zero()
-    stored = s.stored_bv(mono)
+    stored = s._bv_values.get(mono)
     if stored is not None:
+        if stored.max_degree() > s.truncation:
+            return OutOfWindow(f"bv({mono}) out of window", stored.max_degree(),
+                               s.truncation)
         return stored
     if mono.wordlength == 1:
         return Undefined(f"bv({mono.word()[0].id})")
@@ -388,7 +357,7 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
                              monos, summands)
     if s.has_bv:
         def bv_squared(mono):
-            value = s.windowed_bv(mono)
+            value = s.bv_monomial(mono)
             second = value if isinstance(value, Undefined) else s.bv_element(value)
             return vanishes({"input": str(mono)}, "value", second)
 
@@ -406,7 +375,7 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
         if isinstance(lhs, Undefined):
             return lhs
         return compare(_pair_inputs(a, b), "bracket", lhs, "operator deviation",
-                       bracket_from_operator(s.field, s.windowed_bv, a, b))
+                       bracket_from_operator(s.field, s.bv_monomial, a, b))
 
     pairs = window_tuples(s.basis(bound), 2, bound) if s.has_bv else ()
     return Report(checks=run_checks(("bv-deviation-is-bracket",), pairs, deviation))

@@ -11,8 +11,8 @@ import argparse
 import sys
 from typing import List, Optional, Tuple, Union
 
-from .algebra import OutOfWindowError, Undefined, check_window
-from .bv import BVStructure, verify_bv_axioms, free_bv, poisson_bracket
+from .algebra import Monomial, Undefined
+from .bv import BVStructure, OutOfWindow, verify_bv_axioms, free_bv, poisson_bracket
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .fields import FieldSpec
 from .fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture)
@@ -90,12 +90,11 @@ def _element_command(args, compute) -> int:
     result = compute(source, structure)
     if isinstance(result, Undefined):
         raise InputError(f"value undefined: blocked by {result.blocking}")
-    try:
-        check_window(result, structure.window)
-    except OutOfWindowError as exc:
-        raise InputError(
-            f"result out of window: term {exc.monomial} of degree "
-            f"{exc.monomial.degree} exceeds truncation {exc.limit}") from exc
+    for mono in result.monomials():
+        if mono.degree > structure.truncation:
+            raise InputError(
+                f"result out of window: term {mono} of degree "
+                f"{mono.degree} exceeds truncation {structure.truncation}")
     report = Report(details={"result": result})
     _emit(report, args.format)
     return EXIT_PASS
@@ -156,16 +155,13 @@ def _describe_structure(structure: BVStructure) -> Report:
         f"{g.id}:{g.degree}" for g in sorted(structure.generators, key=lambda g: g.sort_key))
     report.details["operator"] = "present" if structure.has_bv else "absent"
     if structure.has_bv:
-        from .algebra import Monomial
         for g in sorted(structure.generators, key=lambda g: g.sort_key):
-            status, value = structure.bv_status(Monomial(((g, 1),)))
-            if status == "ok":
-                report.details[f"bv({g.id})"] = value
-            elif status == "out-of-window":
-                report.details[f"bv({g.id})"] = (
-                    f"out of window (degree {value.degree} > {value.limit})")
-            else:
-                report.details[f"bv({g.id})"] = "undefined"
+            value = structure.bv_monomial(Monomial(((g, 1),)))
+            if isinstance(value, OutOfWindow):
+                value = f"out of window (degree {value.degree} > {value.limit})"
+            elif isinstance(value, Undefined):
+                value = "undefined"
+            report.details[f"bv({g.id})"] = value
     return report
 
 

@@ -39,15 +39,7 @@ class LiePresentation:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate generator ids")
         self._by_id = {g.id: g for g in self.generators}
-        normalized: Dict[BracketKey, Element] = {}
-        for (x, y), value in self.brackets.items():
-            self._require_span(value, f"bracket [{x},{y}]")
-            gx, gy = self.gen(x), self.gen(y)
-            key, flip = self._canonical_pair(gx, gy)
-            if key in normalized:
-                raise ValueError(f"bracket pair ({x},{y}) tabulated twice")
-            normalized[key] = value.scale(self._flip_sign(gx, gy)) if flip else value
-        self.brackets = normalized
+        self.brackets = self.canonical_table(self.brackets)
         for x, value in self.differential.items():
             self.gen(x)
             self._require_span(value, f"differential of {x}")
@@ -84,22 +76,40 @@ class LiePresentation:
     def _flip_sign(self, x: Generator, y: Generator) -> int:
         return -sign_exponent(self.parity(x) * self.parity(y))
 
-    def bracket(self, x_id: str, y_id: str) -> Element:
-        """Bracket of two generators; the stored orientation is canonical and
-        the other one is derived by shifted antisymmetry."""
-        x, y = self.gen(x_id), self.gen(y_id)
+    def canonical_table(self, table: Dict[BracketKey, Element]) -> Dict[BracketKey, Element]:
+        """A bracket table keyed by canonical pairs, the other orientation
+        moved over by shifted antisymmetry.  Values must lie in the generator
+        span over this field, and each unordered pair may appear once."""
+        normalized: Dict[BracketKey, Element] = {}
+        for (x, y), value in table.items():
+            self._require_span(value, f"bracket [{x},{y}]")
+            gx, gy = self.gen(x), self.gen(y)
+            key, flip = self._canonical_pair(gx, gy)
+            if key in normalized:
+                raise ValueError(f"bracket pair ({x},{y}) tabulated twice")
+            normalized[key] = value.scale(self._flip_sign(gx, gy)) if flip else value
+        return normalized
+
+    def table_bracket(self, table: Dict[BracketKey, Element], x: Generator,
+                      y: Generator) -> Optional[Element]:
+        """The bracket of x and y in a canonical table (read through shifted
+        antisymmetry for the other orientation), or None when absent."""
         key, flip = self._canonical_pair(x, y)
-        value = self.brackets.get(key, Element.zero(self.field))
-        return value.scale(self._flip_sign(x, y)) if flip else value
+        value = table.get(key)
+        if value is None or not flip:
+            return value
+        return value.scale(self._flip_sign(x, y))
+
+    def bracket(self, x_id: str, y_id: str) -> Element:
+        """Bracket of two generators; untabulated pairs bracket to zero."""
+        value = self.table_bracket(self.brackets, self.gen(x_id), self.gen(y_id))
+        return Element.zero(self.field) if value is None else value
 
     def bracket_elements(self, u: Element, v: Element) -> Element:
         """Bilinear extension of the bracket to the generator span."""
-        out = Element.zero(self.field)
-        for mu, cu in u.terms():
-            for mv, cv in v.terms():
-                val = self.bracket(mu.word()[0].id, mv.word()[0].id)
-                out = out + val.scale(self.field.mul(cu, cv))
-        return out
+        return linear_extension(
+            lambda mu: linear_extension(
+                lambda mv: self.bracket(mu.word()[0].id, mv.word()[0].id), v), u)
 
     def diff(self, gen_id: str) -> Element:
         return self.differential.get(gen_id, Element.zero(self.field))

@@ -86,8 +86,7 @@ def test_criterion_01_char2_bottom_class(capsys):
     # the operator sends the bottom class to its square, exactly
     structure = omega2_s3_f2(4)
     u1 = structure.presentation.gen("u1")
-    status, value = structure.bv_status(Monomial(((u1, 1),)))
-    assert status == "ok"
+    value = structure.bv_monomial(Monomial(((u1, 1),)))
     assert value == Element.from_monomial(GF2, Monomial(((u1, 2),)))
     code = cli_main(["fixture", "omega2-s3-f2"])
     out = capsys.readouterr().out

@@ -4,10 +4,9 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import (Element, Generator, GradedMap, Monomial, OutOfWindowError,
-                           Truncation, Undefined,
+from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
                            derivation_from_generator_values, monomial_basis,
-                           normalize_word, product)
+                           normalize_word)
 from bvalg.fields import FieldSpec, GF2, QQ
 
 from oracles import ref_add, ref_mul, ref_normalize_word, ref_scale, ref_terms
@@ -78,13 +77,11 @@ def test_basis_rejects_degree_zero():
         monomial_basis(QQ, [Generator("e", 0)], 3)
 
 
-def test_windowed_product_flags_overflow():
-    ea = Element.from_generator(QQ, A)
-    window = Truncation(3)
-    assert product(ea, Element.unit(QQ), window) == ea
-    with pytest.raises(OutOfWindowError) as exc:
-        product(ea, ea, window)
-    assert exc.value.monomial.degree == 4
+def test_star_import_resolves_every_export():
+    import bvalg
+    namespace = {}
+    exec("from bvalg import *", namespace)
+    assert [name for name in bvalg.__all__ if name not in namespace] == []
 
 
 def test_graded_map_degree_validation():

@@ -161,6 +161,22 @@ def test_bv_extend_char2_square():
     assert s.bv_monomial(sq) == c
 
 
+@pytest.mark.parametrize("bad, message", [("outside-span", "generator span"),
+                                          ("both-orientations", "tabulated twice"),
+                                          ("wrong-field", "field mismatch")])
+def test_partial_bracket_table_is_validated(bad, message):
+    base = omega2_s3_f2(6)
+    u1, u2 = base.presentation.gen("u1"), base.presentation.gen("u2")
+    table = {
+        "outside-span": {("u1", "u1"): Element.from_monomial(GF2, Monomial(((u1, 2),)))},
+        "both-orientations": {("u1", "u2"): gen_elt(GF2, u2),
+                              ("u2", "u1"): Element.zero(GF2)},
+        "wrong-field": {("u1", "u1"): gen_elt(QQ, u2)},
+    }[bad]
+    with pytest.raises(ValueError, match=message):
+        user_bv_structure(base.presentation, 6, bv_values={}, partial_brackets=table)
+
+
 def test_bv_extend_reports_blocking_symbol():
     s = omega2_s3_f2(6)
     u1 = s.presentation.gen("u1")

@@ -40,6 +40,10 @@ def test_prime_field_residues_are_canonical():
         f5.coerce(Fraction(1, 5))
     with pytest.raises(ZeroDivisionError):
         FieldSpec.prime(2).coerce(Fraction(1, 6))
+    x = Generator("x", 1)
+    assert Element.from_generator(f5, x, 10).is_zero
+    assert Element.unit(f5, 5) == Element.zero(f5)
+    assert Element.from_generator(f5, x, -1) == Element(f5, {Monomial(((x, 1),)): 4})
 
 
 def test_sign_collapses_in_characteristic_two():
@@ -55,6 +59,12 @@ def test_floats_rejected():
             field.coerce(0.5)
         with pytest.raises(TypeError):
             Element(field, {Monomial(((Generator("x", 1), 1),)): 0.5})
+        with pytest.raises(TypeError):
+            Element.from_monomial(field, Monomial(((Generator("x", 1), 1),)), 0.5)
+        with pytest.raises(TypeError):
+            Element.from_generator(field, Generator("x", 1), 0.5)
+        with pytest.raises(TypeError):
+            Element.unit(field, 0.5)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -74,6 +84,9 @@ def test_rational_coerce_returns_a_fraction_unchanged():
     assert QQ.coerce(q) == q
     assert QQ.coerce(q) is q
     assert QQ.coerce(2) == Fraction(2) and type(QQ.coerce(2)) is Fraction
+    (_, one), = Element.unit(QQ).terms()
+    assert type(one) is Fraction
+    assert Element.from_generator(QQ, Generator("x", 1), 0).is_zero
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, F5])

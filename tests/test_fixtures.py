@@ -3,7 +3,7 @@ import pytest
 from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import FieldSpec, GF2, QQ
 from bvalg.lie import check_lie_axioms
-from bvalg.bv import Undefined, free_bv, verify_bv_axioms
+from bvalg.bv import OutOfWindow, Undefined, free_bv, verify_bv_axioms
 from bvalg.fixtures import (SphericalTag, StructureDescriptor,
                             framed_disks_descriptor, load_fixture, loopspace_model,
                             omega2_s3_f2, spherical_bv, sphere_loop_lie)
@@ -137,16 +137,15 @@ def test_omega2_generators_and_bottom_value():
     assert [(g.id, g.degree) for g in s.generators] == [("u1", 1)]
     assert [str(m) for m in s.basis()] == ["1", "u1", "u1^2"]
     u1 = s.presentation.gen("u1")
-    status, value = s.bv_status(Monomial(((u1, 1),)))
-    assert status == "ok"
+    value = s.bv_monomial(Monomial(((u1, 1),)))
     assert value == Element.from_monomial(GF2, Monomial(((u1, 2),)))
 
 
 def test_omega2_window_flag_at_degree_one():
     s = omega2_s3_f2(1)
     u1 = s.presentation.gen("u1")
-    status, marker = s.bv_status(Monomial(((u1, 1),)))
-    assert status == "out-of-window"
+    marker = s.bv_monomial(Monomial(((u1, 1),)))
+    assert isinstance(marker, OutOfWindow)
     assert (marker.degree, marker.limit) == (2, 1)
     assert s.defined_bv_generator_values() == []
 
@@ -179,7 +178,7 @@ def test_omega2_diagonal_operator_kills_bottom_class():
     assert s.metadata["diagonal_bv_u1_derived_from_prose"] is True
     # the two operators genuinely differ on u1
     u1 = s.presentation.gen("u1")
-    _, value = s.bv_status(Monomial(((u1, 1),)))
+    value = s.bv_monomial(Monomial(((u1, 1),)))
     assert value != s.metadata["diagonal_bv_u1"]
 
 
