@@ -4,10 +4,10 @@ Sign ledger
 -----------
 Every sign in the engine derives from a single rule: transposing two
 adjacent homogeneous factors a, b multiplies the coefficient by
-``KOSZUL_BASE ** (|a| * |b|)``.  All other signs (word normalization,
-tensor factor swaps, moving an operator past an element, derivation
-prefix signs) are computed from this rule and nowhere else.  Over
-characteristic 2 every sign collapses to +1 automatically.
+``FieldSpec.sign(|a| * |b|)`` = (-1)^(|a||b|).  All other signs (word
+normalization, tensor factor swaps, moving an operator past an element,
+derivation prefix signs) come from this rule through that one helper.
+Over characteristic 2 every sign collapses to +1 automatically.
 
 Monomials are kept in a normal form: factors sorted by (degree, id).
 Over characteristic other than 2 an odd-degree generator squares to
@@ -22,14 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fields import FieldSpec, Scalar
-
-KOSZUL_BASE = -1
-
-
-def sign_exponent(k: int) -> int:
-    """KOSZUL_BASE**k as a plain integer (+1 or -1)."""
-    return 1 if k % 2 == 0 else KOSZUL_BASE
-
 
 @dataclass(frozen=True)
 class Generator:

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       Undefined, derivation_from_generator_values,
                       first_undefined, linear_extension, monomial_basis, normalize_word,
-                      sign_exponent, window_tuples)
+                      window_tuples)
 from .fields import FieldSpec
 from .lie import LiePresentation
 from .report import FAIL, Report, compare, merge_reports, run_checks, vanishes
@@ -191,7 +191,7 @@ def _bracket_monomials_compute(s: BVStructure, m1: Monomial, m2: Monomial) -> Ma
         if isinstance(flipped, Undefined):
             return flipped
         parity2 = m2.degree + s.shift - 1
-        return flipped.scale(-sign_exponent(parity1 * parity2))
+        return flipped.scale(field.sign(parity1 * parity2 + 1))
     return s.bracket_pair(m1.word()[0], m2.word()[0])
 
 
@@ -234,7 +234,7 @@ def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
                 continue
             n_ij = (word[i].degree * prefix[i]
                     + word[j].degree * (prefix[j] - word[i].degree))
-            sgn = sign_exponent(word[i].degree) * sign_exponent(n_ij)
+            sgn = field.sign(word[i].degree + n_ij)
             rest = Element.from_monomial(
                 field, Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:]))
             out = out + (br * rest).scale(sgn)
@@ -419,7 +419,7 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
             return gap
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
         return compare(_pair_inputs(a, b), "{a,b}", lhs, "-sign*{b,a}",
-                       rhs.scale(-sign_exponent(pa * pb)))
+                       rhs.scale(field.sign(pa * pb + 1)))
 
     def jacobi_and_poisson(a, b, c):
         inner_bc = _bracket_monomials(s, b, c)
@@ -435,7 +435,7 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
         second = poisson_bracket(s, b_elt, inner_ac)
         jacobi = first_undefined(lhs, first, second) or compare(
             inputs, "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}",
-            first + second.scale(sign_exponent(pa * pb)))
+            first + second.scale(field.sign(pa * pb)))
         lhs_p = poisson_bracket(s, a_elt, b_elt * c_elt)
         ac = poisson_bracket(s, a_elt, c_elt)
         poisson = first_undefined(lhs_p, ac) or compare(

@@ -104,7 +104,7 @@ def _cmd_free_bv(args) -> int:
     def compute(source, structure: BVStructure):
         if structure.provenance != "free":
             raise InputError("free-bv needs a presentation without bv lines")
-        element = _parse_arg_element(args.apply, source)
+        element = _parse_arg_element(args.apply, source, args.max_degree)
         return free_bv(structure, element)
 
     return _element_command(args, compute)
@@ -112,16 +112,16 @@ def _cmd_free_bv(args) -> int:
 
 def _cmd_bracket(args) -> int:
     def compute(source, structure: BVStructure):
-        a = _parse_arg_element(args.a, source)
-        b = _parse_arg_element(args.b, source)
+        a = _parse_arg_element(args.a, source, args.max_degree)
+        b = _parse_arg_element(args.b, source, args.max_degree)
         return poisson_bracket(structure, a, b)
 
     return _element_command(args, compute)
 
 
-def _parse_arg_element(text: str, source: PresentationSource):
+def _parse_arg_element(text: str, source: PresentationSource, max_degree: Optional[int]):
     try:
-        return parse_element_text(text, source)
+        return parse_element_text(text, source, max_degree)
     except ParseError as exc:
         raise InputError("; ".join(str(d) for d in exc.diagnostics)) from exc
 
@@ -194,7 +194,7 @@ def _cmd_fixture(args) -> int:
     try:
         fixture = load_fixture(args.name, args.max_degree)
     except (KeyError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(exc.args[0]) from exc
     if isinstance(fixture, StructureDescriptor):
         return _finish(_describe_descriptor(fixture), args.format)
     if isinstance(fixture, LiePresentation):

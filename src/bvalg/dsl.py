@@ -59,10 +59,13 @@ class PresentationSource:
         return LiePresentation(self.field, self.shift, list(self.generators),
                                dict(self.brackets), dict(self.differential))
 
+    def window(self, max_degree: Optional[int] = None) -> int:
+        """max_degree if given, else the file's truncation, else 10."""
+        return next(w for w in (max_degree, self.truncate, 10) if w is not None)
+
     def to_structure(self, max_degree: Optional[int] = None) -> BVStructure:
         """Free structure unless the file supplies operator values."""
-        window = max_degree if max_degree is not None else (
-            self.truncate if self.truncate is not None else 10)
+        window = self.window(max_degree)
         presentation = self.to_lie_presentation()
         if self.bv_values:
             return user_bv_structure(presentation, window, dict(self.bv_values))
@@ -153,7 +156,10 @@ class _LineParser:
         tok = self.next()
         if tok is None or tok.kind != "int":
             raise self.fail(f"expected {what}", tok.column if tok else None)
-        return int(tok.text), tok
+        try:
+            return int(tok.text), tok
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.fail(f"{what} too long", tok.column) from None
 
     def signed_int(self, what: str = "integer") -> Tuple[int, _Token]:
         tok = self.peek()
@@ -208,9 +214,10 @@ def _parse_coefficient(parser: _LineParser, field: FieldSpec):
 
 
 def _parse_element(parser: _LineParser, state: _State, span_only: bool,
-                   what: str) -> Element:
+                   what: str, bound: Optional[int] = None) -> Element:
     """Sum of terms; each term is [coefficient *] factor (* factor)* with
-    factor = gen or gen^k, or a bare coefficient (multiple of the unit)."""
+    factor = gen or gen^k, or a bare coefficient (multiple of the unit).
+    Span-only terms are one letter; others, letters counting degree >= 1, are at most `bound`."""
     field = state.field
     assert field is not None
     total = Element.zero(field)
@@ -229,7 +236,7 @@ def _parse_element(parser: _LineParser, state: _State, span_only: bool,
             sign = -1 if tok.text == "-" else 1
         elif not first:
             raise parser.fail("expected '+' or '-'", tok.column)
-        term = _parse_term(parser, state, span_only, what)
+        term = _parse_term(parser, state, span_only, what, bound)
         total = total + term.scale(field.sign(0 if sign > 0 else 1))
         first = False
         if parser.done():
@@ -238,7 +245,7 @@ def _parse_element(parser: _LineParser, state: _State, span_only: bool,
 
 
 def _parse_term(parser: _LineParser, state: _State, span_only: bool,
-                what: str) -> Element:
+                what: str, bound: Optional[int]) -> Element:
     field = state.field
     assert field is not None
     coeff = field.one()
@@ -252,6 +259,7 @@ def _parse_term(parser: _LineParser, state: _State, span_only: bool,
             return Element.unit(field, coeff)
         parser.next()
     word: List[Generator] = []
+    size = 0
     while True:
         ident = parser.expect_ident("generator")
         gen = state.generators.get(ident.text)
@@ -263,14 +271,17 @@ def _parse_term(parser: _LineParser, state: _State, span_only: bool,
         if nxt is not None and nxt.kind == "sym" and nxt.text == "^":
             parser.next()
             power, _ = parser.expect_int("exponent")
+        if span_only and (word or power != 1):
+            raise parser.fail(f"{what} must be a linear combination of generators")
+        size += max(gen.degree, 1) * power
+        if bound is not None and size > bound:
+            raise parser.fail(f"{what} term exceeds degree {bound}", ident.column)
         word.extend([gen] * power)
         nxt = parser.peek()
         if nxt is not None and nxt.kind == "sym" and nxt.text == "*":
             parser.next()
             continue
         break
-    if span_only and len(word) != 1:
-        raise parser.fail(f"{what} must be a linear combination of generators")
     return normalize_word(field, word, coeff)
 
 
@@ -372,8 +383,8 @@ def _statement(parser: _LineParser, state: _State) -> None:
             raise _LineError(Diagnostic(parser.line_no, name.column,
                                         f"undeclared symbol {name.text!r}"))
         parser.expect_sym("=")
-        value = _parse_element(parser, state, span_only=False, what="bv value")
         expected = state.generators[name.text].degree + (state.shift or 0) - 1
+        value = _parse_element(parser, state, span_only=False, what="bv value", bound=expected)
         got = value.homogeneous_degree()
         if not value.is_zero and got != expected:
             raise _LineError(Diagnostic(
@@ -444,8 +455,9 @@ def render_presentation(source: PresentationSource) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_element_text(text: str, source: PresentationSource) -> Element:
-    """Parse a standalone element expression against a presentation."""
+def parse_element_text(text: str, source: PresentationSource,
+                       max_degree: Optional[int] = None) -> Element:
+    """Parse a standalone element expression, bounded by source.window(max_degree)."""
     state = _State()
     state.field = source.field
     state.shift = source.shift
@@ -456,7 +468,7 @@ def parse_element_text(text: str, source: PresentationSource) -> Element:
         raise ParseError(errors)
     parser = _LineParser(tokens, 1)
     try:
-        element = _parse_element(parser, state, span_only=False, what="element")
+        element = _parse_element(parser, state, False, "element", source.window(max_degree))
         if not parser.done():
             raise parser.fail("trailing input")
     except _LineError as exc:

@@ -1,10 +1,11 @@
 """Hopf structure of a free graded-commutative algebra.
 
 Generators are primitive, the coproduct is an algebra map into the graded
-tensor square (factors swap with the Koszul sign), the antipode is solved
-degree by degree from the convolution identity.  The coderivation checker
-verifies  coproduct . op = (op (x) id + id (x) op) . coproduct  with the
-Koszul sign when op moves past the left tensor factor.
+tensor square, the antipode is solved degree by degree from the convolution
+identity.  A tensor of arity r is an Element over r tagged copies ``g@i`` of
+the generators, as S(V)^{(x)r} = S(V^{+r}): normalize_word gives every sign.
+The coderivation checker verifies  coproduct . op = (op (x) id + id (x) op) .
+coproduct  with the Koszul sign when op moves past the left tensor factor.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, basis_by_degree, linear_extension,
-                      monomial_basis, normalize_word, window_tuples)
+                      Undefined, linear_extension, monomial_basis,
+                      normalize_word, window_tuples)
 from .fields import FieldSpec, Scalar
 from .linalg import nullspace
 from .report import Report, compare, run_checks
@@ -21,21 +22,38 @@ from .report import Report, compare, run_checks
 TensorKey = Tuple[Monomial, ...]
 
 
-class TensorElement:
-    """Linear combination of tensor words (m_1 (x) ... (x) m_r)."""
+def _tag(g: Generator, slot: int) -> Generator:
+    return Generator(f"{g.id}@{slot}", g.degree)
 
-    __slots__ = ("field", "arity", "_terms")
+
+def _untag(g: Generator) -> Tuple[Generator, int]:
+    base, _, slot = g.id.rpartition("@")
+    return Generator(base, g.degree), int(slot)
+
+
+def _tagged_word(key: TensorKey) -> List[Generator]:
+    return [_tag(g, i) for i, mono in enumerate(key) for g in mono.word()]
+
+
+class TensorElement:
+    """Linear combination of tensor words (m_1 (x) ... (x) m_r), held as an
+    Element over r tagged copies of the generators."""
+
+    __slots__ = ("field", "arity", "_element")
 
     def __init__(self, field: FieldSpec, arity: int,
                  terms: Optional[Dict[TensorKey, Scalar]] = None):
         self.field = field
         self.arity = arity
-        clean: Dict[TensorKey, Scalar] = {}
+        self._element = Element.zero(field)
         for key, coeff in (terms or {}).items():
-            c = field.coerce(coeff)
-            if not field.is_zero(c):
-                clean[key] = c
-        self._terms = clean
+            self._element = self._element + normalize_word(field, _tagged_word(key), coeff)
+
+    @staticmethod
+    def _view(arity: int, element: Element) -> "TensorElement":
+        out = object.__new__(TensorElement)
+        out.field, out.arity, out._element = element.field, arity, element
+        return out
 
     @staticmethod
     def zero(field: FieldSpec, arity: int) -> "TensorElement":
@@ -47,48 +65,39 @@ class TensorElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._element.is_zero
 
     def terms(self) -> List[Tuple[TensorKey, Scalar]]:
-        return sorted(self._terms.items(),
-                      key=lambda t: tuple(m.order_key() for m in t[0]))
+        """Split each tagged monomial by slot; the coefficient of m_1 (x) ...
+        carries back the sign of normalizing its tagged word."""
+        out = []
+        for mono, coeff in self._element.terms():
+            slots: List[List[Generator]] = [[] for _ in range(self.arity)]
+            for base, slot in map(_untag, mono.word()):
+                slots[slot].append(base)
+            key = tuple(Monomial.from_sorted_word(sorted(word, key=lambda g: g.sort_key))
+                        for word in slots)
+            sign = normalize_word(self.field, _tagged_word(key)).coefficient(mono)
+            out.append((key, self.field.mul(coeff, sign)))
+        return sorted(out, key=lambda t: tuple(m.order_key() for m in t[0]))
+
+    def _lift(self, op, other: "TensorElement") -> "TensorElement":
+        if self.arity != other.arity:
+            raise ValueError("tensor arity mismatch")
+        return TensorElement._view(self.arity, op(self._element, other._element))
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.arity != other.arity or self.field != other.field:
-            raise ValueError("tensor arity/field mismatch")
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = self.field.add(out.get(key, self.field.zero()), coeff)
-        return TensorElement(self.field, self.arity, out)
+        return self._lift(Element.__add__, other)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "TensorElement":
-        c = self.field.coerce(coeff)
-        return TensorElement(self.field, self.arity,
-                             {k: self.field.mul(v, c) for k, v in self._terms.items()})
+        return self._lift(Element.__sub__, other)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        """Slotwise product; right factors acquire the Koszul sign for
-        moving past the left factors to their right."""
-        if self.arity != other.arity or self.field != other.field:
-            raise ValueError("tensor arity/field mismatch")
-        field = self.field
-        out = TensorElement.zero(field, self.arity)
-        for key_a, ca in self._terms.items():
-            suffix_degrees = [0] * self.arity
-            acc = 0
-            for i in range(self.arity - 1, -1, -1):
-                suffix_degrees[i] = acc
-                acc += key_a[i].degree
-            for key_b, cb in other._terms.items():
-                exp = sum(key_b[i].degree * suffix_degrees[i] for i in range(self.arity))
-                coeff = field.mul(field.mul(ca, cb), field.sign(exp))
-                slot_elements = [normalize_word(field, key_a[i].word() + key_b[i].word())
-                                 for i in range(self.arity)]
-                out = out + _combine_slots(field, slot_elements, coeff)
-        return out
+        """Slotwise product, with the Koszul sign of the tagged letters."""
+        return self._lift(Element.__mul__, other)
+
+    def scale(self, coeff) -> "TensorElement":
+        return TensorElement._view(self.arity, self._element.scale(coeff))
 
     def apply_slot(self, slot: int, fn: Callable[[Monomial], MaybeElement],
                    fn_degree: int) -> Union["TensorElement", Undefined]:
@@ -97,32 +106,24 @@ class TensorElement:
         returned as Undefined."""
         field = self.field
         out = TensorElement.zero(field, self.arity)
-        for key, coeff in self._terms.items():
-            left_degree = sum(m.degree for m in key[:slot])
+        for key, coeff in self.terms():
             value = fn(key[slot])
             if isinstance(value, Undefined):
                 return value
-            sgn = field.sign(fn_degree * left_degree)
+            sgn = field.sign(fn_degree * sum(m.degree for m in key[:slot]))
             for mono, c in value.terms():
-                new_key = key[:slot] + (mono,) + key[slot + 1:]
-                term = TensorElement(field, self.arity,
-                                     {new_key: field.mul(field.mul(coeff, c), sgn)})
-                out = out + term
+                out = out + TensorElement(field, self.arity, {
+                    key[:slot] + (mono,) + key[slot + 1:]: field.mul(field.mul(coeff, c), sgn)})
         return out
 
     def multiply_out(self) -> Element:
-        """Multiply all slots together (slots are already in order: no sign)."""
-        out = Element.zero(self.field)
-        for key, coeff in self._terms.items():
-            word: Tuple[Generator, ...] = ()
-            for mono in key:
-                word = word + mono.word()
-            out = out + normalize_word(self.field, word, coeff)
-        return out
+        """Multiply all slots together: forgetting the tags is an algebra map."""
+        return linear_extension(lambda mono: normalize_word(
+            self.field, [_untag(g)[0] for g in mono.word()]), self._element)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorElement) and self.field == other.field
-                and self.arity == other.arity and self._terms == other._terms)
+        return (isinstance(other, TensorElement) and self.arity == other.arity
+                and self._element == other._element)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -136,36 +137,22 @@ class TensorElement:
         return " + ".join(parts)
 
 
-def _combine_slots(field: FieldSpec, slots: List[Element], coeff) -> TensorElement:
-    """Tensor of single-slot Elements (each a normalized scalar multiple)."""
-    key: List[Monomial] = []
-    c = coeff
-    for elt in slots:
-        terms = elt.terms()
-        if not terms:
-            return TensorElement.zero(field, len(slots))
-        mono, slot_coeff = terms[0]
-        key.append(mono)
-        c = field.mul(c, slot_coeff)
-    return TensorElement(field, len(slots), {tuple(key): c})
+def _coproduct_element(field: FieldSpec, mono: Monomial) -> Element:
+    out = Element.unit(field)
+    for g in mono.word():
+        out = out * (Element.from_generator(field, _tag(g, 0))
+                     + Element.from_generator(field, _tag(g, 1)))
+    return out
 
 
 def coproduct_monomial(field: FieldSpec, mono: Monomial) -> TensorElement:
     """Coproduct of one monomial: product of (g (x) 1 + 1 (x) g) per letter."""
-    unit = Monomial.unit()
-    out = TensorElement.pure(field, (unit, unit))
-    for g in mono.word():
-        gm = Monomial(((g, 1),))
-        letter = TensorElement(field, 2, {(gm, unit): 1, (unit, gm): 1})
-        out = out * letter
-    return out
+    return TensorElement._view(2, _coproduct_element(field, mono))
 
 
 def coproduct(element: Element) -> TensorElement:
-    out = TensorElement.zero(element.field, 2)
-    for mono, coeff in element.terms():
-        out = out + coproduct_monomial(element.field, mono).scale(coeff)
-    return out
+    return TensorElement._view(2, linear_extension(
+        lambda mono: _coproduct_element(element.field, mono), element))
 
 
 def reduced_coproduct(element: Element) -> TensorElement:
@@ -181,28 +168,20 @@ def reduced_coproduct(element: Element) -> TensorElement:
 def primitive_basis(field: FieldSpec, generators: Sequence[Generator],
                     degree: int) -> List[Element]:
     """Basis of primitives in one degree: kernel of the reduced coproduct,
-    by exact linear algebra on the degree-d monomial basis."""
+    by exact linear algebra, one row per tagged monomial that occurs."""
     if degree <= 0:
         return []
-    table = basis_by_degree(field, generators, degree)
-    source = table[degree]
-    if not source:
-        return []
-    pair_index: Dict[TensorKey, int] = {}
-    for d1 in range(1, degree):
-        for m1 in table[d1]:
-            for m2 in table[degree - d1]:
-                pair_index.setdefault((m1, m2), len(pair_index))
-    matrix = [[field.zero()] * len(source) for _ in range(max(len(pair_index), 1))]
-    for col, mono in enumerate(source):
-        reduced = reduced_coproduct(Element.from_monomial(field, mono))
-        for key, coeff in reduced.terms():
-            matrix[pair_index[key]][col] = coeff
-    kernel = nullspace(matrix, field)
-    out = []
-    for vec in kernel:
-        out.append(Element(field, {m: c for m, c in zip(source, vec)}))
-    return out
+    source = [m for m in monomial_basis(field, generators, degree) if m.degree == degree]
+    columns = [reduced_coproduct(Element.from_monomial(field, m))._element for m in source]
+    rows: Dict[Monomial, int] = {}
+    for column in columns:
+        for mono in column.monomials():
+            rows.setdefault(mono, len(rows))
+    matrix = [[field.zero()] * len(source) for _ in range(max(len(rows), 1))]
+    for col, column in enumerate(columns):
+        for mono, coeff in column.terms():
+            matrix[rows[mono]][col] = coeff
+    return [Element(field, dict(zip(source, vec))) for vec in nullspace(matrix, field)]
 
 
 def antipode(element: Element) -> Element:
@@ -230,9 +209,12 @@ def antipode(element: Element) -> Element:
 def is_coderivation(op: GradedMap, generators: Sequence[Generator],
                     max_degree: int) -> Report:
     """Check the coderivation identity on every basis monomial in the window;
-    undefined operator values are reported as skipped coverage."""
-    field = op.field
-    degree = op.degree if op.degree is not None else 0
+    undefined operator values are skipped, and an unknown degree fails."""
+    field, degree = op.field, op.degree
+    if degree is None:
+        return Report(checks=run_checks(
+            ("coderivation",), [()],
+            lambda: {"reason": "operator degree unknown; no Koszul sign"}))
     bound = max(max_degree - degree if degree > 0 else max_degree, 0)
 
     def coderivation(mono):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Element, Generator, linear_extension, sign_exponent
-from .fields import FieldSpec
+from .algebra import Element, Generator, linear_extension
+from .fields import FieldSpec, Scalar
 from .report import FAIL, Report, compare, run_checks, vanishes
 
 BracketKey = Tuple[str, str]
@@ -73,8 +73,8 @@ class LiePresentation:
             return (x.id, y.id), False
         return (y.id, x.id), True
 
-    def _flip_sign(self, x: Generator, y: Generator) -> int:
-        return -sign_exponent(self.parity(x) * self.parity(y))
+    def _flip_sign(self, x: Generator, y: Generator) -> Scalar:
+        return self.field.sign(self.parity(x) * self.parity(y) + 1)
 
     def canonical_table(self, table: Dict[BracketKey, Element]) -> Dict[BracketKey, Element]:
         """A bracket table keyed by canonical pairs, the other orientation
@@ -188,7 +188,7 @@ def check_lie_axioms(presentation: LiePresentation) -> Report:
             return vanishes({"pair": f"[{x.id},{x.id}]",
                              "constraint": "even shifted parity forces {x,x} = 0"},
                             "value", lhs)
-        rhs = p.bracket(y.id, x.id).scale(-sign_exponent(p.parity(x) * p.parity(y)))
+        rhs = p.bracket(y.id, x.id).scale(p.field.sign(p.parity(x) * p.parity(y) + 1))
         return compare({"pair": f"[{x.id},{y.id}]"}, "lhs", lhs, "rhs", rhs)
 
     def jacobi(x, y, z):
@@ -197,7 +197,7 @@ def check_lie_axioms(presentation: LiePresentation) -> Report:
         second = p.bracket_elements(p.span_element(y.id), p.bracket(x.id, z.id))
         return compare({"triple": f"({x.id},{y.id},{z.id})"}, "lhs {x,{y,z}}", lhs,
                        "rhs {{x,y},z} + sign*{y,{x,z}}",
-                       first + second.scale(sign_exponent(p.parity(x) * p.parity(y))))
+                       first + second.scale(p.field.sign(p.parity(x) * p.parity(y))))
 
     return Report(checks=(
         structural
@@ -222,7 +222,7 @@ def check_differential(presentation: LiePresentation) -> Report:
     def leibniz(x, y):
         rhs = (p.bracket_elements(p.diff(x.id), p.span_element(y.id))
                + p.bracket_elements(p.span_element(x.id), p.diff(y.id))
-               .scale(sign_exponent(p.parity(x))))
+               .scale(p.field.sign(p.parity(x))))
         return compare({"pair": f"[{x.id},{y.id}]"},
                        "d{x,y}", p.diff_element(p.bracket(x.id, y.id)),
                        "{dx,y} + sign*{x,dy}", rhs)

@@ -128,3 +128,19 @@ def ref_terms(x):
                 runs.append((letter[1], letter[0], 1))
         return (sum(d for _, d in mono), len(mono), tuple(runs))
     return [(m, *key(m)[:2], x[m]) for m in sorted(x, key=key)]
+
+
+def ref_coproduct(word, p):
+    """Coproduct of a normal-form word: the sum over subsets S of its letter
+    positions of the shuffle sign times word[S] (x) word[not S].  The sign
+    moves the letters of S in front of the others, one |a||b| per pair that
+    crosses.  Returns a dict (left word, right word) -> nonzero coefficient."""
+    out = {}
+    n = len(word)
+    for mask in range(1 << n):
+        left = tuple(word[i] for i in range(n) if mask >> i & 1)
+        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
+        exp = sum(word[i][1] * word[j][1] for i in range(n) for j in range(i + 1, n)
+                  if mask >> j & 1 and not mask >> i & 1)
+        out = ref_add(out, {(left, right): (-1) ** exp}, p)
+    return out

@@ -142,7 +142,7 @@ def test_fixture_descriptor_name(capsys):
 def test_fixture_unknown_name(capsys):
     code, _, err = run(capsys, "fixture", "unknown:thing")
     assert code == 2
-    assert "unknown fixture" in err
+    assert err == "error: unknown fixture 'unknown:thing'\n"
 
 
 def test_json_result_serializes_element_as_pairs(capsys):
@@ -222,3 +222,32 @@ def test_degree_zero_generator_is_input_error(capsys, tmp_path, verb):
     assert code == 2
     assert out == ""
     assert "'a' has degree 0" in err
+
+
+HUGE = "99999999999"
+
+
+@pytest.mark.parametrize("line, column, message", [
+    (f"bv a = a^{HUGE}", 8, "bv value term exceeds degree 3"),
+    (f"bracket [a,a] = b^{HUGE}", 30,
+     "bracket value must be a linear combination of generators"),
+    (f"diff d b = a*b^{HUGE}", 27,
+     "differential value must be a linear combination of generators"),
+])
+def test_huge_exponent_in_file_is_input_error(capsys, tmp_path, line, column, message):
+    # the exponent is checked before the word is built: no allocation is tried
+    path = tmp_path / "huge.lie"
+    path.write_text(f"field Q\nshift n=2\ngen a : 2\ngen b : 5\n{line}\n")
+    code, out, err = run(capsys, "check-lie", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}:5:{column}: {message}\n")
+
+
+@pytest.mark.parametrize("verb, column, message", [
+    (["free-bv", "--apply", f"a^{HUGE}"], 1, "element term exceeds degree 12"),
+    (["bracket", "a", f"a*b^{HUGE}"], 3, "element term exceeds degree 12"),
+    # more digits than int() converts
+    (["free-bv", "--apply", "a^" + "9" * 5000], 3, "exponent too long"),
+])
+def test_huge_exponent_argument_is_input_error(capsys, verb, column, message):
+    code, out, err = run(capsys, verb[0], fixture_path("loops2_s4.lie"), *verb[1:])
+    assert (code, out, err) == (2, "", f"error: line 1, column {column}: {message}\n")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import FieldSpec, GF2, QQ
+from bvalg.hopf import TensorElement
 
 F5 = FieldSpec.prime(5)
 
@@ -65,6 +66,8 @@ def test_floats_rejected():
             Element.from_generator(field, Generator("x", 1), 0.5)
         with pytest.raises(TypeError):
             Element.unit(field, 0.5)
+        with pytest.raises(TypeError):
+            TensorElement(field, 2, {(Monomial.unit(), Monomial.unit()): 0.5})
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))

@@ -9,6 +9,8 @@ from bvalg.hopf import (TensorElement, antipode, coproduct, coproduct_monomial,
 from bvalg.bv import bv_operator
 from bvalg.fixtures import loopspace_model
 
+from oracles import ref_coproduct
+
 X = Generator("x", 1)
 Y = Generator("y", 1)
 A2 = Generator("x", 2)
@@ -149,3 +151,30 @@ def test_coproduct_is_algebra_map(w1, w2):
     a = normalize_word(QQ, w1)
     b = normalize_word(QQ, w2)
     assert coproduct(a * b) == coproduct(a) * coproduct(b)
+
+
+def test_coderivation_refuses_unknown_degree():
+    # x is primitive, so left multiplication by x passes at degree 1; adding
+    # the zero map of degree 0 leaves the values but makes the degree unknown
+    op = GradedMap(QQ, 1, rule=lambda m: normalize_word(QQ, (X,) + m.word()))
+    report = is_coderivation(op + GradedMap.zero(QQ, 0), [X, Y], 6)
+    assert [(c.name, c.verdict) for c in report.checks] == [("coderivation", "fail")]
+    assert report.checks[0].certificate == {"reason": "operator degree unknown; no Koszul sign"}
+
+
+# "a"/"a0" and "b"/"b1" sort the other way once tagged ("a0@0" < "a@0"),
+# and "y@1" already contains the tag separator
+ORACLE_GENS = [Generator("a", 2), Generator("a0", 2), Generator("b", 1),
+               Generator("b1", 1), Generator("y@1", 1), Generator("y", 3)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, GF2, FieldSpec.prime(3)]),
+       st.lists(st.sampled_from(ORACLE_GENS), max_size=6))
+def test_coproduct_matches_reference(field, word):
+    for mono, _ in normalize_word(field, word).terms():
+        letters = tuple((g.id, g.degree) for g in mono.word())
+        got = {(tuple((g.id, g.degree) for g, k in m1.factors for _ in range(k)),
+                tuple((g.id, g.degree) for g, k in m2.factors for _ in range(k))): c
+               for (m1, m2), c in coproduct_monomial(field, mono).terms()}
+        assert got == ref_coproduct(letters, field.characteristic)
