@@ -144,3 +144,53 @@ def ref_coproduct(word, p):
                   if mask >> j & 1 and not mask >> i & 1)
         out = ref_add(out, {(left, right): (-1) ** exp}, p)
     return out
+
+
+# -- reference operator --------------------------------------------------------
+#
+# The operator of a structure in coordinates, from its generator values and
+# its bracket table alone: graded partial derivatives on normal-form words,
+# with no word-position pairs.
+
+
+def ref_partial(letter, x, p):
+    """Graded left partial derivative by `letter`: on a normal-form word
+    u letter^m w it gives m (-1)^(|letter||u|) u letter^(m-1) w."""
+    out = {}
+    for word, c in x.items():
+        m = word.count(letter)
+        if m:
+            i = word.index(letter)
+            prefix = sum(d for _, d in word[:i])
+            out = ref_add(out, {word[:i] + word[i + 1:]: c * m * (-1) ** (letter[1] * prefix)},
+                          p)
+    return out
+
+
+def ref_divided_square(letter, x, p):
+    """Half the second partial derivative by `letter`: letter^m becomes
+    C(m,2) letter^(m-2), so characteristic 2 needs no 1/2."""
+    out = {}
+    for word, c in x.items():
+        m = word.count(letter)
+        if m >= 2:
+            i = word.index(letter)
+            out = ref_add(out, {word[:i] + word[i + 2:]: c * m * (m - 1) // 2}, p)
+    return out
+
+
+def ref_operator(x, values, brackets, p):
+    """The second-order operator
+        sum_k v(x_k) d_k  +  sum_{k<l} (-1)^|x_k| c_kl d_l d_k
+                          +  sum_k (-1)^|x_k| c_kk d_k^(2)
+    on an element x, where d_k is `ref_partial`, d_k^(2) is
+    `ref_divided_square`, `values` maps a letter to v(x_k), and `brackets`
+    maps a pair of letters (k, l), k <= l in normal-form order, to c_kl."""
+    out = {}
+    for letter, v in values.items():
+        out = ref_add(out, ref_mul(v, ref_partial(letter, x, p), p), p)
+    for (k, l), c in brackets.items():
+        second = (ref_divided_square(k, x, p) if k == l
+                  else ref_partial(l, ref_partial(k, x, p), p))
+        out = ref_add(out, ref_scale(ref_mul(c, second, p), (-1) ** k[1], p), p)
+    return out

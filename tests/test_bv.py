@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import Element, Generator, GradedMap, Monomial
-from bvalg.fields import GF2, QQ
+from bvalg.algebra import Element, Generator, GradedMap, Monomial, monomial_basis
+from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation, random_lie_presentation
 from bvalg.bv import (InconsistentExtensionError, Undefined, add_derivation_action,
                       bracket_from_operator, bracket_part, bv_operator,
@@ -13,6 +14,8 @@ from bvalg.bv import (InconsistentExtensionError, Undefined, add_derivation_acti
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
+
+from oracles import ref_operator
 
 
 def gen_elt(field, g, coeff=1):
@@ -219,6 +222,70 @@ def test_bv_extend_inconsistency_certificate(monkeypatch):
         s.bv_monomial(mono)
     assert exc.value.monomial == mono
     assert len(exc.value.values) == 2
+
+
+# -- the operator against the reference in oracles.py -----------------------------
+
+
+def ref_of(element):
+    """An Element as the reference's dict, read from its factors alone."""
+    return {tuple((g.id, g.degree) for g, k in m.factors for _ in range(k)): c
+            for m, c in element.terms()}
+
+
+@st.composite
+def operator_cases(draw):
+    """A random structure and its coordinates: free at shifts 0-3, or a
+    user table (with gaps) at an even shift, where the operator is the sum
+    of its generator values and the bracket contraction."""
+    field = draw(st.sampled_from([QQ, GF2, FieldSpec.prime(5)]))
+    user = draw(st.booleans())
+    shift = draw(st.sampled_from((0, 2) if user else (0, 1, 2, 3)))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    gens = sorted((Generator("abcd"[i], d) for i, d in enumerate(degrees)),
+                  key=lambda g: g.sort_key)
+
+    def combination(monos):
+        out = Element.zero(field)
+        for mono in monos:
+            out = out + Element.from_monomial(field, mono, draw(st.integers(-2, 2)))
+        return out
+
+    def span(degree):
+        return combination(Monomial(((g, 1),)) for g in gens if g.degree == degree)
+
+    table = {(x.id, y.id): span(x.degree + y.degree + shift - 1)
+             for i, x in enumerate(gens) for y in gens[i:]}
+    if user:
+        values = {g.id: combination(m for m in monomial_basis(field, gens, g.degree + shift - 1)
+                                    if m.degree == g.degree + shift - 1)
+                  for g in gens if draw(st.integers(0, 5))}
+        table = {pair: value for pair, value in table.items() if draw(st.integers(0, 5))}
+        s = user_bv_structure(LiePresentation(field, shift, gens), 6, values, table)
+    else:
+        diff = {g.id: span(g.degree - 1) for g in gens}
+        s = free_bv_structure(LiePresentation(field, shift, gens, table, diff), 6)
+        values = {x: value.scale(-1) for x, value in diff.items()}
+    letter = {g.id: (g.id, g.degree) for g in gens}
+    return (s, {letter[x]: ref_of(v) for x, v in values.items()},
+            {(letter[x], letter[y]): ref_of(v) for (x, y), v in table.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_cases())
+def test_operator_matches_reference(case):
+    s, values, brackets = case
+    p = s.field.characteristic
+    for mono in s.basis():
+        (word,) = ref_of(Element.from_monomial(s.field, mono))
+        needs = ({x for x in word if x not in values}
+                 | {(x, y) for i, x in enumerate(word) for y in word[i + 1:]
+                    if (x, y) not in brackets})
+        value = s.bv_monomial(mono)
+        if needs:
+            assert isinstance(value, Undefined), str(mono)
+        else:
+            assert ref_of(value) == ref_operator({word: 1}, values, brackets, p), str(mono)
 
 
 # -- verifier suites ---------------------------------------------------------------

@@ -29,7 +29,8 @@ from verify_fixtures import FIXTURES  # noqa: E402
 def _lie_files():
     return (sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.lie")))
             + [os.path.join(HERE, "data", "bad_jacobi.lie"),
-               os.path.join(HERE, "data", "bad_bv.lie")])
+               os.path.join(HERE, "data", "bad_bv.lie"),
+               os.path.join(HERE, "data", "odd_shift_bv.lie")])
 
 
 def _cases():
