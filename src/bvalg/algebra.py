@@ -496,26 +496,33 @@ class GradedMap:
                          name=f"{self.name}+{other.name}".strip("+"))
 
 
+def leibniz(field: FieldSpec, word: Sequence[Generator],
+            image: Callable[[Generator], Optional[MaybeElement]],
+            degree: int) -> MaybeElement:
+    """The Leibniz rule on a word x_1...x_k: the sum over i of
+    x_1...x_{i-1} image(x_i) x_{i+1}...x_k, signed by moving a
+    degree-`degree` map past x_1...x_{i-1}.  An image of None is zero.
+    Every image is read before any product, so a gap returns at once."""
+    images = [image(g) for g in word]
+    if gap := first_undefined(*images):
+        return gap
+    out = Element.zero(field)
+    prefix_degree = 0
+    for i, (g, value) in enumerate(zip(word, images)):
+        if value is not None and not value.is_zero:
+            head = Element.from_monomial(field, Monomial.from_sorted_word(word[:i]))
+            tail = Element.from_monomial(field, Monomial.from_sorted_word(word[i + 1:]))
+            out = out + (head * value * tail).scale(field.sign(degree * prefix_degree))
+        prefix_degree += g.degree
+    return out
+
+
 def derivation_from_generator_values(field: FieldSpec,
                                      values: Dict[str, Element],
-                                     degree: Optional[int],
+                                     degree: int,
                                      name: str = "derivation") -> GradedMap:
-    """Leibniz extension of generator values: on a word x_1...x_k the i-th
-    summand carries the sign of moving a degree-`degree` operator past
-    x_1...x_{i-1}.  Generators absent from `values` map to zero."""
-
-    def rule(mono: Monomial) -> Element:
-        out = Element.zero(field)
-        word = mono.word()
-        prefix_degree = 0
-        for i, g in enumerate(word):
-            image = values.get(g.id)
-            if image is not None and not image.is_zero:
-                head = Element.from_monomial(field, Monomial.from_sorted_word(word[:i]))
-                tail = Element.from_monomial(field, Monomial.from_sorted_word(word[i + 1:]))
-                sgn = field.sign((degree or 0) * prefix_degree)
-                out = out + (head * image * tail).scale(sgn)
-            prefix_degree += g.degree
-        return out
-
-    return GradedMap(field, degree, rule=rule, name=name)
+    """The derivation extending generator values by `leibniz`; generators
+    absent from `values` map to zero."""
+    return GradedMap(field, degree, name=name,
+                     rule=lambda mono: leibniz(field, mono.word(),
+                                               lambda g: values.get(g.id), degree))

@@ -256,6 +256,9 @@ def _parse_term(parser: _LineParser, state: _State, span_only: bool,
         coeff = _parse_coefficient(parser, field)
         nxt = parser.peek()
         if nxt is None or not (nxt.kind == "sym" and nxt.text == "*"):
+            if span_only and not field.is_zero(coeff):
+                raise parser.fail(f"{what} must be a linear combination of generators",
+                                  tok.column)
             return Element.unit(field, coeff)
         parser.next()
     word: List[Generator] = []

@@ -18,6 +18,7 @@ from .lie import LiePresentation, desuspend
 from .bv import BVStructure, free_bv_structure, user_bv_structure
 
 DEFAULT_WINDOW = 10
+MAX_DESCRIPTOR_N = 10_000  # the descriptor lists about n/4 generators
 
 
 def sphere_loop_lie(m: int, field: FieldSpec = QQ) -> LiePresentation:
@@ -111,6 +112,8 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec,
         return StructureDescriptor("infinity", field, None, None, gens, True)
     if not isinstance(n, int) or n < 2:
         raise ValueError("need n >= 2 or 'infinity'")
+    if n > MAX_DESCRIPTOR_N:
+        raise ValueError(f"need n <= {MAX_DESCRIPTOR_N} or 'infinity', got {n}")
     if field.kind != "rational":
         if n != 2:
             raise ValueError(f"descriptor over {field} is only available for n = 2")

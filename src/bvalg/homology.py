@@ -1,7 +1,7 @@
 """Chain complexes from a structure's operator, and exact Betti numbers.
 
-The complex is graded by total degree (or by wordlength when the operator
-lowers wordlength by one, i.e. when the differential part vanishes); the
+The complex is the structure's operator (generator values extended by the
+Leibniz rule, plus the bracket contraction), graded by total degree; the
 boundary out of the top grade of the window is zero, so the Euler
 characteristic over the window always matches the alternating sum of the
 chain dimensions.
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from .algebra import Element, Monomial, Undefined, basis_by_degree
 from .fields import FieldSpec, Scalar
-from .bv import BVStructure, FREE, free_bv_structure
+from .bv import BVStructure, free_bv_structure
 from .lie import LiePresentation
 from .linalg import rank
 
@@ -37,7 +37,6 @@ class ChainComplex:
     """Grade-indexed exact boundary matrices with a fixed degree step."""
 
     field: FieldSpec
-    grading: str
     step: int
     basis: Dict[int, List[Monomial]]
     boundaries: Dict[int, Matrix]
@@ -73,8 +72,8 @@ class ChainComplex:
         return sorted(self.basis)
 
 
-def bv_chain_complex(structure: BVStructure, max_degree: Optional[int] = None,
-                     grading: str = "total") -> ChainComplex:
+def bv_chain_complex(structure: BVStructure,
+                     max_degree: Optional[int] = None) -> ChainComplex:
     """The complex of the structure's operator over the window.
 
     Boundary terms that would leave the window at the top grade are zeroed
@@ -82,19 +81,7 @@ def bv_chain_complex(structure: BVStructure, max_degree: Optional[int] = None,
     """
     bound = structure.truncation if max_degree is None else max_degree
     field = structure.field
-    degree_basis = basis_by_degree(field, structure.generators, bound)
-    if grading == "total":
-        basis, step = degree_basis, structure.shift - 1
-    elif grading == "wordlength":
-        if structure.provenance == FREE and structure.presentation.has_differential:
-            raise ValueError("wordlength grading needs a vanishing differential part")
-        basis, step = {}, -1
-        for d in sorted(degree_basis):
-            for mono in degree_basis[d]:
-                basis.setdefault(mono.wordlength, []).append(mono)
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
-
+    basis, step = basis_by_degree(field, structure.generators, bound), structure.shift - 1
     boundaries: Dict[int, Matrix] = {}
     for g in sorted(basis):
         target = basis.get(g + step, [])
@@ -109,10 +96,9 @@ def bv_chain_complex(structure: BVStructure, max_degree: Optional[int] = None,
                 if row is not None:
                     matrix[row][col] = coeff
                 elif g + step in basis:
-                    raise ValueError(
-                        f"boundary of {mono} not homogeneous for {grading} grading")
+                    raise ValueError(f"boundary of {mono} not homogeneous in total degree")
         boundaries[g] = matrix
-    return ChainComplex(field, grading, step, basis, boundaries)
+    return ChainComplex(field, step, basis, boundaries)
 
 
 def build_ce_complex(presentation: LiePresentation,
@@ -132,7 +118,7 @@ def build_ce_complex(presentation: LiePresentation,
         else:
             raise ValueError("max_degree required: the algebra is not finite")
     structure = free_bv_structure(presentation, max_degree)
-    return bv_chain_complex(structure, max_degree, grading="total")
+    return bv_chain_complex(structure, max_degree)
 
 
 def betti(complex_: ChainComplex) -> List[int]:

@@ -117,10 +117,6 @@ class LiePresentation:
     def diff_element(self, u: Element) -> Element:
         return linear_extension(lambda mono: self.diff(mono.word()[0].id), u)
 
-    @property
-    def has_differential(self) -> bool:
-        return any(not v.is_zero for v in self.differential.values())
-
     def span_element(self, gen_id: str, coeff=1) -> Element:
         return Element.from_generator(self.field, self.gen(gen_id), coeff)
 

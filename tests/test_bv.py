@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bvalg.algebra import Element, Generator, GradedMap, Monomial, monomial_basis
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation, random_lie_presentation
-from bvalg.bv import (InconsistentExtensionError, Undefined, add_derivation_action,
+from bvalg.bv import (Undefined, add_derivation_action,
                       bracket_from_operator, bracket_part, bv_operator,
                       check_derivation, extend_morphism, free_bv,
                       free_bv_structure, poisson_bracket, user_bv_structure,
@@ -132,7 +132,7 @@ def test_abelian_zero_differential_gives_zero_operator():
         assert free_bv(s, Element.from_monomial(QQ, mono)).is_zero
 
 
-# -- deviation recursion -----------------------------------------------------------
+# -- user operators from generator values ----------------------------------------
 
 
 def test_bv_extend_unit_is_zero():
@@ -202,9 +202,9 @@ def test_peeling_orders_agree_even_without_jacobi():
     assert isinstance(value, Element)
 
 
-def test_bv_extend_inconsistency_certificate(monkeypatch):
-    # the well-definedness audit trips when the two bracket orientations
-    # stop being antisymmetric (here injected behind the accessor)
+def test_broken_antisymmetry_fails_the_suite(monkeypatch):
+    # two bracket orientations that stop being antisymmetric (injected
+    # behind the accessor) fail bracket-antisymmetry on the generator pair
     f = GF2
     x, y = Generator("x", 1), Generator("y", 1)
     p = LiePresentation(f, 0, [x, y])
@@ -217,11 +217,11 @@ def test_bv_extend_inconsistency_certificate(monkeypatch):
         return Element.zero(f)
 
     monkeypatch.setattr(s, "bracket_pair", broken)
-    mono = Monomial(((x, 1), (y, 1)))
-    with pytest.raises(InconsistentExtensionError) as exc:
-        s.bv_monomial(mono)
-    assert exc.value.monomial == mono
-    assert len(exc.value.values) == 2
+    report = verify_bv_axioms(s)
+    assert not report.passed
+    cert = next(c.certificate for c in report.checks
+                if c.name == "bracket-antisymmetry" and c.verdict == "fail")
+    assert (cert["a"], cert["b"]) == ("x", "y")
 
 
 # -- the operator against the reference in oracles.py -----------------------------

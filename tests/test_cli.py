@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvalg.cli import main
 
@@ -212,6 +216,16 @@ def test_descriptor_non_integer_n_is_input_error(capsys):
     assert "--n" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["descriptor", "--n", "99999999999", "--field", "Q"],
+    ["fixture", "fd:99999999999:Q"],
+])
+def test_descriptor_n_past_the_bound_is_input_error(capsys, argv):
+    # refused before the generator list is built
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: need n <= 10000 or 'infinity', got 99999999999\n")
+
+
 @pytest.mark.parametrize("verb", [
     ["check-bv"], ["free-bv", "--apply", "b"], ["bracket", "b", "b"],
 ])
@@ -242,6 +256,20 @@ def test_huge_exponent_in_file_is_input_error(capsys, tmp_path, line, column, me
     assert (code, out, err) == (2, "", f"error: {path}:5:{column}: {message}\n")
 
 
+@pytest.mark.parametrize("line, column, what", [
+    ("diff d x = 1", 12, "differential value"),
+    ("bracket [a,a] = 3", 17, "bracket value"),
+])
+def test_unit_term_in_span_value_is_input_error(capsys, tmp_path, line, column, what):
+    # a nonzero multiple of 1 has the expected degree 0 here, but is not in
+    # the generator span (found by the fuzz below)
+    path = tmp_path / "unit.lie"
+    path.write_text(f"field Q\nshift n=1\ngen a : 0\ngen x : 1\n{line}\n")
+    code, out, err = run(capsys, "check-lie", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: {path}:5:{column}: {what} must be a linear combination of generators\n")
+
+
 @pytest.mark.parametrize("verb, column, message", [
     (["free-bv", "--apply", f"a^{HUGE}"], 1, "element term exceeds degree 12"),
     (["bracket", "a", f"a*b^{HUGE}"], 3, "element term exceeds degree 12"),
@@ -251,3 +279,77 @@ def test_huge_exponent_in_file_is_input_error(capsys, tmp_path, line, column, me
 def test_huge_exponent_argument_is_input_error(capsys, verb, column, message):
     code, out, err = run(capsys, verb[0], fixture_path("loops2_s4.lie"), *verb[1:])
     assert (code, out, err) == (2, "", f"error: line 1, column {column}: {message}\n")
+
+
+# -- fuzz: every input ends in an exit code of the contract ---------------------
+
+IDS = ["a", "b", "x", "u1"]
+JUNK = ["1/0*a", "@", "a^", "**", "[a]", "b c", "zz", "2/", "a^-1", ""]
+TERMS = ["0"] * 4 + IDS + ["2*a", "a*b", "1/2*x", "-u1", "1", "a^2", "b^3", "x*u1"]
+EXPRESSIONS = st.one_of(st.just("0"), st.lists(st.sampled_from(TERMS * 3 + JUNK),
+                                                min_size=1, max_size=3).map(" + ".join))
+
+
+@st.composite
+def lie_texts(draw):
+    """A .lie text, mostly well formed: invalid fields, shifts and degree-0
+    generators, and junk terms in bracket, diff and bv lines, each now and
+    then; values of the right degree often enough to reach exit 1."""
+    field = draw(st.sampled_from(["Q", "Q", "Q", "F2", "F2", "F3", "F5", "F4", "G"]))
+    shift = draw(st.integers(-1, 3))
+    lines = [f"field {field}", f"shift n={shift}"]
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
+    degree = {g: draw(st.sampled_from([1, 1, 2, 2, 3, 4, 0])) for g in ids}
+    lines += [f"gen {g} : {d}" for g, d in degree.items()]
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        head, target = draw(st.sampled_from([
+            (f"bracket [{x},{y}] = ", degree[x] + degree[y] + shift - 1),
+            (f"diff d {x} = ", degree[x] - 1), (f"bv {x} = ", degree[x] + shift - 1)]))
+        fitting = ([g for g in ids if degree[g] == target]
+                   + [f"{g}^2" for g in ids if 2 * degree[g] == target])
+        value = draw(st.one_of(EXPRESSIONS, st.sampled_from(fitting or ["0"])))
+        lines.append(head + value)
+    if draw(st.booleans()):
+        lines.append(f"truncate {draw(st.integers(-1, 6))}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def invocations(draw, path):
+    window = ["--max-degree", str(draw(st.integers(0, 6)))]
+    verb = draw(st.sampled_from(["check-lie", "check-bv", "free-bv", "bracket",
+                                 "ce-homology", "fixture", "descriptor"]))
+    argv = {
+        "check-lie": [verb, path],
+        "check-bv": [verb, path] + window,
+        "free-bv": [verb, path, "--apply", draw(EXPRESSIONS)] + window,
+        "bracket": [verb, path, draw(EXPRESSIONS), draw(EXPRESSIONS)] + window,
+        "ce-homology": [verb, path] + window,
+        "fixture": [verb, draw(st.sampled_from([
+            "sphere-lie:2", "sphere-lie:3", "sphere-lie:x", "loopspace:2:3",
+            "loopspace:4:6", "loopspace:1:3", "omega2-s3-f2", "fd:2:F2", "fd:3:Q",
+            "fd:infinity:Q", "fd:2:F4", "fd:10001:Q", "unknown"]))]
+        + draw(st.sampled_from([[], ["--verify"]])) + window,
+        "descriptor": [verb, "--n", draw(st.sampled_from(["2", "3", "4", "infinity", "-1",
+                                                          "abc", "10001"])),
+                       "--field", draw(st.sampled_from(["Q", "F2", "F3", "F4", "x"]))],
+    }[verb]
+    return argv + ["--format", draw(st.sampled_from(["human", "json"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lie_texts(), st.data())
+def test_fuzzed_inputs_exit_by_the_contract(text, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.lie")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        argv = data.draw(invocations(path))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects malformed arguments this way
+                code = exc.code
+    assert code in (0, 1, 2), (argv, text)

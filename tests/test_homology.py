@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation
-from bvalg.bv import free_bv_structure
 from bvalg.fixtures import abelian_ungraded, heisenberg, loopspace_model
 from bvalg.homology import (BoundarySquareError, ChainComplex, betti, build_ce_complex,
                             bv_chain_complex, euler_characteristic)
@@ -101,7 +100,7 @@ def test_boundary_composite_checked_on_construction():
     with pytest.raises(ValueError):
         # a "boundary" whose composite with itself cannot vanish: rig a
         # 1x1 identity in both directions
-        ChainComplex(field, "total", -1, {0: basis[0], 1: basis[1], 2: basis[1]},
+        ChainComplex(field, -1, {0: basis[0], 1: basis[1], 2: basis[1]},
                      {2: [[Fraction(1)]], 1: [[Fraction(1)]], 0: []})
 
 
@@ -145,10 +144,10 @@ def test_square_check_matches_dense_oracle(field, data):
     nonzero = [j for j in range(len(first[0])) if any(row[j] != 0 for row in composite)]
     boundaries = {2: first, 1: second, 0: []}
     if not nonzero:
-        ChainComplex(field, "total", -1, basis, boundaries)
+        ChainComplex(field, -1, basis, boundaries)
         return
     with pytest.raises(BoundarySquareError) as exc:
-        ChainComplex(field, "total", -1, basis, boundaries)
+        ChainComplex(field, -1, basis, boundaries)
     assert (exc.value.grade, exc.value.source) == (2, basis[2][nonzero[0]])
     assert exc.value.composite == Element(field, {
         basis[0][i]: row[nonzero[0]] for i, row in enumerate(composite)})
@@ -179,23 +178,3 @@ def test_betti_independent_of_pivot_order():
         for g in permuted:
             assert rank(permuted[g], QQ) == rank(complex_.boundaries[g], QQ)
 
-
-def test_wordlength_grading_for_pure_contraction():
-    structure = loopspace_model(2, 4, max_degree=9)
-    complex_ = bv_chain_complex(structure, 9, grading="wordlength")
-    assert complex_.step == -1
-    assert betti(complex_)[0] == 1
-    # heisenberg: all generators in degree 1, so the gradings agree
-    h_total = build_ce_complex(heisenberg())
-    h_word = bv_chain_complex(free_bv_structure(heisenberg(), 3), 3,
-                              grading="wordlength")
-    assert betti(h_total) == betti(h_word)
-
-
-def test_wordlength_grading_rejects_nonzero_differential():
-    f = QQ
-    gx, gy = Generator("x", 3), Generator("y", 2)
-    p = LiePresentation(f, 2, [gx, gy],
-                        differential={"x": Element.from_generator(f, gy)})
-    with pytest.raises(ValueError):
-        bv_chain_complex(free_bv_structure(p, 6), 6, grading="wordlength")
