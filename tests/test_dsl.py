@@ -179,3 +179,111 @@ def test_element_render_parse_round_trip():
             element = element + Element.from_monomial(
                 QQ, mono, QQ.coerce(rng.choice([-2, -1, 1, 2, 3])) / rng.choice([1, 2, 3]))
         assert parse_element_text(str(element), source) == element
+
+
+_H = "field Q\nshift n=2\n"
+_G = _H + "gen a : 2\ngen b : 5\n"
+_LONG = "9" * 5000  # more digits than int() accepts from a string
+
+# One input per distinct parser message: (id, presentation text, element text or None,
+# the exact (line, column, message) list).  Element text goes to parse_element_text.
+DIAGNOSTIC_CASES = [
+    ("unexpected-character", _H + "gen a : 2 !", None,
+     [(3, 11, "unexpected character '!'")]),
+    ("expected-statement", _H + "2 a", None, [(3, 1, "expected statement")]),
+    ("unknown-statement", _H + "foo a", None, [(3, 1, "unknown statement 'foo'")]),
+    ("trailing-input", _H + "gen a : 2 3", None, [(3, 11, "trailing input")]),
+    ("expected-field-name", "field 2\nfield Q\nshift n=2", None,
+     [(1, 7, "expected field name (Q or F<p>)")]),
+    ("unknown-field", "field G\nfield Q\nshift n=2", None,
+     [(1, 7, "unknown field 'G' (expected Q or F<p>)")]),
+    ("field-not-prime", "field F4\nfield Q\nshift n=2", None,
+     [(1, 7, "characteristic 4 is not prime")]),
+    ("duplicate-field", _H + "field Q", None, [(3, 1, "duplicate field declaration")]),
+    ("duplicate-shift", _H + "shift n=1", None, [(3, 1, "duplicate shift declaration")]),
+    ("duplicate-truncate", _H + "truncate 3\ntruncate 4", None,
+     [(4, 1, "duplicate truncate declaration")]),
+    ("expected-n-ident", "field Q\nshift m=2\nshift n=2", None, [(2, 7, "expected 'n'")]),
+    ("expected-n-int", "field Q\nshift 2\nshift n=2", None, [(2, 7, "expected 'n'")]),
+    ("expected-equals", "field Q\nshift n 2\nshift n=2", None, [(2, 9, "expected '='")]),
+    ("expected-shift-value", "field Q\nshift n=\nshift n=2", None,
+     [(2, 9, "expected shift value")]),
+    ("negative-shift", "field Q\nshift n=-1\nshift n=2", None,
+     [(2, 9, "shift must be >= 0")]),
+    ("shift-too-long", "field Q\nshift n=" + _LONG + "\nshift n=2", None,
+     [(2, 9, "shift value too long")]),
+    ("expected-generator-name", _H + "gen 2 : 3", None, [(3, 5, "expected generator name")]),
+    ("duplicate-generator", _H + "gen a : 2\ngen a : 3", None,
+     [(4, 5, "duplicate generator 'a'")]),
+    ("expected-colon", _H + "gen a 2", None, [(3, 7, "expected ':'")]),
+    ("expected-degree", _H + "gen a : x", None, [(3, 9, "expected degree")]),
+    ("negative-degree", _H + "gen a : -1", None, [(3, 9, "degree must be >= 0")]),
+    ("field-first", "gen a : 2\nfield Q\nshift n=2", None,
+     [(1, 1, "field must be declared first")]),
+    ("shift-first", "field Q\ngen a : 2\nbracket [a,a] = 0\nshift n=2", None,
+     [(3, 1, "shift must be declared first")]),
+    ("expected-open-bracket", _G + "bracket a,a] = 0", None, [(5, 9, "expected '['")]),
+    ("expected-comma", _G + "bracket [a a] = 0", None, [(5, 12, "expected ','")]),
+    ("expected-close-bracket", _G + "bracket [a,a = 0", None, [(5, 14, "expected ']'")]),
+    ("expected-generator", _G + "bracket [2,a] = 0", None, [(5, 10, "expected generator")]),
+    ("undeclared-symbol", _G + "bracket [a,c] = 0", None,
+     [(5, 12, "undeclared symbol 'c'")]),
+    ("expected-bracket-value", _G + "bracket [a,a] =", None,
+     [(5, 16, "expected bracket value")]),
+    ("bracket-degree", _G + "bracket [a,a] = a", None,
+     [(5, 1, "bracket degree 5 expected, got 2")]),
+    ("bracket-pair-twice", _G + "gen c : 8\nbracket [a,b] = c\nbracket [b,a] = c", None,
+     [(7, 1, "bracket pair [b,a] already declared on line 6")]),
+    ("bracket-not-linear-word", _G + "bracket [a,a] = a*b", None,
+     [(5, 20, "bracket value must be a linear combination of generators")]),
+    ("bracket-not-linear-unit", _G + "bracket [a,a] = b + 1", None,
+     [(5, 21, "bracket value must be a linear combination of generators")]),
+    ("expected-d", _G + "diff x a = 0", None, [(5, 6, "expected 'd'")]),
+    ("expected-differential-value", _G + "diff d a =", None,
+     [(5, 11, "expected differential value")]),
+    ("differential-degree", _G + "diff d a = b", None,
+     [(5, 1, "differential degree 1 expected, got 5")]),
+    ("duplicate-differential", _H + "gen a : 4\ngen b : 5\ndiff d b = a\ndiff d b = a", None,
+     [(6, 8, "duplicate differential for 'b'")]),
+    ("expected-bv-value", _G + "bv a =", None, [(5, 7, "expected bv value")]),
+    ("bv-degree", _G + "bv a = a", None, [(5, 1, "bv degree 3 expected, got 2")]),
+    ("bv-term-bound", _G + "bv a = a^2", None, [(5, 8, "bv value term exceeds degree 3")]),
+    ("duplicate-bv", _H + "gen a : 1\ngen b : 2\nbv a = b\nbv a = b", None,
+     [(6, 4, "duplicate bv value for 'a'")]),
+    ("unexpected-plus", _G + "bracket [a,a] = + b", None, [(5, 17, "unexpected '+'")]),
+    ("expected-plus-or-minus", _G + "bracket [a,a] = b b", None,
+     [(5, 19, "expected '+' or '-'")]),
+    ("number-too-long", _G + "bv a = " + _LONG + "*a", None, [(5, 8, "number too long")]),
+    ("expected-denominator", _G + "bracket [a,a] = 1/ b", None,
+     [(5, 20, "expected denominator")]),
+    ("denominator-too-long", _G + "bracket [a,a] = 1/" + _LONG + "*b", None,
+     [(5, 19, "denominator too long")]),
+    ("zero-denominator", _G + "bracket [a,a] = 1/0*b", None,
+     [(5, 19, "malformed number: zero denominator")]),
+    ("denominator-divisible-by-p", "field F2\nshift n=2\ngen a : 2\ngen b : 5\n"
+     "bracket [a,a] = 1/2*b", None,
+     [(5, 17, "malformed number: denominator divisible by 2")]),
+    ("expected-exponent", _G + "bv a = a^", None, [(5, 10, "expected exponent")]),
+    ("exponent-too-long", _G + "bv a = a^" + _LONG, None, [(5, 10, "exponent too long")]),
+    ("missing-headers", "", None,
+     [(1, 1, "missing field declaration"), (1, 1, "missing shift declaration")]),
+    ("negative-truncation", _H + "truncate -1", None,
+     [(3, 10, "truncation degree must be >= 0")]),
+    ("expected-truncation-degree", _H + "truncate x", None,
+     [(3, 10, "expected truncation degree")]),
+    ("expected-element", _G, "", [(1, 1, "expected element")]),
+    ("element-term-bound", _G + "truncate 6", "a^2*b", [(1, 5, "element term exceeds degree 6")]),
+    ("element-unexpected-character", _G, "a )", [(1, 3, "unexpected character ')'")]),
+]
+
+
+@pytest.mark.parametrize("text, element, expected",
+                         [case[1:] for case in DIAGNOSTIC_CASES],
+                         ids=[case[0] for case in DIAGNOSTIC_CASES])
+def test_every_diagnostic_is_pinned(text, element, expected):
+    with pytest.raises(ParseError) as exc:
+        if element is None:
+            parse_presentation(text)
+        else:
+            parse_element_text(element, parse_presentation(text))
+    assert [(d.line, d.column, d.message) for d in exc.value.diagnostics] == expected

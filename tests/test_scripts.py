@@ -27,3 +27,12 @@ def test_verify_fixtures_passes():
     done = run_script("verify_fixtures.py")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "overall: PASS" in done.stdout.splitlines()
+
+
+def test_parser_digest_is_deterministic_and_never_crashes():
+    first = run_script("parser_digest.py", "--seed", "3", "--count", "300")
+    second = run_script("parser_digest.py", "--seed", "3", "--count", "300")
+    # any exception but ParseError escapes the script: a traceback and a nonzero exit
+    assert first.returncode == 0 and first.stderr == "", first.stderr
+    assert len(first.stdout.splitlines()) == 300
+    assert second.returncode == 0 and second.stdout == first.stdout
