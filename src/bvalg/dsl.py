@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Element, Generator, normalize_word, render_element
@@ -45,7 +46,7 @@ class ParseError(Exception):
 
 @dataclass
 class PresentationSource:
-    """Parsed, canonicalized presentation file."""
+    """Parsed, canonicalized presentation file; generators are kept sorted."""
 
     field: FieldSpec
     shift: int
@@ -54,6 +55,9 @@ class PresentationSource:
     differential: Dict[str, Element] = dc_field(default_factory=dict)
     bv_values: Dict[str, Element] = dc_field(default_factory=dict)
     truncate: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.generators = tuple(sorted(self.generators, key=lambda g: g.sort_key))
 
     def to_lie_presentation(self) -> LiePresentation:
         return LiePresentation(self.field, self.shift, list(self.generators),
@@ -71,20 +75,22 @@ class PresentationSource:
             return user_bv_structure(presentation, window, dict(self.bv_values))
         return free_bv_structure(presentation, window)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PresentationSource):
-            return NotImplemented
-        return (self.field == other.field and self.shift == other.shift
-                and sorted(self.generators, key=lambda g: g.sort_key)
-                == sorted(other.generators, key=lambda g: g.sort_key)
-                and self.brackets == other.brackets
-                and self.differential == other.differential
-                and self.bv_values == other.bv_values
-                and self.truncate == other.truncate)
-
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
-                    r"|(?P<sym>[\[\]:=,*^+/-]))")
+                    r"|(?P<sym>[\[\]:=,*^+/-])|(?P<bad>\S))")
+
+_HEADERS = ("field", "shift", "truncate")
+# statement -> the header lines that must come before it
+_PREREQUISITES = {"gen": ("field",), "bracket": ("field", "shift"),
+                  "diff": ("field", "shift"), "bv": ("field", "shift")}
+# value line -> (noun, targets (None = a generator), whether the shift enters the
+# expected degree, span-only value, message for a second line on the same targets)
+_VALUE_LINES = {
+    "bracket": ("bracket", ("[", None, ",", None, "]"), 1, True,
+                "bracket pair [{0},{1}] already declared on line {line}"),
+    "diff": ("differential", ("d", None), 0, True, "duplicate differential for {0!r}"),
+    "bv": ("bv", (None,), 1, False, "duplicate bv value for {0!r}"),
+}
 
 
 @dataclass(frozen=True)
@@ -94,29 +100,36 @@ class _Token:
     column: int
 
 
-def _tokenize(line: str, line_no: int, errors: List[Diagnostic]) -> Optional[List[_Token]]:
-    tokens: List[_Token] = []
-    pos = 0
-    while pos < len(line):
-        match = _TOKEN.match(line, pos)
-        if match is None:
-            rest = line[pos:].lstrip()
-            if not rest:
-                break
-            column = len(line) - len(rest) + 1
-            errors.append(Diagnostic(line_no, column, f"unexpected character {rest[0]!r}"))
-            return None
-        kind = match.lastgroup or "sym"
-        tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
-        pos = match.end()
-    return tokens
+class _LineError(Exception):
+    def __init__(self, diagnostic: Diagnostic):
+        self.diagnostic = diagnostic
+        super().__init__(str(diagnostic))
+
+
+class _State:
+    def __init__(self) -> None:
+        self.field: Optional[FieldSpec] = None
+        self.shift: Optional[int] = None
+        self.truncate: Optional[int] = None
+        self.generators: Dict[str, Generator] = {}
+        self.tables: Dict[str, dict] = {head: {} for head in _VALUE_LINES}
+        self.lines: Dict[Tuple[str, ...], int] = {}  # value-line targets -> line number
 
 
 class _LineParser:
-    def __init__(self, tokens: List[_Token], line_no: int):
-        self.tokens = tokens
+    """Cursor over the tokens of one line; every failure is a _LineError."""
+
+    def __init__(self, line: str, line_no: int, state: _State):
         self.line_no = line_no
+        self.state = state
         self.pos = 0
+        self.tokens: List[_Token] = []
+        for match in _TOKEN.finditer(line):
+            kind = match.lastgroup
+            if kind == "bad":
+                raise self.fail(f"unexpected character {match.group(kind)!r}",
+                                match.start(kind) + 1)
+            self.tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -136,171 +149,139 @@ class _LineParser:
             return tok.column
         return self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
 
-    def fail(self, message: str, column: Optional[int] = None) -> "_LineError":
+    def fail(self, message: str, column: Optional[int] = None) -> _LineError:
         return _LineError(Diagnostic(self.line_no, column or self.column(), message))
 
-    def expect_sym(self, text: str) -> _Token:
-        tok = self.next()
-        if tok is None or tok.kind != "sym" or tok.text != text:
-            raise self.fail(f"expected {text!r}",
-                            tok.column if tok else None)
-        return tok
+    def take(self, sym: str) -> Optional[_Token]:
+        """The next token if it is the symbol `sym`, consumed; else None."""
+        tok = self.peek()
+        return self.next() if tok is not None and tok.kind == "sym" and tok.text == sym else None
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.next()
-        if tok is None or tok.kind != "ident":
-            raise self.fail(f"expected {what}", tok.column if tok else None)
-        return tok
+    def expect(self, kind: str, what: str, text: Optional[str] = None) -> _Token:
+        """The next token, which must be of `kind` (and read `text`, if given)."""
+        tok = self.peek()
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+            raise self.fail(f"expected {what}")
+        return self.next()
 
-    def expect_int(self, what: str = "integer") -> Tuple[int, _Token]:
-        tok = self.next()
-        if tok is None or tok.kind != "int":
-            raise self.fail(f"expected {what}", tok.column if tok else None)
+    def natural(self, what: str, noun: Optional[str] = None) -> int:
+        """An integer; given a `noun`, a leading '-' is read and refused as
+        '<noun> must be >= 0'."""
+        minus = self.take("-") if noun else None
+        tok = self.expect("int", what)
         try:
-            return int(tok.text), tok
+            value = int(tok.text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise self.fail(f"{what} too long", tok.column) from None
+        if minus is not None and value:
+            raise self.fail(f"{noun} must be >= 0", minus.column)
+        return value
 
-    def signed_int(self, what: str = "integer") -> Tuple[int, _Token]:
-        tok = self.peek()
-        sign = 1
-        if tok is not None and tok.kind == "sym" and tok.text == "-":
-            self.next()
-            sign = -1
-        value, token = self.expect_int(what)
-        return sign * value, (tok if sign < 0 else token)
-
-
-class _LineError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
+    def declared(self, tok: _Token) -> Generator:
+        gen = self.state.generators.get(tok.text)
+        if gen is None:
+            raise self.fail(f"undeclared symbol {tok.text!r}", tok.column)
+        return gen
 
 
-class _State:
-    def __init__(self) -> None:
-        self.field: Optional[FieldSpec] = None
-        self.shift: Optional[int] = None
-        self.generators: Dict[str, Generator] = {}
-        self.brackets: Dict[Tuple[str, str], Element] = {}
-        self.bracket_lines: Dict[Tuple[str, str], int] = {}
-        self.differential: Dict[str, Element] = {}
-        self.bv_values: Dict[str, Element] = {}
-        self.truncate: Optional[int] = None
-
-
-def _parse_coefficient(parser: _LineParser, field: FieldSpec):
-    """integer or integer/integer, with optional leading '-'."""
-    start = parser.column()
-    tok = parser.peek()
-    negative = False
-    if tok is not None and tok.kind == "sym" and tok.text == "-":
-        parser.next()
-        negative = True
-    num, num_tok = parser.expect_int("number")
-    value_text = num_tok.text
-    nxt = parser.peek()
-    if nxt is not None and nxt.kind == "sym" and nxt.text == "/":
-        parser.next()
-        den, den_tok = parser.expect_int("denominator")
-        if den == 0:
-            raise parser.fail("malformed number: zero denominator", den_tok.column)
-        value_text = f"{num}/{den}"
-    try:
-        value = field.from_string(value_text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise parser.fail(f"malformed number: {exc}", start) from exc
-    return field.neg(value) if negative else value
-
-
-def _parse_element(parser: _LineParser, state: _State, span_only: bool,
-                   what: str, bound: Optional[int] = None) -> Element:
-    """Sum of terms; each term is [coefficient *] factor (* factor)* with
-    factor = gen or gen^k, or a bare coefficient (multiple of the unit).
-    Span-only terms are one letter; others, letters counting degree >= 1, are at most `bound`."""
-    field = state.field
-    assert field is not None
-    total = Element.zero(field)
+def _parse_element(parser: _LineParser, span_only: bool, what: str,
+                   bound: Optional[int] = None) -> Element:
+    """Sum of terms, each optionally signed ('+' not on the first)."""
+    total = Element.zero(parser.state.field)
     first = True
-    while True:
-        tok = parser.peek()
-        if tok is None:
-            if first:
-                raise parser.fail(f"expected {what}")
-            break
-        sign = 1
-        if tok.kind == "sym" and tok.text in "+-":
-            if first and tok.text == "+":
-                raise parser.fail("unexpected '+'", tok.column)
-            parser.next()
-            sign = -1 if tok.text == "-" else 1
-        elif not first:
-            raise parser.fail("expected '+' or '-'", tok.column)
-        term = _parse_term(parser, state, span_only, what, bound)
-        total = total + term.scale(field.sign(0 if sign > 0 else 1))
+    while first or not parser.done():
+        sign = parser.take("+") or parser.take("-")
+        if sign is None and not first:
+            raise parser.fail("expected '+' or '-'")
+        if first and sign is not None and sign.text == "+":
+            raise parser.fail("unexpected '+'", sign.column)
+        term = _parse_term(parser, span_only, what, bound)
+        total = total - term if sign is not None and sign.text == "-" else total + term
         first = False
-        if parser.done():
-            break
     return total
 
 
-def _parse_term(parser: _LineParser, state: _State, span_only: bool,
-                what: str, bound: Optional[int]) -> Element:
-    field = state.field
-    assert field is not None
+def _parse_term(parser: _LineParser, span_only: bool, what: str,
+                bound: Optional[int]) -> Element:
+    """[coefficient *] factor (* factor)* with factor = gen or gen^k, or a bare
+    coefficient (a multiple of the unit); a coefficient is n or n/m.
+    Span-only terms are one letter; others, letters counting degree >= 1,
+    are at most `bound`."""
+    field = parser.state.field
+    not_linear = f"{what} must be a linear combination of generators"
     coeff = field.one()
     tok = parser.peek()
     if tok is None:
         raise parser.fail(f"expected {what}")
     if tok.kind == "int":
-        coeff = _parse_coefficient(parser, field)
-        nxt = parser.peek()
-        if nxt is None or not (nxt.kind == "sym" and nxt.text == "*"):
+        coeff = parser.natural("number")
+        if parser.take("/"):
+            column = parser.column()
+            den = parser.natural("denominator")
+            if den == 0:
+                raise parser.fail("malformed number: zero denominator", column)
+            coeff = Fraction(coeff, den)
+        try:
+            coeff = field.coerce(coeff)
+        except ZeroDivisionError as exc:
+            raise parser.fail(f"malformed number: {exc}", tok.column) from exc
+        if not parser.take("*"):
             if span_only and not field.is_zero(coeff):
-                raise parser.fail(f"{what} must be a linear combination of generators",
-                                  tok.column)
+                raise parser.fail(not_linear, tok.column)
             return Element.unit(field, coeff)
-        parser.next()
     word: List[Generator] = []
     size = 0
     while True:
-        ident = parser.expect_ident("generator")
-        gen = state.generators.get(ident.text)
-        if gen is None:
-            raise _LineError(Diagnostic(parser.line_no, ident.column,
-                                        f"undeclared symbol {ident.text!r}"))
-        power = 1
-        nxt = parser.peek()
-        if nxt is not None and nxt.kind == "sym" and nxt.text == "^":
-            parser.next()
-            power, _ = parser.expect_int("exponent")
+        ident = parser.expect("ident", "generator")
+        gen = parser.declared(ident)
+        power = parser.natural("exponent") if parser.take("^") else 1
         if span_only and (word or power != 1):
-            raise parser.fail(f"{what} must be a linear combination of generators")
+            raise parser.fail(not_linear)
         size += max(gen.degree, 1) * power
         if bound is not None and size > bound:
             raise parser.fail(f"{what} term exceeds degree {bound}", ident.column)
         word.extend([gen] * power)
-        nxt = parser.peek()
-        if nxt is not None and nxt.kind == "sym" and nxt.text == "*":
-            parser.next()
-            continue
-        break
-    return normalize_word(field, word, coeff)
+        if not parser.take("*"):
+            return normalize_word(field, word, coeff)
 
 
-def _require(parser: _LineParser, state: _State, *what: str) -> None:
-    if "field" in what and state.field is None:
-        raise parser.fail("field must be declared first", 1)
-    if "shift" in what and state.shift is None:
-        raise parser.fail("shift must be declared first", 1)
+def _value_line(parser: _LineParser, head: _Token) -> None:
+    """Targets, '=', then a value of the degree they fix; one line per targets."""
+    noun, grammar, shifted, span_only, duplicate = _VALUE_LINES[head.text]
+    state = parser.state
+    targets = []
+    for item in grammar:
+        if item is None:
+            targets.append(parser.expect("ident", "generator"))
+        else:
+            parser.expect("ident" if item.isalpha() else "sym", repr(item), item)
+    expected = sum(parser.declared(t).degree for t in targets) + shifted * state.shift - 1
+    parser.expect("sym", "'='", "=")
+    value = _parse_element(parser, span_only, f"{noun} value",
+                           None if span_only else expected)
+    got = value.homogeneous_degree()
+    if not value.is_zero and got != expected:
+        raise parser.fail(f"{noun} degree {expected} expected, got {got}", head.column)
+    names = [t.text for t in targets]
+    key = (head.text, *sorted(names))
+    if key in state.lines:
+        # a pair is reported at the statement, a single target at its name
+        raise parser.fail(duplicate.format(*names, line=state.lines[key]),
+                          (head if len(targets) > 1 else targets[0]).column)
+    state.lines[key] = parser.line_no
+    state.tables[head.text][tuple(names) if len(names) > 1 else names[0]] = value
 
 
-def _statement(parser: _LineParser, state: _State) -> None:
-    head = parser.expect_ident("statement")
+def _statement(parser: _LineParser) -> None:
+    state = parser.state
+    head = parser.expect("ident", "statement")
+    if head.text in _HEADERS and getattr(state, head.text) is not None:
+        raise parser.fail(f"duplicate {head.text} declaration", head.column)
+    for need in _PREREQUISITES.get(head.text, ()):
+        if getattr(state, need) is None:
+            raise parser.fail(f"{need} must be declared first", 1)
     if head.text == "field":
-        if state.field is not None:
-            raise parser.fail("duplicate field declaration", head.column)
-        tok = parser.expect_ident("field name (Q or F<p>)")
+        tok = parser.expect("ident", "field name (Q or F<p>)")
         name = tok.text
         nxt = parser.peek()
         if name == "F" and nxt is not None and nxt.kind == "int":
@@ -310,99 +291,19 @@ def _statement(parser: _LineParser, state: _State) -> None:
         except ValueError as exc:
             raise parser.fail(str(exc), tok.column) from exc
     elif head.text == "shift":
-        if state.shift is not None:
-            raise parser.fail("duplicate shift declaration", head.column)
-        name = parser.expect_ident("'n'")
-        if name.text != "n":
-            raise parser.fail("expected 'n'", name.column)
-        parser.expect_sym("=")
-        value, tok = parser.signed_int("shift value")
-        if value < 0:
-            raise parser.fail("shift must be >= 0", tok.column)
-        state.shift = value
+        parser.expect("ident", "'n'", "n")
+        parser.expect("sym", "'='", "=")
+        state.shift = parser.natural("shift value", "shift")
     elif head.text == "gen":
-        _require(parser, state, "field")
-        name = parser.expect_ident("generator name")
+        name = parser.expect("ident", "generator name")
         if name.text in state.generators:
             raise parser.fail(f"duplicate generator {name.text!r}", name.column)
-        parser.expect_sym(":")
-        degree, tok = parser.signed_int("degree")
-        if degree < 0:
-            raise parser.fail("degree must be >= 0", tok.column)
-        state.generators[name.text] = Generator(name.text, degree)
-    elif head.text == "bracket":
-        _require(parser, state, "field", "shift")
-        parser.expect_sym("[")
-        first = parser.expect_ident("generator")
-        parser.expect_sym(",")
-        second = parser.expect_ident("generator")
-        parser.expect_sym("]")
-        for tok in (first, second):
-            if tok.text not in state.generators:
-                raise _LineError(Diagnostic(parser.line_no, tok.column,
-                                            f"undeclared symbol {tok.text!r}"))
-        parser.expect_sym("=")
-        value = _parse_element(parser, state, span_only=True, what="bracket value")
-        gx = state.generators[first.text]
-        gy = state.generators[second.text]
-        expected = gx.degree + gy.degree + (state.shift or 0) - 1
-        got = value.homogeneous_degree()
-        if not value.is_zero and got != expected:
-            raise _LineError(Diagnostic(
-                parser.line_no, head.column,
-                f"bracket degree {expected} expected, got {got}"))
-        key = (first.text, second.text)
-        unordered = tuple(sorted(key))
-        if unordered in state.bracket_lines:
-            raise parser.fail(
-                f"bracket pair [{first.text},{second.text}] already declared "
-                f"on line {state.bracket_lines[unordered]}", head.column)
-        state.bracket_lines[unordered] = parser.line_no
-        state.brackets[key] = value
-    elif head.text == "diff":
-        _require(parser, state, "field", "shift")
-        d = parser.expect_ident("'d'")
-        if d.text != "d":
-            raise parser.fail("expected 'd'", d.column)
-        name = parser.expect_ident("generator")
-        if name.text not in state.generators:
-            raise _LineError(Diagnostic(parser.line_no, name.column,
-                                        f"undeclared symbol {name.text!r}"))
-        parser.expect_sym("=")
-        value = _parse_element(parser, state, span_only=True, what="differential value")
-        expected = state.generators[name.text].degree - 1
-        got = value.homogeneous_degree()
-        if not value.is_zero and got != expected:
-            raise _LineError(Diagnostic(
-                parser.line_no, head.column,
-                f"differential degree {expected} expected, got {got}"))
-        if name.text in state.differential:
-            raise parser.fail(f"duplicate differential for {name.text!r}", name.column)
-        state.differential[name.text] = value
-    elif head.text == "bv":
-        _require(parser, state, "field", "shift")
-        name = parser.expect_ident("generator")
-        if name.text not in state.generators:
-            raise _LineError(Diagnostic(parser.line_no, name.column,
-                                        f"undeclared symbol {name.text!r}"))
-        parser.expect_sym("=")
-        expected = state.generators[name.text].degree + (state.shift or 0) - 1
-        value = _parse_element(parser, state, span_only=False, what="bv value", bound=expected)
-        got = value.homogeneous_degree()
-        if not value.is_zero and got != expected:
-            raise _LineError(Diagnostic(
-                parser.line_no, head.column,
-                f"bv degree {expected} expected, got {got}"))
-        if name.text in state.bv_values:
-            raise parser.fail(f"duplicate bv value for {name.text!r}", name.column)
-        state.bv_values[name.text] = value
+        parser.expect("sym", "':'", ":")
+        state.generators[name.text] = Generator(name.text, parser.natural("degree", "degree"))
     elif head.text == "truncate":
-        if state.truncate is not None:
-            raise parser.fail("duplicate truncate declaration", head.column)
-        value, tok = parser.signed_int("truncation degree")
-        if value < 0:
-            raise parser.fail("truncation degree must be >= 0", tok.column)
-        state.truncate = value
+        state.truncate = parser.natural("truncation degree", "truncation degree")
+    elif head.text in _VALUE_LINES:
+        _value_line(parser, head)
     else:
         raise parser.fail(f"unknown statement {head.text!r}", head.column)
     if not parser.done():
@@ -417,35 +318,27 @@ def parse_presentation(text: str) -> PresentationSource:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = _tokenize(line, line_no, errors)
-        if tokens is None:
-            continue
-        parser = _LineParser(tokens, line_no)
         try:
-            _statement(parser, state)
+            _statement(_LineParser(line, line_no, state))
         except _LineError as exc:
             errors.append(exc.diagnostic)
-    if state.field is None:
-        errors.append(Diagnostic(1, 1, "missing field declaration"))
-    if state.shift is None:
-        errors.append(Diagnostic(1, 1, "missing shift declaration"))
+    for header in ("field", "shift"):
+        if getattr(state, header) is None:
+            errors.append(Diagnostic(1, 1, f"missing {header} declaration"))
     if errors:
         raise ParseError(sorted(errors, key=lambda d: (d.line, d.column)))
-    assert state.field is not None and state.shift is not None
-    generators = tuple(sorted(state.generators.values(), key=lambda g: g.sort_key))
-    source = PresentationSource(state.field, state.shift, generators,
-                                dict(state.brackets), dict(state.differential),
-                                dict(state.bv_values), state.truncate)
     # canonicalize bracket orientation through the Lie layer
-    presentation = source.to_lie_presentation()
-    source.brackets = dict(presentation.brackets)
-    return source
+    presentation = LiePresentation(state.field, state.shift, list(state.generators.values()),
+                                   state.tables["bracket"], state.tables["diff"])
+    return PresentationSource(state.field, state.shift, tuple(presentation.generators),
+                              presentation.brackets, presentation.differential,
+                              state.tables["bv"], state.truncate)
 
 
 def render_presentation(source: PresentationSource) -> str:
     """Canonical text form; parsing it back yields an equal presentation."""
     lines = [f"field {source.field}", f"shift n={source.shift}"]
-    for g in sorted(source.generators, key=lambda g: g.sort_key):
+    for g in source.generators:
         lines.append(f"gen {g.id} : {g.degree}")
     for (x, y) in sorted(source.brackets):
         lines.append(f"bracket [{x},{y}] = {render_element(source.brackets[(x, y)])}")
@@ -463,17 +356,9 @@ def parse_element_text(text: str, source: PresentationSource,
     """Parse a standalone element expression, bounded by source.window(max_degree)."""
     state = _State()
     state.field = source.field
-    state.shift = source.shift
     state.generators = {g.id: g for g in source.generators}
-    errors: List[Diagnostic] = []
-    tokens = _tokenize(text, 1, errors)
-    if tokens is None:
-        raise ParseError(errors)
-    parser = _LineParser(tokens, 1)
     try:
-        element = _parse_element(parser, state, False, "element", source.window(max_degree))
-        if not parser.done():
-            raise parser.fail("trailing input")
+        return _parse_element(_LineParser(text, 1, state), False, "element",
+                              source.window(max_degree))
     except _LineError as exc:
         raise ParseError([exc.diagnostic]) from exc
-    return element
