@@ -114,6 +114,7 @@ class _State:
         self.generators: Dict[str, Generator] = {}
         self.tables: Dict[str, dict] = {head: {} for head in _VALUE_LINES}
         self.lines: Dict[Tuple[str, ...], int] = {}  # value-line targets -> line number
+        self.attempted: set = set()  # field/shift lines seen, parsed or not
 
 
 class _LineParser:
@@ -279,6 +280,8 @@ def _statement(parser: _LineParser) -> None:
         raise parser.fail(f"duplicate {head.text} declaration", head.column)
     for need in _PREREQUISITES.get(head.text, ()):
         if getattr(state, need) is None:
+            if need in state.attempted:
+                return  # the failed header line carries the diagnostic
             raise parser.fail(f"{need} must be declared first", 1)
     if head.text == "field":
         tok = parser.expect("ident", "field name (Q or F<p>)")
@@ -318,12 +321,15 @@ def parse_presentation(text: str) -> PresentationSource:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
+        head = _TOKEN.match(line)
+        if head is not None and head.group("ident") in ("field", "shift"):
+            state.attempted.add(head.group("ident"))
         try:
             _statement(_LineParser(line, line_no, state))
         except _LineError as exc:
             errors.append(exc.diagnostic)
     for header in ("field", "shift"):
-        if getattr(state, header) is None:
+        if getattr(state, header) is None and header not in state.attempted:
             errors.append(Diagnostic(1, 1, f"missing {header} declaration"))
     if errors:
         raise ParseError(sorted(errors, key=lambda d: (d.line, d.column)))

@@ -50,6 +50,15 @@ def test_parse_error_exit_code_and_line(capsys, tmp_path):
     assert ":5:" in err and "bracket degree 10 expected, got 3" in err
 
 
+def test_failed_field_line_is_the_only_error(capsys, tmp_path):
+    bad = tmp_path / "f4.lie"
+    bad.write_text("field F4\nshift n=2\ngen a : 2\nbracket [a,a] = 0\n")
+    code, out, err = run(capsys, "check-lie", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:1:7: characteristic 4 is not prime\n"
+
+
 def test_check_bv_passes_on_free_fixture(capsys):
     code, out, _ = run(capsys, "check-bv", fixture_path("loops2_s4.lie"),
                        "--max-degree", "8")

@@ -287,3 +287,28 @@ def test_every_diagnostic_is_pinned(text, element, expected):
         else:
             parse_element_text(element, parse_presentation(text))
     assert [(d.line, d.column, d.message) for d in exc.value.diagnostics] == expected
+
+
+def _messages(text):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    return [(d.line, d.column, d.message) for d in exc.value.diagnostics]
+
+
+def test_failed_field_line_adds_no_follow_on_errors():
+    text = "field F4\nshift n=2\ngen a : 2\nbracket [a,a] = 0\n"
+    assert _messages(text) == [(1, 7, "characteristic 4 is not prime")]
+
+
+def test_failed_shift_line_adds_no_follow_on_errors():
+    text = "field Q\nshift n=-1\ngen a : 2\nbracket [a,a] = 0\n"
+    assert _messages(text) == [(2, 9, "shift must be >= 0")]
+
+
+def test_untokenizable_field_line_adds_no_follow_on_errors():
+    assert _messages("field Q!\nshift n=1\ngen a : 2\n") == [(1, 8, "unexpected character '!'")]
+
+
+def test_absent_headers_are_still_reported_missing():
+    assert _messages("shift n=1\ngen a : 2\n") == [
+        (1, 1, "missing field declaration"), (2, 1, "field must be declared first")]
