@@ -17,7 +17,7 @@ from .dsl import ParseError, PresentationSource, parse_presentation, parse_eleme
 from .fields import FieldSpec
 from .fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture)
 from .homology import BoundarySquareError, betti, build_ce_complex
-from .lie import LiePresentation, check_differential, check_lie_axioms
+from .lie import LiePresentation, check_lie_axioms
 from .report import Report, Stopwatch, merge_reports, run_checks
 
 EXIT_PASS = 0
@@ -68,11 +68,8 @@ def _finish(report: Report, fmt: str) -> int:
 
 def _cmd_check_lie(args) -> int:
     source = _read_source(args.file)
-    presentation = source.to_lie_presentation()
     with Stopwatch() as clock:
-        report = check_lie_axioms(presentation)
-        if presentation.differential:
-            report = merge_reports(report, check_differential(presentation))
+        report = check_lie_axioms(source.to_lie_presentation())
     report.elapsed = clock.elapsed
     return _finish(report, args.format)
 
@@ -201,8 +198,6 @@ def _cmd_fixture(args) -> int:
         report = _describe_presentation(fixture)
         if args.verify:
             report = merge_reports(report, check_lie_axioms(fixture))
-            if fixture.differential:
-                report = merge_reports(report, check_differential(fixture))
         return _finish(report, args.format)
     report = _describe_structure(fixture)
     if args.verify:

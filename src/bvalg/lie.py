@@ -160,22 +160,17 @@ def _degree_outcome(inputs: Dict[str, str], expected: int, value: Element):
 
 
 def check_lie_axioms(presentation: LiePresentation) -> Report:
-    """Shifted antisymmetry and Jacobi on all generator pairs and triples.
+    """Shifted antisymmetry and Jacobi on all generator pairs and triples,
+    then check_differential's checks when the presentation has a differential.
 
     A degree mismatch in the table is a structural error reported before
-    (and instead of) the axiom checks.
+    (and instead of) the antisymmetry and Jacobi checks.
     """
     p = presentation
 
     def bracket_degree(x_id, y_id, value):
         return _degree_outcome({"pair": f"[{x_id},{y_id}]"},
                                p.bracket_degree(p.gen(x_id), p.gen(y_id)), value)
-
-    structural = run_checks(("bracket-degree",),
-                            ((x, y, v) for (x, y), v in sorted(p.brackets.items())),
-                            bracket_degree)
-    if structural[0].verdict == FAIL:
-        return Report(checks=structural)
 
     def antisymmetry(x, y):
         lhs = p.bracket(x.id, y.id)
@@ -195,10 +190,16 @@ def check_lie_axioms(presentation: LiePresentation) -> Report:
                        "rhs {{x,y},z} + sign*{y,{x,z}}",
                        first + second.scale(p.field.sign(p.parity(x) * p.parity(y))))
 
-    return Report(checks=(
-        structural
-        + run_checks(("bracket-antisymmetry",), product(p.generators, repeat=2), antisymmetry)
-        + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi)))
+    checks = run_checks(("bracket-degree",),
+                        ((x, y, v) for (x, y), v in sorted(p.brackets.items())),
+                        bracket_degree)
+    if checks[0].verdict != FAIL:
+        checks += (run_checks(("bracket-antisymmetry",), product(p.generators, repeat=2),
+                              antisymmetry)
+                   + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi))
+    if p.differential:
+        checks += check_differential(p).checks
+    return Report(checks=checks)
 
 
 def check_differential(presentation: LiePresentation) -> Report:
@@ -281,11 +282,8 @@ def random_lie_presentation(rng: random.Random,
                                            name=f"random-{attempt}")
         except ValueError:
             continue
-        if not check_lie_axioms(presentation).passed:
-            continue
-        if presentation.differential and not check_differential(presentation).passed:
-            continue
-        return presentation
+        if check_lie_axioms(presentation).passed:
+            return presentation
     raise RuntimeError("no valid random presentation found")
 
 

@@ -50,6 +50,16 @@ def test_degree_mismatch_is_structural_error():
     assert len(report.checks) == 1
 
 
+def test_lie_checks_append_the_differential_even_after_a_degree_failure():
+    x, y = Generator("x", 2), Generator("y", 1)
+    p = LiePresentation(QQ, 1, [x, y], {("x", "x"): gen_elt(QQ, y)},
+                        differential={"x": gen_elt(QQ, y)})
+    report = check_lie_axioms(p)
+    assert [c.name for c in report.checks] == ["bracket-degree"] + [
+        c.name for c in check_differential(p).checks]
+    assert report.checks[0].verdict == "fail" and report.checks[1:] == check_differential(p).checks
+
+
 def test_even_parity_self_bracket_forced_to_zero():
     # |x| + n - 1 = 2 is even, so {x,x} must vanish away from char 2
     x, y = Generator("x", 2), Generator("y", 4)
