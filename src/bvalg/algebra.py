@@ -475,9 +475,6 @@ class GradedMap:
             self._values[mono] = val
         return val
 
-    def defined_on(self, mono: Monomial) -> bool:
-        return isinstance(self.value(mono), Element)
-
     def apply(self, element: Element) -> MaybeElement:
         """Linear extension; the first gap met is returned as Undefined."""
         return linear_extension(self.value, element)

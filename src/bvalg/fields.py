@@ -132,12 +132,6 @@ class FieldSpec:
         """Canonical exact string, parseable by from_string."""
         return str(a)
 
-    def render_annotated(self, a: Scalar) -> str:
-        """Exact string for reports; prime-field residues carry '(mod p)'."""
-        if self.kind == "prime-field":
-            return f"{a} (mod {self.characteristic})"
-        return str(a)
-
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)

@@ -97,7 +97,7 @@ def test_graded_map_apply_and_gaps():
                    undefined=[mono(Y)])
     assert gm.apply(Element.from_generator(QQ, X, 3)) == Element.from_generator(QQ, Y, 3)
     assert isinstance(gm.apply(Element.from_generator(QQ, Y)), Undefined)
-    assert not gm.defined_on(mono(A))
+    assert isinstance(gm.value(mono(A)), Undefined)
 
 
 def test_graded_map_sum_mixes_degrees_to_none():
