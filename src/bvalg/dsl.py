@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .algebra import Element, Generator, normalize_word, render_element
 from .fields import FieldSpec
@@ -114,7 +114,7 @@ class _State:
         self.generators: Dict[str, Generator] = {}
         self.tables: Dict[str, dict] = {head: {} for head in _VALUE_LINES}
         self.lines: Dict[Tuple[str, ...], int] = {}  # value-line targets -> line number
-        self.attempted: set = set()  # field/shift lines seen, parsed or not
+        self.attempted: Set[str] = set()  # field/shift lines seen, parsed or not
 
 
 class _LineParser:
@@ -186,7 +186,7 @@ class _LineParser:
 
 
 def _parse_element(parser: _LineParser, span_only: bool, what: str,
-                   bound: Optional[int] = None) -> Element:
+                   bound: Optional[int]) -> Element:
     """Sum of terms, each optionally signed ('+' not on the first)."""
     total = Element.zero(parser.state.field)
     first = True
