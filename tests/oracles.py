@@ -194,3 +194,41 @@ def ref_operator(x, values, brackets, p):
                   else ref_partial(l, ref_partial(k, x, p), p))
         out = ref_add(out, ref_scale(ref_mul(c, second, p), (-1) ** k[1], p), p)
     return out
+
+
+def ref_bracket(a, b, brackets, shift, p):
+    """The bracket {a, b} of two normal-form words from the generator table
+    alone, with parity p_w = |w| + shift - 1:
+        a = x, one letter:  sum_l T(x, l) d_l b
+        any other word a:   sum_{k,l} -(-1)^(p_a p_l) T(l, k) d_k a d_l b
+    where d is `ref_partial` and T is `brackets` (keyed as in
+    `ref_operator`), its other orientation read by shifted antisymmetry,
+    T(l, k) = -(-1)^(p_k p_l) T(k, l).  None when some letter of a and some
+    letter of b have no table entry."""
+    def parity(word):
+        return sum(d for _, d in word) + shift - 1
+
+    def table(x, y):
+        if (x, y) in brackets:
+            return brackets[(x, y)]
+        if (y, x) in brackets:
+            return ref_scale(brackets[(y, x)], -(-1) ** (parity((x,)) * parity((y,)) % 2), p)
+        return None
+
+    out = {}
+    if len(a) == 1:
+        for l in set(b):
+            t = table(a[0], l)
+            if t is None:
+                return None
+            out = ref_add(out, ref_mul(t, ref_partial(l, {b: 1}, p), p), p)
+        return out
+    for k in set(a):
+        for l in set(b):
+            t = table(l, k)
+            if t is None:
+                return None
+            term = ref_mul(ref_mul(t, ref_partial(k, {a: 1}, p), p),
+                           ref_partial(l, {b: 1}, p), p)
+            out = ref_add(out, ref_scale(term, -(-1) ** (parity(a) * parity((l,)) % 2), p), p)
+    return out

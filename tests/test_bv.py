@@ -15,7 +15,7 @@ from bvalg.bv import (Undefined, add_derivation_action,
                       verify_square_zero)
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
 
-from oracles import ref_operator
+from oracles import ref_bracket, ref_operator
 
 
 def gen_elt(field, g, coeff=1):
@@ -286,6 +286,22 @@ def test_operator_matches_reference(case):
             assert isinstance(value, Undefined), str(mono)
         else:
             assert ref_of(value) == ref_operator({word: 1}, values, brackets, p), str(mono)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_cases())
+def test_bracket_matches_reference(case):
+    s, _, brackets = case
+    words = [(mono, *ref_of(Element.from_monomial(s.field, mono))) for mono in s.basis(4)]
+    for a, word_a in words:
+        for b, word_b in words:
+            value = poisson_bracket(s, Element.from_monomial(s.field, a),
+                                    Element.from_monomial(s.field, b))
+            expected = ref_bracket(word_a, word_b, brackets, s.shift, s.field.characteristic)
+            if expected is None:
+                assert isinstance(value, Undefined), (str(a), str(b))
+            else:
+                assert ref_of(value) == expected, (str(a), str(b))
 
 
 # -- verifier suites ---------------------------------------------------------------

@@ -30,7 +30,8 @@ def _lie_files():
     return (sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.lie")))
             + [os.path.join(HERE, "data", "bad_jacobi.lie"),
                os.path.join(HERE, "data", "bad_bv.lie"),
-               os.path.join(HERE, "data", "odd_shift_bv.lie")])
+               os.path.join(HERE, "data", "odd_shift_bv.lie"),
+               os.path.join(HERE, "data", "bad_antisymmetry.lie")])
 
 
 def _cases():
