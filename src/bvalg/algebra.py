@@ -94,21 +94,6 @@ class Monomial:
     def word(self) -> Tuple[Generator, ...]:
         return self._word
 
-    def remove_one(self, gen: Generator) -> "Monomial":
-        """Drop one copy of gen (which must occur)."""
-        factors = []
-        removed = False
-        for g, m in self.factors:
-            if not removed and g == gen:
-                removed = True
-                if m > 1:
-                    factors.append((g, m - 1))
-            else:
-                factors.append((g, m))
-        if not removed:
-            raise KeyError(f"{gen.id} does not divide {self}")
-        return Monomial(tuple(factors))
-
     def order_key(self) -> Tuple:
         return self._key
 
@@ -493,23 +478,28 @@ class GradedMap:
                          name=f"{self.name}+{other.name}".strip("+"))
 
 
-def leibniz(field: FieldSpec, word: Sequence[Generator],
+def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
             image: Callable[[Generator], Optional[MaybeElement]],
             degree: int) -> MaybeElement:
     """The Leibniz rule on a word x_1...x_k: the sum over i of
     x_1...x_{i-1} image(x_i) x_{i+1}...x_k, signed by moving a
     degree-`degree` map past x_1...x_{i-1}.  An image of None is zero.
-    Every image is read before any product, so a gap returns at once."""
-    images = [image(g) for g in word]
-    if gap := first_undefined(*images):
-        return gap
+    Images are read in word order, and the first gap is returned as soon as
+    it is read, before any product."""
+    images = []
+    for g in word:
+        value = image(g)
+        if isinstance(value, Undefined):
+            return value
+        images.append(value)
     out = Element.zero(field)
     prefix_degree = 0
     for i, (g, value) in enumerate(zip(word, images)):
-        if value is not None and not value.is_zero:
-            head = Element.from_monomial(field, Monomial.from_sorted_word(word[:i]))
-            tail = Element.from_monomial(field, Monomial.from_sorted_word(word[i + 1:]))
-            out = out + (head * value * tail).scale(field.sign(degree * prefix_degree))
+        if value is not None:
+            sign = field.sign(degree * prefix_degree)
+            for mono, coeff in value._terms.items():
+                out = out + normalize_word(field, word[:i] + mono.word() + word[i + 1:],
+                                           field.mul(coeff, sign))
         prefix_degree += g.degree
     return out
 

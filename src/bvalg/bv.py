@@ -4,8 +4,8 @@ A structure couples a free graded-commutative algebra on the generators of
 a Lie presentation (shift n) with
 
   * the bracket, extended from generator pairs by the Poisson relation
-    {a, bc} = {a,b}c + (-1)^((|a|+n-1)|b|) b{a,c}  (first slot by shifted
-    antisymmetry), and
+    {a, bc} = {a,b}c + (-1)^((|a|+n-1)|b|) b{a,c}, which `algebra.leibniz`
+    applies in each slot (the first one through shifted antisymmetry), and
 
   * an operator of degree n-1, fixed by its values on generators: -d(g)
     for a free structure, the table for a user one.  On a word it is those
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       Undefined, derivation_from_generator_values, first_undefined,
@@ -48,7 +48,8 @@ class BVStructure:
     """Algebra + bracket + (possibly partial) degree-(n-1) operator.
 
     `d0` is the derivation extending the negated Lie differential (degree
-    -1), the first summand of the free operator.  User values are stored
+    -1), the first summand of the free operator, and `letters` maps each
+    generator to its one-letter monomial.  User values are stored
     once, at construction: a value past the truncation as OutOfWindow, a
     generator without one as Undefined, and a value on a composite monomial
     (Python API only) as the exact value on that monomial.
@@ -65,6 +66,7 @@ class BVStructure:
         self.field = presentation.field
         self.shift = presentation.shift
         self.generators = list(presentation.generators)
+        self.letters = {g: Monomial(((g, 1),)) for g in self.generators}
         self.truncation = truncation
         self.has_bv = has_bv
         self.metadata = dict(metadata or {})
@@ -82,13 +84,13 @@ class BVStructure:
                 g: -presentation.diff(g.id) for g in self.generators}
         else:
             for key, value in bv_values.items():
-                mono = _gen_monomial(presentation.gen(key)) if isinstance(key, str) else key
+                mono = self.letters[presentation.gen(key)] if isinstance(key, str) else key
                 if value.max_degree() > truncation:
                     value = OutOfWindow(f"bv({mono}) out of window", value.max_degree(),
                                         truncation)
                 self._bv_cache[mono] = value
             self._generator_values = {
-                g: self._bv_cache.get(_gen_monomial(g), Undefined(f"bv({g.id})"))
+                g: self._bv_cache.get(self.letters[g], Undefined(f"bv({g.id})"))
                 for g in self.generators}
 
     def zero(self) -> Element:
@@ -97,6 +99,13 @@ class BVStructure:
     def basis(self, max_degree: Optional[int] = None) -> List[Monomial]:
         return monomial_basis(self.field, self.generators,
                               self.truncation if max_degree is None else max_degree)
+
+    def tuples(self, arity: int,
+               max_degree: Optional[int] = None) -> Iterator[Tuple[Monomial, ...]]:
+        """The window: tuples of basis monomials of total degree at most
+        max_degree, else the truncation."""
+        bound = self.truncation if max_degree is None else max_degree
+        return window_tuples(self.basis(bound), arity, bound)
 
     # -- bracket ----------------------------------------------------------
 
@@ -129,14 +138,6 @@ class BVStructure:
     def bv_element(self, element: Element) -> MaybeElement:
         return linear_extension(self.bv_monomial, element)
 
-    def defined_bv_generator_values(self) -> List[Tuple[Generator, Element]]:
-        out = []
-        for g in sorted(self.generators, key=lambda g: g.sort_key):
-            value = self.bv_monomial(_gen_monomial(g))
-            if isinstance(value, Element):
-                out.append((g, value))
-        return out
-
 
 def free_bv_structure(presentation: LiePresentation, truncation: int,
                       has_bv: bool = True,
@@ -155,45 +156,27 @@ def user_bv_structure(presentation: LiePresentation, truncation: int,
 # -- the Poisson-extended bracket ------------------------------------------------
 
 
-def _gen_monomial(g: Generator) -> Monomial:
-    return Monomial(((g, 1),))
-
-
 def _bracket_monomials(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeElement:
-    key = (m1, m2)
-    cached = s._bracket_cache.get(key)
-    if cached is not None:
-        return cached
-    value = _bracket_monomials_compute(s, m1, m2)
-    s._bracket_cache[key] = value
+    """{m1, m2}, cached: the Leibniz rule over the letters of m2 unless m2
+    is one letter y; then the table for a letter m1, else the Leibniz rule
+    for {y, -} over the letters of m1, turned by shifted antisymmetry.  A
+    unit in either slot gives the empty sum."""
+    value = s._bracket_cache.get((m1, m2))
+    if value is None:
+        field, parity1 = s.field, m1.degree + s.shift - 1
+        if m2.wordlength != 1:
+            value = leibniz(field, m2.word(),
+                            lambda y: _bracket_monomials(s, m1, s.letters[y]), parity1)
+        elif m1.wordlength == 1:
+            value = s.bracket_pair(m1.word()[0], m2.word()[0])
+        else:
+            (y,) = m2.word()
+            parity2 = y.degree + s.shift - 1
+            value = leibniz(field, m1.word(), lambda x: s.bracket_pair(y, x), parity2)
+            if isinstance(value, Element):
+                value = value.scale(field.sign(parity1 * parity2 + 1))
+        s._bracket_cache[(m1, m2)] = value
     return value
-
-
-def _bracket_monomials_compute(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeElement:
-    field = s.field
-    if m1.is_unit or m2.is_unit:
-        return s.zero()
-    parity1 = m1.degree + s.shift - 1
-    if m2.wordlength > 1:
-        g = m2.word()[0]
-        rest = m2.remove_one(g)
-        left = _bracket_monomials(s, m1, _gen_monomial(g))
-        if isinstance(left, Undefined):
-            return left
-        right = _bracket_monomials(s, m1, rest)
-        if isinstance(right, Undefined):
-            return right
-        rest_elt = Element.from_monomial(field, rest)
-        g_elt = Element.from_generator(field, g)
-        return (left * rest_elt
-                + (g_elt * right).scale(field.sign(parity1 * g.degree)))
-    if m1.wordlength > 1:
-        flipped = _bracket_monomials(s, m2, m1)
-        if isinstance(flipped, Undefined):
-            return flipped
-        parity2 = m2.degree + s.shift - 1
-        return flipped.scale(field.sign(parity1 * parity2 + 1))
-    return s.bracket_pair(m1.word()[0], m2.word()[0])
 
 
 def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
@@ -287,8 +270,7 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
     """Square-zero identities on every basis monomial in the window; for free
     structures the two summands and their anticommutator are checked
     separately."""
-    bound = s.truncation if max_degree is None else max_degree
-    monos = list(window_tuples(s.basis(bound), 1, bound))
+    monos = list(s.tuples(1, max_degree))
     checks = []
     if s.provenance == FREE and s.has_bv:
         def summands(mono):
@@ -314,7 +296,6 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
 def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """The bracket equals the operator's deviation from being a derivation,
     on every homogeneous basis pair in the window."""
-    bound = s.truncation if max_degree is None else max_degree
 
     def deviation(a, b):
         lhs = _bracket_monomials(s, a, b)
@@ -323,13 +304,12 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
         return compare(_pair_inputs(a, b), "bracket", lhs, "operator deviation",
                        bracket_from_operator(s.field, s.bv_monomial, a, b))
 
-    pairs = window_tuples(s.basis(bound), 2, bound) if s.has_bv else ()
+    pairs = s.tuples(2, max_degree) if s.has_bv else ()
     return Report(checks=run_checks(("bv-deviation-is-bracket",), pairs, deviation))
 
 
 def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """bv{a,b} = {bv a, b} + (-1)^(|a|+1) {a, bv b} on basis pairs."""
-    bound = s.truncation if max_degree is None else max_degree
     field = s.field
 
     def compatibility(a, b):
@@ -345,7 +325,7 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
             _pair_inputs(a, b), "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}",
             first + second.scale(field.sign(a.degree + 1)))
 
-    pairs = window_tuples(s.basis(bound), 2, bound) if s.has_bv else ()
+    pairs = s.tuples(2, max_degree) if s.has_bv else ()
     return Report(checks=run_checks(("bv-bracket-compatibility",), pairs, compatibility))
 
 
@@ -353,10 +333,7 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
                         triple_degree: Optional[int] = None) -> Report:
     """Shifted antisymmetry on pairs; Jacobi and the Poisson relation on
     triples of basis monomials (one enumeration, so an undefined inner
-    bracket skips both)."""
-    p_bound = s.truncation if pair_degree is None else pair_degree
-    t_bound = p_bound if triple_degree is None else triple_degree
-    basis = s.basis(p_bound)
+    bracket skips both); the triple window defaults to the pair window."""
     field = s.field
 
     def antisymmetry(a, b):
@@ -390,24 +367,26 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
         return jacobi, poisson
 
     return Report(checks=(
-        run_checks(("bracket-antisymmetry",), window_tuples(basis, 2, p_bound), antisymmetry)
+        run_checks(("bracket-antisymmetry",), s.tuples(2, pair_degree), antisymmetry)
         + run_checks(("bracket-jacobi", "poisson-relation"),
-                     window_tuples(basis, 3, t_bound), jacobi_and_poisson)))
+                     s.tuples(3, pair_degree if triple_degree is None else triple_degree),
+                     jacobi_and_poisson)))
 
 
 def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
                      triple_degree: Optional[int] = None) -> Report:
     """Full suite: square-zero, deviation identity, bracket compatibility,
     and the Gerstenhaber axioms; partial structures yield coverage < 1."""
-    bound = s.truncation if max_degree is None else max_degree
     report = merge_reports(
-        verify_square_zero(s, bound),
-        verify_deviation_identity(s, bound),
-        verify_bracket_compatibility(s, bound),
-        verify_gerstenhaber(s, bound, triple_degree),
+        verify_square_zero(s, max_degree),
+        verify_deviation_identity(s, max_degree),
+        verify_bracket_compatibility(s, max_degree),
+        verify_gerstenhaber(s, max_degree, triple_degree),
     )
-    for g, value in s.defined_bv_generator_values():
-        report.details[f"bv({g.id})"] = value
+    for g in s.generators:
+        value = s.bv_monomial(s.letters[g])
+        if isinstance(value, Element):
+            report.details[f"bv({g.id})"] = value
     return report
 
 
@@ -467,7 +446,6 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
         return out
 
     extension = GradedMap(target.field, 0, rule=extension_rule, name="morphism")
-    bound = source.truncation if max_degree is None else max_degree
 
     def commutes(mono):
         return compare({"input": str(mono)},
@@ -476,7 +454,7 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
                        "bv(morphism(m))", target.bv_element(extension_rule(mono)))
 
     checks += run_checks(("morphism-commutes-with-bv",),
-                         window_tuples(source.basis(bound), 1, bound), commutes)
+                         source.tuples(1, max_degree), commutes)
     report = Report(checks=checks)
     return (extension if report.passed else None), report
 

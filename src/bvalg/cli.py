@@ -101,7 +101,7 @@ def _cmd_free_bv(args) -> int:
     def compute(source, structure: BVStructure):
         if structure.provenance != "free":
             raise InputError("free-bv needs a presentation without bv lines")
-        element = _parse_arg_element(args.apply, source, args.max_degree)
+        element = _parse_arg_element("--apply", args.apply, source, args.max_degree)
         return free_bv(structure, element)
 
     return _element_command(args, compute)
@@ -109,18 +109,22 @@ def _cmd_free_bv(args) -> int:
 
 def _cmd_bracket(args) -> int:
     def compute(source, structure: BVStructure):
-        a = _parse_arg_element(args.a, source, args.max_degree)
-        b = _parse_arg_element(args.b, source, args.max_degree)
+        a = _parse_arg_element("a", args.a, source, args.max_degree)
+        b = _parse_arg_element("b", args.b, source, args.max_degree)
         return poisson_bracket(structure, a, b)
 
     return _element_command(args, compute)
 
 
-def _parse_arg_element(text: str, source: PresentationSource, max_degree: Optional[int]):
+def _parse_arg_element(name: str, text: str, source: PresentationSource,
+                       max_degree: Optional[int]):
+    """Parse an element argument; a diagnostic names the argument and its
+    column, in argparse's `argument <name>:` shape."""
     try:
         return parse_element_text(text, source, max_degree)
     except ParseError as exc:
-        raise InputError("; ".join(str(d) for d in exc.diagnostics)) from exc
+        raise InputError(f"argument {name}: " + "; ".join(
+            f"column {d.column}: {d.message}" for d in exc.diagnostics)) from exc
 
 
 def _cmd_ce_homology(args) -> int:

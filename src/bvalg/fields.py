@@ -117,19 +117,9 @@ class FieldSpec:
 
     # -- parsing / rendering -----------------------------------------------
 
-    def from_string(self, text: str) -> Scalar:
-        """Parse an exact coefficient: an integer or a fraction 'a/b'."""
-        t = text.strip()
-        if "/" in t:
-            num, _, den = t.partition("/")
-            d = int(den)
-            if d == 0:
-                raise ZeroDivisionError("zero denominator")
-            return self.coerce(Fraction(int(num), d))
-        return self.coerce(int(t))
-
     def render(self, a: Scalar) -> str:
-        """Canonical exact string, parseable by from_string."""
+        """Canonical exact string, parseable as a coefficient by the
+        presentation parser (`dsl`)."""
         return str(a)
 
 

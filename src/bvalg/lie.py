@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Element, Generator, linear_extension
+from .algebra import Element, Generator, linear_extension, monomial_basis
 from .fields import FieldSpec, Scalar
 from .report import FAIL, Report, compare, run_checks, vanishes
 
@@ -246,8 +246,6 @@ def random_lie_presentation(rng: random.Random,
     discarded.  The basis budget caps how many monomials the presentation
     spans inside the window, keeping downstream suites desk-scale.
     """
-    from .algebra import monomial_basis  # local import to avoid cycle at load
-
     fields = [field] if field is not None else [FieldSpec.rationals(),
                                                 FieldSpec.prime(2),
                                                 FieldSpec.prime(5)]

@@ -367,6 +367,19 @@ def test_gerstenhaber_suite_on_fixture():
     assert report.coverage == 1
 
 
+def test_triple_window_is_independent_of_the_pair_window():
+    s = loops24()
+
+    def counts(pair_degree, triple_degree):
+        return {c.name: c.checked
+                for c in verify_gerstenhaber(s, pair_degree, triple_degree).checks}
+
+    low, full = counts(3, 8), counts(8, 8)
+    for name in ("bracket-jacobi", "poisson-relation"):
+        assert low[name] == full[name] == 47
+    assert low["bracket-antisymmetry"] < full["bracket-antisymmetry"]
+
+
 def test_bracket_compatibility_on_fixture():
     report = verify_bracket_compatibility(mixed_differential_structure(), 8)
     assert report.passed

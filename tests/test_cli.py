@@ -287,7 +287,18 @@ def test_unit_term_in_span_value_is_input_error(capsys, tmp_path, line, column, 
 ])
 def test_huge_exponent_argument_is_input_error(capsys, verb, column, message):
     code, out, err = run(capsys, verb[0], fixture_path("loops2_s4.lie"), *verb[1:])
-    assert (code, out, err) == (2, "", f"error: line 1, column {column}: {message}\n")
+    name = "b" if verb[0] == "bracket" else "--apply"  # the argument with the huge exponent
+    assert (code, out, err) == (2, "", f"error: argument {name}: column {column}: {message}\n")
+
+
+@pytest.mark.parametrize("verb, name, column, message", [
+    (["free-bv", "--apply", "q"], "--apply", 1, "undeclared symbol 'q'"),
+    (["bracket", "a )", "a"], "a", 3, "unexpected character ')'"),
+    (["bracket", "a", "a )"], "b", 3, "unexpected character ')'"),
+])
+def test_element_argument_error_names_the_argument(capsys, verb, name, column, message):
+    code, out, err = run(capsys, verb[0], fixture_path("loops2_s4.lie"), *verb[1:])
+    assert (code, out, err) == (2, "", f"error: argument {name}: column {column}: {message}\n")
 
 
 # -- fuzz: every input ends in an exit code of the contract ---------------------

@@ -1,6 +1,7 @@
 import glob
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -161,7 +162,7 @@ def test_element_expression_parsing():
     eb = Element.from_generator(QQ, b)
     assert parse_element_text("a^2", source) == ea * ea
     assert parse_element_text("2*a*b - a^2", source) == (ea * eb).scale(2) - ea * ea
-    assert parse_element_text("-1/2*a", source) == ea.scale(QQ.from_string("-1/2"))
+    assert parse_element_text("-1/2*a", source) == ea.scale(Fraction(-1, 2))
     assert parse_element_text("0", source).is_zero
     assert parse_element_text("3", source) == Element.unit(QQ, 3)
     with pytest.raises(ParseError):

@@ -147,7 +147,7 @@ def test_omega2_window_flag_at_degree_one():
     marker = s.bv_monomial(Monomial(((u1, 1),)))
     assert isinstance(marker, OutOfWindow)
     assert (marker.degree, marker.limit) == (2, 1)
-    assert s.defined_bv_generator_values() == []
+    assert verify_bv_axioms(s).details == {}
 
 
 def test_omega2_generator_ladder():
@@ -157,11 +157,8 @@ def test_omega2_generator_ladder():
 
 @pytest.mark.parametrize("window", [2, 3])
 def test_omega2_exactly_one_defined_value_in_small_windows(window):
-    s = omega2_s3_f2(window)
-    defined = s.defined_bv_generator_values()
-    assert len(defined) == 1
-    g, value = defined[0]
-    assert g.id == "u1" and str(value) == "u1^2"
+    details = verify_bv_axioms(omega2_s3_f2(window)).details
+    assert {key: str(value) for key, value in details.items()} == {"bv(u1)": "u1^2"}
 
 
 def test_omega2_partial_brackets_are_undefined():
