@@ -157,10 +157,11 @@ def user_bv_structure(presentation: LiePresentation, truncation: int,
 
 
 def _bracket_monomials(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeElement:
-    """{m1, m2}, cached: the Leibniz rule over the letters of m2 unless m2
-    is one letter y; then the table for a letter m1, else the Leibniz rule
-    for {y, -} over the letters of m1, turned by shifted antisymmetry.  A
-    unit in either slot gives the empty sum."""
+    """{m1, m2}, cached.  Unless m2 is one letter, the Leibniz rule over its
+    letters y of {m1, y}.  For two letters, the table.  For a letter y
+    after any other m1, the Leibniz rule for {y, -} over the letters of m1,
+    turned by shifted antisymmetry.  A unit in either slot gives the empty
+    sum."""
     value = s._bracket_cache.get((m1, m2))
     if value is None:
         field, parity1 = s.field, m1.degree + s.shift - 1
