@@ -61,7 +61,7 @@ def _diagnostics(exc: ParseError):
 
 
 def _elements(rng: random.Random, source):
-    ids = [g.id for g in source.generators] or ["x"]
+    ids = [g.id for g in source.presentation.generators] or ["x"]
     first, last = ids[0], ids[-1]
     texts = [first, f"{first}^2", f"2*{first} - 1/3*{last}", f"{first}*{last} + 3"]
     texts.append(_mutate(rng, rng.choice(texts)).replace("\n", " "))

@@ -2,8 +2,8 @@
 """Randomized audit of the free-operator identities.
 
 Draws seeded random Lie presentations, builds the free structure on each,
-and runs the square-zero, deviation, bracket-compatibility and Gerstenhaber
-suites.  Prints one line per presentation and a summary.
+and runs verify_bv_axioms: the square-zero, deviation, bracket-compatibility
+and Gerstenhaber suites.  Prints one line per presentation and a summary.
 
 Usage: python scripts/random_bv_audit.py [--count N] [--seed S]
        [--pair-degree D] [--triple-degree D]
@@ -13,11 +13,8 @@ import argparse
 import random
 import sys
 
-from bvalg.bv import (free_bv_structure, verify_bracket_compatibility,
-                      verify_deviation_identity, verify_gerstenhaber,
-                      verify_square_zero)
+from bvalg.bv import free_bv_structure, verify_bv_axioms
 from bvalg.lie import random_lie_presentation
-from bvalg.report import merge_reports
 
 
 def main() -> int:
@@ -34,12 +31,7 @@ def main() -> int:
         presentation = random_lie_presentation(rng, basis_budget=80,
                                                window=args.pair_degree)
         structure = free_bv_structure(presentation, args.pair_degree)
-        report = merge_reports(
-            verify_square_zero(structure, args.pair_degree),
-            verify_deviation_identity(structure, args.pair_degree),
-            verify_bracket_compatibility(structure, args.pair_degree),
-            verify_gerstenhaber(structure, args.triple_degree, args.triple_degree),
-        )
+        report = verify_bv_axioms(structure, args.pair_degree, args.triple_degree)
         checked = sum(c.checked for c in report.checks)
         shape = ", ".join(f"{g.id}:{g.degree}" for g in presentation.generators)
         brackets = sum(1 for v in presentation.brackets.values() if not v.is_zero)

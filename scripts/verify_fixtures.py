@@ -14,7 +14,7 @@ from bvalg.cli import main as cli_main
 
 FIXTURES = [
     "sphere-lie:2", "sphere-lie:3", "sphere-lie:4",
-    "loopspace:2:3", "loopspace:2:4", "loopspace:4:5", "loopspace:4:6",
+    "loopspace:2:3", "loopspace:2:4", "loopspace:3:5", "loopspace:4:5", "loopspace:4:6",
     "omega2-s3-f2",
     "fd:2:Q", "fd:3:Q", "fd:4:Q", "fd:2:F2",
 ]

@@ -365,14 +365,6 @@ def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
     return extend((), 0, bound)
 
 
-def basis_by_degree(field: FieldSpec, generators: Sequence[Generator],
-                    max_degree: int) -> Dict[int, List[Monomial]]:
-    table: Dict[int, List[Monomial]] = {d: [] for d in range(max_degree + 1)}
-    for mono in monomial_basis(field, generators, max_degree):
-        table[mono.degree].append(mono)
-    return table
-
-
 # -- graded linear maps -------------------------------------------------------
 
 

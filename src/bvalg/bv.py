@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       Undefined, derivation_from_generator_values, first_undefined,
@@ -34,6 +34,7 @@ from .report import FAIL, Report, compare, merge_reports, run_checks, vanishes
 
 FREE = "free"
 USER = "user"
+DEFAULT_WINDOW = 10  # the degree window when neither the caller nor the input names one
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,16 @@ class BVStructure:
 
     `d0` is the derivation extending the negated Lie differential (degree
     -1), the first summand of the free operator, and `letters` maps each
-    generator to its one-letter monomial.  User values are stored
-    once, at construction: a value past the truncation as OutOfWindow, a
-    generator without one as Undefined, and a value on a composite monomial
-    (Python API only) as the exact value on that monomial.
+    generator to its one-letter monomial.  User values are stored once, at
+    construction: a value past the truncation as OutOfWindow, a generator
+    without one as Undefined.  The basis is built once, at the truncation,
+    on first use.
     """
 
     def __init__(self,
                  presentation: LiePresentation,
                  truncation: int,
-                 bv_values: Optional[Dict[Union[str, Monomial], Element]] = None,
+                 bv_values: Optional[Dict[str, Element]] = None,
                  partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None,
                  has_bv: bool = True,
                  metadata: Optional[Dict] = None):
@@ -73,57 +74,57 @@ class BVStructure:
         self.provenance = FREE if bv_values is None else USER
         self.d0 = derivation_from_generator_values(
             self.field, {g: -d for g, d in presentation.differential.items()}, -1, name="d0")
-        # The bracket table is partial exactly when one is given.
-        self._partial_brackets: Optional[Dict[Tuple[str, str], Element]] = (
-            None if partial_brackets is None
-            else presentation.canonical_table(partial_brackets))
+        self._table = (presentation.brackets if partial_brackets is None
+                       else presentation.canonical_table(partial_brackets))
+        self._partial = partial_brackets is not None  # absent pairs are gaps, not zero
         self._bracket_cache: Dict[Tuple[Monomial, Monomial], MaybeElement] = {}
         self._bv_cache: Dict[Monomial, MaybeElement] = {}
+        self._basis: Optional[List[Monomial]] = None
         if bv_values is None:
             self._generator_values: Dict[Generator, MaybeElement] = {
                 g: -presentation.diff(g.id) for g in self.generators}
         else:
+            self._generator_values = {g: Undefined(f"bv({g.id})") for g in self.generators}
             for key, value in bv_values.items():
-                mono = self.letters[presentation.gen(key)] if isinstance(key, str) else key
                 if value.max_degree() > truncation:
-                    value = OutOfWindow(f"bv({mono}) out of window", value.max_degree(),
-                                        truncation)
-                self._bv_cache[mono] = value
-            self._generator_values = {
-                g: self._bv_cache.get(self.letters[g], Undefined(f"bv({g.id})"))
-                for g in self.generators}
+                    value = OutOfWindow(f"bv({key}) out of window", value.max_degree(), truncation)
+                self._generator_values[presentation.gen(key)] = value
 
     def zero(self) -> Element:
         return Element.zero(self.field)
 
     def basis(self, max_degree: Optional[int] = None) -> List[Monomial]:
-        return monomial_basis(self.field, self.generators,
-                              self.truncation if max_degree is None else max_degree)
+        """The basis up to max_degree, else the truncation; above it, refused."""
+        if self._basis is None:
+            self._basis = monomial_basis(self.field, self.generators, self.truncation)
+        if max_degree is None or max_degree == self.truncation:
+            return self._basis
+        if max_degree > self.truncation:
+            raise ValueError(f"window {max_degree} exceeds the truncation {self.truncation}")
+        return [mono for mono in self._basis if mono.degree <= max_degree]
 
     def tuples(self, arity: int,
                max_degree: Optional[int] = None) -> Iterator[Tuple[Monomial, ...]]:
-        """The window: tuples of basis monomials of total degree at most
-        max_degree, else the truncation."""
+        """The window: basis monomial tuples of total degree <= max_degree, else the truncation."""
         bound = self.truncation if max_degree is None else max_degree
         return window_tuples(self.basis(bound), arity, bound)
 
     # -- bracket ----------------------------------------------------------
 
     def bracket_pair(self, x: Generator, y: Generator) -> MaybeElement:
-        if self._partial_brackets is None:
-            return self.presentation.bracket(x.id, y.id)
-        value = self.presentation.table_bracket(self._partial_brackets, x, y)
-        return Undefined(f"bracket [{x.id},{y.id}]") if value is None else value
+        value = self.presentation.table_bracket(self._table, x, y)
+        if value is not None:
+            return value
+        return Undefined(f"bracket [{x.id},{y.id}]") if self._partial else self.zero()
 
     # -- operator values ----------------------------------------------------
 
     def bv_monomial(self, mono: Monomial) -> MaybeElement:
-        """Operator value on a basis monomial: the stored value, else the
-        bracket contraction plus the generator values extended by the
-        Leibniz rule (odd sign, as for d0); the contraction comes first, so
-        a bracket gap returns before any Leibniz product.  Undefined at a
-        gap, and OutOfWindow where a stored table value lies past the
-        truncation."""
+        """Operator value on a basis monomial: the bracket contraction plus
+        the generator values extended by the Leibniz rule (odd sign, as for
+        d0); the contraction comes first, so a bracket gap returns before
+        any Leibniz product.  Undefined at a gap, and OutOfWindow where a
+        stored table value lies past the truncation."""
         if not self.has_bv:
             return Undefined("no bv operator")
         value = self._bv_cache.get(mono)
@@ -146,7 +147,7 @@ def free_bv_structure(presentation: LiePresentation, truncation: int,
 
 
 def user_bv_structure(presentation: LiePresentation, truncation: int,
-                      bv_values: Dict[Union[str, Monomial], Element],
+                      bv_values: Dict[str, Element],
                       partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None,
                       metadata: Optional[Dict] = None) -> BVStructure:
     return BVStructure(presentation, truncation, bv_values=bv_values,
@@ -284,14 +285,13 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
 
         checks += run_checks(("d0-squared", "d1-squared", "d0-d1-anticommute"),
                              monos, summands)
-    if s.has_bv:
-        def bv_squared(mono):
-            value = s.bv_monomial(mono)
-            second = value if isinstance(value, Undefined) else s.bv_element(value)
-            return vanishes({"input": str(mono)}, "value", second)
 
-        checks += run_checks(("bv-squared",), monos, bv_squared)
-    return Report(checks=checks)
+    def bv_squared(mono):
+        value = s.bv_monomial(mono)
+        second = value if isinstance(value, Undefined) else s.bv_element(value)
+        return vanishes({"input": str(mono)}, "value", second)
+
+    return Report(checks=checks + run_checks(("bv-squared",), monos, bv_squared))
 
 
 def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
@@ -305,8 +305,8 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
         return compare(_pair_inputs(a, b), "bracket", lhs, "operator deviation",
                        bracket_from_operator(s.field, s.bv_monomial, a, b))
 
-    pairs = s.tuples(2, max_degree) if s.has_bv else ()
-    return Report(checks=run_checks(("bv-deviation-is-bracket",), pairs, deviation))
+    return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2, max_degree),
+                                    deviation))
 
 
 def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = None) -> Report:
@@ -326,8 +326,8 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
             _pair_inputs(a, b), "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}",
             first + second.scale(field.sign(a.degree + 1)))
 
-    pairs = s.tuples(2, max_degree) if s.has_bv else ()
-    return Report(checks=run_checks(("bv-bracket-compatibility",), pairs, compatibility))
+    return Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2, max_degree),
+                                    compatibility))
 
 
 def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
@@ -376,14 +376,12 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
 
 def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
                      triple_degree: Optional[int] = None) -> Report:
-    """Full suite: square-zero, deviation identity, bracket compatibility,
-    and the Gerstenhaber axioms; partial structures yield coverage < 1."""
-    report = merge_reports(
-        verify_square_zero(s, max_degree),
-        verify_deviation_identity(s, max_degree),
-        verify_bracket_compatibility(s, max_degree),
-        verify_gerstenhaber(s, max_degree, triple_degree),
-    )
+    """Full suite: square-zero, deviation identity and bracket compatibility
+    (given an operator), then Gerstenhaber; partial structures yield coverage < 1."""
+    operator_suites = (verify_square_zero(s, max_degree),
+                       verify_deviation_identity(s, max_degree),
+                       verify_bracket_compatibility(s, max_degree)) if s.has_bv else ()
+    report = merge_reports(*operator_suites, verify_gerstenhaber(s, max_degree, triple_degree))
     for g in s.generators:
         value = s.bv_monomial(s.letters[g])
         if isinstance(value, Element):

@@ -11,13 +11,13 @@ import argparse
 import sys
 from typing import List, Optional, Tuple, Union
 
-from .algebra import Monomial, Undefined
+from .algebra import Undefined
 from .bv import BVStructure, OutOfWindow, verify_bv_axioms, free_bv, poisson_bracket
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .fields import FieldSpec
 from .fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture)
 from .homology import BoundarySquareError, betti, build_ce_complex
-from .lie import LiePresentation, check_lie_axioms
+from .lie import LiePresentation, check_antisymmetry, check_lie_axioms
 from .report import Report, Stopwatch, merge_reports, run_checks
 
 EXIT_PASS = 0
@@ -47,7 +47,7 @@ def _read_structure(args) -> Tuple[PresentationSource, BVStructure]:
     """The file's structure; its bases need every generator in positive
     degree (check-lie alone accepts degree 0)."""
     source = _read_source(args.file)
-    for g in source.generators:
+    for g in source.presentation.generators:
         if g.degree == 0:
             raise InputError(f"{args.file}: generator {g.id!r} has degree 0: "
                              "the degree window is not finite")
@@ -69,7 +69,7 @@ def _finish(report: Report, fmt: str) -> int:
 def _cmd_check_lie(args) -> int:
     source = _read_source(args.file)
     with Stopwatch() as clock:
-        report = check_lie_axioms(source.to_lie_presentation())
+        report = check_lie_axioms(source.presentation)
     report.elapsed = clock.elapsed
     return _finish(report, args.format)
 
@@ -129,9 +129,11 @@ def _parse_arg_element(name: str, text: str, source: PresentationSource,
 
 def _cmd_ce_homology(args) -> int:
     source = _read_source(args.file)
-    presentation = source.to_lie_presentation()
+    antisymmetry = check_antisymmetry(source.presentation)
+    if not antisymmetry.passed:
+        return _finish(antisymmetry, args.format)
     try:
-        complex_ = build_ce_complex(presentation,
+        complex_ = build_ce_complex(source.presentation,
                                     args.max_degree if args.max_degree is not None
                                     else source.truncate)
     except BoundarySquareError as exc:
@@ -157,7 +159,7 @@ def _describe_structure(structure: BVStructure) -> Report:
     report.details["operator"] = "present" if structure.has_bv else "absent"
     if structure.has_bv:
         for g in sorted(structure.generators, key=lambda g: g.sort_key):
-            value = structure.bv_monomial(Monomial(((g, 1),)))
+            value = structure.bv_monomial(structure.letters[g])
             if isinstance(value, OutOfWindow):
                 value = f"out of window (degree {value.degree} > {value.limit})"
             elif isinstance(value, Undefined):

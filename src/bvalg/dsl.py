@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .algebra import Element, Generator, normalize_word, render_element
 from .fields import FieldSpec
 from .lie import LiePresentation
-from .bv import BVStructure, free_bv_structure, user_bv_structure
+from .bv import DEFAULT_WINDOW, BVStructure
 
 
 @dataclass(frozen=True)
@@ -46,34 +46,24 @@ class ParseError(Exception):
 
 @dataclass
 class PresentationSource:
-    """Parsed, canonicalized presentation file; generators are kept sorted."""
+    """Parsed presentation file: its canonical presentation (generators
+    sorted by sort_key), operator values and truncation."""
 
-    field: FieldSpec
-    shift: int
-    generators: Tuple[Generator, ...]
-    brackets: Dict[Tuple[str, str], Element] = dc_field(default_factory=dict)
-    differential: Dict[str, Element] = dc_field(default_factory=dict)
+    presentation: LiePresentation
     bv_values: Dict[str, Element] = dc_field(default_factory=dict)
     truncate: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        self.generators = tuple(sorted(self.generators, key=lambda g: g.sort_key))
-
     def to_lie_presentation(self) -> LiePresentation:
-        return LiePresentation(self.field, self.shift, list(self.generators),
-                               dict(self.brackets), dict(self.differential))
+        return self.presentation
 
     def window(self, max_degree: Optional[int] = None) -> int:
-        """max_degree if given, else the file's truncation, else 10."""
-        return next(w for w in (max_degree, self.truncate, 10) if w is not None)
+        """max_degree if given, else the file's truncation, else DEFAULT_WINDOW."""
+        return next(w for w in (max_degree, self.truncate, DEFAULT_WINDOW) if w is not None)
 
     def to_structure(self, max_degree: Optional[int] = None) -> BVStructure:
         """Free structure unless the file supplies operator values."""
-        window = self.window(max_degree)
-        presentation = self.to_lie_presentation()
-        if self.bv_values:
-            return user_bv_structure(presentation, window, dict(self.bv_values))
-        return free_bv_structure(presentation, window)
+        values = dict(self.bv_values) if self.bv_values else None
+        return BVStructure(self.presentation, self.window(max_degree), values)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
@@ -334,22 +324,22 @@ def parse_presentation(text: str) -> PresentationSource:
     if errors:
         raise ParseError(sorted(errors, key=lambda d: (d.line, d.column)))
     # canonicalize bracket orientation through the Lie layer
-    presentation = LiePresentation(state.field, state.shift, list(state.generators.values()),
+    generators = sorted(state.generators.values(), key=lambda g: g.sort_key)
+    presentation = LiePresentation(state.field, state.shift, generators,
                                    state.tables["bracket"], state.tables["diff"])
-    return PresentationSource(state.field, state.shift, tuple(presentation.generators),
-                              presentation.brackets, presentation.differential,
-                              state.tables["bv"], state.truncate)
+    return PresentationSource(presentation, state.tables["bv"], state.truncate)
 
 
 def render_presentation(source: PresentationSource) -> str:
     """Canonical text form; parsing it back yields an equal presentation."""
-    lines = [f"field {source.field}", f"shift n={source.shift}"]
-    for g in source.generators:
+    p = source.presentation
+    lines = [f"field {p.field}", f"shift n={p.shift}"]
+    for g in p.generators:
         lines.append(f"gen {g.id} : {g.degree}")
-    for (x, y) in sorted(source.brackets):
-        lines.append(f"bracket [{x},{y}] = {render_element(source.brackets[(x, y)])}")
-    for x in sorted(source.differential):
-        lines.append(f"diff d {x} = {render_element(source.differential[x])}")
+    for (x, y) in sorted(p.brackets):
+        lines.append(f"bracket [{x},{y}] = {render_element(p.brackets[(x, y)])}")
+    for x in sorted(p.differential):
+        lines.append(f"diff d {x} = {render_element(p.differential[x])}")
     for x in sorted(source.bv_values):
         lines.append(f"bv {x} = {render_element(source.bv_values[x])}")
     if source.truncate is not None:
@@ -361,8 +351,8 @@ def parse_element_text(text: str, source: PresentationSource,
                        max_degree: Optional[int] = None) -> Element:
     """Parse a standalone element expression, bounded by source.window(max_degree)."""
     state = _State()
-    state.field = source.field
-    state.generators = {g.id: g for g in source.generators}
+    state.field = source.presentation.field
+    state.generators = {g.id: g for g in source.presentation.generators}
     try:
         return _parse_element(_LineParser(text, 1, state), False, "element",
                               source.window(max_degree))

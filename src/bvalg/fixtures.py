@@ -15,9 +15,8 @@ from typing import List, Optional, Tuple, Union
 from .algebra import Element, Generator, MaybeElement, Monomial, Undefined
 from .fields import FieldSpec, QQ
 from .lie import LiePresentation, desuspend
-from .bv import BVStructure, free_bv_structure, user_bv_structure
+from .bv import DEFAULT_WINDOW, BVStructure, free_bv_structure, user_bv_structure
 
-DEFAULT_WINDOW = 10
 MAX_DESCRIPTOR_N = 10_000  # the descriptor lists about n/4 generators
 
 

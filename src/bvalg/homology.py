@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .algebra import Element, Monomial, Undefined, basis_by_degree
+from .algebra import Element, Monomial, Undefined
 from .fields import FieldSpec, Scalar
 from .bv import BVStructure, free_bv_structure
 from .lie import LiePresentation
@@ -72,16 +72,16 @@ class ChainComplex:
         return sorted(self.basis)
 
 
-def bv_chain_complex(structure: BVStructure,
-                     max_degree: Optional[int] = None) -> ChainComplex:
-    """The complex of the structure's operator over the window.
+def bv_chain_complex(structure: BVStructure) -> ChainComplex:
+    """The complex of the structure's operator over its basis, by degree.
 
     Boundary terms that would leave the window at the top grade are zeroed
     (the operator itself is exact; the truncation is the complex's).
     """
-    bound = structure.truncation if max_degree is None else max_degree
-    field = structure.field
-    basis, step = basis_by_degree(field, structure.generators, bound), structure.shift - 1
+    field, step = structure.field, structure.shift - 1
+    basis: Dict[int, List[Monomial]] = {d: [] for d in range(structure.truncation + 1)}
+    for mono in structure.basis():
+        basis[mono.degree].append(mono)
     boundaries: Dict[int, Matrix] = {}
     for g in sorted(basis):
         target = basis.get(g + step, [])
@@ -117,8 +117,7 @@ def build_ce_complex(presentation: LiePresentation,
             max_degree = sum(g.degree for g in presentation.generators)
         else:
             raise ValueError("max_degree required: the algebra is not finite")
-    structure = free_bv_structure(presentation, max_degree)
-    return bv_chain_complex(structure, max_degree)
+    return bv_chain_complex(free_bv_structure(presentation, max_degree))
 
 
 def betti(complex_: ChainComplex) -> List[int]:

@@ -180,6 +180,38 @@ def test_partial_bracket_table_is_validated(bad, message):
         user_bv_structure(base.presentation, 6, bv_values={}, partial_brackets=table)
 
 
+def test_operator_values_are_keyed_by_generator_id():
+    f = QQ
+    x = Generator("x", 2)
+    p = LiePresentation(f, 3, [x])
+    value = Element.from_monomial(f, Monomial(((x, 2),)))
+    with pytest.raises(KeyError):
+        user_bv_structure(p, 8, {Monomial(((x, 2),)): value})
+    with pytest.raises(KeyError):
+        user_bv_structure(p, 8, {"q": value})
+
+
+def test_basis_is_built_once_at_the_truncation():
+    s = loops24()
+    assert s.basis() is s.basis()
+    built = {id(mono) for mono in s.basis()}
+    assert all(id(mono) in built for pair in s.tuples(2) for mono in pair)
+    assert s.basis(5) == [mono for mono in s.basis() if mono.degree <= 5]
+    with pytest.raises(ValueError):
+        s.basis(s.truncation + 1)
+
+
+def test_operator_suites_need_an_operator():
+    s = loopspace_model(3, 5, max_degree=10)
+    assert not s.has_bv
+    assert [c.name for c in verify_bv_axioms(s).checks] == [
+        "bracket-antisymmetry", "bracket-jacobi", "poisson-relation"]
+    pairs = len(list(s.tuples(2)))
+    for report in (verify_deviation_identity(s), verify_bracket_compatibility(s)):
+        (check,) = report.checks
+        assert (check.verdict, check.checked, check.skipped) == ("skipped", 0, pairs)
+
+
 def test_bv_extend_reports_blocking_symbol():
     s = omega2_s3_f2(6)
     u1 = s.presentation.gen("u1")
@@ -334,23 +366,6 @@ def test_operator_with_nonzero_square_fails():
     assert not report.passed
     cert = next(c.certificate for c in report.checks if c.verdict == "fail")
     assert cert["input"] == "x"
-
-
-def test_deviation_identity_fails_on_conflicting_stored_values():
-    # storing bv(x^2) = 0 alongside bv(x) = x^2 contradicts the recursion:
-    # {x,x} = 0 but bv(x^2) - 2x bv(x) = -2x^3
-    f = QQ
-    x = Generator("x", 2)
-    p = LiePresentation(f, 3, [x])
-    sq = Monomial(((x, 2),))
-    s = user_bv_structure(p, 8, bv_values={
-        "x": Element.from_monomial(f, sq),
-        sq: Element.zero(f),
-    })
-    report = verify_deviation_identity(s, 8)
-    assert not report.passed
-    cert = next(c.certificate for c in report.checks if c.verdict == "fail")
-    assert cert["a"] == "x" and cert["b"] == "x"
 
 
 def test_partial_structure_coverage_below_one():

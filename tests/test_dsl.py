@@ -7,7 +7,7 @@ import pytest
 
 from bvalg.algebra import Element
 from bvalg.fields import QQ
-from bvalg.lie import desuspend, random_lie_presentation
+from bvalg.lie import LiePresentation, desuspend, random_lie_presentation
 from bvalg.dsl import (ParseError, PresentationSource, parse_element_text,
                        parse_presentation, render_presentation)
 from bvalg.fixtures import sphere_loop_lie
@@ -26,9 +26,9 @@ truncate 12
 
 def test_parse_loopspace_presentation():
     source = parse_presentation(LOOPS2_S4)
-    assert source.field == QQ
-    assert source.shift == 2
-    assert [(g.id, g.degree) for g in source.generators] == [("a", 2), ("b", 5)]
+    assert source.presentation.field == QQ
+    assert source.presentation.shift == 2
+    assert [(g.id, g.degree) for g in source.presentation.generators] == [("a", 2), ("b", 5)]
     assert source.truncate == 12
     # this is exactly the once-desuspended sphere presentation
     expected = desuspend(sphere_loop_lie(4), 2)
@@ -106,7 +106,7 @@ def test_diff_and_bv_lines_parse_with_degree_checks():
     text = ("field Q\nshift n=2\ngen x : 3\ngen y : 2\ngen z : 6\ngen w : 5\n"
             "bracket [x,y] = z\nbracket [y,y] = w\ndiff d x = y\ndiff d z = w\n")
     source = parse_presentation(text)
-    assert str(source.differential["x"]) == "y"
+    assert str(source.presentation.differential["x"]) == "y"
     bad_diff = "field Q\nshift n=2\ngen x : 3\ngen z : 6\ndiff d x = z\n"
     with pytest.raises(ParseError) as exc:
         parse_presentation(bad_diff)
@@ -128,7 +128,7 @@ def test_bv_line_round_trip_char2():
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nfield Q\nshift n=1  # trailing\ngen a : 2\n"
     source = parse_presentation(text)
-    assert source.shift == 1
+    assert source.presentation.shift == 1
 
 
 def test_round_trip_on_shipped_fixtures():
@@ -147,8 +147,9 @@ def test_round_trip_on_random_presentations():
     rng = random.Random(11)
     for _ in range(6):
         p = random_lie_presentation(rng)
-        source = PresentationSource(p.field, p.shift, tuple(p.generators),
-                                    dict(p.brackets), dict(p.differential),
+        generators = sorted(p.generators, key=lambda g: g.sort_key)
+        source = PresentationSource(LiePresentation(p.field, p.shift, generators,
+                                                    p.brackets, p.differential),
                                     {}, truncate=8)
         rendered = render_presentation(source)
         assert parse_presentation(rendered) == source
@@ -156,8 +157,7 @@ def test_round_trip_on_random_presentations():
 
 def test_element_expression_parsing():
     source = parse_presentation(LOOPS2_S4)
-    a = source.generators[0]
-    b = source.generators[1]
+    a, b = source.presentation.generators
     ea = Element.from_generator(QQ, a)
     eb = Element.from_generator(QQ, b)
     assert parse_element_text("a^2", source) == ea * ea
@@ -173,7 +173,7 @@ def test_element_render_parse_round_trip():
     source = parse_presentation(LOOPS2_S4)
     rng = random.Random(5)
     from bvalg.algebra import monomial_basis
-    basis = monomial_basis(QQ, list(source.generators), 9)
+    basis = monomial_basis(QQ, source.presentation.generators, 9)
     for _ in range(25):
         element = Element.zero(QQ)
         for mono in rng.sample(basis, k=min(3, len(basis))):

@@ -76,7 +76,7 @@ def test_loopspace_complex_betti_frozen():
     # (free algebra on a:2, b:5; operator a^k -> C(k,2) a^(k-2) b): the
     # homology is spanned by 1 and a
     structure = loopspace_model(2, 4, max_degree=9)
-    complex_ = bv_chain_complex(structure, 9)
+    complex_ = bv_chain_complex(structure)
     values = betti(complex_)
     assert values[0] == 1
     assert values == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
@@ -155,7 +155,7 @@ def test_square_check_matches_dense_oracle(field, data):
 
 def test_euler_characteristic_matches_alternating_betti_sum():
     for complex_ in (build_ce_complex(heisenberg()),
-                     bv_chain_complex(loopspace_model(2, 4, max_degree=8), 8)):
+                     bv_chain_complex(loopspace_model(2, 4, max_degree=8))):
         values = betti(complex_)
         assert sum((-1) ** g * b for g, b in enumerate(values)) \
             == euler_characteristic(complex_)
