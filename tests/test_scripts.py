@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "data" / "golden"
 
 
 def run_script(*args):
@@ -21,6 +22,8 @@ def test_random_bv_audit_passes(seed):
     done = run_script("random_bv_audit.py", "--count", "20", "--seed", str(seed))
     assert done.returncode == 0, done.stdout + done.stderr
     assert "summary: 20/20 passed" in done.stdout.splitlines()
+    # every drawn shape and per-structure check count, byte for byte
+    assert done.stdout == (GOLDEN_DIR / f"random_bv_audit_seed{seed}.out").read_text()
 
 
 def test_verify_fixtures_passes():
