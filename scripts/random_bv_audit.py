@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Randomized audit of the free-operator identities.
 
-Draws seeded random Lie presentations, builds the free structure on each,
-and runs verify_bv_axioms: the square-zero, deviation, bracket-compatibility
-and Gerstenhaber suites.  Prints one line per presentation and a summary.
+Draws seeded free structures on random Lie presentations from the sampler
+in tests/strategies.py and runs verify_bv_axioms on each: the square-zero,
+deviation, bracket-compatibility and Gerstenhaber suites.  Prints one line
+per presentation and a summary.
 
 Usage: python scripts/random_bv_audit.py [--count N] [--seed S]
        [--pair-degree D] [--triple-degree D]
 """
 
 import argparse
-import random
 import sys
+from pathlib import Path
 
-from bvalg.bv import free_bv_structure, verify_bv_axioms
-from bvalg.lie import random_lie_presentation
+from bvalg.bv import verify_bv_axioms
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from strategies import seeded_structures  # noqa: E402
 
 
 def main() -> int:
@@ -25,12 +28,10 @@ def main() -> int:
     parser.add_argument("--triple-degree", type=int, default=8)
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
     failures = 0
-    for i in range(args.count):
-        presentation = random_lie_presentation(rng, basis_budget=80,
-                                               window=args.pair_degree)
-        structure = free_bv_structure(presentation, args.pair_degree)
+    drawn = seeded_structures(args.seed, basis_budget=80, window=args.pair_degree)
+    for i, structure in zip(range(args.count), drawn):
+        presentation = structure.presentation
         report = verify_bv_axioms(structure, args.pair_degree, args.triple_degree)
         checked = sum(c.checked for c in report.checks)
         shape = ", ".join(f"{g.id}:{g.degree}" for g in presentation.generators)

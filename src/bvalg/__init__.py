@@ -4,8 +4,7 @@ degree-(n-1) bracket and a square-zero operator of the same degree."""
 from .algebra import (Element, Generator, GradedMap, Monomial, monomial_basis,
                       normalize_word)
 from .fields import FieldSpec, QQ, GF2
-from .lie import (LiePresentation, check_differential, check_lie_axioms,
-                  desuspend, random_lie_presentation)
+from .lie import LiePresentation, check_differential, check_lie_axioms, desuspend
 from .bv import (BVStructure, bv_operator, free_bv,
                  free_bv_structure, poisson_bracket, user_bv_structure,
                  verify_bv_axioms)
@@ -21,7 +20,7 @@ __all__ = [
     "Element", "Generator", "GradedMap", "Monomial", "monomial_basis",
     "normalize_word", "FieldSpec", "QQ", "GF2",
     "LiePresentation", "check_differential", "check_lie_axioms", "desuspend",
-    "random_lie_presentation", "BVStructure", "bv_operator",
+    "BVStructure", "bv_operator",
     "free_bv", "free_bv_structure", "poisson_bracket", "user_bv_structure",
     "verify_bv_axioms", "ChainComplex", "betti", "build_ce_complex",
     "bv_chain_complex", "antipode", "coproduct", "is_coderivation",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fields import FieldSpec, Scalar
 
@@ -403,32 +403,22 @@ def linear_extension(fn: Callable[[Monomial], MaybeElement],
 
 
 class GradedMap:
-    """Linear map tabulated on basis monomials, of a fixed degree.
+    """Linear map on basis monomials, of a fixed degree, given by a rule.
 
-    Values may come from an explicit table, from a closed-form rule, or be
-    missing; partial operators keep explicit gaps and never guess.  A degree
-    of None marks an inhomogeneous map (e.g. a sum of maps of different
-    degrees), for which no per-value degree validation is possible.
+    The rule returns an Element, or Undefined at a gap: partial operators
+    keep explicit gaps and never guess.  Each value is memoized and checked
+    against the degree when first computed.  A degree of None marks an
+    inhomogeneous map (e.g. a sum of maps of different degrees), for which
+    no per-value degree validation is possible.
     """
 
     def __init__(self, field: FieldSpec, degree: Optional[int],
-                 values: Optional[Dict[Monomial, Element]] = None,
-                 rule: Optional[Callable[[Monomial], MaybeElement]] = None,
-                 undefined: Iterable[Monomial] = (),
-                 name: str = ""):
+                 rule: Callable[[Monomial], MaybeElement], name: str = ""):
         self.field = field
         self.degree = degree
         self.name = name
         self._rule = rule
         self._values: Dict[Monomial, MaybeElement] = {}
-        for mono, val in (values or {}).items():
-            self._check_degree(mono, val)
-            self._values[mono] = val
-        for mono in undefined:
-            self._values[mono] = self._gap(mono)
-
-    def _gap(self, mono: Monomial) -> Undefined:
-        return Undefined(f"{self.name or 'map'}({mono})")
 
     def _check_degree(self, mono: Monomial, val: Element) -> None:
         if self.degree is None or val.is_zero:
@@ -446,7 +436,7 @@ class GradedMap:
         """Value on a basis monomial, or Undefined at a gap."""
         val = self._values.get(mono)
         if val is None:
-            val = self._rule(mono) if self._rule is not None else self._gap(mono)
+            val = self._rule(mono)
             if isinstance(val, Element):
                 self._check_degree(mono, val)
             self._values[mono] = val

@@ -115,7 +115,10 @@ class BVStructure:
         value = self.presentation.table_bracket(self._table, x, y)
         if value is not None:
             return value
-        return Undefined(f"bracket [{x.id},{y.id}]") if self._partial else self.zero()
+        if not self._partial:
+            return self.zero()
+        (a, b), _ = self.presentation.canonical_pair(x, y)  # one name for both orientations
+        return Undefined(f"bracket [{a},{b}]")
 
     # -- operator values ----------------------------------------------------
 

@@ -13,12 +13,11 @@ differential along unchanged (they are read through the shift).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, Generator, linear_extension, monomial_basis
+from .algebra import Element, Generator, linear_extension
 from .fields import FieldSpec, Scalar
 from .report import FAIL, Report, compare, run_checks, vanishes
 
@@ -68,7 +67,9 @@ class LiePresentation:
     def bracket_degree(self, x: Generator, y: Generator) -> int:
         return x.degree + y.degree + self.shift - 1
 
-    def _canonical_pair(self, x: Generator, y: Generator) -> Tuple[BracketKey, bool]:
+    def canonical_pair(self, x: Generator, y: Generator) -> Tuple[BracketKey, bool]:
+        """The key under which a table stores the pair, and whether (x, y)
+        is its other orientation."""
         if (x.sort_key, x.id) <= (y.sort_key, y.id):
             return (x.id, y.id), False
         return (y.id, x.id), True
@@ -84,7 +85,7 @@ class LiePresentation:
         for (x, y), value in table.items():
             self._require_span(value, f"bracket [{x},{y}]")
             gx, gy = self.gen(x), self.gen(y)
-            key, flip = self._canonical_pair(gx, gy)
+            key, flip = self.canonical_pair(gx, gy)
             if key in normalized:
                 raise ValueError(f"bracket pair ({x},{y}) tabulated twice")
             normalized[key] = value.scale(self._flip_sign(gx, gy)) if flip else value
@@ -94,7 +95,7 @@ class LiePresentation:
                       y: Generator) -> Optional[Element]:
         """The bracket of x and y in a canonical table (read through shifted
         antisymmetry for the other orientation), or None when absent."""
-        key, flip = self._canonical_pair(x, y)
+        key, flip = self.canonical_pair(x, y)
         value = table.get(key)
         if value is None or not flip:
             return value
@@ -238,80 +239,3 @@ def check_differential(presentation: LiePresentation) -> Report:
         + run_checks(("differential-bracket-derivation",), product(p.generators, repeat=2),
                      leibniz)))
 
-
-def random_lie_presentation(rng: random.Random,
-                            field: Optional[FieldSpec] = None,
-                            max_generators: int = 3,
-                            max_degree: int = 6,
-                            shifts: Sequence[int] = (0, 2, 4),
-                            basis_budget: int = 120,
-                            window: int = 10,
-                            max_attempts: int = 500) -> LiePresentation:
-    """Rejection-sample a small presentation that passes the axiom checks.
-
-    Structure constants are drawn sparsely among degree-compatible targets;
-    candidates failing antisymmetry, Jacobi, or the differential checks are
-    discarded.  The basis budget caps how many monomials the presentation
-    spans inside the window, keeping downstream suites desk-scale.
-    """
-    fields = [field] if field is not None else [FieldSpec.rationals(),
-                                                FieldSpec.prime(2),
-                                                FieldSpec.prime(5)]
-    for attempt in range(max_attempts):
-        f = rng.choice(fields)
-        shift = rng.choice(list(shifts))
-        gens = _propose_generators(rng, f, shift, max_generators, max_degree)
-        candidate = LiePresentation(f, shift, gens)
-        if len(monomial_basis(f, gens, window)) > basis_budget:
-            continue
-        brackets: Dict[BracketKey, Element] = {}
-        for i, x in enumerate(gens):
-            for y in gens[i:]:
-                target = candidate.bracket_degree(x, y)
-                span = [g for g in gens if g.degree == target]
-                if not span or rng.random() < 0.3:
-                    continue
-                if (x == y and candidate.parity(x) % 2 == 0
-                        and f.characteristic != 2):
-                    continue
-                value = Element.from_generator(f, rng.choice(span),
-                                               rng.choice([1, 1, -1, 2]))
-                brackets[(x.id, y.id)] = value
-        differential: Dict[str, Element] = {}
-        if rng.random() < 0.4:
-            for x in gens:
-                span = [g for g in gens if g.degree == x.degree - 1]
-                if span and rng.random() < 0.5:
-                    differential[x.id] = Element.from_generator(f, rng.choice(span))
-        try:
-            presentation = LiePresentation(f, shift, gens, brackets, differential,
-                                           name=f"random-{attempt}")
-        except ValueError:
-            continue
-        if check_lie_axioms(presentation).passed:
-            return presentation
-    raise RuntimeError("no valid random presentation found")
-
-
-def _propose_generators(rng: random.Random, f: FieldSpec, shift: int,
-                        max_generators: int, max_degree: int) -> List[Generator]:
-    """Degrees biased toward bracket-closed families: most proposals include
-    a generator sitting in the degree some pair brackets into."""
-    if max_generators >= 2 and rng.random() < 0.7:
-        if rng.random() < 0.5 or max_generators < 3:
-            candidates = [d for d in range(1, max_degree + 1)
-                          if 1 <= 2 * d + shift - 1 <= max_degree
-                          and (f.characteristic == 2 or (d + shift - 1) % 2 == 1)]
-            if candidates:
-                d = rng.choice(candidates)
-                return [Generator("g0", d), Generator("g1", 2 * d + shift - 1)]
-        if max_generators >= 3:
-            pairs = [(dx, dy) for dx in range(1, max_degree + 1)
-                     for dy in range(dx, max_degree + 1)
-                     if 1 <= dx + dy + shift - 1 <= max_degree]
-            if pairs:
-                dx, dy = rng.choice(pairs)
-                return [Generator("g0", dx), Generator("g1", dy),
-                        Generator("g2", dx + dy + shift - 1)]
-    n_gens = rng.randint(1, max_generators)
-    return [Generator(f"g{i}", rng.randint(1, max_degree)) for i in range(n_gens)]

@@ -8,7 +8,6 @@ import glob
 import json
 import math
 import os
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,13 +23,13 @@ from bvalg.homology import betti, build_ce_complex
 from bvalg.hopf import (antipode, coproduct, coproduct_monomial, is_coderivation,
                         primitive_basis)
 from bvalg.hopf import TensorElement
-from bvalg.lie import random_lie_presentation
 from bvalg.bv import (add_derivation_action, bv_operator, free_bv, free_bv_structure,
                       user_bv_structure, verify_bracket_compatibility,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
 
 from oracles import betti_from_boundaries
+from strategies import seeded_structures
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -61,20 +60,18 @@ def battery():
     nonzero differential, plus five randomized presentations (at most 3
     generators, degrees <= 6) that pass the Lie axiom checker, at least
     three of them with nonzero structure constants."""
-    rng = random.Random(BATTERY_SEED)
     structures = [loopspace_model(2, 4, max_degree=PAIR_DEGREE),
                   loopspace_model(4, 6, max_degree=PAIR_DEGREE),
                   free_bv_structure(_mixed_differential_presentation(), PAIR_DEGREE)]
+    drawn = seeded_structures(BATTERY_SEED, basis_budget=80, window=PAIR_DEGREE)
     with_brackets, without = [], []
     while len(with_brackets) < 3 or len(with_brackets) + len(without) < 5:
-        presentation = random_lie_presentation(rng, basis_budget=80,
-                                               window=PAIR_DEGREE)
+        s = next(drawn)
         bucket = (with_brackets
-                  if any(not v.is_zero for v in presentation.brackets.values())
+                  if any(not v.is_zero for v in s.presentation.brackets.values())
                   else without)
-        bucket.append(presentation)
-    randoms = (with_brackets + without)[:max(5, len(with_brackets))]
-    structures.extend(free_bv_structure(p, PAIR_DEGREE) for p in randoms)
+        bucket.append(s)
+    structures.extend((with_brackets + without)[:max(5, len(with_brackets))])
     return structures
 
 

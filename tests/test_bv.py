@@ -1,11 +1,9 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import Element, Generator, GradedMap, Monomial, monomial_basis
-from bvalg.fields import GF2, QQ, FieldSpec
-from bvalg.lie import LiePresentation, random_lie_presentation
+from bvalg.algebra import Element, Generator, GradedMap, Monomial
+from bvalg.fields import GF2, QQ
+from bvalg.lie import LiePresentation
 from bvalg.bv import (Undefined, add_derivation_action,
                       bracket_from_operator, bracket_part, bv_operator,
                       check_derivation, extend_morphism, free_bv,
@@ -16,6 +14,7 @@ from bvalg.bv import (Undefined, add_derivation_action,
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
 
 from oracles import ref_bracket, ref_operator
+from strategies import ORACLE_SHAPES, seeded_structures, structures
 
 
 def gen_elt(field, g, coeff=1):
@@ -180,6 +179,12 @@ def test_partial_bracket_table_is_validated(bad, message):
         user_bv_structure(base.presentation, 6, bv_values={}, partial_brackets=table)
 
 
+def test_bracket_gap_is_named_by_its_canonical_pair():
+    s = omega2_s3_f2(20)
+    u1, u2 = s.presentation.gen("u1"), s.presentation.gen("u2")
+    assert s.bracket_pair(u2, u1) == s.bracket_pair(u1, u2) == Undefined("bracket [u1,u2]")
+
+
 def test_operator_values_are_keyed_by_generator_id():
     f = QQ
     x = Generator("x", 2)
@@ -265,48 +270,26 @@ def ref_of(element):
             for m, c in element.terms()}
 
 
-@st.composite
-def operator_cases(draw):
-    """A random structure and its coordinates: free at shifts 0-3, or a
-    user table (with gaps) at an even shift, where the operator is the sum
-    of its generator values and the bracket contraction."""
-    field = draw(st.sampled_from([QQ, GF2, FieldSpec.prime(5)]))
-    user = draw(st.booleans())
-    shift = draw(st.sampled_from((0, 2) if user else (0, 1, 2, 3)))
-    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    gens = sorted((Generator("abcd"[i], d) for i, d in enumerate(degrees)),
-                  key=lambda g: g.sort_key)
-
-    def combination(monos):
-        out = Element.zero(field)
-        for mono in monos:
-            out = out + Element.from_monomial(field, mono, draw(st.integers(-2, 2)))
-        return out
-
-    def span(degree):
-        return combination(Monomial(((g, 1),)) for g in gens if g.degree == degree)
-
-    table = {(x.id, y.id): span(x.degree + y.degree + shift - 1)
+def coordinates(s):
+    """A structure's generator data as the reference reads it: the operator
+    on each one-letter word and the table on each pair in normal-form order,
+    both left out at a gap."""
+    letter = {g: (g.id, g.degree) for g in s.generators}
+    gens = sorted(s.generators, key=lambda g: g.sort_key)
+    values = {letter[g]: s.bv_monomial(s.letters[g]) for g in gens}
+    table = {(letter[x], letter[y]): s.bracket_pair(x, y)
              for i, x in enumerate(gens) for y in gens[i:]}
-    if user:
-        values = {g.id: combination(m for m in monomial_basis(field, gens, g.degree + shift - 1)
-                                    if m.degree == g.degree + shift - 1)
-                  for g in gens if draw(st.integers(0, 5))}
-        table = {pair: value for pair, value in table.items() if draw(st.integers(0, 5))}
-        s = user_bv_structure(LiePresentation(field, shift, gens), 6, values, table)
-    else:
-        diff = {g.id: span(g.degree - 1) for g in gens}
-        s = free_bv_structure(LiePresentation(field, shift, gens, table, diff), 6)
-        values = {x: value.scale(-1) for x, value in diff.items()}
-    letter = {g.id: (g.id, g.degree) for g in gens}
-    return (s, {letter[x]: ref_of(v) for x, v in values.items()},
-            {(letter[x], letter[y]): ref_of(v) for (x, y), v in table.items()})
+    return ({x: ref_of(v) for x, v in values.items() if isinstance(v, Element)},
+            {xy: ref_of(v) for xy, v in table.items() if isinstance(v, Element)})
+
+
+oracle_structures = st.one_of(*(structures(**shape) for shape in ORACLE_SHAPES))
 
 
 @settings(max_examples=80, deadline=None)
-@given(operator_cases())
-def test_operator_matches_reference(case):
-    s, values, brackets = case
+@given(oracle_structures)
+def test_operator_matches_reference(s):
+    values, brackets = coordinates(s)
     p = s.field.characteristic
     for mono in s.basis():
         (word,) = ref_of(Element.from_monomial(s.field, mono))
@@ -321,9 +304,9 @@ def test_operator_matches_reference(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(operator_cases())
-def test_bracket_matches_reference(case):
-    s, _, brackets = case
+@given(oracle_structures)
+def test_bracket_matches_reference(s):
+    _, brackets = coordinates(s)
     words = [(mono, *ref_of(Element.from_monomial(s.field, mono))) for mono in s.basis(4)]
     for a, word_a in words:
         for b, word_b in words:
@@ -347,12 +330,9 @@ def test_free_structures_pass_everything():
 
 
 def test_square_zero_identities_on_random_presentations():
-    rng = random.Random(42)
-    for _ in range(3):
-        p = random_lie_presentation(rng)
-        s = free_bv_structure(p, 8)
+    for _, s in zip(range(3), seeded_structures(42)):
         report = verify_square_zero(s, 8)
-        assert report.passed, p.name
+        assert report.passed, s.presentation.name
         assert report.coverage == 1
 
 

@@ -7,10 +7,12 @@ import pytest
 
 from bvalg.algebra import Element
 from bvalg.fields import QQ
-from bvalg.lie import LiePresentation, desuspend, random_lie_presentation
+from bvalg.lie import LiePresentation, desuspend
 from bvalg.dsl import (ParseError, PresentationSource, parse_element_text,
                        parse_presentation, render_presentation)
 from bvalg.fixtures import sphere_loop_lie
+
+from strategies import seeded_structures
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -144,9 +146,8 @@ def test_round_trip_on_shipped_fixtures():
 
 
 def test_round_trip_on_random_presentations():
-    rng = random.Random(11)
-    for _ in range(6):
-        p = random_lie_presentation(rng)
+    for _, s in zip(range(6), seeded_structures(11)):
+        p = s.presentation
         generators = sorted(p.generators, key=lambda g: g.sort_key)
         source = PresentationSource(LiePresentation(p.field, p.shift, generators,
                                                     p.brackets, p.differential),

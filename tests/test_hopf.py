@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import (Element, Generator, GradedMap, Monomial, monomial_basis,
-                           normalize_word)
+from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
+                           monomial_basis, normalize_word)
 from bvalg.fields import FieldSpec, GF2, QQ
 from bvalg.hopf import (TensorElement, antipode, coproduct, coproduct_monomial,
                         is_coderivation, primitive_basis, reduced_coproduct)
@@ -138,7 +138,7 @@ def test_multiplication_by_non_primitive_fails_with_certificate():
 
 
 def test_coderivation_skips_undefined_values():
-    op = GradedMap(QQ, 1, values={}, undefined=[UNIT, MX, MY, MXY])
+    op = GradedMap(QQ, 1, rule=lambda m: Undefined(f"op({m})"))
     report = is_coderivation(op, [X, Y], 2)
     assert report.checks[0].verdict == "skipped"
     assert report.coverage == 0

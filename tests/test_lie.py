@@ -1,12 +1,11 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvalg.algebra import Element, Generator
 from bvalg.fields import GF2, QQ
-from bvalg.lie import (LiePresentation, check_differential, check_lie_axioms,
-                       desuspend, random_lie_presentation)
+from bvalg.lie import LiePresentation, check_differential, check_lie_axioms, desuspend
+
+from strategies import seeded_structures, structures
 
 
 def gen_elt(field, g, coeff=1):
@@ -180,9 +179,9 @@ def test_duplicate_bracket_orientations_rejected():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_checker_invariant_under_generator_permutation(rng):
-    p = random_lie_presentation(random.Random(rng.randint(0, 10 ** 6)))
+@given(structures(), st.randoms(use_true_random=False))
+def test_checker_invariant_under_generator_permutation(s, rng):
+    p = s.presentation
     verdict = check_lie_axioms(p).passed
     gens = list(p.generators)
     rng.shuffle(gens)
@@ -193,9 +192,8 @@ def test_checker_invariant_under_generator_permutation(rng):
 
 
 def test_random_presentations_pass_their_own_checks():
-    rng = random.Random(7)
-    for _ in range(5):
-        p = random_lie_presentation(rng)
+    for _, s in zip(range(5), seeded_structures(7)):
+        p = s.presentation
         assert check_lie_axioms(p).passed
         if p.differential:
             assert check_differential(p).passed

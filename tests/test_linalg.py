@@ -45,7 +45,7 @@ def test_rref_pivots_deterministic():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.fractions(max_denominator=6), min_size=4, max_size=4),
                 min_size=1, max_size=5))
-def test_bareiss_rank_matches_fraction_oracle(rows):
+def test_rref_rank_matches_fraction_oracle(rows):
     assert rank(rows, QQ) == fraction_rank(rows)
 
 
