@@ -1,17 +1,11 @@
-"""The one sampler of small structures for every fuzz in tests/ and scripts/.
-
-`draw_structure` builds a structure from a `random.Random`; its front ends
-are `seeded_structures(seed)` and the hypothesis strategy `structures()`,
-which feeds it `st.randoms(use_true_random=False)` so failures shrink.
-A draw rejects generator proposals whose basis up to `window` exceeds
-`basis_budget`, and with `valid` also presentations failing the Lie axiom
-checks.  A user structure draws its operator values and table gaps after
-the presentation, so a seed yields one presentation under either provenance.
-"""
+"""The one sampler of small structures for every fuzz in tests/ and scripts/:
+`draw_structure` on a `random.Random`, fed by `seeded_structures(seed)` or by
+the hypothesis strategy `structures()`, whose `st.randoms(use_true_random=False)`
+shrinks failures."""
 
 import random
 
-from bvalg.algebra import Element, Generator, monomial_basis
+from bvalg.algebra import Element, Generator, Monomial, monomial_basis
 from bvalg.bv import FREE, USER, BVStructure, free_bv_structure, user_bv_structure
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation, check_lie_axioms
@@ -21,39 +15,42 @@ MAX_GENERATORS = 3
 MAX_DEGREE = 6
 MAX_ATTEMPTS = 500
 
-# the shapes the coordinate oracles fuzz: free at every shift 0-3 and user
-# at the even shifts, neither held to the Lie axioms
+# the coordinate oracles fuzz free at shifts 0-3 and user at 0 and 2, invalid too
 ORACLE_SHAPES = (dict(valid=False, shifts=(0, 1, 2, 3), window=6),
                  dict(valid=False, provenance=USER, shifts=(0, 2), window=6))
 
 
 def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FREE,
-                   shifts=(0, 2, 4), basis_budget: int = 120,
-                   window: int = 10) -> BVStructure:
-    """A structure truncated at `window`, its presentation drawn with sparse
-    bracket values and a sparse differential, each one generator."""
+                   shifts=(0, 2, 4), basis_budget: int = 120, window: int = 10) -> BVStructure:
+    """A structure truncated at `window`, its basis there at most `basis_budget`.
+    With `valid`, a presentation passing the Lie axioms with sparse values,
+    each one generator; without, every pair brackets and every generator with
+    a partner one degree down differentiates to a combination of generators."""
     for attempt in range(MAX_ATTEMPTS):
         f = rng.choice(FIELDS)
         shift = rng.choice(shifts)
-        gens = _propose_generators(rng, f, shift)
-        p = LiePresentation(f, shift, gens)
+        gens = _propose_generators(rng, f, shift, valid)
         if len(monomial_basis(f, gens, window)) > basis_budget:
             continue
-        brackets = {}
+        brackets, differential = {}, {}
         for i, x in enumerate(gens):
             for y in gens[i:]:
-                span = [g for g in gens if g.degree == p.bracket_degree(x, y)]
+                span = [g for g in gens if g.degree == x.degree + y.degree + shift - 1]
+                if not valid:
+                    brackets[(x.id, y.id)] = Element(
+                        f, {Monomial(((g, 1),)): rng.randint(-2, 2) for g in span})
                 # an even {x,x} is zero by antisymmetry away from characteristic 2
-                if (not span or rng.random() < 0.3
-                        or x == y and p.parity(x) % 2 == 0 and f.characteristic != 2):
-                    continue
-                brackets[(x.id, y.id)] = Element.from_generator(
-                    f, rng.choice(span), rng.choice([1, 1, -1, 2]))
-        differential = {}
-        if rng.random() < 0.4:
+                elif (span and rng.random() >= 0.3 and not
+                      (x == y and (x.degree + shift) % 2 == 1 and f.characteristic != 2)):
+                    brackets[(x.id, y.id)] = Element.from_generator(
+                        f, rng.choice(span), rng.choice([1, 1, -1, 2]))
+        if not valid or rng.random() < 0.4:
             for x in gens:
                 span = [g for g in gens if g.degree == x.degree - 1]
-                if span and rng.random() < 0.5:
+                if span and not valid:
+                    differential[x.id] = Element(
+                        f, {Monomial(((g, 1),)): rng.randint(-2, 2) for g in span})
+                elif span and rng.random() < 0.5:
                     differential[x.id] = Element.from_generator(f, rng.choice(span))
         p = LiePresentation(f, shift, gens, brackets, differential, name=f"random-{attempt}")
         if valid and not check_lie_axioms(p).passed:
@@ -62,9 +59,12 @@ def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FRE
     raise RuntimeError("no valid random presentation found")
 
 
-def _propose_generators(rng, f, shift):
-    """Degrees biased toward bracket-closed families: most proposals include
-    a generator sitting in the degree some pair brackets into."""
+def _propose_generators(rng, f, shift, valid):
+    """Without `valid`, one to four of degree 1-4 in normal-form order; with it, most
+    proposals hold a generator in the degree some pair brackets into."""
+    if not valid:
+        degrees = sorted(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        return [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
     if rng.random() < 0.7:
         if rng.random() < 0.5:
             candidates = [d for d in range(1, MAX_DEGREE + 1)
@@ -85,9 +85,8 @@ def _propose_generators(rng, f, shift):
 
 
 def _user(rng, p, window):
-    """The presentation's table with about one pair in six left out, and on
-    about five generators in six an operator value: the monomials of degree
-    |g| + n - 1 inside the window, with coefficients in -2..2."""
+    """The table with about one pair in six left out, and on about five generators
+    in six a value with coefficients in -2..2 on the monomials of degree |g| + n - 1."""
     gens = sorted(p.generators, key=lambda g: g.sort_key)
     table = {(x.id, y.id): p.bracket(x.id, y.id)
              for i, x in enumerate(gens) for y in gens[i:] if rng.randrange(6)}
@@ -95,7 +94,8 @@ def _user(rng, p, window):
     values = {g.id: Element(p.field, {m: rng.randint(-2, 2) for m in basis
                                       if m.degree == g.degree + p.shift - 1})
               for g in gens if rng.randrange(6)}
-    return user_bv_structure(p, window, values, table)
+    return user_bv_structure(p, window, values, table,
+                             metadata={"bv_values": values, "brackets": table})
 
 
 def seeded_structures(seed: int, **knobs):

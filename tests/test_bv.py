@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from bvalg.algebra import Element, Generator, GradedMap, Monomial
 from bvalg.fields import GF2, QQ
 from bvalg.lie import LiePresentation
-from bvalg.bv import (Undefined, add_derivation_action,
+from bvalg.bv import (FREE, Undefined, add_derivation_action,
                       bracket_from_operator, bracket_part, bv_operator,
                       check_derivation, extend_morphism, free_bv,
                       free_bv_structure, poisson_bracket, user_bv_structure,
@@ -271,16 +271,22 @@ def ref_of(element):
 
 
 def coordinates(s):
-    """A structure's generator data as the reference reads it: the operator
-    on each one-letter word and the table on each pair in normal-form order,
-    both left out at a gap."""
-    letter = {g: (g.id, g.degree) for g in s.generators}
-    gens = sorted(s.generators, key=lambda g: g.sort_key)
-    values = {letter[g]: s.bv_monomial(s.letters[g]) for g in gens}
-    table = {(letter[x], letter[y]): s.bracket_pair(x, y)
-             for i, x in enumerate(gens) for y in gens[i:]}
-    return ({x: ref_of(v) for x, v in values.items() if isinstance(v, Element)},
-            {xy: ref_of(v) for xy, v in table.items() if isinstance(v, Element)})
+    """The generator data a structure was drawn from, as the reference reads
+    it: operator values on generators and the table on pairs in normal-form
+    order, a gap left out.  A free operator is minus the differential on
+    generators, and a free table has no gaps; a user structure's drawn values
+    and table are in its metadata."""
+    if s.provenance == FREE:
+        p, zero = s.presentation, Element.zero(s.field)
+        gens = sorted(s.generators, key=lambda g: g.sort_key)
+        values = {g.id: -p.differential.get(g.id, zero) for g in gens}
+        table = {(x.id, y.id): p.brackets.get((x.id, y.id), zero)
+                 for i, x in enumerate(gens) for y in gens[i:]}
+    else:
+        values, table = s.metadata["bv_values"], s.metadata["brackets"]
+    letter = {g.id: (g.id, g.degree) for g in s.generators}
+    return ({letter[x]: ref_of(v) for x, v in values.items()},
+            {(letter[x], letter[y]): ref_of(v) for (x, y), v in table.items()})
 
 
 oracle_structures = st.one_of(*(structures(**shape) for shape in ORACLE_SHAPES))
