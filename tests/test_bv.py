@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import Element, Generator, GradedMap, Monomial
+from bvalg.algebra import Element, Generator, GradedMap, Monomial, leibniz, normalize_word
 from bvalg.fields import GF2, QQ
 from bvalg.lie import LiePresentation
 from bvalg.bv import (FREE, Undefined, add_derivation_action,
@@ -183,6 +183,52 @@ def test_bracket_gap_is_named_by_its_canonical_pair():
     s = omega2_s3_f2(20)
     u1, u2 = s.presentation.gen("u1"), s.presentation.gen("u2")
     assert s.bracket_pair(u2, u1) == s.bracket_pair(u1, u2) == Undefined("bracket [u1,u2]")
+
+
+def _omega_word(s, text):
+    return tuple(s.presentation.gen(g) for g in text.split("*") if g)
+
+
+def _omega_element(s, *words):
+    out = Element.zero(GF2)
+    for text in words:
+        out = out + normalize_word(GF2, _omega_word(s, text))
+    return out
+
+
+def _letter_bracket(s, x):
+    return lambda g: poisson_bracket(s, _omega_element(s, x), _omega_element(s, g.id))
+
+
+# Inputs with several gaps on omega2_s3_f2(20), where every bracket entry and
+# every operator value but bv(u1) is missing.  Each sum is read in terms()
+# order and each word in letter order, so the first gap named is fixed; the
+# terms are listed out of that order on purpose.
+FIRST_GAPS = [
+    ("poisson", ("u1", "u2"), ("u3", "u1*u2"), "bracket [u1,u1]"),
+    ("poisson", ("", "u2*u3"), ("u1*u1", "u4"), "bracket [u1,u2]"),
+    ("poisson", ("u4", "u1*u1*u1", "u2"), ("u3*u4", "u2"), "bracket [u2,u2]"),
+    ("bv", ("u1*u1*u1", "u2"), None, "bv(u2)"),
+    ("bv", ("u1", "u1*u2", "u3"), None, "bracket [u1,u2]"),
+    ("bv", ("u3", "", "u1*u1", "u1"), None, "bracket [u1,u1]"),
+    ("leibniz-bv", "u1*u2*u3", None, "bv(u2)"),
+    ("leibniz-bracket", "u1*u1*u4", "u2", "bracket [u1,u2]"),
+    ("leibniz-bracket", "u2*u3*u3", "u4", "bracket [u2,u4]"),
+]
+
+
+@pytest.mark.parametrize("kind, first, second, blocking", FIRST_GAPS)
+def test_first_gap_is_pinned(kind, first, second, blocking):
+    s = omega2_s3_f2(20)
+    if kind == "poisson":
+        value = poisson_bracket(s, _omega_element(s, *first), _omega_element(s, *second))
+    elif kind == "bv":
+        value = s.bv_element(_omega_element(s, *first))
+    elif kind == "leibniz-bv":
+        value = leibniz(GF2, _omega_word(s, first), lambda g: s.bv_monomial(s.letters[g]), 1)
+    else:
+        value = leibniz(GF2, _omega_word(s, first), _letter_bracket(s, second), 2)
+    assert value == Undefined(blocking)
 
 
 def test_operator_values_are_keyed_by_generator_id():
