@@ -4,10 +4,21 @@ Sign ledger
 -----------
 Every sign in the engine derives from a single rule: transposing two
 adjacent homogeneous factors a, b multiplies the coefficient by
-``FieldSpec.sign(|a| * |b|)`` = (-1)^(|a||b|).  All other signs (word
-normalization, tensor factor swaps, moving an operator past an element,
-derivation prefix signs) come from this rule through that one helper.
-Over characteristic 2 every sign collapses to +1 automatically.
+(-1)^(|a||b|).  A sign is applied as ``FieldSpec.signed(c, exponent)``,
+which returns c or its negation, never by multiplying.  All other signs
+(word normalization, tensor factor swaps, moving an operator past an
+element, derivation prefix signs) come from this rule through that one
+helper.  Over characteristic 2 every sign collapses to +1 automatically.
+
+Products and sums
+-----------------
+The product of two monomials is sorted once: ``monomial_product`` keeps it
+in a memo keyed by the pair and by whether the characteristic is 2, as an
+interned monomial (the object the basis holds, so cache lookups are
+identity hits) and a sign parity.  The memo and the intern table start
+over together when either reaches ``MEMO_CAP`` entries, so neither grows
+past it however many structures a process builds.
+Every sum is built in one dict by ``_accumulate``, without a copy per term.
 
 Monomials are kept in a normal form: factors sorted by (degree, id).
 Over characteristic other than 2 an odd-degree generator squares to
@@ -19,7 +30,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .fields import FieldSpec, Scalar
 
@@ -123,6 +135,72 @@ def sort_word(word: Sequence[Generator]) -> Tuple[List[Generator], int]:
     return letters, exp
 
 
+# -- the one monomial product ---------------------------------------------------
+
+MEMO_CAP = 1 << 14  # entries in the product memo and in the intern table
+_MISSING = object()
+_interned: Dict[Monomial, Monomial] = {}
+_products: Dict[Tuple[Monomial, Monomial, bool], Optional[Tuple[Monomial, int]]] = {}
+
+
+def _remember(table: Dict, key, value):
+    """Store key -> value.  When the table is full, both tables start over
+    first, so no stored product holds a monomial the intern table has lost."""
+    if len(table) >= MEMO_CAP:
+        _products.clear()
+        _interned.clear()
+    table[key] = value
+    return value
+
+
+def intern_monomial(mono: Monomial) -> Monomial:
+    """The stored monomial equal to mono; mono itself when none is stored."""
+    found = _interned.get(mono)
+    return _remember(_interned, mono, mono) if found is None else found
+
+
+def _normal_form(word: Sequence[Generator], char2: bool) -> Optional[Tuple[Monomial, int]]:
+    """The interned normal form of a word and the parity of its Koszul sign,
+    or None when, outside characteristic 2, an odd letter repeats."""
+    letters, exp = sort_word(word)
+    if not char2:
+        for a, b in zip(letters, letters[1:]):
+            if a == b and a.degree % 2 == 1:
+                return None
+    return intern_monomial(Monomial.from_sorted_word(letters)), exp % 2
+
+
+def monomial_product(m1: Monomial, m2: Monomial,
+                     char2: bool) -> Optional[Tuple[Monomial, int]]:
+    """m1*m2 as (interned monomial, sign parity), or None when it vanishes;
+    memoized.  `char2` says whether the characteristic is 2, where an odd
+    square survives."""
+    key = (m1, m2, char2)
+    value = _products.get(key, _MISSING)
+    if value is _MISSING:
+        value = _remember(_products, key, _normal_form(m1.word() + m2.word(), char2))
+    return value
+
+
+def _accumulate(field: FieldSpec, out: Dict[Monomial, Scalar],
+                terms: Iterable[Tuple[Monomial, Scalar]]) -> Dict[Monomial, Scalar]:
+    """Add (monomial, nonzero coefficient) terms into `out` in place, dropping
+    a monomial whose coefficient cancels; returns `out`.  Every sum of
+    elements is built here."""
+    add = field.add
+    for mono, coeff in terms:
+        old = out.get(mono)
+        if old is None:
+            out[mono] = coeff
+        else:
+            total = add(old, coeff)
+            if total:
+                out[mono] = total
+            else:
+                del out[mono]
+    return out
+
+
 class Element:
     """Finite linear combination of normal-form monomials over an exact field.
 
@@ -208,19 +286,8 @@ class Element:
             return self
         if not self._terms:
             return other
-        add = self.field.add
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            old = out.get(mono)
-            if old is None:
-                out[mono] = coeff
-            else:
-                total = add(old, coeff)
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
-        return Element._trusted(self.field, out)
+        return Element._trusted(self.field, _accumulate(self.field, dict(self._terms),
+                                                        other._terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -230,25 +297,31 @@ class Element:
         return Element._trusted(self.field, {m: neg(c) for m, c in self._terms.items()})
 
     def scale(self, coeff) -> "Element":
-        c = self.field.coerce(coeff)
-        if self.field.is_zero(c):
-            return Element.zero(self.field)
+        field = self.field
+        c = field.coerce(coeff)
         if c == 1:
             return self
-        mul = self.field.mul
-        return Element._trusted(self.field, {m: mul(cc, c) for m, cc in self._terms.items()})
+        if field.is_zero(c):
+            return Element.zero(field)
+        if c == field.sign(1):
+            return -self
+        mul = field.mul
+        return Element._trusted(field, {m: mul(cc, c) for m, cc in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            self._require_same_field(other)
-            out = Element.zero(self.field)
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    prod = normalize_word(self.field, m1.word() + m2.word(),
-                                          self.field.mul(c1, c2))
-                    out = out + prod
-            return out
-        return self.scale(other)
+        if not isinstance(other, Element):
+            return self.scale(other)
+        self._require_same_field(other)
+        field = self.field
+        mul, signed, char2 = field.mul, field.signed, field.characteristic == 2
+        terms = []
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                prod = monomial_product(m1, m2, char2)
+                if prod is not None:
+                    c = c2 if c1 == 1 else c1 if c2 == 1 else mul(c1, c2)
+                    terms.append((prod[0], signed(c, prod[1])))
+        return Element._trusted(field, _accumulate(field, {}, terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -301,15 +374,12 @@ def normalize_word(field: FieldSpec, word: Sequence[Generator], coeff=1) -> Elem
     Sorting contributes the Koszul sign; over characteristic other than 2
     a repeated odd-degree letter kills the monomial.
     """
-    letters, exp = sort_word(word)
-    if field.characteristic != 2:
-        for a, b in zip(letters, letters[1:]):
-            if a == b and a.degree % 2 == 1:
-                return Element.zero(field)
-    c = field.mul(field.coerce(coeff), field.sign(exp))
-    if field.is_zero(c):
+    normal = _normal_form(word, field.characteristic == 2)
+    c = field.coerce(coeff)
+    if normal is None or field.is_zero(c):
         return Element.zero(field)
-    return Element._trusted(field, {Monomial.from_sorted_word(letters): c})
+    mono, parity = normal
+    return Element._trusted(field, {mono: field.signed(c, parity)})
 
 
 # -- basis enumeration --------------------------------------------------------
@@ -341,7 +411,7 @@ def monomial_basis(field: FieldSpec, generators: Sequence[Generator],
     out = []
     for exps in _exponent_vectors(gens, field, max_degree):
         factors = tuple((g, e) for g, e in zip(gens, exps) if e > 0)
-        out.append(Monomial(factors))
+        out.append(intern_monomial(Monomial(factors)))
     out.sort(key=Monomial.order_key)
     return out
 
@@ -393,13 +463,13 @@ def first_undefined(*values) -> Optional[Undefined]:
 def linear_extension(fn: Callable[[Monomial], MaybeElement],
                      element: Element) -> MaybeElement:
     """Extend a map on monomials linearly; the first gap met is returned."""
-    out = Element.zero(element.field)
+    out: Dict[Monomial, Scalar] = {}
     for mono, coeff in element.terms():
         value = fn(mono)
         if isinstance(value, Undefined):
             return value
-        out = out + value.scale(coeff)
-    return out
+        _accumulate(element.field, out, value.scale(coeff)._terms.items())
+    return Element._trusted(element.field, out)
 
 
 class GradedMap:
@@ -467,23 +537,31 @@ def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
     x_1...x_{i-1} image(x_i) x_{i+1}...x_k, signed by moving a
     degree-`degree` map past x_1...x_{i-1}.  An image of None is zero.
     Images are read in word order, and the first gap is returned as soon as
-    it is read, before any product."""
+    it is read, before any product.
+
+    A term x_1...x_{i-1} v x_{i+1}...x_k is (-1)^(|v| (|x_1|+...+|x_{i-1}|))
+    v times the word without x_i, so each is one memoized product."""
     images = []
     for g in word:
         value = image(g)
         if isinstance(value, Undefined):
             return value
         images.append(value)
-    out = Element.zero(field)
+    signed, char2 = field.signed, field.characteristic == 2
+    out: Dict[Monomial, Scalar] = {}
     prefix_degree = 0
     for i, (g, value) in enumerate(zip(word, images)):
-        if value is not None:
-            sign = field.sign(degree * prefix_degree)
+        rest = None if value is None else _normal_form(word[:i] + word[i + 1:], char2)
+        if rest is not None:
+            terms = []
             for mono, coeff in value._terms.items():
-                out = out + normalize_word(field, word[:i] + mono.word() + word[i + 1:],
-                                           field.mul(coeff, sign))
+                prod = monomial_product(mono, rest[0], char2)
+                if prod is not None:
+                    exponent = (degree + mono.degree) * prefix_degree + rest[1] + prod[1]
+                    terms.append((prod[0], signed(coeff, exponent)))
+            _accumulate(field, out, terms)
         prefix_degree += g.degree
-    return out
+    return Element._trusted(field, out)
 
 
 def derivation_from_generator_values(field: FieldSpec,

@@ -25,10 +25,10 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, derivation_from_generator_values, first_undefined,
-                      leibniz, linear_extension, monomial_basis, normalize_word,
-                      window_tuples)
-from .fields import FieldSpec
+                      Undefined, _accumulate, derivation_from_generator_values,
+                      first_undefined, intern_monomial, leibniz, linear_extension,
+                      monomial_basis, window_tuples)
+from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
 from .report import FAIL, Report, compare, merge_reports, run_checks, vanishes
 
@@ -67,7 +67,7 @@ class BVStructure:
         self.field = presentation.field
         self.shift = presentation.shift
         self.generators = list(presentation.generators)
-        self.letters = {g: Monomial(((g, 1),)) for g in self.generators}
+        self.letters = {g: intern_monomial(Monomial(((g, 1),))) for g in self.generators}
         self.truncation = truncation
         self.has_bv = has_bv
         self.metadata = dict(metadata or {})
@@ -186,14 +186,16 @@ def _bracket_monomials(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeEleme
 
 def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
     """Bilinear Poisson extension of the generator bracket table."""
-    out = s.zero()
+    field = s.field
+    out: Dict[Monomial, Scalar] = {}
     for m1, c1 in a.terms():
         for m2, c2 in b.terms():
             value = _bracket_monomials(s, m1, m2)
             if isinstance(value, Undefined):
                 return value
-            out = out + value.scale(s.field.mul(c1, c2))
-    return out
+            c = c2 if c1 == 1 else c1 if c2 == 1 else field.mul(c1, c2)
+            _accumulate(field, out, value.scale(c)._terms.items())
+    return Element._trusted(field, out)
 
 
 # -- the free operator ----------------------------------------------------------
@@ -208,7 +210,7 @@ def bracket_part(s: BVStructure, element: Element) -> MaybeElement:
 
 def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
     field = s.field
-    out = s.zero()
+    out: Dict[Monomial, Scalar] = {}
     word = mono.word()
     k = len(word)
     prefix = [0] * (k + 1)
@@ -223,11 +225,11 @@ def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
                 continue
             n_ij = (word[i].degree * prefix[i]
                     + word[j].degree * (prefix[j] - word[i].degree))
+            rest = Element.from_monomial(field, intern_monomial(
+                Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:])))
             sgn = field.sign(word[i].degree + n_ij)
-            rest = Element.from_monomial(
-                field, Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:]))
-            out = out + (br * rest).scale(sgn)
-    return out
+            _accumulate(field, out, (br * rest).scale(sgn)._terms.items())
+    return Element._trusted(field, out)
 
 
 def free_bv(s: BVStructure, element: Element) -> Element:
@@ -251,15 +253,15 @@ def bracket_from_operator(field: FieldSpec,
                           a: Monomial, b: Monomial) -> MaybeElement:
     """The bracket an operator induces through its deviation from being a
     product derivation; Undefined when a needed value is missing."""
-    op_ab = linear_extension(op_value, normalize_word(field, a.word() + b.word()))
+    a_elt = Element.from_monomial(field, a)
+    b_elt = Element.from_monomial(field, b)
+    op_ab = linear_extension(op_value, a_elt * b_elt)
     if isinstance(op_ab, Undefined):
         return op_ab
     op_a = op_value(a)
     op_b = op_value(b)
     if gap := first_undefined(op_a, op_b):
         return gap
-    a_elt = Element.from_monomial(field, a)
-    b_elt = Element.from_monomial(field, b)
     sgn = field.sign(a.degree)
     return (op_ab - op_a * b_elt - (a_elt * op_b).scale(sgn)).scale(sgn)
 
@@ -476,7 +478,7 @@ def check_derivation(op: GradedMap, generators: Sequence[Generator],
 
     def law(a, b):
         a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)
-        lhs = op.apply(normalize_word(field, a.word() + b.word()))
+        lhs = op.apply(a_elt * b_elt)
         va, vb = op.apply(a_elt), op.apply(b_elt)
         return first_undefined(lhs, va, vb) or compare(
             _pair_inputs(a, b), "op(ab)", lhs, "op(a)b + sign*a op(b)",

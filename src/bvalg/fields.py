@@ -115,6 +115,10 @@ class FieldSpec:
         """(-1)**exponent as a field element."""
         return self._signs[exponent % 2]
 
+    def signed(self, a: Scalar, exponent: int) -> Scalar:
+        """(-1)**exponent * a, by negation: how every sign is applied."""
+        return self.neg(a) if exponent % 2 else a
+
     # -- parsing / rendering -----------------------------------------------
 
     def render(self, a: Scalar) -> str:

@@ -110,10 +110,11 @@ class TensorElement:
             value = fn(key[slot])
             if isinstance(value, Undefined):
                 return value
-            sgn = field.sign(fn_degree * sum(m.degree for m in key[:slot]))
+            exponent = fn_degree * sum(m.degree for m in key[:slot])
             for mono, c in value.terms():
                 out = out + TensorElement(field, self.arity, {
-                    key[:slot] + (mono,) + key[slot + 1:]: field.mul(field.mul(coeff, c), sgn)})
+                    key[:slot] + (mono,) + key[slot + 1:]: field.signed(field.mul(coeff, c),
+                                                                        exponent)})
         return out
 
     def multiply_out(self) -> Element:

@@ -4,12 +4,15 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvalg import algebra
 from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
                            derivation_from_generator_values, monomial_basis,
                            normalize_word)
+from bvalg.bv import verify_bv_axioms
 from bvalg.fields import FieldSpec, GF2, QQ
 
 from oracles import ref_add, ref_mul, ref_normalize_word, ref_scale, ref_terms
+from strategies import seeded_structures
 
 X = Generator("x", 1)
 Y = Generator("y", 1)
@@ -266,3 +269,77 @@ def test_monomials_differ_with_generator_degree():
     assert low != high
     assert len({low: 0, high: 1}) == 2
     assert (low.degree, high.degree) == (3, 4)
+
+
+# -- the product memo ------------------------------------------------------------
+
+MEMO_FIELDS = [QQ, GF2, FieldSpec.prime(3), FieldSpec.prime(5)]
+# an odd letter that two factors share: zero outside characteristic 2 only
+MEMO_WORDS = st.lists(st.sampled_from([X, X, Y, A, B]), min_size=1, max_size=3)
+MEMO_COEFFS = st.integers(-4, 4)  # integral, so defined over every MEMO_FIELDS entry
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty product memo and intern table, put back after the test."""
+    monkeypatch.setattr(algebra, "_products", {})
+    monkeypatch.setattr(algebra, "_interned", {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(MEMO_WORDS, MEMO_WORDS, MEMO_COEFFS, MEMO_COEFFS), min_size=1,
+                max_size=4),
+       st.permutations(MEMO_FIELDS))
+def test_memoized_products_match_reference_across_fields(pairs, fields):
+    # the same monomial pairs over every field in one process, first field drawn:
+    # a memo that ignored the characteristic would hand one field's product to another
+    for field in fields:
+        p = field.characteristic
+        for w1, w2, c1, c2 in pairs:
+            a, ra = normalize_word(field, w1, c1), ref_normalize_word(
+                [(g.id, g.degree) for g in w1], c1, p)
+            b, rb = normalize_word(field, w2, c2), ref_normalize_word(
+                [(g.id, g.degree) for g in w2], c2, p)
+            assert as_ref(a * b) == ref_terms(ref_mul(ra, rb, p)), (field, w1, w2)
+
+
+def test_product_of_basis_monomials_is_the_basis_object(fresh_memo):
+    gens = [Generator("p", 1), Generator("q", 2), Generator("r", 3)]
+    for field in (QQ, GF2):
+        basis = monomial_basis(field, gens, 8)
+        stored = {m: m for m in basis}
+        for m1 in basis:
+            for m2 in basis:
+                product = Element.from_monomial(field, m1) * Element.from_monomial(field, m2)
+                for m in product.monomials():
+                    if m.degree <= 8:
+                        assert m is stored[m], (m1, m2)
+
+
+class _Watched(dict):
+    """A memo table that records the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        _Watched.peak = max(_Watched.peak, len(self))
+
+
+def test_memo_stays_bounded_over_many_structures(monkeypatch):
+    def verdicts():
+        drawn = seeded_structures(4, basis_budget=40, window=7)
+        return [verify_bv_axioms(s).to_json() for _, s in zip(range(30), drawn)]
+
+    monkeypatch.setattr(algebra, "_products", {})
+    monkeypatch.setattr(algebra, "_interned", {})
+    expected = verdicts()
+    grown = len(algebra._products)
+    cap = 64
+    monkeypatch.setattr(algebra, "MEMO_CAP", cap)
+    monkeypatch.setattr(algebra, "_products", _Watched())
+    monkeypatch.setattr(algebra, "_interned", _Watched())
+    _Watched.peak = 0
+    assert verdicts() == expected  # starting over mid-run changes no verdict
+    assert grown > 4 * cap  # the small cap was hit, several times over
+    assert _Watched.peak == cap
