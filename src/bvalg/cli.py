@@ -2,7 +2,8 @@
 
 Verbs: check-lie, check-bv, free-bv, bracket, ce-homology, fixture,
 descriptor.  Exit codes: 0 all checks pass, 1 axiom failure, 2 input
-error.  ``--format json`` emits one deterministic JSON document per run.
+error, 3 internal error (a fault of bvalg, reported in one line on
+stderr).  ``--format json`` emits one deterministic JSON document per run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .report import Report, Stopwatch, merge_reports, run_checks
 EXIT_PASS = 0
 EXIT_AXIOM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class InputError(Exception):
@@ -299,6 +301,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # noqa: BLE001 -- any other escape is a bug, not a verdict
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -366,10 +366,27 @@ def test_fuzzed_inputs_exit_by_the_contract(text, data):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         argv = data.draw(invocations(path))
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects malformed arguments this way
                 code = exc.code
-    assert code in (0, 1, 2), (argv, text)
+    # exit 3, an internal error, breaks the contract like a traceback would
+    assert code in (0, 1, 2), (argv, text, err.getvalue())
+
+
+@pytest.mark.parametrize("verb, fault, line", [
+    (["check-lie"], RuntimeError("a fault\nover two lines"),
+     "RuntimeError: a fault over two lines"),
+    (["check-bv", "--max-degree", "4"], KeyError("u9"), "KeyError: 'u9'"),
+])
+def test_internal_error_is_exit_3_in_one_line(capsys, monkeypatch, verb, fault, line):
+    from bvalg import cli
+
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "_cmd_" + verb[0].replace("-", "_"), broken)
+    code, out, err = run(capsys, verb[0], fixture_path("loops2_s4.lie"), *verb[1:])
+    assert (code, out, err) == (3, "", f"internal error: {line}\n")
