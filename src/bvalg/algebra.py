@@ -550,16 +550,21 @@ def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
     signed, char2 = field.signed, field.characteristic == 2
     out: Dict[Monomial, Scalar] = {}
     prefix_degree = 0
+    rest = _MISSING
     for i, (g, value) in enumerate(zip(word, images)):
-        rest = None if value is None else _normal_form(word[:i] + word[i + 1:], char2)
-        if rest is not None:
-            terms = []
-            for mono, coeff in value._terms.items():
-                prod = monomial_product(mono, rest[0], char2)
-                if prod is not None:
-                    exponent = (degree + mono.degree) * prefix_degree + rest[1] + prod[1]
-                    terms.append((prod[0], signed(coeff, exponent)))
-            _accumulate(field, out, terms)
+        if i and g is not word[i - 1]:
+            rest = _MISSING  # deleting any letter of one run leaves the same word
+        if value is not None and value._terms:
+            if rest is _MISSING:
+                rest = _normal_form(word[:i] + word[i + 1:], char2)
+            if rest is not None:
+                terms = []
+                for mono, coeff in value._terms.items():
+                    prod = monomial_product(mono, rest[0], char2)
+                    if prod is not None:
+                        exponent = (degree + mono.degree) * prefix_degree + rest[1] + prod[1]
+                        terms.append((prod[0], signed(coeff, exponent)))
+                _accumulate(field, out, terms)
         prefix_degree += g.degree
     return Element._trusted(field, out)
 
