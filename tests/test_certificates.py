@@ -1,0 +1,276 @@
+"""The order of every failing check's certificate.
+
+The JSON goldens sort keys, but the human report prints a certificate in
+insertion order: the inputs first, then the sides of the failed identity.
+These tests pin that order, as (key, value) pairs, for the failing shipped
+inputs through the CLI and for the failing checks that only the API reaches.
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+from bvalg.algebra import Element, Generator, GradedMap, Monomial, normalize_word
+from bvalg.bv import (add_derivation_action, bv_operator, check_derivation,
+                      extend_morphism, free_bv_structure, verify_gerstenhaber,
+                      verify_square_zero)
+from bvalg.cli import main
+from bvalg.fields import QQ
+from bvalg.fixtures import loopspace_model
+from bvalg.hopf import is_coderivation
+from bvalg.lie import LiePresentation, check_antisymmetry, check_lie_axioms
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def cli_certificates(verb, stem):
+    """(check, [(key, value), ...]) per failing check, read from the human
+    report, where a certificate's lines follow its FAIL line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([verb, os.path.join(DATA, stem + ".lie")])
+    found = []
+    for line in out.getvalue().splitlines():
+        if line.startswith("FAIL "):
+            found.append((line.split()[1], []))
+        elif line.startswith("        ") and found:
+            key, value = line.strip().split(": ", 1)
+            found[-1][1].append((key, value))
+    return found
+
+
+def certificates(checks):
+    return [(c.name, list(c.certificate.items())) for c in checks if c.certificate]
+
+
+CLI_CASES = {
+    ("check-bv", "bad_bv"): [
+        ("bv-squared", [("input", "x"), ("value", "2*x^3")])],
+    ("check-bv", "bad_jacobi"): [
+        ("d1-squared", [("input", "x*y*z"), ("value", "-x")]),
+        ("bv-squared", [("input", "x*y*z"), ("value", "-x")]),
+        ("bv-bracket-compatibility", [("a", "x"), ("b", "y*z"), ("bv{a,b}", "0"),
+                                      ("{bv a,b} + sign*{a,bv b}", "-x")]),
+        ("bracket-jacobi", [("triple", "(x,y,z)"), ("{a,{b,c}}", "x"),
+                            ("{{a,b},c} + sign*{b,{a,c}}", "0")])],
+    ("check-lie", "bad_jacobi"): [
+        ("bracket-jacobi", [("triple", "(x,y,z)"), ("lhs {x,{y,z}}", "x"),
+                            ("rhs {{x,y},z} + sign*{y,{x,z}}", "0")])],
+    ("ce-homology", "bad_jacobi"): [
+        ("boundary-squared", [("grade", "3"), ("input", "x*y*z"),
+                              ("d(d(input))", "-x")])],
+    ("check-bv", "bad_antisymmetry"): [
+        ("bv-deviation-is-bracket", [("a", "a"), ("b", "a"), ("bracket", "a"),
+                                     ("operator deviation", "0")]),
+        ("bv-bracket-compatibility", [("a", "a"), ("b", "a*b"), ("bv{a,b}", "-2*b"),
+                                      ("{bv a,b} + sign*{a,bv b}", "-b")]),
+        ("bracket-antisymmetry", [("a", "a"), ("b", "a"), ("{a,b}", "a"),
+                                  ("-sign*{b,a}", "-a")]),
+        ("bracket-jacobi", [("triple", "(a,a,a)"), ("{a,{b,c}}", "a"),
+                            ("{{a,b},c} + sign*{b,{a,c}}", "2*a")])],
+    ("check-lie", "bad_antisymmetry"): [
+        ("bracket-antisymmetry", [("pair", "[a,a]"),
+                                  ("constraint", "even shifted parity forces {x,x} = 0"),
+                                  ("value", "a")]),
+        ("bracket-jacobi", [("triple", "(a,a,a)"), ("lhs {x,{y,z}}", "a"),
+                            ("rhs {{x,y},z} + sign*{y,{x,z}}", "2*a")])],
+    ("ce-homology", "bad_antisymmetry"): [
+        ("bracket-antisymmetry", [("pair", "[a,a]"),
+                                  ("constraint", "even shifted parity forces {x,x} = 0"),
+                                  ("value", "a")])],
+    ("check-bv", "odd_shift_bv"): [
+        ("bv-deviation-is-bracket", [("a", "y"), ("b", "x"), ("bracket", "z"),
+                                     ("operator deviation", "-z")])],
+}
+
+
+@pytest.mark.parametrize("verb, stem", sorted(CLI_CASES))
+def test_shipped_failures_print_inputs_then_sides(verb, stem):
+    assert cli_certificates(verb, stem) == CLI_CASES[(verb, stem)]
+
+
+# -- failing checks reached through the API -----------------------------------------
+
+
+def gen_elt(g):
+    return Element.from_generator(QQ, g)
+
+
+def loops24():
+    return loopspace_model(2, 4, max_degree=12)
+
+
+def squaring_op(s):
+    """The multiplicative map a -> a^2, b -> 0: not a derivation."""
+    a = s.presentation.gen("a")
+
+    def rule(mono):
+        if mono.is_unit:
+            return Element.zero(QQ)
+        out = Element.unit(QQ)
+        for g in mono.word():
+            out = out * (Element.from_monomial(QQ, Monomial(((a, 2),)))
+                         if g.id == "a" else Element.zero(QQ))
+        return out
+
+    return GradedMap(QQ, None, rule=rule)
+
+
+def derivation_checks():
+    s = loops24()
+    unknown = check_derivation(GradedMap(QQ, None, rule=lambda m: Element.zero(QQ)),
+                               s.generators, 6)
+    _, report = add_derivation_action(bv_operator(s), squaring_op(s), s.generators, 6,
+                                      derivation_degree=2)
+    return unknown.checks + report.checks
+
+
+def coderivation_checks():
+    x, y = Generator("x", 1), Generator("y", 1)
+    primitive = GradedMap(QQ, 1, rule=lambda m: normalize_word(QQ, (x,) + m.word()))
+    not_primitive = GradedMap(QQ, 2, rule=lambda m: normalize_word(QQ, (x, y) + m.word()))
+    return (is_coderivation(primitive + GradedMap.zero(QQ, 0), [x, y], 6).checks
+            + is_coderivation(not_primitive, [x, y], 6).checks)
+
+
+def morphism_degree_checks():
+    s = loops24()
+    bad = {"a": gen_elt(s.presentation.gen("b")), "b": Element.zero(QQ)}
+    return extend_morphism(bad, s, s, max_degree=6)[1].checks
+
+
+def morphism_bracket_checks():
+    source = loops24()
+    target = free_bv_structure(
+        LiePresentation(QQ, 2, [Generator("a", 2), Generator("b", 5)]), 12)
+    bad = {g: gen_elt(target.presentation.gen(g)) for g in ("a", "b")}
+    return extend_morphism(bad, source, target, max_degree=8)[1].checks
+
+
+def morphism_operator_checks():
+    # d x = y in the source; the target has no differential, so bv(x) = 0 there
+    x, y = Generator("x", 3), Generator("y", 2)
+    source = free_bv_structure(
+        LiePresentation(QQ, 2, [x, y], differential={"x": gen_elt(y)}), 8)
+    target = free_bv_structure(LiePresentation(QQ, 2, [x, y]), 8)
+    identity = {g.id: gen_elt(g) for g in (x, y)}
+    return extend_morphism(identity, source, target, max_degree=8)[1].checks
+
+
+def morphism_commute_checks():
+    # a target operator that agrees on generators and doubles on products
+    s, target = loops24(), loops24()
+    honest = target.bv_element
+
+    def doubled(element):
+        value = honest(element)
+        if any(m.wordlength > 1 for m in element.monomials()):
+            return value + value
+        return value
+
+    identity = {g.id: gen_elt(g) for g in s.generators}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(target, "bv_element", doubled)
+        return extend_morphism(identity, s, target, max_degree=8)[1].checks
+
+
+def square_zero_checks():
+    # d x = y, d y = w: d0 squares to w on x
+    x, y, w = Generator("x", 3), Generator("y", 2), Generator("w", 1)
+    p = LiePresentation(QQ, 2, [x, y, w],
+                        differential={"x": gen_elt(y), "y": gen_elt(w)})
+    return verify_square_zero(free_bv_structure(p, 6)).checks
+
+
+def poisson_checks():
+    # a wrong cached value of {a, a^2} breaks the Poisson relation
+    s = loops24()
+    a = s.letters[s.presentation.gen("a")]
+    s._bracket_cache[(a, Monomial(((s.presentation.gen("a"), 2),)))] = Element.zero(QQ)
+    return verify_gerstenhaber(s, 6, 6).checks
+
+
+def lie_degree_checks():
+    a, b = Generator("a", 2), Generator("b", 5)
+    p = LiePresentation(QQ, 2, [a, b], {("a", "a"): gen_elt(b), ("a", "b"): gen_elt(a)},
+                        differential={"b": gen_elt(b)})
+    return check_lie_axioms(p).checks
+
+
+def lie_differential_checks():
+    # d x = y and d y = v square to v; {x,y} = z with d z = w needs {y,y} = w
+    x, y, z, w, v = (Generator("x", 3), Generator("y", 2), Generator("z", 6),
+                     Generator("w", 5), Generator("v", 1))
+    p = LiePresentation(QQ, 2, [x, y, z, w, v], brackets={("x", "y"): gen_elt(z)},
+                        differential={"x": gen_elt(y), "y": gen_elt(v), "z": gen_elt(w)})
+    return check_lie_axioms(p).checks
+
+
+def lie_antisymmetry_checks():
+    # {x,y} = x read one way and 0 the other, injected behind the accessor
+    x, y = Generator("x", 2), Generator("y", 2)
+    p = LiePresentation(QQ, 1, [x, y])
+
+    def bracket(u, v):
+        return gen_elt(x) if (u, v) == ("x", "y") else Element.zero(QQ)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(p, "bracket", bracket)
+        return check_antisymmetry(p).checks
+
+
+API_CASES = {
+    "derivation": (derivation_checks, [
+        ("derivation-law", [("reason", "operator degree unknown; no Koszul sign")]),
+        ("derivation-law", [("a", "a"), ("b", "a"), ("op(ab)", "a^4"),
+                            ("op(a)b + sign*a op(b)", "2*a^3")]),
+        ("bracket-unchanged-by-derivation", [("a", "a"), ("b", "a"),
+                                             ("bracket of sum", "b - 2*a^3 + a^4"),
+                                             ("bracket of base", "b")])]),
+    "coderivation": (coderivation_checks, [
+        ("coderivation", [("reason", "operator degree unknown; no Koszul sign")]),
+        ("coderivation", [
+            ("input", "1"),
+            ("coproduct of image",
+             "1*[1 (x) x*y] + 1*[x (x) y] + -1*[y (x) x] + 1*[x*y (x) 1]"),
+            ("coderivation expansion", "1*[1 (x) x*y] + 1*[x*y (x) 1]")])]),
+    "morphism-degrees": (morphism_degree_checks, [
+        ("morphism-degrees", [("generator", "a"), ("degree", "2"), ("image", "b"),
+                              ("image degree", "5")])]),
+    "morphism-brackets": (morphism_bracket_checks, [
+        ("morphism-brackets", [("pair", "[a,a]"), ("image of bracket", "b"),
+                               ("bracket of images", "0")])]),
+    "morphism-operators": (morphism_operator_checks, [
+        ("morphism-operators", [("generator", "x"), ("image of -d(x)", "-y"),
+                                ("bv of image", "0")])]),
+    "morphism-commutes": (morphism_commute_checks, [
+        ("morphism-commutes-with-bv", [("input", "a^2"), ("morphism(bv(m))", "b"),
+                                       ("bv(morphism(m))", "2*b")])]),
+    "square-zero": (square_zero_checks, [
+        ("d0-squared", [("input", "x"), ("value", "w")]),
+        ("bv-squared", [("input", "x"), ("value", "w")])]),
+    "poisson": (poisson_checks, [
+        ("bracket-antisymmetry", [("a", "a"), ("b", "a^2"), ("{a,b}", "0"),
+                                  ("-sign*{b,a}", "2*a*b")]),
+        ("poisson-relation", [("triple", "(a,a,a)"), ("{a,bc}", "0"),
+                              ("{a,b}c + sign*b{a,c}", "2*a*b")])]),
+    "lie-degree": (lie_degree_checks, [
+        ("bracket-degree", [("pair", "[a,b]"), ("expected degree", "8"), ("value", "a"),
+                            ("value degree", "2")]),
+        ("differential-degree", [("generator", "b"), ("expected degree", "4"),
+                                 ("value", "b"), ("value degree", "5")])]),
+    "lie-differential": (lie_differential_checks, [
+        ("differential-squared", [("generator", "x"), ("d(d(x))", "v")]),
+        ("differential-bracket-derivation", [("pair", "[x,y]"), ("d{x,y}", "w"),
+                                             ("{dx,y} + sign*{x,dy}", "0")])]),
+    "lie-antisymmetry": (lie_antisymmetry_checks, [
+        ("bracket-antisymmetry", [("pair", "[x,y]"), ("lhs", "x"), ("rhs", "0")])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(API_CASES))
+def test_api_failures_list_inputs_then_sides(case):
+    build, expected = API_CASES[case]
+    assert certificates(build()) == expected
