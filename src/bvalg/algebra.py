@@ -4,11 +4,12 @@ Sign ledger
 -----------
 Every sign in the engine derives from a single rule: transposing two
 adjacent homogeneous factors a, b multiplies the coefficient by
-(-1)^(|a||b|).  A sign is applied as ``FieldSpec.signed(c, exponent)``,
-which returns c or its negation, never by multiplying.  All other signs
+(-1)^(|a||b|).  A sign is applied as ``FieldSpec.signed(c, exponent)`` to a
+coefficient and as ``Element.signed(exponent)`` to an element, each of which
+returns its argument or its negation, never by multiplying.  All other signs
 (word normalization, tensor factor swaps, moving an operator past an
-element, derivation prefix signs) come from this rule through that one
-helper.  Over characteristic 2 every sign collapses to +1 automatically.
+element, derivation prefix signs) come from this rule through these two
+helpers.  Over characteristic 2 every sign collapses to +1 automatically.
 
 Products and sums
 -----------------
@@ -254,6 +255,8 @@ class Element:
         return not self._terms
 
     def terms(self) -> List[Tuple[Monomial, Scalar]]:
+        if len(self._terms) < 2:
+            return list(self._terms.items())
         return sorted(self._terms.items(), key=lambda t: t[0].order_key())
 
     def monomials(self) -> List[Monomial]:
@@ -303,10 +306,12 @@ class Element:
             return self
         if field.is_zero(c):
             return Element.zero(field)
-        if c == field.sign(1):
-            return -self
         mul = field.mul
         return Element._trusted(field, {m: mul(cc, c) for m, cc in self._terms.items()})
+
+    def signed(self, exponent: int) -> "Element":
+        """(-1)**exponent * self, by negation."""
+        return -self if exponent % 2 else self
 
     def __mul__(self, other):
         if not isinstance(other, Element):

@@ -30,7 +30,8 @@ from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       monomial_basis, window_tuples)
 from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
-from .report import FAIL, Report, compare, merge_reports, run_checks, vanishes
+from .report import (FAIL, Report, as_pair, as_triple, by_name, compare, merge_reports,
+                     run_checks, vanishes)
 
 FREE = "free"
 USER = "user"
@@ -179,7 +180,7 @@ def _bracket_monomials(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeEleme
             parity2 = y.degree + s.shift - 1
             value = leibniz(field, m1.word(), lambda x: s.bracket_pair(y, x), parity2)
             if isinstance(value, Element):
-                value = value.scale(field.sign(parity1 * parity2 + 1))
+                value = value.signed(parity1 * parity2 + 1)
         s._bracket_cache[(m1, m2)] = value
     return value
 
@@ -227,8 +228,7 @@ def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
                     + word[j].degree * (prefix[j] - word[i].degree))
             rest = Element.from_monomial(field, intern_monomial(
                 Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:])))
-            sgn = field.sign(word[i].degree + n_ij)
-            _accumulate(field, out, (br * rest).scale(sgn)._terms.items())
+            _accumulate(field, out, (br * rest).signed(word[i].degree + n_ij)._terms.items())
     return Element._trusted(field, out)
 
 
@@ -262,15 +262,10 @@ def bracket_from_operator(field: FieldSpec,
     op_b = op_value(b)
     if gap := first_undefined(op_a, op_b):
         return gap
-    sgn = field.sign(a.degree)
-    return (op_ab - op_a * b_elt - (a_elt * op_b).scale(sgn)).scale(sgn)
+    return (op_ab - op_a * b_elt - (a_elt * op_b).signed(a.degree)).signed(a.degree)
 
 
 # -- verifiers --------------------------------------------------------------------
-
-
-def _pair_inputs(a: Monomial, b: Monomial) -> Dict[str, str]:
-    return {"a": str(a), "b": str(b)}
 
 
 def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Report:
@@ -281,22 +276,22 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
     checks = []
     if s.provenance == FREE and s.has_bv:
         def summands(mono):
-            inputs = {"input": str(mono)}
             d0 = s.d0.value(mono)
             d1 = bracket_part(s, Element.from_monomial(s.field, mono))
-            return (vanishes(inputs, "value", s.d0.apply(d0)),
-                    vanishes(inputs, "value", bracket_part(s, d1)),
-                    vanishes(inputs, "value", s.d0.apply(d1) + bracket_part(s, d0)))
+            return (vanishes("value", s.d0.apply(d0)),
+                    vanishes("value", bracket_part(s, d1)),
+                    vanishes("value", s.d0.apply(d1) + bracket_part(s, d0)))
 
         checks += run_checks(("d0-squared", "d1-squared", "d0-d1-anticommute"),
-                             monos, summands)
+                             monos, summands, by_name("input"))
 
     def bv_squared(mono):
         value = s.bv_monomial(mono)
         second = value if isinstance(value, Undefined) else s.bv_element(value)
-        return vanishes({"input": str(mono)}, "value", second)
+        return vanishes("value", second)
 
-    return Report(checks=checks + run_checks(("bv-squared",), monos, bv_squared))
+    return Report(checks=checks + run_checks(("bv-squared",), monos, bv_squared,
+                                             by_name("input")))
 
 
 def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
@@ -307,11 +302,11 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
         lhs = _bracket_monomials(s, a, b)
         if isinstance(lhs, Undefined):
             return lhs
-        return compare(_pair_inputs(a, b), "bracket", lhs, "operator deviation",
+        return compare("bracket", lhs, "operator deviation",
                        bracket_from_operator(s.field, s.bv_monomial, a, b))
 
     return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2, max_degree),
-                                    deviation))
+                                    deviation, by_name("a", "b")))
 
 
 def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = None) -> Report:
@@ -328,11 +323,10 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
         first = poisson_bracket(s, bv_a, Element.from_monomial(field, b))
         second = poisson_bracket(s, Element.from_monomial(field, a), bv_b)
         return first_undefined(first, second) or compare(
-            _pair_inputs(a, b), "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}",
-            first + second.scale(field.sign(a.degree + 1)))
+            "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}", first + second.signed(a.degree + 1))
 
     return Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2, max_degree),
-                                    compatibility))
+                                    compatibility, by_name("a", "b")))
 
 
 def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
@@ -347,8 +341,7 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
         if gap := first_undefined(lhs, rhs):
             return gap
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
-        return compare(_pair_inputs(a, b), "{a,b}", lhs, "-sign*{b,a}",
-                       rhs.scale(field.sign(pa * pb + 1)))
+        return compare("{a,b}", lhs, "-sign*{b,a}", rhs.signed(pa * pb + 1))
 
     def jacobi_and_poisson(a, b, c):
         inner_bc = _bracket_monomials(s, b, c)
@@ -358,25 +351,22 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
             return gap, gap
         a_elt, b_elt, c_elt = (Element.from_monomial(field, m) for m in (a, b, c))
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
-        inputs = {"triple": f"({a},{b},{c})"}
         lhs = poisson_bracket(s, a_elt, inner_bc)
         first = poisson_bracket(s, inner_ab, c_elt)
         second = poisson_bracket(s, b_elt, inner_ac)
         jacobi = first_undefined(lhs, first, second) or compare(
-            inputs, "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}",
-            first + second.scale(field.sign(pa * pb)))
-        lhs_p = poisson_bracket(s, a_elt, b_elt * c_elt)
-        ac = poisson_bracket(s, a_elt, c_elt)
-        poisson = first_undefined(lhs_p, ac) or compare(
-            inputs, "{a,bc}", lhs_p, "{a,b}c + sign*b{a,c}",
-            inner_ab * c_elt + (b_elt * ac).scale(field.sign(pa * b.degree)))
+            "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}", first + second.signed(pa * pb))
+        poisson = compare(
+            "{a,bc}", poisson_bracket(s, a_elt, b_elt * c_elt), "{a,b}c + sign*b{a,c}",
+            inner_ab * c_elt + (b_elt * inner_ac).signed(pa * b.degree))
         return jacobi, poisson
 
     return Report(checks=(
-        run_checks(("bracket-antisymmetry",), s.tuples(2, pair_degree), antisymmetry)
+        run_checks(("bracket-antisymmetry",), s.tuples(2, pair_degree), antisymmetry,
+                   by_name("a", "b"))
         + run_checks(("bracket-jacobi", "poisson-relation"),
                      s.tuples(3, pair_degree if triple_degree is None else triple_degree),
-                     jacobi_and_poisson)))
+                     jacobi_and_poisson, as_triple)))
 
 
 def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
@@ -417,10 +407,9 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
         d = value.homogeneous_degree()
         if value.is_zero or d == g.degree:
             return None
-        return {"generator": g.id, "degree": str(g.degree),
-                "image": str(value), "image degree": str(d)}
+        return {"degree": str(g.degree), "image": str(value), "image degree": str(d)}
 
-    checks = run_checks(("morphism-degrees",), gens, degree)
+    checks = run_checks(("morphism-degrees",), gens, degree, by_name("generator"))
     if checks[0].verdict == FAIL:
         return None, Report(checks=checks)
 
@@ -428,18 +417,16 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
         return linear_extension(lambda mono: image(mono.word()[0].id), value)
 
     def brackets(x, y):
-        return compare({"pair": f"[{x.id},{y.id}]"},
-                       "image of bracket", apply_span(source.presentation.bracket(x.id, y.id)),
+        return compare("image of bracket", apply_span(source.presentation.bracket(x.id, y.id)),
                        "bracket of images", poisson_bracket(target, image(x.id), image(y.id)))
 
     def operators(g):
-        return compare({"generator": g.id},
-                       "image of -d(x)", apply_span(source.presentation.diff(g.id)).scale(-1),
+        return compare("image of -d(x)", apply_span(source.presentation.diff(g.id)).signed(1),
                        "bv of image", target.bv_element(image(g.id)))
 
     checks += run_checks(("morphism-brackets",),
-                         combinations_with_replacement(source.generators, 2), brackets)
-    checks += run_checks(("morphism-operators",), gens, operators)
+                         combinations_with_replacement(source.generators, 2), brackets, as_pair)
+    checks += run_checks(("morphism-operators",), gens, operators, by_name("generator"))
     if any(c.verdict == FAIL for c in checks):
         return None, Report(checks=checks)
 
@@ -452,13 +439,12 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
     extension = GradedMap(target.field, 0, rule=extension_rule, name="morphism")
 
     def commutes(mono):
-        return compare({"input": str(mono)},
-                       "morphism(bv(m))",
+        return compare("morphism(bv(m))",
                        extension.apply(free_bv(source, Element.from_monomial(field, mono))),
                        "bv(morphism(m))", target.bv_element(extension_rule(mono)))
 
     checks += run_checks(("morphism-commutes-with-bv",),
-                         source.tuples(1, max_degree), commutes)
+                         source.tuples(1, max_degree), commutes, by_name("input"))
     report = Report(checks=checks)
     return (extension if report.passed else None), report
 
@@ -474,19 +460,19 @@ def check_derivation(op: GradedMap, generators: Sequence[Generator],
     if degree is None:
         return Report(checks=run_checks(
             ("derivation-law",), [()],
-            lambda: {"reason": "operator degree unknown; no Koszul sign"}))
+            lambda: {"reason": "operator degree unknown; no Koszul sign"}, lambda: {}))
 
     def law(a, b):
         a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)
         lhs = op.apply(a_elt * b_elt)
         va, vb = op.apply(a_elt), op.apply(b_elt)
         return first_undefined(lhs, va, vb) or compare(
-            _pair_inputs(a, b), "op(ab)", lhs, "op(a)b + sign*a op(b)",
-            va * b_elt + (a_elt * vb).scale(field.sign(degree * a.degree)))
+            "op(ab)", lhs, "op(a)b + sign*a op(b)",
+            va * b_elt + (a_elt * vb).signed(degree * a.degree))
 
     pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
                           symmetric=True)
-    return Report(checks=run_checks(("derivation-law",), pairs, law))
+    return Report(checks=run_checks(("derivation-law",), pairs, law, by_name("a", "b")))
 
 
 def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
@@ -504,11 +490,11 @@ def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
     total = base_op + derivation_op
 
     def unchanged(a, b):
-        return compare(_pair_inputs(a, b),
-                       "bracket of sum", bracket_from_operator(field, total.value, a, b),
+        return compare("bracket of sum", bracket_from_operator(field, total.value, a, b),
                        "bracket of base", bracket_from_operator(field, base_op.value, a, b))
 
     pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
                           symmetric=True)
-    report.checks += run_checks(("bracket-unchanged-by-derivation",), pairs, unchanged)
+    report.checks += run_checks(("bracket-unchanged-by-derivation",), pairs, unchanged,
+                                by_name("a", "b"))
     return total, report

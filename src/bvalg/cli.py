@@ -142,7 +142,8 @@ def _cmd_ce_homology(args) -> int:
         certificate = {"grade": str(exc.grade), "input": str(exc.source),
                        "d(d(input))": str(exc.composite)}
         return _finish(Report(checks=run_checks(("boundary-squared",), [()],
-                                                lambda: certificate)), args.format)
+                                                lambda: certificate, lambda: {})),
+                       args.format)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = Report(betti=betti(complex_))

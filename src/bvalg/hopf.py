@@ -17,7 +17,7 @@ from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       normalize_word, window_tuples)
 from .fields import FieldSpec, Scalar
 from .linalg import nullspace
-from .report import Report, compare, run_checks
+from .report import Report, by_name, compare, run_checks
 
 TensorKey = Tuple[Monomial, ...]
 
@@ -215,7 +215,7 @@ def is_coderivation(op: GradedMap, generators: Sequence[Generator],
     if degree is None:
         return Report(checks=run_checks(
             ("coderivation",), [()],
-            lambda: {"reason": "operator degree unknown; no Koszul sign"}))
+            lambda: {"reason": "operator degree unknown; no Koszul sign"}, lambda: {}))
     bound = max(max_degree - degree if degree > 0 else max_degree, 0)
 
     def coderivation(mono):
@@ -229,8 +229,8 @@ def is_coderivation(op: GradedMap, generators: Sequence[Generator],
         right = delta.apply_slot(1, op.value, degree)
         if isinstance(right, Undefined):
             return right
-        return compare({"input": str(mono)}, "coproduct of image", coproduct(value),
+        return compare("coproduct of image", coproduct(value),
                        "coderivation expansion", left + right)
 
     monos = window_tuples(monomial_basis(field, generators, bound), 1, bound)
-    return Report(checks=run_checks(("coderivation",), monos, coderivation))
+    return Report(checks=run_checks(("coderivation",), monos, coderivation, by_name("input")))

@@ -18,8 +18,8 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Element, Generator, linear_extension
-from .fields import FieldSpec, Scalar
-from .report import FAIL, Report, compare, run_checks, vanishes
+from .fields import FieldSpec
+from .report import FAIL, Report, as_pair, as_triple, by_name, compare, run_checks, vanishes
 
 BracketKey = Tuple[str, str]
 
@@ -74,8 +74,9 @@ class LiePresentation:
             return (x.id, y.id), False
         return (y.id, x.id), True
 
-    def _flip_sign(self, x: Generator, y: Generator) -> Scalar:
-        return self.field.sign(self.parity(x) * self.parity(y) + 1)
+    def _flip_sign(self, x: Generator, y: Generator) -> int:
+        """The parity of the sign that turns {y,x} into {x,y}."""
+        return self.parity(x) * self.parity(y) + 1
 
     def canonical_table(self, table: Dict[BracketKey, Element]) -> Dict[BracketKey, Element]:
         """A bracket table keyed by canonical pairs, the other orientation
@@ -88,7 +89,7 @@ class LiePresentation:
             key, flip = self.canonical_pair(gx, gy)
             if key in normalized:
                 raise ValueError(f"bracket pair ({x},{y}) tabulated twice")
-            normalized[key] = value.scale(self._flip_sign(gx, gy)) if flip else value
+            normalized[key] = value.signed(self._flip_sign(gx, gy)) if flip else value
         return normalized
 
     def table_bracket(self, table: Dict[BracketKey, Element], x: Generator,
@@ -99,7 +100,7 @@ class LiePresentation:
         value = table.get(key)
         if value is None or not flip:
             return value
-        return value.scale(self._flip_sign(x, y))
+        return value.signed(self._flip_sign(x, y))
 
     def bracket(self, x_id: str, y_id: str) -> Element:
         """Bracket of two generators; untabulated pairs bracket to zero."""
@@ -152,12 +153,11 @@ def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentati
     )
 
 
-def _degree_outcome(inputs: Dict[str, str], expected: int, value: Element):
+def _degree_outcome(expected: int, value: Element):
     got = value.homogeneous_degree()
     if value.is_zero or got == expected:
         return None
-    return {**inputs, "expected degree": str(expected), "value": str(value),
-            "value degree": str(got)}
+    return {"expected degree": str(expected), "value": str(value), "value degree": str(got)}
 
 
 def check_lie_axioms(presentation: LiePresentation) -> Report:
@@ -169,24 +169,22 @@ def check_lie_axioms(presentation: LiePresentation) -> Report:
     """
     p = presentation
 
-    def bracket_degree(x_id, y_id, value):
-        return _degree_outcome({"pair": f"[{x_id},{y_id}]"},
-                               p.bracket_degree(p.gen(x_id), p.gen(y_id)), value)
+    def bracket_degree(x_id, y_id):
+        return _degree_outcome(p.bracket_degree(p.gen(x_id), p.gen(y_id)),
+                               p.brackets[(x_id, y_id)])
 
     def jacobi(x, y, z):
         lhs = p.bracket_elements(p.span_element(x.id), p.bracket(y.id, z.id))
         first = p.bracket_elements(p.bracket(x.id, y.id), p.span_element(z.id))
         second = p.bracket_elements(p.span_element(y.id), p.bracket(x.id, z.id))
-        return compare({"triple": f"({x.id},{y.id},{z.id})"}, "lhs {x,{y,z}}", lhs,
-                       "rhs {{x,y},z} + sign*{y,{x,z}}",
-                       first + second.scale(p.field.sign(p.parity(x) * p.parity(y))))
+        return compare("lhs {x,{y,z}}", lhs, "rhs {{x,y},z} + sign*{y,{x,z}}",
+                       first + second.signed(p.parity(x) * p.parity(y)))
 
-    checks = run_checks(("bracket-degree",),
-                        ((x, y, v) for (x, y), v in sorted(p.brackets.items())),
-                        bracket_degree)
+    checks = run_checks(("bracket-degree",), sorted(p.brackets), bracket_degree, as_pair)
     if checks[0].verdict != FAIL:
         checks += (check_antisymmetry(p).checks
-                   + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi))
+                   + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi,
+                                as_triple))
     if p.differential:
         checks += check_differential(p).checks
     return Report(checks=checks)
@@ -201,41 +199,40 @@ def check_antisymmetry(presentation: LiePresentation) -> Report:
         lhs = p.bracket(x.id, y.id)
         if x == y and p.parity(x) % 2 == 0 and p.field.characteristic != 2:
             # antisymmetry forces 2{x,x} = 0 here, so {x,x} = 0 away from char 2
-            return vanishes({"pair": f"[{x.id},{x.id}]",
-                             "constraint": "even shifted parity forces {x,x} = 0"},
-                            "value", lhs)
-        rhs = p.bracket(y.id, x.id).scale(p.field.sign(p.parity(x) * p.parity(y) + 1))
-        return compare({"pair": f"[{x.id},{y.id}]"}, "lhs", lhs, "rhs", rhs)
+            outcome = vanishes("value", lhs)
+            return outcome and {"constraint": "even shifted parity forces {x,x} = 0",
+                                **outcome}
+        return compare("lhs", lhs, "rhs", p.bracket(y.id, x.id).signed(p._flip_sign(x, y)))
 
     return Report(checks=run_checks(("bracket-antisymmetry",),
-                                    product(p.generators, repeat=2), antisymmetry))
+                                    product(p.generators, repeat=2), antisymmetry, as_pair))
 
 
 def check_differential(presentation: LiePresentation) -> Report:
     """d has degree -1, squares to zero, and is a bracket derivation."""
     p = presentation
 
-    def degree(x_id, value):
-        return _degree_outcome({"generator": x_id}, p.gen(x_id).degree - 1, value)
+    def degree(x_id):
+        return _degree_outcome(p.gen(x_id).degree - 1, p.differential[x_id])
 
-    checks = run_checks(("differential-degree",), sorted(p.differential.items()), degree)
+    checks = run_checks(("differential-degree",), [(x,) for x in sorted(p.differential)],
+                        degree, by_name("generator"))
     if checks[0].verdict == FAIL:
         return Report(checks=checks)
 
     def square(x):
-        return vanishes({"generator": x.id}, "d(d(x))", p.diff_element(p.diff(x.id)))
+        return vanishes("d(d(x))", p.diff_element(p.diff(x.id)))
 
     def leibniz(x, y):
         rhs = (p.bracket_elements(p.diff(x.id), p.span_element(y.id))
-               + p.bracket_elements(p.span_element(x.id), p.diff(y.id))
-               .scale(p.field.sign(p.parity(x))))
-        return compare({"pair": f"[{x.id},{y.id}]"},
-                       "d{x,y}", p.diff_element(p.bracket(x.id, y.id)),
+               + p.bracket_elements(p.span_element(x.id), p.diff(y.id)).signed(p.parity(x)))
+        return compare("d{x,y}", p.diff_element(p.bracket(x.id, y.id)),
                        "{dx,y} + sign*{x,dy}", rhs)
 
     return Report(checks=(
         checks
-        + run_checks(("differential-squared",), product(p.generators, repeat=1), square)
+        + run_checks(("differential-squared",), product(p.generators, repeat=1), square,
+                     by_name("generator"))
         + run_checks(("differential-bracket-derivation",), product(p.generators, repeat=2),
-                     leibniz)))
+                     leibniz, as_pair)))
 

@@ -6,19 +6,22 @@ identity), plus a coverage fraction for partially defined structures.
 JSON output is deterministic: sorted keys, all numbers as strings, no
 timing data.
 
-Every check is run by ``run_checks(names, instances, identity)``.  The
-identity is called once per instance (a tuple of arguments) and returns one
-outcome per check name, as a tuple when there are several names:
+Every check is run by ``run_checks(names, instances, identity, describe)``,
+the one place a certificate is put together.  The identity is called once
+per instance (a tuple of arguments) and returns one outcome per check name,
+as a tuple when there are several names:
 
   * ``None``: the instance passes;
   * an ``Undefined``: a needed value is missing, the instance is skipped;
-  * a dict of strings: the instance fails, and the dict is its certificate.
+  * a dict of strings: the instance fails, and the dict holds the failed
+    sides of the identity.
 
-The certificate of a check is its first failing instance in enumeration
-order.  A check is ``fail`` if any instance fails, ``skipped`` if every
-instance was skipped, and ``pass`` otherwise.  Checks that share an
-enumeration (one identity returning several outcomes) see the same
-instances in the same order.
+A check's certificate is its first failing instance in enumeration order:
+``describe(*instance)``, the rendered inputs, followed by the failed sides.
+Only a failing instance is described.  A check is ``fail`` exactly when it
+has a certificate, ``skipped`` if every instance was skipped, and ``pass``
+otherwise.  Checks that share an enumeration (one identity returning several
+outcomes) see the same instances in the same order.
 """
 
 from __future__ import annotations
@@ -57,76 +60,61 @@ class CheckResult:
     certificate: Optional[Dict[str, str]] = None
 
 
-class CheckAccumulator:
-    """Tallies one named check over many instances, keeping the first
-    counterexample as the certificate; the private tally of `run_checks`."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.skipped = 0
-        self.failures = 0
-        self.certificate: Optional[Dict[str, str]] = None
-
-    def record_pass(self) -> None:
-        self.checked += 1
-
-    def record_skip(self) -> None:
-        self.skipped += 1
-
-    def record_fail(self, certificate: Dict[str, str]) -> None:
-        self.checked += 1
-        self.failures += 1
-        if self.certificate is None:
-            self.certificate = dict(certificate)
-
-    def result(self) -> CheckResult:
-        if self.failures:
-            verdict = FAIL
-        elif self.checked == 0 and self.skipped > 0:
-            verdict = SKIPPED
-        else:
-            verdict = PASS
-        return CheckResult(self.name, verdict, self.checked, self.skipped,
-                           self.certificate)
-
-
 def run_checks(names: Sequence[str], instances: Iterable[tuple],
-               identity: Callable[..., object]) -> List[CheckResult]:
+               identity: Callable[..., object],
+               describe: Callable[..., Dict[str, str]]) -> List[CheckResult]:
     """Tally identity(*instance) over the instances, one check per name
     (the outcome contract is in the module docstring)."""
-    tallies = [CheckAccumulator(name) for name in names]
+    results = [CheckResult(name, PASS) for name in names]
     for instance in instances:
         outcomes = identity(*instance)
         if not isinstance(outcomes, tuple):
             outcomes = (outcomes,)
-        for tally, outcome in zip(tallies, outcomes):
-            if outcome is None:
-                tally.record_pass()
-            elif isinstance(outcome, Undefined):
-                tally.record_skip()
-            else:
-                tally.record_fail(outcome)
-    return [tally.result() for tally in tallies]
+        for result, outcome in zip(results, outcomes):
+            if isinstance(outcome, Undefined):
+                result.skipped += 1
+                continue
+            result.checked += 1
+            if outcome is not None and result.certificate is None:
+                result.certificate = {**describe(*instance), **outcome}
+    for result in results:
+        if result.certificate is not None:
+            result.verdict = FAIL
+        elif result.skipped and not result.checked:
+            result.verdict = SKIPPED
+    return results
 
 
-def compare(inputs: Dict[str, str], lhs_label: str, lhs, rhs_label: str,
-            rhs) -> Outcome:
+def by_name(*keys: str) -> Callable[..., Dict[str, str]]:
+    """A describe that renders the leading arguments of an instance, each
+    under its key."""
+    return lambda *args: {key: str(arg) for key, arg in zip(keys, args)}
+
+
+def as_pair(x, y) -> Dict[str, str]:
+    return {"pair": f"[{x},{y}]"}
+
+
+def as_triple(a, b, c) -> Dict[str, str]:
+    return {"triple": f"({a},{b},{c})"}
+
+
+def compare(lhs_label: str, lhs, rhs_label: str, rhs) -> Outcome:
     """Outcome of the identity lhs == rhs: the first Undefined side, None
-    when equal, else a certificate of the inputs and both rendered sides."""
+    when equal, else both rendered sides."""
     gap = first_undefined(lhs, rhs)
     if gap is not None:
         return gap
     if lhs == rhs:
         return None
-    return {**inputs, lhs_label: str(lhs), rhs_label: str(rhs)}
+    return {lhs_label: str(lhs), rhs_label: str(rhs)}
 
 
-def vanishes(inputs: Dict[str, str], label: str, value) -> Outcome:
+def vanishes(label: str, value) -> Outcome:
     """Outcome of the identity value == 0."""
     if isinstance(value, Undefined):
         return value
-    return None if value.is_zero else {**inputs, label: str(value)}
+    return None if value.is_zero else {label: str(value)}
 
 
 @dataclass

@@ -1,31 +1,52 @@
 import json
 from fractions import Fraction
 
-from bvalg.algebra import Element, Generator, Monomial
+from bvalg.algebra import Element, Generator, Monomial, Undefined
 from bvalg.fields import QQ
-from bvalg.report import (CheckAccumulator, CheckResult, Report, merge_reports)
+from bvalg.report import CheckResult, Report, by_name, merge_reports, run_checks
+
+GAP = Undefined("bracket [u,u]")
 
 
-def test_accumulator_verdicts():
-    acc = CheckAccumulator("demo")
-    assert acc.result().verdict == "pass"  # vacuous
-    acc.record_skip()
-    assert acc.result().verdict == "skipped"
-    acc.record_pass()
-    assert acc.result().verdict == "pass"
-    acc.record_fail({"input": "x"})
-    acc.record_fail({"input": "y"})
-    result = acc.result()
-    assert result.verdict == "fail"
-    assert result.certificate == {"input": "x"}  # first counterexample kept
+def run_one(outcomes, describe=by_name("input")):
+    """The one check of an identity that returns the given outcomes in turn,
+    over instances 0, 1, 2, ..."""
+    return run_checks(("demo",), ((i,) for i in range(len(outcomes))),
+                      lambda i: outcomes[i], describe)[0]
+
+
+def test_run_checks_verdicts_and_counts():
+    assert run_one([]).verdict == "pass"  # vacuous
+    skipped = run_one([GAP, GAP])
+    assert (skipped.verdict, skipped.checked, skipped.skipped) == ("skipped", 0, 2)
+    passed = run_one([GAP, None])
+    assert (passed.verdict, passed.checked, passed.skipped) == ("pass", 1, 1)
+    assert passed.certificate is None
+    failed = run_one([GAP, None, {"value": "x"}, {"value": "y"}])
+    assert (failed.verdict, failed.checked, failed.skipped) == ("fail", 3, 1)
+    # the first counterexample is kept: its inputs, then its failed sides
+    assert list(failed.certificate.items()) == [("input", "2"), ("value", "x")]
+
+
+def test_describe_runs_once_per_failing_check():
+    described = []
+
+    def describe(i):
+        described.append(i)
+        return {"input": str(i)}
+
+    outcomes = [(None, GAP), (GAP, {"value": "a"}), ({"value": "b"}, {"value": "c"}),
+                ({"value": "d"}, None), (None, None)]
+    first, second = run_checks(("first", "second"), ((i,) for i in range(5)),
+                               lambda i: outcomes[i], describe)
+    assert first.certificate == {"input": "2", "value": "b"}
+    assert second.certificate == {"input": "1", "value": "a"}
+    # instance 3 fails "first" again, but only a check's first failure is described
+    assert sorted(described) == [1, 2]
 
 
 def test_coverage_fraction():
-    a = CheckAccumulator("a")
-    for _ in range(3):
-        a.record_pass()
-    a.record_skip()
-    report = Report(checks=[a.result()])
+    report = Report(checks=[run_one([None, None, None, GAP])])
     assert report.coverage == Fraction(3, 4)
     assert Report().coverage == 1
 
@@ -47,9 +68,9 @@ def test_json_numbers_are_strings_and_elements_are_pairs():
 
 
 def test_human_rendering_includes_certificates_and_result():
-    acc = CheckAccumulator("axiom")
-    acc.record_fail({"input": "m", "lhs": "1", "rhs": "0"})
-    report = Report(checks=[acc.result()])
+    check = run_checks(("axiom",), [("m",)], lambda m: {"lhs": "1", "rhs": "0"},
+                       by_name("input"))
+    report = Report(checks=check)
     text = report.render_human()
     assert "FAIL" in text and "input: m" in text
     assert text.endswith("result: FAIL")
