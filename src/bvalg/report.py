@@ -86,16 +86,17 @@ def run_checks(names: Sequence[str], instances: Iterable[tuple],
 
 
 def by_name(*keys: str) -> Callable[..., Dict[str, str]]:
-    """A describe that renders the leading arguments of an instance, each
-    under its key."""
+    """The describe that renders each argument of an instance under its key."""
     return lambda *args: {key: str(arg) for key, arg in zip(keys, args)}
 
 
 def as_pair(x, y) -> Dict[str, str]:
+    """The describe of a generator pair, as "[x,y]"."""
     return {"pair": f"[{x},{y}]"}
 
 
 def as_triple(a, b, c) -> Dict[str, str]:
+    """The describe of a triple, as "(a,b,c)"."""
     return {"triple": f"({a},{b},{c})"}
 
 
