@@ -30,26 +30,29 @@ at most 1; over characteristic 2 the algebra is fully polynomial.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
 from .fields import FieldSpec, Scalar
 
-@dataclass(frozen=True)
 class Generator:
-    """A free algebra generator with a fixed non-negative degree."""
+    """A free algebra generator with a fixed non-negative degree, immutable by
+    convention; `sort_key`, (degree, id), is its normal-form order."""
 
-    id: str
-    degree: int
+    __slots__ = ("id", "degree", "sort_key")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"generator {self.id!r} has negative degree {self.degree}")
+    def __init__(self, id: str, degree: int):
+        if degree < 0:
+            raise ValueError(f"generator {id!r} has negative degree {degree}")
+        self.id = id
+        self.degree = degree
+        self.sort_key = (degree, id)
 
-    @property
-    def sort_key(self) -> Tuple[int, str]:
-        return (self.degree, self.id)
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Generator) and self.sort_key == other.sort_key)
+
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
 
     def __str__(self) -> str:
         return self.id
@@ -236,16 +239,19 @@ class Element:
         return Element._trusted(field, {})
 
     @staticmethod
-    def unit(field: FieldSpec, coeff=1) -> "Element":
+    def unit(field: FieldSpec, coeff=None) -> "Element":
         return Element.from_monomial(field, Monomial.unit(), coeff)
 
     @staticmethod
-    def from_monomial(field: FieldSpec, mono: Monomial, coeff=1) -> "Element":
+    def from_monomial(field: FieldSpec, mono: Monomial, coeff=None) -> "Element":
+        """coeff * mono; without a coefficient, the field's stored unit."""
+        if coeff is None:
+            return Element._trusted(field, {mono: field.one()})
         c = field.coerce(coeff)
         return Element._trusted(field, {} if field.is_zero(c) else {mono: c})
 
     @staticmethod
-    def from_generator(field: FieldSpec, gen: Generator, coeff=1) -> "Element":
+    def from_generator(field: FieldSpec, gen: Generator, coeff=None) -> "Element":
         return Element.from_monomial(field, Monomial(((gen, 1),)), coeff)
 
     # -- queries ---------------------------------------------------------
@@ -443,7 +449,6 @@ def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
 # -- graded linear maps -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Undefined:
     """A value blocked by a missing table entry, named in `blocking`.
 
@@ -451,7 +456,16 @@ class Undefined:
     an Element, and verifiers count an instance that meets it as skipped.
     """
 
-    blocking: str
+    __slots__ = ("blocking",)
+
+    def __init__(self, blocking: str):
+        self.blocking = blocking
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.blocking == self.blocking
+
+    def __hash__(self) -> int:
+        return hash(self.blocking)
 
 
 MaybeElement = Union[Element, Undefined]

@@ -20,7 +20,6 @@ report them as skipped coverage rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,12 +37,15 @@ USER = "user"
 DEFAULT_WINDOW = 10  # the degree window when neither the caller nor the input names one
 
 
-@dataclass(frozen=True)
 class OutOfWindow(Undefined):
     """A stored table value whose degree exceeds the window."""
 
-    degree: int
-    limit: int
+    __slots__ = ("degree", "limit")
+
+    def __init__(self, blocking: str, degree: int, limit: int):
+        super().__init__(blocking)
+        self.degree = degree
+        self.limit = limit
 
 
 class BVStructure:

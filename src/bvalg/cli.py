@@ -4,22 +4,24 @@ Verbs: check-lie, check-bv, free-bv, bracket, ce-homology, fixture,
 descriptor.  Exit codes: 0 all checks pass, 1 axiom failure, 2 input
 error, 3 internal error (a fault of bvalg, reported in one line on
 stderr).  ``--format json`` emits one deterministic JSON document per run.
+A verb imports what only it needs (homology, fixtures) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from .algebra import Undefined
 from .bv import BVStructure, OutOfWindow, verify_bv_axioms, free_bv, poisson_bracket
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .fields import FieldSpec
-from .fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture)
-from .homology import BoundarySquareError, betti, build_ce_complex
 from .lie import LiePresentation, check_antisymmetry, check_lie_axioms
 from .report import Report, Stopwatch, merge_reports, run_checks
+
+if TYPE_CHECKING:
+    from .fixtures import StructureDescriptor
 
 EXIT_PASS = 0
 EXIT_AXIOM_FAILURE = 1
@@ -130,6 +132,7 @@ def _parse_arg_element(name: str, text: str, source: PresentationSource,
 
 
 def _cmd_ce_homology(args) -> int:
+    from .homology import BoundarySquareError, betti, build_ce_complex
     source = _read_source(args.file)
     antisymmetry = check_antisymmetry(source.presentation)
     if not antisymmetry.passed:
@@ -197,6 +200,7 @@ def _describe_descriptor(descriptor: StructureDescriptor) -> Report:
 
 
 def _cmd_fixture(args) -> int:
+    from .fixtures import StructureDescriptor, load_fixture
     try:
         fixture = load_fixture(args.name, args.max_degree)
     except (KeyError, ValueError) as exc:
@@ -217,6 +221,7 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_descriptor(args) -> int:
+    from .fixtures import framed_disks_descriptor
     try:
         descriptor = framed_disks_descriptor(args.n, FieldSpec.parse(args.field))
     except ValueError as exc:

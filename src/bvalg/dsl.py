@@ -18,7 +18,6 @@ bracket, diff and bv lines are degree-checked against the declared shift.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -28,11 +27,11 @@ from .lie import LiePresentation
 from .bv import DEFAULT_WINDOW, BVStructure
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    line: int
-    column: int
-    message: str
+    def __init__(self, line: int, column: int, message: str):
+        self.line = line
+        self.column = column
+        self.message = message
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}: {self.message}"
@@ -44,14 +43,19 @@ class ParseError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass
 class PresentationSource:
     """Parsed presentation file: its canonical presentation (generators
     sorted by sort_key), operator values and truncation."""
 
-    presentation: LiePresentation
-    bv_values: Dict[str, Element] = dc_field(default_factory=dict)
-    truncate: Optional[int] = None
+    def __init__(self, presentation: LiePresentation,
+                 bv_values: Optional[Dict[str, Element]] = None,
+                 truncate: Optional[int] = None):
+        self.presentation = presentation
+        self.bv_values = {} if bv_values is None else bv_values
+        self.truncate = truncate
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PresentationSource) and vars(self) == vars(other)
 
     def to_lie_presentation(self) -> LiePresentation:
         return self.presentation
@@ -83,11 +87,11 @@ _VALUE_LINES = {
 }
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    column: int
+    def __init__(self, kind: str, text: str, column: int):
+        self.kind = kind
+        self.text = text
+        self.column = column
 
 
 class _LineError(Exception):

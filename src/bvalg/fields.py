@@ -7,7 +7,6 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -25,23 +24,30 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Ground field: the rationals (characteristic 0) or F_p (characteristic p)."""
 
-    kind: str
-    characteristic: int
+    __slots__ = ("kind", "characteristic", "_signs")
 
-    def __post_init__(self) -> None:
-        if self.kind == "rational":
-            if self.characteristic != 0:
+    def __init__(self, kind: str, characteristic: int):
+        if kind == "rational":
+            if characteristic != 0:
                 raise ValueError("rational field must have characteristic 0")
-        elif self.kind == "prime-field":
-            if not _is_prime(self.characteristic):
-                raise ValueError(f"characteristic {self.characteristic} is not prime")
+        elif kind == "prime-field":
+            if not _is_prime(characteristic):
+                raise ValueError(f"characteristic {characteristic} is not prime")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        object.__setattr__(self, "_signs", (self.coerce(1), self.coerce(-1)))
+            raise ValueError(f"unknown field kind {kind!r}")
+        self.kind = kind
+        self.characteristic = characteristic
+        self._signs = (self.coerce(1), self.coerce(-1))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, FieldSpec) and self.kind == other.kind
+                                 and self.characteristic == other.characteristic)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.characteristic))
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -84,7 +90,7 @@ class FieldSpec:
         return Fraction(0) if self.kind == "rational" else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "rational" else 1
+        return self._signs[0]
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         s = a + b

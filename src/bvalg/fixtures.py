@@ -9,7 +9,6 @@ Fixture names are stable CLI identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .algebra import Element, Generator, MaybeElement, Monomial, Undefined
@@ -59,25 +58,27 @@ def loopspace_model(n: int, m: int, field: FieldSpec = QQ,
     return structure
 
 
-@dataclass(frozen=True)
 class SOGenerator:
-    degree: int
-    action: str  # "trivial" | "bv"
+    def __init__(self, degree: int, action: str):
+        self.degree = degree
+        self.action = action  # "trivial" | "bv"
 
 
-@dataclass(frozen=True)
 class StructureDescriptor:
     """Which operations act on an n-fold loop space's homology: the product,
     the degree-(n-1) bracket, optionally a degree-(n-1) square-zero
     operator, and the exterior orthogonal-group generators with their
     action flags."""
 
-    n: Union[int, str]
-    field: FieldSpec
-    bracket_degree: Optional[int]
-    bv_degree: Optional[int]
-    so_generators: Tuple[SOGenerator, ...]
-    spherical_bv_vanishes: bool
+    def __init__(self, n: Union[int, str], field: FieldSpec, bracket_degree: Optional[int],
+                 bv_degree: Optional[int], so_generators: Tuple[SOGenerator, ...],
+                 spherical_bv_vanishes: bool):
+        self.n = n
+        self.field = field
+        self.bracket_degree = bracket_degree
+        self.bv_degree = bv_degree
+        self.so_generators = so_generators
+        self.spherical_bv_vanishes = spherical_bv_vanishes
 
     @property
     def has_bv(self) -> bool:
@@ -130,15 +131,15 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec,
     return StructureDescriptor(n, field, n - 1, bv_degree, tuple(gens), True)
 
 
-@dataclass(frozen=True)
 class SphericalTag:
     """A homology class in the image of the Hurewicz map, with the data the
     degree-1 operator rule needs: the witness class of degree j+2 and the
     image of its composite with the suspended Hopf map (None = unknown)."""
 
-    witness: str
-    j: int
-    eta_composite: Optional[Element]
+    def __init__(self, witness: str, j: int, eta_composite: Optional[Element]):
+        self.witness = witness
+        self.j = j
+        self.eta_composite = eta_composite
 
 
 def spherical_bv(tag: SphericalTag, field: FieldSpec) -> MaybeElement:

@@ -13,7 +13,6 @@ differential along unchanged (they are read through the shift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -24,24 +23,26 @@ from .report import FAIL, Report, as_pair, as_triple, by_name, compare, run_chec
 BracketKey = Tuple[str, str]
 
 
-@dataclass
 class LiePresentation:
-    field: FieldSpec
-    shift: int
-    generators: List[Generator]
-    brackets: Dict[BracketKey, Element] = dc_field(default_factory=dict)
-    differential: Dict[str, Element] = dc_field(default_factory=dict)
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        ids = [g.id for g in self.generators]
+    def __init__(self, field: FieldSpec, shift: int, generators: List[Generator],
+                 brackets: Optional[Dict[BracketKey, Element]] = None,
+                 differential: Optional[Dict[str, Element]] = None, name: str = ""):
+        self.field = field
+        self.shift = shift
+        self.generators = generators
+        self.differential = {} if differential is None else differential
+        self.name = name
+        ids = [g.id for g in generators]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate generator ids")
-        self._by_id = {g.id: g for g in self.generators}
-        self.brackets = self.canonical_table(self.brackets)
+        self._by_id = {g.id: g for g in generators}
+        self.brackets = self.canonical_table({} if brackets is None else brackets)
         for x, value in self.differential.items():
             self.gen(x)
             self._require_span(value, f"differential of {x}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LiePresentation) and vars(self) == vars(other)
 
     def _require_span(self, value: Element, what: str) -> None:
         if value.field != self.field:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -51,13 +50,17 @@ def _detail_json(value):
     return str(value)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    verdict: str
-    checked: int = 0
-    skipped: int = 0
-    certificate: Optional[Dict[str, str]] = None
+    def __init__(self, name: str, verdict: str, checked: int = 0, skipped: int = 0,
+                 certificate: Optional[Dict[str, str]] = None):
+        self.name = name
+        self.verdict = verdict
+        self.checked = checked
+        self.skipped = skipped
+        self.certificate = certificate
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CheckResult) and vars(self) == vars(other)
 
 
 def run_checks(names: Sequence[str], instances: Iterable[tuple],
@@ -118,12 +121,15 @@ def vanishes(label: str, value) -> Outcome:
     return None if value.is_zero else {label: str(value)}
 
 
-@dataclass
 class Report:
-    checks: List[CheckResult] = dc_field(default_factory=list)
-    betti: Optional[List[int]] = None
-    details: Dict[str, DetailValue] = dc_field(default_factory=dict)
-    elapsed: Optional[float] = None
+    def __init__(self, checks: Optional[List[CheckResult]] = None,
+                 betti: Optional[List[int]] = None,
+                 details: Optional[Dict[str, DetailValue]] = None,
+                 elapsed: Optional[float] = None):
+        self.checks = [] if checks is None else checks
+        self.betti = betti
+        self.details = {} if details is None else details
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
