@@ -7,9 +7,9 @@
 Runs `perfbench/run.py --trace 0` once in each of two checkouts per pair,
 the parent first on even pairs and the change first on odd ones, with the
 run length of BENCHMARK.json.  Each run's result line is appended to
-`<checkout>/.bench_build/bench_pairs/<workload>-<seed>.jsonl`; nothing else
-is written.  Then, per end-to-end metric, it prints both sides' median and
-quartiles, how many pairs the change won (ties count for neither), and:
+`<checkout>/.bench_build/bench_pairs/<workload>-<seed>.jsonl`.  Then, per
+end-to-end metric, it prints both sides' median and quartiles, how many
+pairs the change won (ties count for neither), and:
 
   gain        the change won at least nine tenths of the pairs and the
               medians differ by more than the parent's quartile distance
@@ -20,7 +20,9 @@ quartiles, how many pairs the change won (ties count for neither), and:
   within bound  otherwise
 
 A gain also needs no more failed operations on the change's side than on
-the parent's.
+the parent's.  The printed rows, with both checkouts' commits, the seed, the
+number of pairs and the run length, are also written as JSON to
+`<change>/.bench_build/bench_pairs/<workload>-<seed>.summary.json`.
 """
 
 from __future__ import annotations
@@ -83,6 +85,19 @@ def render(rows: List[dict]) -> str:
     return "\n".join(lines)
 
 
+def write_summary(path: Path, rows: List[dict], context: dict) -> None:
+    """The rows and the run's context as one sorted JSON document."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({**context, "rows": rows}, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+def git_sha(checkout: Path) -> str:
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    return done.stdout.strip() or "unknown"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run([sys.executable, str(checkout / "perfbench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
@@ -124,7 +139,12 @@ def main(argv=None) -> int:
               f"{results[change]['metrics']['verdict_s']['value']:.4f}", flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{benchmark['run_seconds']} s runs")
-    print(render(summarize(pairs, benchmark["end_to_end"])))
+    rows = summarize(pairs, benchmark["end_to_end"])
+    print(render(rows))
+    summary = change / ".bench_build" / "bench_pairs" / f"{args.workload}-{args.seed}.summary.json"
+    write_summary(summary, rows, {"workload": args.workload, "seed": args.seed,
+                                  "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
+                                  "parent_sha": git_sha(parent), "change_sha": git_sha(change)})
     return 0
 
 

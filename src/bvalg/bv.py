@@ -16,6 +16,12 @@ a Lie presentation (shift n) with
 
 User tables may be partial: undefined entries are explicit and verifiers
 report them as skipped coverage rather than guessing.
+
+Each identity is decided as one signed sum: `_add_signed` puts the terms of
+lhs - rhs into one dict, from cached brackets and operator values and
+memoized monomial products, and an empty dict passes.  Both sides are built,
+as Elements, only for an instance that fails or meets a gap, so a
+certificate and a first gap come from the side-by-side evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       Undefined, _accumulate, derivation_from_generator_values,
                       first_undefined, intern_monomial, leibniz, linear_extension,
-                      monomial_basis, window_tuples)
+                      monomial_basis, monomial_product, window_tuples)
 from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
 from .report import (FAIL, Report, as_pair, as_triple, by_name, compare, merge_reports,
@@ -201,6 +207,36 @@ def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
     return Element._trusted(field, out)
 
 
+def _add_signed(s: BVStructure, out: Dict[Monomial, Scalar], brackets=(), products=()):
+    """Add (-1)^e {x, y} for each (x, y, e) in `brackets`, and (-1)^e xy for
+    each in `products`, into `out` in place; x and y are monomials or
+    Elements.  Returns the first gap met, else `out`: how an identity sums
+    lhs - rhs without building either side."""
+    field = s.field
+    mul, neg, signed, one = field.mul, field.neg, field.signed, field.one()
+    char2 = field.characteristic == 2
+    for bracket, parts in ((True, brackets), (False, products)):
+        for x, y, exponent in parts:
+            for m1, c1 in ((x, one),) if isinstance(x, Monomial) else x._terms.items():
+                for m2, c2 in ((y, one),) if isinstance(y, Monomial) else y._terms.items():
+                    c = c2 if c1 is one else c1 if c2 is one else mul(c1, c2)
+                    if not bracket:
+                        prod = monomial_product(m1, m2, char2)
+                        if prod is not None:
+                            _accumulate(field, out, ((prod[0], signed(c, exponent + prod[1])),))
+                        continue
+                    value = _bracket_monomials(s, m1, m2)
+                    if isinstance(value, Undefined):
+                        return value
+                    if value._terms:
+                        terms = value._terms.items()
+                        if c is not one:
+                            terms = [(m, mul(v, c)) for m, v in terms]
+                        _accumulate(field, out, terms if exponent % 2 == 0
+                                    else [(m, neg(v)) for m, v in terms])
+    return out
+
+
 # -- the free operator ----------------------------------------------------------
 
 
@@ -299,13 +335,28 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
 def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """The bracket equals the operator's deviation from being a derivation,
     on every homogeneous basis pair in the window."""
+    field = s.field
 
     def deviation(a, b):
         lhs = _bracket_monomials(s, a, b)
         if isinstance(lhs, Undefined):
             return lhs
+        # the operator values in the order, and with the gaps, of bracket_from_operator
+        ab = monomial_product(a, b, field.characteristic == 2)
+        bv_ab, ab_sign = (s.bv_monomial(ab[0]), ab[1]) if ab else (s.zero(), 0)
+        if isinstance(bv_ab, Undefined):
+            return bv_ab
+        bv_a, bv_b = s.bv_monomial(a), s.bv_monomial(b)
+        if gap := first_undefined(bv_a, bv_b):
+            return gap
+        # {a,b} - (-1)^|a| bv(ab) + (-1)^|a| bv(a) b + a bv(b)
+        out = dict(lhs._terms)
+        _accumulate(field, out, [(m, field.signed(c, a.degree + ab_sign + 1))
+                                 for m, c in bv_ab._terms.items()])
+        if not _add_signed(s, out, products=((bv_a, b, a.degree), (a, bv_b, 0))):
+            return None
         return compare("bracket", lhs, "operator deviation",
-                       bracket_from_operator(s.field, s.bv_monomial, a, b))
+                       bracket_from_operator(field, s.bv_monomial, a, b))
 
     return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2, max_degree),
                                     deviation, by_name("a", "b")))
@@ -322,6 +373,8 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
         lhs, bv_a, bv_b = s.bv_element(br), s.bv_monomial(a), s.bv_monomial(b)
         if gap := first_undefined(lhs, bv_a, bv_b):
             return gap
+        if not _add_signed(s, dict(lhs._terms), brackets=((bv_a, b, 1), (a, bv_b, a.degree))):
+            return None
         first = poisson_bracket(s, bv_a, Element.from_monomial(field, b))
         second = poisson_bracket(s, Element.from_monomial(field, a), bv_b)
         return first_undefined(first, second) or compare(
@@ -351,14 +404,22 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
         inner_ab = _bracket_monomials(s, a, b)
         if gap := first_undefined(inner_bc, inner_ac, inner_ab):
             return gap, gap
-        a_elt, b_elt, c_elt = (Element.from_monomial(field, m) for m in (a, b, c))
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
+        # each lhs - rhs: None when it sums to zero, else a gap or the nonzero sum
+        bc = monomial_product(b, c, field.characteristic == 2)
+        jacobi = _add_signed(s, {}, brackets=((a, inner_bc, 0), (inner_ab, c, 1),
+                                              (b, inner_ac, pa * pb + 1))) or None
+        poisson = _add_signed(s, {}, brackets=((a, bc[0], bc[1]),) if bc else (),
+                              products=((inner_ab, c, 1), (b, inner_ac, pa * b.degree + 1))) or None
+        if jacobi is None and poisson is None:
+            return None, None
+        a_elt, b_elt, c_elt = (Element.from_monomial(field, m) for m in (a, b, c))
         lhs = poisson_bracket(s, a_elt, inner_bc)
         first = poisson_bracket(s, inner_ab, c_elt)
         second = poisson_bracket(s, b_elt, inner_ac)
-        jacobi = first_undefined(lhs, first, second) or compare(
-            "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}", first + second.signed(pa * pb))
-        poisson = compare(
+        jacobi = jacobi and (first_undefined(lhs, first, second) or compare(
+            "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}", first + second.signed(pa * pb)))
+        poisson = poisson and compare(
             "{a,bc}", poisson_bracket(s, a_elt, b_elt * c_elt), "{a,b}c + sign*b{a,c}",
             inner_ab * c_elt + (b_elt * inner_ac).signed(pa * b.degree))
         return jacobi, poisson

@@ -4,7 +4,7 @@ Verbs: check-lie, check-bv, free-bv, bracket, ce-homology, fixture,
 descriptor.  Exit codes: 0 all checks pass, 1 axiom failure, 2 input
 error, 3 internal error (a fault of bvalg, reported in one line on
 stderr).  ``--format json`` emits one deterministic JSON document per run.
-A verb imports what only it needs (homology, fixtures) when it runs.
+A verb imports what only it needs (bv, homology, fixtures) when it runs.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from .algebra import Undefined
-from .bv import BVStructure, OutOfWindow, verify_bv_axioms, free_bv, poisson_bracket
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .fields import FieldSpec
 from .lie import LiePresentation, check_antisymmetry, check_lie_axioms
 from .report import Report, Stopwatch, merge_reports, run_checks
 
 if TYPE_CHECKING:
+    from .bv import BVStructure
     from .fixtures import StructureDescriptor
 
 EXIT_PASS = 0
@@ -79,6 +79,7 @@ def _cmd_check_lie(args) -> int:
 
 
 def _cmd_check_bv(args) -> int:
+    from .bv import verify_bv_axioms
     _, structure = _read_structure(args)
     with Stopwatch() as clock:
         report = verify_bv_axioms(structure)
@@ -102,6 +103,8 @@ def _element_command(args, compute) -> int:
 
 
 def _cmd_free_bv(args) -> int:
+    from .bv import free_bv
+
     def compute(source, structure: BVStructure):
         if structure.provenance != "free":
             raise InputError("free-bv needs a presentation without bv lines")
@@ -112,6 +115,8 @@ def _cmd_free_bv(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
+    from .bv import poisson_bracket
+
     def compute(source, structure: BVStructure):
         a = _parse_arg_element("a", args.a, source, args.max_degree)
         b = _parse_arg_element("b", args.b, source, args.max_degree)
@@ -155,6 +160,7 @@ def _cmd_ce_homology(args) -> int:
 
 
 def _describe_structure(structure: BVStructure) -> Report:
+    from .bv import OutOfWindow
     report = Report()
     p = structure.presentation
     report.details["field"] = str(structure.field)
@@ -200,6 +206,7 @@ def _describe_descriptor(descriptor: StructureDescriptor) -> Report:
 
 
 def _cmd_fixture(args) -> int:
+    from .bv import verify_bv_axioms
     from .fixtures import StructureDescriptor, load_fixture
     try:
         fixture = load_fixture(args.name, args.max_degree)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .algebra import Element, Generator, normalize_word, render_element
 from .fields import FieldSpec
 from .lie import LiePresentation
-from .bv import DEFAULT_WINDOW, BVStructure
+
+if TYPE_CHECKING:
+    from .bv import BVStructure
 
 
 class Diagnostic:
@@ -62,10 +64,12 @@ class PresentationSource:
 
     def window(self, max_degree: Optional[int] = None) -> int:
         """max_degree if given, else the file's truncation, else DEFAULT_WINDOW."""
+        from .bv import DEFAULT_WINDOW  # read at call time: check-lie never loads bv
         return next(w for w in (max_degree, self.truncate, DEFAULT_WINDOW) if w is not None)
 
     def to_structure(self, max_degree: Optional[int] = None) -> BVStructure:
         """Free structure unless the file supplies operator values."""
+        from .bv import BVStructure
         values = dict(self.bv_values) if self.bv_values else None
         return BVStructure(self.presentation, self.window(max_degree), values)
 

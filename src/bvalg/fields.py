@@ -75,6 +75,8 @@ class FieldSpec:
     def coerce(self, value) -> Scalar:
         """Bring an int or Fraction into canonical form for this field.
         A Fraction is already canonical over Q and comes back unchanged."""
+        if type(value) is int and self.characteristic:
+            return value % self.characteristic  # before the ABC check isinstance(-, Fraction)
         if isinstance(value, float):
             raise TypeError("floating point scalars are not allowed")
         if self.kind == "rational":

@@ -21,7 +21,10 @@ A check's certificate is its first failing instance in enumeration order:
 Only a failing instance is described.  A check is ``fail`` exactly when it
 has a certificate, ``skipped`` if every instance was skipped, and ``pass``
 otherwise.  Checks that share an enumeration (one identity returning several
-outcomes) see the same instances in the same order.
+outcomes) see the same instances in the same order.  An identity may decide
+an instance from one signed sum of lhs - rhs, as those in `bv` do, but it
+builds both sides for a failing or blocked instance, so the certificate and
+the gap are those of the side-by-side evaluation.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Independent oracles for the test suite, with no imports from the package
 under test: tiny Fraction-only linear algebra, and a term-by-term reference
-for the free graded-commutative algebra."""
+for the free graded-commutative algebra.  `ref_identity_reports` alone
+imports the package: it runs the BV identities with both sides built."""
 
 from fractions import Fraction
 
@@ -232,3 +233,63 @@ def ref_bracket(a, b, brackets, shift, p):
                            ref_partial(l, {b: 1}, p), p)
             out = ref_add(out, ref_scale(term, -(-1) ** (parity(a) * parity((l,)) % 2), p), p)
     return out
+
+
+def ref_identity_reports(s):
+    """The reports of bv.verify_deviation_identity, verify_bracket_compatibility
+    and verify_gerstenhaber on structure s at its truncation, each instance
+    decided by building both sides as Elements from the public bracket and
+    operator and comparing them, never by a signed sum."""
+    from bvalg.algebra import Element, first_undefined
+    from bvalg.bv import bracket_from_operator, poisson_bracket
+    from bvalg.report import Report, as_triple, by_name, compare, run_checks
+
+    def elt(x):
+        return x if isinstance(x, Element) else Element.from_monomial(s.field, x)
+
+    def br(x, y):
+        return poisson_bracket(s, elt(x), elt(y))
+
+    def deviation(a, b):
+        lhs = br(a, b)
+        return first_undefined(lhs) or compare("bracket", lhs, "operator deviation",
+                                               bracket_from_operator(s.field, s.bv_monomial, a, b))
+
+    def compatibility(a, b):
+        inner = br(a, b)
+        if gap := first_undefined(inner):
+            return gap
+        lhs, bv_a, bv_b = s.bv_element(inner), s.bv_monomial(a), s.bv_monomial(b)
+        if gap := first_undefined(lhs, bv_a, bv_b):
+            return gap
+        first, second = br(bv_a, b), br(a, bv_b)
+        return first_undefined(first, second) or compare(
+            "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}", first + second.signed(a.degree + 1))
+
+    def antisymmetry(a, b):
+        lhs, rhs = br(a, b), br(b, a)
+        pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
+        return first_undefined(lhs, rhs) or compare(
+            "{a,b}", lhs, "-sign*{b,a}", rhs.signed(pa * pb + 1))
+
+    def jacobi_and_poisson(a, b, c):
+        inner_bc, inner_ac, inner_ab = br(b, c), br(a, c), br(a, b)
+        if gap := first_undefined(inner_bc, inner_ac, inner_ab):
+            return gap, gap
+        pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
+        lhs, first, second = br(a, inner_bc), br(inner_ab, c), br(b, inner_ac)
+        jacobi = first_undefined(lhs, first, second) or compare(
+            "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}", first + second.signed(pa * pb))
+        poisson = compare(
+            "{a,bc}", br(a, elt(b) * elt(c)), "{a,b}c + sign*b{a,c}",
+            inner_ab * elt(c) + (elt(b) * inner_ac).signed(pa * b.degree))
+        return jacobi, poisson
+
+    pairs = by_name("a", "b")
+    return (Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2), deviation,
+                                     pairs)),
+            Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2), compatibility,
+                                     pairs)),
+            Report(checks=run_checks(("bracket-antisymmetry",), s.tuples(2), antisymmetry, pairs)
+                   + run_checks(("bracket-jacobi", "poisson-relation"), s.tuples(3),
+                                jacobi_and_poisson, as_triple)))

@@ -21,13 +21,14 @@ ORACLE_SHAPES = (dict(valid=False, shifts=(0, 1, 2, 3), window=6),
 
 
 def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FREE,
-                   shifts=(0, 2, 4), basis_budget: int = 120, window: int = 10) -> BVStructure:
+                   shifts=(0, 2, 4), basis_budget: int = 120, window: int = 10,
+                   fields=FIELDS) -> BVStructure:
     """A structure truncated at `window`, its basis there at most `basis_budget`.
     With `valid`, a presentation passing the Lie axioms with sparse values,
     each one generator; without, every pair brackets and every generator with
     a partner one degree down differentiates to a combination of generators."""
     for attempt in range(MAX_ATTEMPTS):
-        f = rng.choice(FIELDS)
+        f = rng.choice(fields)
         shift = rng.choice(shifts)
         gens = _propose_generators(rng, f, shift, valid)
         if len(monomial_basis(f, gens, window)) > basis_budget:

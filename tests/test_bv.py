@@ -1,20 +1,27 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvalg.algebra import Element, Generator, GradedMap, Monomial, leibniz, normalize_word
-from bvalg.fields import GF2, QQ
+from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation
-from bvalg.bv import (FREE, Undefined, add_derivation_action,
+from bvalg import bv
+from bvalg.bv import (FREE, USER, Undefined, add_derivation_action,
                       bracket_from_operator, bracket_part, bv_operator,
                       check_derivation, extend_morphism, free_bv,
                       free_bv_structure, poisson_bracket, user_bv_structure,
                       verify_bracket_compatibility, verify_bv_axioms,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
+from bvalg.dsl import parse_presentation
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
 
-from oracles import ref_bracket, ref_operator
+from oracles import ref_bracket, ref_identity_reports, ref_operator
 from strategies import ORACLE_SHAPES, seeded_structures, structures
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def gen_elt(field, g, coeff=1):
@@ -529,3 +536,42 @@ def test_bracket_from_operator_recovers_table():
     mono_a = Monomial(((a, 1),))
     extracted = bracket_from_operator(QQ, op.value, mono_a, mono_a)
     assert extracted == gen_elt(QQ, s.presentation.gen("b"))
+
+
+# -- each identity is decided as one signed sum ------------------------------------
+
+
+@pytest.mark.parametrize("path, passes", [("fixtures/loops2_s4.lie", True),
+                                          ("fixtures/loops4_s6.lie", True),
+                                          ("fixtures/mixed_diff.lie", True),
+                                          ("tests/data/bad_jacobi.lie", False)],
+                         ids=["loops2_s4", "loops4_s6", "mixed_diff", "bad_jacobi"])
+def test_sides_are_built_only_for_a_failing_instance(path, passes, monkeypatch):
+    # a wrong sign in a signed sum leaves every verdict right (the sides decide
+    # again), so only the count of side-building calls shows it
+    calls = []
+    for name in ("poisson_bracket", "bracket_from_operator"):
+        def counted(*args, _original=getattr(bv, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(bv, name, counted)
+    with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+        structure = parse_presentation(handle.read()).to_structure()
+    report = verify_bv_axioms(structure)
+    assert report.passed is passes and report.coverage == 1
+    assert (calls == []) is passes
+
+
+# Q and F2 to F5, free and user operators, sparse valid tables and dense invalid ones
+agreement_structures = st.one_of(*(
+    structures(valid=valid, provenance=provenance, shifts=(0, 1, 2, 3), window=6,
+               fields=(QQ, GF2, FieldSpec.prime(3), FieldSpec.prime(5)))
+    for valid in (True, False) for provenance in (FREE, USER)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(agreement_structures)
+def test_signed_sums_give_the_reports_of_both_sides_built(s):
+    verifiers = (verify_deviation_identity, verify_bracket_compatibility, verify_gerstenhaber)
+    reports = [verify(s).to_json() for verify in verifiers]
+    assert reports == [ref.to_json() for ref in ref_identity_reports(s)]

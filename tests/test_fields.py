@@ -45,6 +45,20 @@ def test_prime_field_residues_are_canonical():
     assert Element.from_generator(f5, x, -1) == Element(f5, {Monomial(((x, 1),)): 4})
 
 
+@pytest.mark.parametrize("value, residue", [(7, 2), (-1, 4), (0, 0), (True, 1), (False, 0),
+                                             (Fraction(1, 2), 3), (Fraction(-6, 3), 3)])
+def test_prime_field_coerce_gives_an_int_residue_for_each_input_type(value, residue):
+    # ints take a fast path ahead of the Fraction test; bool and Fraction keep the old one
+    coerced = F5.coerce(value)
+    assert coerced == residue and type(coerced) is int
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, F5], ids=str)
+def test_float_is_refused_by_every_field(field):
+    with pytest.raises(TypeError):
+        field.coerce(2.0)
+
+
 def test_sign_collapses_in_characteristic_two():
     f2 = FieldSpec.prime(2)
     assert f2.sign(1) == 1

@@ -60,7 +60,7 @@ def canned_result(verdict_s, peak_rss_mb, setup_s, failed=0):
         "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}))
 
 
-def test_bench_pairs_summary_on_canned_results():
+def test_bench_pairs_summary_on_canned_results(tmp_path):
     bench_pairs = load_script("bench_pairs")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_s = [0.47, 0.48, 0.49, 0.48, 0.47, 0.50, 0.48, 0.46, 0.49, 0.48]
@@ -86,3 +86,13 @@ def test_bench_pairs_summary_on_canned_results():
     assert bench_pairs.summarize(pairs, metrics)[0]["verdict"] == "within bound"
     assert "failed runs' operations: parent 0, change 10" in bench_pairs.render(
         bench_pairs.summarize(pairs, metrics))
+    # the written summary holds the printed rows and the run's context
+    path = tmp_path / "bench_pairs" / "free-q-3.summary.json"
+    context = {"workload": "free-q", "seed": 3, "pairs": 10, "run_seconds": 38,
+               "parent_sha": "a" * 40, "change_sha": "b" * 40}
+    bench_pairs.write_summary(path, bench_pairs.summarize(pairs, metrics), context)
+    written = json.loads(path.read_text())
+    assert {k: written[k] for k in context} == context
+    assert [r["metric"] for r in written["rows"]] == [m["name"] for m in metrics]
+    assert written["rows"][0]["verdict"] == "within bound"
+    assert written["rows"][0]["failed"] == [0, 10]

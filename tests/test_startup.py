@@ -18,6 +18,8 @@ VERBS = {
     ("check-bv", "fixtures/loops2_s4.lie"): {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"},
     ("ce-homology", "fixtures/heisenberg.lie"): {"bvalg.fixtures"},
     ("fixture", "omega2-s3-f2", "--verify"): set(),
+    ("check-lie", "fixtures/heisenberg.lie"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg",
+                                                "bvalg.fixtures"},
 }
 PROBE = ("import json, sys\n"
          "from bvalg.cli import main\n"
