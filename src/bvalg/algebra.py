@@ -427,23 +427,71 @@ def monomial_basis(field: FieldSpec, generators: Sequence[Generator],
     return out
 
 
+class WindowTuples:
+    """The iterable `window_tuples` returns; after a pass, `pruned` is the
+    number of window tuples its gate passed over."""
+
+    def __init__(self, basis: Sequence[Monomial], arity: int, bound: int, symmetric: bool,
+                 defined: Optional[Callable[[Monomial, Monomial], bool]]):
+        if arity < 1:
+            raise ValueError(f"window tuples need arity >= 1, got {arity}")
+        self.basis, self.arity, self.bound = basis, arity, bound
+        self.symmetric, self.defined = symmetric, defined
+        self.degrees = [m.degree for m in basis]
+        self.pruned = 0
+
+    def count(self, slots: int, start: int, budget: int) -> int:
+        """How many ways `slots` (>= 1) more slots fill from basis position
+        `start` within `budget`, gate aside."""
+        end = bisect_right(self.degrees, budget)
+        if slots == 1:
+            return max(end - start, 0)
+        return sum(self.count(slots - 1, i if self.symmetric else 0, budget - self.degrees[i])
+                   for i in range(start, end))
+
+    def __iter__(self) -> Iterator[Tuple[Monomial, ...]]:
+        basis, degrees, arity, symmetric, defined, bound = (
+            self.basis, self.degrees, self.arity, self.symmetric, self.defined, self.bound)
+        self.pruned = 0
+        rows: Dict[int, List[bool]] = {}
+
+        def row(j: int) -> List[bool]:
+            """The gate from basis[j] to each monomial that fits beside it."""
+            if j not in rows:
+                x = basis[j]
+                rows[j] = [defined(x, y)
+                           for y in basis[:bisect_right(degrees, bound - degrees[j])]]
+            return rows[j]
+
+        def extend(prefix, gates, start, budget):
+            left = arity - len(prefix) - 1  # slots after this one
+            for i in range(start, bisect_right(degrees, budget)):
+                rest = budget - degrees[i]
+                if gates and not all(gate[i] for gate in gates):
+                    self.pruned += self.count(left, i if symmetric else 0, rest) if left else 1
+                elif left:
+                    yield from extend(prefix + (basis[i],), gates + [row(i)] if defined else gates,
+                                      i if symmetric else 0, rest)
+                else:
+                    yield prefix + (basis[i],)
+
+        return extend((), [], 0, bound)
+
+
 def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
-                  symmetric: bool = False) -> Iterator[Tuple[Monomial, ...]]:
+                  symmetric: bool = False,
+                  defined: Optional[Callable[[Monomial, Monomial], bool]] = None
+                  ) -> WindowTuples:
     """Tuples of `arity` basis monomials of total degree <= bound, in
     lexicographic order of basis position; with `symmetric`, positions are
     nondecreasing.  The basis must be sorted by degree first, as
-    monomial_basis returns it, so each slot ranges over a prefix of it."""
-    degrees = [m.degree for m in basis]
+    monomial_basis returns it, so each slot ranges over a prefix of it.
 
-    def extend(prefix, start, budget):
-        if len(prefix) == arity:
-            yield prefix
-            return
-        for i in range(start, bisect_right(degrees, budget)):
-            yield from extend(prefix + (basis[i],), i if symmetric else 0,
-                              budget - degrees[i])
-
-    return extend((), 0, bound)
+    With a gate `defined`, a slot y whose defined(x, y) is false for some
+    earlier slot x is not extended: the tuples under that prefix are not
+    yielded but counted from the degrees alone into `pruned`.  The tuples
+    yielded are the rest of the window, in the same order."""
+    return WindowTuples(basis, arity, bound, symmetric, defined)
 
 
 # -- graded linear maps -------------------------------------------------------

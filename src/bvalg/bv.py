@@ -15,7 +15,12 @@ a Lie presentation (shift n) with
     to build it.
 
 User tables may be partial: undefined entries are explicit and verifiers
-report them as skipped coverage rather than guessing.
+report them as skipped coverage rather than guessing.  Over a partial table
+`BVStructure.tuples` gates the window: a tuple in which the cached bracket
+{x, y} of a slot x and a later slot y is Undefined is counted in `pruned`,
+not yielded, and `run_checks` skips it for every check name.  Each window
+verifier of arity >= 2 needs the bracket of every such slot pair, so it
+would have skipped the tuple anyway; its identity takes them as defined.
 
 Each identity is decided as one signed sum: `_add_signed` puts the terms of
 lhs - rhs into one dict, from cached brackets and operator values and
@@ -27,10 +32,10 @@ certificate and a first gap come from the side-by-side evaluation.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, _accumulate, derivation_from_generator_values,
+                      Undefined, WindowTuples, _accumulate, derivation_from_generator_values,
                       first_undefined, intern_monomial, leibniz, linear_extension,
                       monomial_basis, monomial_product, window_tuples)
 from .fields import FieldSpec, Scalar
@@ -112,11 +117,17 @@ class BVStructure:
             raise ValueError(f"window {max_degree} exceeds the truncation {self.truncation}")
         return [mono for mono in self._basis if mono.degree <= max_degree]
 
-    def tuples(self, arity: int,
-               max_degree: Optional[int] = None) -> Iterator[Tuple[Monomial, ...]]:
-        """The window: basis monomial tuples of total degree <= max_degree, else the truncation."""
+    def tuples(self, arity: int, max_degree: Optional[int] = None) -> WindowTuples:
+        """The window: basis monomial tuples of total degree <= max_degree, else
+        the truncation.  Over a partial table, a tuple in which the bracket
+        {x, y} of a slot x and a later slot y is Undefined is counted in
+        `pruned`, not yielded (the gate in the module docstring)."""
         bound = self.truncation if max_degree is None else max_degree
-        return window_tuples(self.basis(bound), arity, bound)
+        defined = None
+        if self._partial:
+            def defined(x, y):
+                return not isinstance(_bracket_monomials(self, x, y), Undefined)
+        return window_tuples(self.basis(bound), arity, bound, defined=defined)
 
     # -- bracket ----------------------------------------------------------
 
@@ -339,8 +350,6 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
 
     def deviation(a, b):
         lhs = _bracket_monomials(s, a, b)
-        if isinstance(lhs, Undefined):
-            return lhs
         # the operator values in the order, and with the gaps, of bracket_from_operator
         ab = monomial_product(a, b, field.characteristic == 2)
         bv_ab, ab_sign = (s.bv_monomial(ab[0]), ab[1]) if ab else (s.zero(), 0)
@@ -367,10 +376,8 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
     field = s.field
 
     def compatibility(a, b):
-        br = _bracket_monomials(s, a, b)
-        if isinstance(br, Undefined):
-            return br
-        lhs, bv_a, bv_b = s.bv_element(br), s.bv_monomial(a), s.bv_monomial(b)
+        lhs = s.bv_element(_bracket_monomials(s, a, b))
+        bv_a, bv_b = s.bv_monomial(a), s.bv_monomial(b)
         if gap := first_undefined(lhs, bv_a, bv_b):
             return gap
         if not _add_signed(s, dict(lhs._terms), brackets=((bv_a, b, 1), (a, bv_b, a.degree))):
@@ -387,8 +394,9 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
 def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
                         triple_degree: Optional[int] = None) -> Report:
     """Shifted antisymmetry on pairs; Jacobi and the Poisson relation on
-    triples of basis monomials (one enumeration, so an undefined inner
-    bracket skips both); the triple window defaults to the pair window."""
+    triples of basis monomials (one enumeration, so a triple pruned for an
+    undefined inner bracket skips both); the triple window defaults to the
+    pair window."""
     field = s.field
 
     def antisymmetry(a, b):
@@ -402,8 +410,6 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
         inner_bc = _bracket_monomials(s, b, c)
         inner_ac = _bracket_monomials(s, a, c)
         inner_ab = _bracket_monomials(s, a, b)
-        if gap := first_undefined(inner_bc, inner_ac, inner_ab):
-            return gap, gap
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
         # each lhs - rhs: None when it sums to zero, else a gap or the nonzero sum
         bc = monomial_product(b, c, field.characteristic == 2)

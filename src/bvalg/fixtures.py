@@ -163,7 +163,7 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     undefined unless supplied by the caller.
     """
     if max_degree < 1:
-        raise ValueError("need max_degree >= 1")
+        raise ValueError(f"fixture omega2-s3-f2 needs --max-degree >= 1, got {max_degree}")
     field = FieldSpec.prime(2)
     gens = []
     k = 1

@@ -8,13 +8,17 @@ timing data.
 
 Every check is run by ``run_checks(names, instances, identity, describe)``,
 the one place a certificate is put together.  The identity is called once
-per instance (a tuple of arguments) and returns one outcome per check name,
-as a tuple when there are several names:
+per instance (a tuple of arguments) that the instances yield, and returns
+one outcome per check name, as a tuple when there are several names:
 
   * ``None``: the instance passes;
   * an ``Undefined``: a needed value is missing, the instance is skipped;
   * a dict of strings: the instance fails, and the dict holds the failed
     sides of the identity.
+
+Instances passed over without a call, as a gated window prunes them, are
+counted by the iterable's ``pruned`` after the loop and are skipped for
+every name.
 
 A check's certificate is its first failing instance in enumeration order:
 ``describe(*instance)``, the rendered inputs, followed by the failed sides.
@@ -83,7 +87,9 @@ def run_checks(names: Sequence[str], instances: Iterable[tuple],
             result.checked += 1
             if outcome is not None and result.certificate is None:
                 result.certificate = {**describe(*instance), **outcome}
+    pruned = getattr(instances, "pruned", 0)
     for result in results:
+        result.skipped += pruned
         if result.certificate is not None:
             result.verdict = FAIL
         elif result.skipped and not result.checked:

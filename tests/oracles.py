@@ -239,8 +239,9 @@ def ref_identity_reports(s):
     """The reports of bv.verify_deviation_identity, verify_bracket_compatibility
     and verify_gerstenhaber on structure s at its truncation, each instance
     decided by building both sides as Elements from the public bracket and
-    operator and comparing them, never by a signed sum."""
-    from bvalg.algebra import Element, first_undefined
+    operator and comparing them, never by a signed sum, over the whole
+    window: `window_tuples` without a gate, so no tuple is pruned."""
+    from bvalg.algebra import Element, first_undefined, window_tuples
     from bvalg.bv import bracket_from_operator, poisson_bracket
     from bvalg.report import Report, as_triple, by_name, compare, run_checks
 
@@ -285,11 +286,14 @@ def ref_identity_reports(s):
             inner_ab * elt(c) + (elt(b) * inner_ac).signed(pa * b.degree))
         return jacobi, poisson
 
+    def window(arity):
+        return window_tuples(s.basis(), arity, s.truncation)
+
     pairs = by_name("a", "b")
-    return (Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2), deviation,
+    return (Report(checks=run_checks(("bv-deviation-is-bracket",), window(2), deviation,
                                      pairs)),
-            Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2), compatibility,
+            Report(checks=run_checks(("bv-bracket-compatibility",), window(2), compatibility,
                                      pairs)),
-            Report(checks=run_checks(("bracket-antisymmetry",), s.tuples(2), antisymmetry, pairs)
-                   + run_checks(("bracket-jacobi", "poisson-relation"), s.tuples(3),
+            Report(checks=run_checks(("bracket-antisymmetry",), window(2), antisymmetry, pairs)
+                   + run_checks(("bracket-jacobi", "poisson-relation"), window(3),
                                 jacobi_and_poisson, as_triple)))

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bvalg import algebra
 from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
                            derivation_from_generator_values, monomial_basis,
-                           normalize_word)
+                           normalize_word, window_tuples)
 from bvalg.bv import verify_bv_axioms
 from bvalg.fields import FieldSpec, GF2, QQ
 
@@ -73,6 +73,28 @@ def test_basis_counts_exterior_vs_polynomial():
     # mixed degrees
     names = [str(m) for m in monomial_basis(QQ, [A, B], 7)]
     assert names == ["1", "a", "a^2", "b", "a^3", "a*b"]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_gated_window_yields_the_rest_and_counts_what_it_prunes(arity, symmetric):
+    basis = monomial_basis(QQ, [X, A, Generator("c", 2)], 7)
+
+    def defined(x, y):  # not symmetric in x and y, and false on some diagonals
+        return (x.degree + 2 * y.degree) % 3 != 1
+
+    full = list(window_tuples(basis, arity, 7, symmetric))
+    kept = [t for t in full if all(defined(x, y) for x, y in combinations(t, 2))]
+    window = window_tuples(basis, arity, 7, symmetric, defined)
+    for _ in range(2):  # a second pass counts afresh
+        assert list(window) == kept
+        assert window.pruned == len(full) - len(kept)
+    assert arity == 1 or 0 < len(kept) < len(full)
+
+
+def test_window_of_no_slots_is_refused():
+    with pytest.raises(ValueError, match="arity >= 1, got 0"):
+        window_tuples(monomial_basis(QQ, [X], 3), 0, 3)
 
 
 def test_basis_rejects_degree_zero():

@@ -138,6 +138,12 @@ def test_fixture_omega2_reports_value_and_coverage(capsys):
     assert "coverage: 1\n" not in out  # strictly below one
 
 
+def test_fixture_omega2_names_its_window_bound(capsys):
+    code, out, err = run(capsys, "fixture", "omega2-s3-f2", "--max-degree", "0", "--verify")
+    assert (code, out, err) == (2, "", "error: fixture omega2-s3-f2 needs --max-degree >= 1, "
+                                       "got 0\n")
+
+
 def test_fixture_sphere_lie_verify(capsys):
     code, out, _ = run(capsys, "fixture", "sphere-lie:4", "--verify")
     assert code == 0

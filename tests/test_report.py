@@ -45,6 +45,16 @@ def test_describe_runs_once_per_failing_check():
     assert sorted(described) == [1, 2]
 
 
+def test_pruned_instances_are_skipped_by_every_check():
+    class Pruned(list):
+        pruned = 3
+
+    first, second = run_checks(("first", "second"), Pruned([(0,), (1,)]),
+                               lambda i: (None, GAP), by_name("input"))
+    assert (first.verdict, first.checked, first.skipped) == ("pass", 2, 3)
+    assert (second.verdict, second.checked, second.skipped) == ("skipped", 0, 5)
+
+
 def test_coverage_fraction():
     report = Report(checks=[run_one([None, None, None, GAP])])
     assert report.coverage == Fraction(3, 4)
