@@ -18,15 +18,15 @@ User tables may be partial: undefined entries are explicit and verifiers
 report them as skipped coverage rather than guessing.  Over a partial table
 `BVStructure.tuples` gates the window: a tuple in which the cached bracket
 {x, y} of a slot x and a later slot y is Undefined is counted in `pruned`,
-not yielded, and `run_checks` skips it for every check name.  Each window
-verifier of arity >= 2 needs the bracket of every such slot pair, so it
-would have skipped the tuple anyway; its identity takes them as defined.
+not yielded, and `run_checks` skips it for every check name, as each window
+verifier of arity >= 2 reads the bracket of every such slot pair.
 
-Each identity is decided as one signed sum: `_add_signed` puts the terms of
-lhs - rhs into one dict, from cached brackets and operator values and
-memoized monomial products, and an empty dict passes.  Both sides are built,
-as Elements, only for an instance that fails or meets a gap, so a
-certificate and a first gap come from the side-by-side evaluation.
+Each window identity is data: lists of lhs and rhs parts (kind, x, y, e),
+each (-1)^e times {x, y} ("bracket"), xy ("product") or bv(x) ("bv"), with
+x, y monomials or Elements.  `_decide` adds lhs - rhs into one dict from
+cached brackets and operator values and memoized products.  An empty sum
+passes, the first gap met in parts order skips (no output shows which), and
+only a nonzero sum builds the two sides, for the certificate.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       monomial_basis, monomial_product, window_tuples)
 from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
-from .report import (FAIL, Report, as_pair, as_triple, by_name, compare, merge_reports,
-                     run_checks, vanishes)
+from .report import (FAIL, Outcome, Report, as_pair, as_triple, by_name, compare,
+                     merge_reports, run_checks, vanishes)
 
 FREE = "free"
 USER = "user"
@@ -218,25 +218,28 @@ def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
     return Element._trusted(field, out)
 
 
-def _add_signed(s: BVStructure, out: Dict[Monomial, Scalar], brackets=(), products=()):
-    """Add (-1)^e {x, y} for each (x, y, e) in `brackets`, and (-1)^e xy for
-    each in `products`, into `out` in place; x and y are monomials or
-    Elements.  Returns the first gap met, else `out`: how an identity sums
-    lhs - rhs without building either side."""
+def _add_parts(s: BVStructure, out: Dict[Monomial, Scalar], lhs: Sequence[tuple],
+               rhs: Sequence[tuple] = ()) -> Optional[Undefined]:
+    """Add the parts of lhs, less those of rhs, into `out` in place (the parts
+    contract in the module docstring); returns the first gap met, else None."""
     field = s.field
     mul, neg, signed, one = field.mul, field.neg, field.signed, field.one()
     char2 = field.characteristic == 2
-    for bracket, parts in ((True, brackets), (False, products)):
-        for x, y, exponent in parts:
-            for m1, c1 in ((x, one),) if isinstance(x, Monomial) else x._terms.items():
-                for m2, c2 in ((y, one),) if isinstance(y, Monomial) else y._terms.items():
+    for flip, parts in ((0, lhs), (1, rhs)):
+        for kind, x, y, exponent in parts:
+            if isinstance(x, Undefined) or isinstance(y, Undefined):
+                return first_undefined(x, y)
+            exponent += flip
+            for m1, c1 in x._terms.items() if isinstance(x, Element) else ((x, one),):
+                for m2, c2 in y._terms.items() if isinstance(y, Element) else ((y, one),):
                     c = c2 if c1 is one else c1 if c2 is one else mul(c1, c2)
-                    if not bracket:
+                    if kind == "product":
                         prod = monomial_product(m1, m2, char2)
                         if prod is not None:
                             _accumulate(field, out, ((prod[0], signed(c, exponent + prod[1])),))
                         continue
-                    value = _bracket_monomials(s, m1, m2)
+                    value = (_bracket_monomials(s, m1, m2) if kind == "bracket"
+                             else s.bv_monomial(m1))
                     if isinstance(value, Undefined):
                         return value
                     if value._terms:
@@ -245,7 +248,26 @@ def _add_signed(s: BVStructure, out: Dict[Monomial, Scalar], brackets=(), produc
                             terms = [(m, mul(v, c)) for m, v in terms]
                         _accumulate(field, out, terms if exponent % 2 == 0
                                     else [(m, neg(v)) for m, v in terms])
-    return out
+    return None
+
+
+def _decide(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],
+            rhs_label: str, rhs: Sequence[tuple]) -> Outcome:
+    """Outcome of the identity sum(lhs) == sum(rhs), from one signed sum."""
+    out: Dict[Monomial, Scalar] = {}
+    gap = _add_parts(s, out, lhs, rhs)
+    return gap if gap is not None or not out else _sides(s, lhs_label, lhs, rhs_label, rhs)
+
+
+def _sides(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],
+           rhs_label: str, rhs: Sequence[tuple]) -> Dict[str, str]:
+    """A failing instance's sides, each summed on its own and rendered."""
+    sides = {}
+    for label, parts in ((lhs_label, lhs), (rhs_label, rhs)):
+        terms: Dict[Monomial, Scalar] = {}
+        _add_parts(s, terms, parts)
+        sides[label] = str(Element._trusted(s.field, terms))
+    return sides
 
 
 # -- the free operator ----------------------------------------------------------
@@ -345,27 +367,15 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
 
 def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """The bracket equals the operator's deviation from being a derivation,
-    on every homogeneous basis pair in the window."""
-    field = s.field
+    (-1)^|a| (bv(ab) - bv(a) b) - a bv(b), on every basis pair in the window."""
+    char2 = s.field.characteristic == 2
 
     def deviation(a, b):
-        lhs = _bracket_monomials(s, a, b)
-        # the operator values in the order, and with the gaps, of bracket_from_operator
-        ab = monomial_product(a, b, field.characteristic == 2)
-        bv_ab, ab_sign = (s.bv_monomial(ab[0]), ab[1]) if ab else (s.zero(), 0)
-        if isinstance(bv_ab, Undefined):
-            return bv_ab
-        bv_a, bv_b = s.bv_monomial(a), s.bv_monomial(b)
-        if gap := first_undefined(bv_a, bv_b):
-            return gap
-        # {a,b} - (-1)^|a| bv(ab) + (-1)^|a| bv(a) b + a bv(b)
-        out = dict(lhs._terms)
-        _accumulate(field, out, [(m, field.signed(c, a.degree + ab_sign + 1))
-                                 for m, c in bv_ab._terms.items()])
-        if not _add_signed(s, out, products=((bv_a, b, a.degree), (a, bv_b, 0))):
-            return None
-        return compare("bracket", lhs, "operator deviation",
-                       bracket_from_operator(field, s.bv_monomial, a, b))
+        ab = monomial_product(a, b, char2)
+        return _decide(s, "bracket", [("bracket", a, b, 0)], "operator deviation",
+                       ([("bv", ab[0], None, a.degree + ab[1])] if ab else [])
+                       + [("product", s.bv_monomial(a), b, a.degree + 1),
+                          ("product", a, s.bv_monomial(b), 1)])
 
     return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2, max_degree),
                                     deviation, by_name("a", "b")))
@@ -373,19 +383,12 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
 
 def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = None) -> Report:
     """bv{a,b} = {bv a, b} + (-1)^(|a|+1) {a, bv b} on basis pairs."""
-    field = s.field
 
     def compatibility(a, b):
-        lhs = s.bv_element(_bracket_monomials(s, a, b))
-        bv_a, bv_b = s.bv_monomial(a), s.bv_monomial(b)
-        if gap := first_undefined(lhs, bv_a, bv_b):
-            return gap
-        if not _add_signed(s, dict(lhs._terms), brackets=((bv_a, b, 1), (a, bv_b, a.degree))):
-            return None
-        first = poisson_bracket(s, bv_a, Element.from_monomial(field, b))
-        second = poisson_bracket(s, Element.from_monomial(field, a), bv_b)
-        return first_undefined(first, second) or compare(
-            "bv{a,b}", lhs, "{bv a,b} + sign*{a,bv b}", first + second.signed(a.degree + 1))
+        return _decide(s, "bv{a,b}", [("bv", _bracket_monomials(s, a, b), None, 0)],
+                       "{bv a,b} + sign*{a,bv b}",
+                       [("bracket", s.bv_monomial(a), b, 0),
+                        ("bracket", a, s.bv_monomial(b), a.degree + 1)])
 
     return Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2, max_degree),
                                     compatibility, by_name("a", "b")))
@@ -397,38 +400,25 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
     triples of basis monomials (one enumeration, so a triple pruned for an
     undefined inner bracket skips both); the triple window defaults to the
     pair window."""
-    field = s.field
+    char2 = s.field.characteristic == 2
 
     def antisymmetry(a, b):
-        lhs, rhs = _bracket_monomials(s, a, b), _bracket_monomials(s, b, a)
-        if gap := first_undefined(lhs, rhs):
-            return gap
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
-        return compare("{a,b}", lhs, "-sign*{b,a}", rhs.signed(pa * pb + 1))
+        return _decide(s, "{a,b}", [("bracket", a, b, 0)],
+                       "-sign*{b,a}", [("bracket", b, a, pa * pb + 1)])
 
     def jacobi_and_poisson(a, b, c):
         inner_bc = _bracket_monomials(s, b, c)
         inner_ac = _bracket_monomials(s, a, c)
         inner_ab = _bracket_monomials(s, a, b)
         pa, pb = a.degree + s.shift - 1, b.degree + s.shift - 1
-        # each lhs - rhs: None when it sums to zero, else a gap or the nonzero sum
-        bc = monomial_product(b, c, field.characteristic == 2)
-        jacobi = _add_signed(s, {}, brackets=((a, inner_bc, 0), (inner_ab, c, 1),
-                                              (b, inner_ac, pa * pb + 1))) or None
-        poisson = _add_signed(s, {}, brackets=((a, bc[0], bc[1]),) if bc else (),
-                              products=((inner_ab, c, 1), (b, inner_ac, pa * b.degree + 1))) or None
-        if jacobi is None and poisson is None:
-            return None, None
-        a_elt, b_elt, c_elt = (Element.from_monomial(field, m) for m in (a, b, c))
-        lhs = poisson_bracket(s, a_elt, inner_bc)
-        first = poisson_bracket(s, inner_ab, c_elt)
-        second = poisson_bracket(s, b_elt, inner_ac)
-        jacobi = jacobi and (first_undefined(lhs, first, second) or compare(
-            "{a,{b,c}}", lhs, "{{a,b},c} + sign*{b,{a,c}}", first + second.signed(pa * pb)))
-        poisson = poisson and compare(
-            "{a,bc}", poisson_bracket(s, a_elt, b_elt * c_elt), "{a,b}c + sign*b{a,c}",
-            inner_ab * c_elt + (b_elt * inner_ac).signed(pa * b.degree))
-        return jacobi, poisson
+        bc = monomial_product(b, c, char2)
+        return (_decide(s, "{a,{b,c}}", [("bracket", a, inner_bc, 0)],
+                        "{{a,b},c} + sign*{b,{a,c}}",
+                        [("bracket", inner_ab, c, 0), ("bracket", b, inner_ac, pa * pb)]),
+                _decide(s, "{a,bc}", [("bracket", a, bc[0], bc[1])] if bc else [],
+                        "{a,b}c + sign*b{a,c}",
+                        [("product", inner_ab, c, 0), ("product", b, inner_ac, pa * b.degree)]))
 
     return Report(checks=(
         run_checks(("bracket-antisymmetry",), s.tuples(2, pair_degree), antisymmetry,

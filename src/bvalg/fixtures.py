@@ -210,13 +210,22 @@ def load_fixture(name: str, max_degree: Optional[int] = None):
     """Resolve a stable fixture identifier to its object."""
     window = DEFAULT_WINDOW if max_degree is None else max_degree
     parts = name.split(":")
+
+    def integer(field: str, text: str, other: str = "") -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"fixture {name!r}: <{field}> must be an integer{other}, "
+                             f"got {text!r}") from None
+
     if parts[0] == "sphere-lie" and len(parts) == 2:
-        return sphere_loop_lie(int(parts[1]))
+        return sphere_loop_lie(integer("m", parts[1]))
     if parts[0] == "loopspace" and len(parts) == 3:
-        return loopspace_model(int(parts[1]), int(parts[2]), max_degree=window)
+        return loopspace_model(integer("n", parts[1]), integer("m", parts[2]), max_degree=window)
     if name == "omega2-s3-f2":
         return omega2_s3_f2(window)
     if parts[0] == "fd" and len(parts) == 3:
-        n: Union[int, str] = parts[1] if parts[1] == "infinity" else int(parts[1])
+        n: Union[int, str] = (parts[1] if parts[1] == "infinity"
+                              else integer("n", parts[1], " or 'infinity'"))
         return framed_disks_descriptor(n, FieldSpec.parse(parts[2]))
     raise KeyError(f"unknown fixture {name!r}")

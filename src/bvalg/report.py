@@ -26,9 +26,9 @@ Only a failing instance is described.  A check is ``fail`` exactly when it
 has a certificate, ``skipped`` if every instance was skipped, and ``pass``
 otherwise.  Checks that share an enumeration (one identity returning several
 outcomes) see the same instances in the same order.  An identity may decide
-an instance from one signed sum of lhs - rhs, as those in `bv` do, but it
-builds both sides for a failing or blocked instance, so the certificate and
-the gap are those of the side-by-side evaluation.
+an instance from one signed sum of lhs - rhs, as those in `bv` do: it builds
+the two sides only for a failing instance, and a blocked one returns the
+first gap it meets.
 """
 
 from __future__ import annotations

@@ -549,14 +549,13 @@ def test_bracket_from_operator_recovers_table():
                                           ("tests/data/bad_jacobi.lie", False)],
                          ids=["loops2_s4", "loops4_s6", "mixed_diff", "bad_jacobi"])
 def test_sides_are_built_only_for_a_failing_instance(path, passes, monkeypatch):
-    # a wrong sign in a signed sum leaves every verdict right (the sides decide
-    # again), so only the count of side-building calls shows it
     calls = []
-    for name in ("poisson_bracket", "bracket_from_operator"):
-        def counted(*args, _original=getattr(bv, name), _name=name):
-            calls.append(_name)
-            return _original(*args)
-        monkeypatch.setattr(bv, name, counted)
+
+    def counted(*args, _original=bv._sides):
+        calls.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(bv, "_sides", counted)
     with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
         structure = parse_presentation(handle.read()).to_structure()
     report = verify_bv_axioms(structure)

@@ -164,6 +164,15 @@ def test_fixture_unknown_name(capsys):
     assert err == "error: unknown fixture 'unknown:thing'\n"
 
 
+@pytest.mark.parametrize("name, message", [
+    ("sphere-lie:x", "fixture 'sphere-lie:x': <m> must be an integer, got 'x'"),
+    ("loopspace:2:x", "fixture 'loopspace:2:x': <m> must be an integer, got 'x'"),
+    ("fd:x:Q", "fixture 'fd:x:Q': <n> must be an integer or 'infinity', got 'x'"),
+])
+def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
+    assert run(capsys, "fixture", name) == (2, "", f"error: {message}\n")
+
+
 def test_json_result_serializes_element_as_pairs(capsys):
     code, out, _ = run(capsys, "free-bv", fixture_path("loops2_s4.lie"),
                        "--apply", "a^3", "--format", "json")
