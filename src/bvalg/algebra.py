@@ -6,19 +6,22 @@ Every sign in the engine derives from a single rule: transposing two
 adjacent homogeneous factors a, b multiplies the coefficient by
 (-1)^(|a||b|).  A sign is applied as ``FieldSpec.signed(c, exponent)`` to a
 coefficient and as ``Element.signed(exponent)`` to an element, each of which
-returns its argument or its negation, never by multiplying.  All other signs
+returns its argument or its negation, never by multiplying; a two-sided sum
+(``bv._add_parts``) applies it by its parity, choosing a side.  All other signs
 (word normalization, tensor factor swaps, moving an operator past an
 element, derivation prefix signs) come from this rule through these two
 helpers.  Over characteristic 2 every sign collapses to +1 automatically.
 
 Products and sums
 -----------------
-The product of two monomials is sorted once: ``monomial_product`` keeps it
-in a memo keyed by the pair and by whether the characteristic is 2, as an
-interned monomial (the object the basis holds, so cache lookups are
-identity hits) and a sign parity.  The memo and the intern table start
-over together when either reaches ``MEMO_CAP`` entries, so neither grows
-past it however many structures a process builds.
+Monomials are interned when made: one factor key, one object, so every
+cache keyed on monomials compares and hashes them by identity.  The
+product of two monomials is sorted once: ``monomial_product`` keeps it in
+a memo keyed by the pair and by whether the characteristic is 2, as a
+monomial and a sign parity.  The memo starts over when it reaches
+``MEMO_CAP`` entries, so it does not grow past it however many structures a
+process builds; the intern table holds monomials weakly and keeps none
+alive.
 Every sum is built in one dict by ``_accumulate``, without a copy per term.
 
 Monomials are kept in a normal form: factors sorted by (degree, id).
@@ -32,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
+from weakref import WeakValueDictionary
 
 from .fields import FieldSpec, Scalar
 
@@ -61,29 +65,33 @@ class Generator:
 class Monomial:
     """Normal-form monomial: factors sorted by (degree, id), multiplicities >= 1.
 
-    Immutable by convention.  Degree, wordlength, word, sort key and hash are
-    computed once, at construction; equality compares the factors.
+    Interned: ``Monomial(factors)`` returns the one live object for its
+    factor key, the tuple of (degree, id, multiplicity), so equality and
+    hashing are the object defaults and every dict keyed on monomials
+    hashes without a Python call.  The intern table holds its monomials
+    weakly.  Immutable by convention; degree, wordlength, word and sort key
+    are computed once, when the object is made.
     """
 
-    __slots__ = ("factors", "degree", "wordlength", "_word", "_key", "_hash")
+    __slots__ = ("factors", "degree", "wordlength", "_word", "_key", "__weakref__")
 
-    def __init__(self, factors: Tuple[Tuple[Generator, int], ...]):
-        self.factors = factors = tuple(factors)
+    def __new__(cls, factors: Tuple[Tuple[Generator, int], ...]) -> "Monomial":
+        factors = tuple(factors)
+        key = tuple((g.degree, g.id, m) for g, m in factors)
+        mono = _interned.get(key)
+        if mono is not None:
+            return mono
+        mono = object.__new__(cls)
+        mono.factors = factors
         word: List[Generator] = []
         for g, m in factors:
             word.extend([g] * m)
-        self._word = tuple(word)
-        self.degree = sum(g.degree for g in word)
-        self.wordlength = len(word)
-        self._key = (self.degree, self.wordlength,
-                     tuple((g.degree, g.id, m) for g, m in factors))
-        self._hash = hash(self._key)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Monomial) and self._key == other._key)
-
-    def __hash__(self) -> int:
-        return self._hash
+        mono._word = tuple(word)
+        mono.degree = sum(g.degree for g in word)
+        mono.wordlength = len(word)
+        mono._key = (mono.degree, mono.wordlength, key)
+        _interned[key] = mono
+        return mono
 
     def __repr__(self) -> str:
         return f"Monomial(factors={self.factors!r})"
@@ -122,6 +130,10 @@ class Monomial:
         return "*".join(parts)
 
 
+# factor key -> the one live monomial; an entry goes when its monomial does
+_interned: WeakValueDictionary = WeakValueDictionary()
+
+
 def sort_word(word: Sequence[Generator]) -> Tuple[List[Generator], int]:
     """Stable-sort a word by (degree, id), returning the Koszul sign exponent.
 
@@ -141,48 +153,33 @@ def sort_word(word: Sequence[Generator]) -> Tuple[List[Generator], int]:
 
 # -- the one monomial product ---------------------------------------------------
 
-MEMO_CAP = 1 << 14  # entries in the product memo and in the intern table
+MEMO_CAP = 1 << 14  # entries in the product memo
 _MISSING = object()
-_interned: Dict[Monomial, Monomial] = {}
 _products: Dict[Tuple[Monomial, Monomial, bool], Optional[Tuple[Monomial, int]]] = {}
 
 
-def _remember(table: Dict, key, value):
-    """Store key -> value.  When the table is full, both tables start over
-    first, so no stored product holds a monomial the intern table has lost."""
-    if len(table) >= MEMO_CAP:
-        _products.clear()
-        _interned.clear()
-    table[key] = value
-    return value
-
-
-def intern_monomial(mono: Monomial) -> Monomial:
-    """The stored monomial equal to mono; mono itself when none is stored."""
-    found = _interned.get(mono)
-    return _remember(_interned, mono, mono) if found is None else found
-
-
 def _normal_form(word: Sequence[Generator], char2: bool) -> Optional[Tuple[Monomial, int]]:
-    """The interned normal form of a word and the parity of its Koszul sign,
+    """The normal form of a word and the parity of its Koszul sign,
     or None when, outside characteristic 2, an odd letter repeats."""
     letters, exp = sort_word(word)
     if not char2:
         for a, b in zip(letters, letters[1:]):
             if a == b and a.degree % 2 == 1:
                 return None
-    return intern_monomial(Monomial.from_sorted_word(letters)), exp % 2
+    return Monomial.from_sorted_word(letters), exp % 2
 
 
 def monomial_product(m1: Monomial, m2: Monomial,
                      char2: bool) -> Optional[Tuple[Monomial, int]]:
-    """m1*m2 as (interned monomial, sign parity), or None when it vanishes;
-    memoized.  `char2` says whether the characteristic is 2, where an odd
-    square survives."""
+    """m1*m2 as (monomial, sign parity), or None when it vanishes; memoized,
+    and the memo starts over when it holds MEMO_CAP entries.  `char2` says
+    whether the characteristic is 2, where an odd square survives."""
     key = (m1, m2, char2)
     value = _products.get(key, _MISSING)
     if value is _MISSING:
-        value = _remember(_products, key, _normal_form(m1.word() + m2.word(), char2))
+        if len(_products) >= MEMO_CAP:
+            _products.clear()
+        value = _products[key] = _normal_form(m1.word() + m2.word(), char2)
     return value
 
 
@@ -422,7 +419,7 @@ def monomial_basis(field: FieldSpec, generators: Sequence[Generator],
     out = []
     for exps in _exponent_vectors(gens, field, max_degree):
         factors = tuple((g, e) for g, e in zip(gens, exps) if e > 0)
-        out.append(intern_monomial(Monomial(factors)))
+        out.append(Monomial(factors))
     out.sort(key=Monomial.order_key)
     return out
 
@@ -432,11 +429,13 @@ class WindowTuples:
     number of window tuples its gate passed over."""
 
     def __init__(self, basis: Sequence[Monomial], arity: int, bound: int, symmetric: bool,
-                 defined: Optional[Callable[[Monomial, Monomial], bool]]):
+                 defined: Optional[Callable[[Monomial, Monomial], bool]],
+                 rows: Optional[Dict[int, List[bool]]] = None):
         if arity < 1:
             raise ValueError(f"window tuples need arity >= 1, got {arity}")
         self.basis, self.arity, self.bound = basis, arity, bound
         self.symmetric, self.defined = symmetric, defined
+        self.rows = {} if rows is None else rows
         self.degrees = [m.degree for m in basis]
         self.pruned = 0
 
@@ -453,7 +452,7 @@ class WindowTuples:
         basis, degrees, arity, symmetric, defined, bound = (
             self.basis, self.degrees, self.arity, self.symmetric, self.defined, self.bound)
         self.pruned = 0
-        rows: Dict[int, List[bool]] = {}
+        rows = self.rows
 
         def row(j: int) -> List[bool]:
             """The gate from basis[j] to each monomial that fits beside it."""
@@ -480,8 +479,8 @@ class WindowTuples:
 
 def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
                   symmetric: bool = False,
-                  defined: Optional[Callable[[Monomial, Monomial], bool]] = None
-                  ) -> WindowTuples:
+                  defined: Optional[Callable[[Monomial, Monomial], bool]] = None,
+                  rows: Optional[Dict[int, List[bool]]] = None) -> WindowTuples:
     """Tuples of `arity` basis monomials of total degree <= bound, in
     lexicographic order of basis position; with `symmetric`, positions are
     nondecreasing.  The basis must be sorted by degree first, as
@@ -490,8 +489,10 @@ def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
     With a gate `defined`, a slot y whose defined(x, y) is false for some
     earlier slot x is not extended: the tuples under that prefix are not
     yielded but counted from the degrees alone into `pruned`.  The tuples
-    yielded are the rest of the window, in the same order."""
-    return WindowTuples(basis, arity, bound, symmetric, defined)
+    yielded are the rest of the window, in the same order.  `rows` keeps the
+    gate read from each basis position, by position; windows over the same
+    basis, bound and gate may share it, so each row is read once."""
+    return WindowTuples(basis, arity, bound, symmetric, defined, rows)
 
 
 # -- graded linear maps -------------------------------------------------------

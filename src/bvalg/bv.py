@@ -23,10 +23,14 @@ verifier of arity >= 2 reads the bracket of every such slot pair.
 
 Each window identity is data: lists of lhs and rhs parts (kind, x, y, e),
 each (-1)^e times {x, y} ("bracket"), xy ("product") or bv(x) ("bv"), with
-x, y monomials or Elements.  `_decide` adds lhs - rhs into one dict from
-cached brackets and operator values and memoized products.  An empty sum
-passes, the first gap met in parts order skips (no output shows which), and
-only a nonzero sum builds the two sides, for the certificate.
+x, y monomials or Elements.  `_decide` adds lhs - rhs as a two-sided sum
+from cached brackets and operator values and memoized products: a term
+whose sign, with one more flip for rhs, is even goes into one dict and an
+odd one into the other, so no coefficient is negated.  Equal dicts pass,
+the first gap met in parts order skips (no output shows which), and a
+failing instance returns a callable that builds the two sides, which
+`run_checks` calls only for the certificate it keeps.  The gate rows of a
+partial table are read once per window bound and kept on the structure.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       Undefined, WindowTuples, _accumulate, derivation_from_generator_values,
-                      first_undefined, intern_monomial, leibniz, linear_extension,
-                      monomial_basis, monomial_product, window_tuples)
+                      first_undefined, leibniz, linear_extension, monomial_basis,
+                      monomial_product, window_tuples)
 from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
 from .report import (FAIL, Outcome, Report, as_pair, as_triple, by_name, compare,
@@ -81,7 +85,7 @@ class BVStructure:
         self.field = presentation.field
         self.shift = presentation.shift
         self.generators = list(presentation.generators)
-        self.letters = {g: intern_monomial(Monomial(((g, 1),))) for g in self.generators}
+        self.letters = {g: Monomial(((g, 1),)) for g in self.generators}
         self.truncation = truncation
         self.has_bv = has_bv
         self.metadata = dict(metadata or {})
@@ -94,6 +98,7 @@ class BVStructure:
         self._bracket_cache: Dict[Tuple[Monomial, Monomial], MaybeElement] = {}
         self._bv_cache: Dict[Monomial, MaybeElement] = {}
         self._basis: Optional[List[Monomial]] = None
+        self._gate_rows: Dict[int, Dict[int, List[bool]]] = {}  # per window bound
         if bv_values is None:
             self._generator_values: Dict[Generator, MaybeElement] = {
                 g: -presentation.diff(g.id) for g in self.generators}
@@ -121,13 +126,15 @@ class BVStructure:
         """The window: basis monomial tuples of total degree <= max_degree, else
         the truncation.  Over a partial table, a tuple in which the bracket
         {x, y} of a slot x and a later slot y is Undefined is counted in
-        `pruned`, not yielded (the gate in the module docstring)."""
+        `pruned`, not yielded (the gate in the module docstring).  The gate
+        rows are read once per window bound and shared by every window."""
         bound = self.truncation if max_degree is None else max_degree
-        defined = None
+        defined = rows = None
         if self._partial:
             def defined(x, y):
                 return not isinstance(_bracket_monomials(self, x, y), Undefined)
-        return window_tuples(self.basis(bound), arity, bound, defined=defined)
+            rows = self._gate_rows.setdefault(bound, {})
+        return window_tuples(self.basis(bound), arity, bound, defined=defined, rows=rows)
 
     # -- bracket ----------------------------------------------------------
 
@@ -218,12 +225,14 @@ def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
     return Element._trusted(field, out)
 
 
-def _add_parts(s: BVStructure, out: Dict[Monomial, Scalar], lhs: Sequence[tuple],
-               rhs: Sequence[tuple] = ()) -> Optional[Undefined]:
-    """Add the parts of lhs, less those of rhs, into `out` in place (the parts
-    contract in the module docstring); returns the first gap met, else None."""
+def _add_parts(s: BVStructure, sides: Tuple[Dict[Monomial, Scalar], Dict[Monomial, Scalar]],
+               lhs: Sequence[tuple], rhs: Sequence[tuple] = ()) -> Optional[Undefined]:
+    """Add each term of the parts of lhs and rhs (the parts contract in the
+    module docstring) into sides[0] when its sign, with one more flip for
+    rhs, is even, else into sides[1], so lhs - rhs is sides[0] - sides[1];
+    returns the first gap met, else None."""
     field = s.field
-    mul, neg, signed, one = field.mul, field.neg, field.signed, field.one()
+    mul, one = field.mul, field.one()
     char2 = field.characteristic == 2
     for flip, parts in ((0, lhs), (1, rhs)):
         for kind, x, y, exponent in parts:
@@ -236,7 +245,7 @@ def _add_parts(s: BVStructure, out: Dict[Monomial, Scalar], lhs: Sequence[tuple]
                     if kind == "product":
                         prod = monomial_product(m1, m2, char2)
                         if prod is not None:
-                            _accumulate(field, out, ((prod[0], signed(c, exponent + prod[1])),))
+                            _accumulate(field, sides[(exponent + prod[1]) % 2], ((prod[0], c),))
                         continue
                     value = (_bracket_monomials(s, m1, m2) if kind == "bracket"
                              else s.bv_monomial(m1))
@@ -246,28 +255,30 @@ def _add_parts(s: BVStructure, out: Dict[Monomial, Scalar], lhs: Sequence[tuple]
                         terms = value._terms.items()
                         if c is not one:
                             terms = [(m, mul(v, c)) for m, v in terms]
-                        _accumulate(field, out, terms if exponent % 2 == 0
-                                    else [(m, neg(v)) for m, v in terms])
+                        _accumulate(field, sides[exponent % 2], terms)
     return None
 
 
 def _decide(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],
             rhs_label: str, rhs: Sequence[tuple]) -> Outcome:
-    """Outcome of the identity sum(lhs) == sum(rhs), from one signed sum."""
-    out: Dict[Monomial, Scalar] = {}
-    gap = _add_parts(s, out, lhs, rhs)
-    return gap if gap is not None or not out else _sides(s, lhs_label, lhs, rhs_label, rhs)
+    """Outcome of the identity sum(lhs) == sum(rhs), from one two-sided sum;
+    a failing instance's sides are rendered only when its outcome is called."""
+    sides: Tuple[Dict[Monomial, Scalar], Dict[Monomial, Scalar]] = ({}, {})
+    gap = _add_parts(s, sides, lhs, rhs)
+    if gap is not None or sides[0] == sides[1]:
+        return gap
+    return lambda: _sides(s, lhs_label, lhs, rhs_label, rhs)
 
 
 def _sides(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],
            rhs_label: str, rhs: Sequence[tuple]) -> Dict[str, str]:
     """A failing instance's sides, each summed on its own and rendered."""
-    sides = {}
+    rendered = {}
     for label, parts in ((lhs_label, lhs), (rhs_label, rhs)):
-        terms: Dict[Monomial, Scalar] = {}
-        _add_parts(s, terms, parts)
-        sides[label] = str(Element._trusted(s.field, terms))
-    return sides
+        even, odd = {}, {}
+        _add_parts(s, (even, odd), parts)
+        rendered[label] = str(Element._trusted(s.field, even) - Element._trusted(s.field, odd))
+    return rendered
 
 
 # -- the free operator ----------------------------------------------------------
@@ -297,8 +308,8 @@ def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
                 continue
             n_ij = (word[i].degree * prefix[i]
                     + word[j].degree * (prefix[j] - word[i].degree))
-            rest = Element.from_monomial(field, intern_monomial(
-                Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:])))
+            rest = Element.from_monomial(
+                field, Monomial.from_sorted_word(word[:i] + word[i + 1:j] + word[j + 1:]))
             _accumulate(field, out, (br * rest).signed(word[i].degree + n_ij)._terms.items())
     return Element._trusted(field, out)
 

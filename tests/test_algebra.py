@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations, groupby
 
@@ -9,6 +11,7 @@ from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
                            derivation_from_generator_values, monomial_basis,
                            normalize_word, window_tuples)
 from bvalg.bv import verify_bv_axioms
+from bvalg.dsl import parse_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
 
 from oracles import ref_add, ref_mul, ref_normalize_word, ref_scale, ref_terms
@@ -293,6 +296,27 @@ def test_monomials_differ_with_generator_degree():
     assert (low.degree, high.degree) == (3, 4)
 
 
+def test_equal_factors_give_one_monomial_object():
+    twins = [Monomial(((Generator("a", 3), 2), (Generator("b", 4), 1))) for _ in range(2)]
+    assert twins[0] is twins[1]
+    assert Monomial.from_sorted_word([Generator("a", 3)] * 2 + [Generator("b", 4)]) is twins[0]
+    other = Monomial(((Generator("a", 3), 2), (Generator("b", 6), 1)))
+    assert other is not twins[0] and other != twins[0]
+
+
+def test_intern_table_keeps_no_dropped_monomial_alive(fresh_memo):
+    s = parse_presentation("field Q\nshift n=2\ngen weak_a : 2\ngen weak_b : 5\n"
+                           "bracket [weak_a,weak_a] = weak_b\ntruncate 12\n").to_structure()
+    assert verify_bv_axioms(s).passed
+    kept = [weakref.ref(m) for m in s.basis() if not m.is_unit]
+    del s
+    algebra._products.clear()
+    gc.collect()
+    assert kept and all(ref() is None for ref in kept)
+    assert not any(g_id.startswith("weak_") for key in list(algebra._interned.keys())
+                   for _, g_id, _ in key)
+
+
 # -- the product memo ------------------------------------------------------------
 
 MEMO_FIELDS = [QQ, GF2, FieldSpec.prime(3), FieldSpec.prime(5)]
@@ -303,9 +327,9 @@ MEMO_COEFFS = st.integers(-4, 4)  # integral, so defined over every MEMO_FIELDS 
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty product memo and intern table, put back after the test."""
+    """An empty product memo, put back after the test.  The intern table is
+    kept: a fresh one would make a second object for a live monomial."""
     monkeypatch.setattr(algebra, "_products", {})
-    monkeypatch.setattr(algebra, "_interned", {})
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,14 +378,19 @@ def test_memo_stays_bounded_over_many_structures(monkeypatch):
         return [verify_bv_axioms(s).to_json() for _, s in zip(range(30), drawn)]
 
     monkeypatch.setattr(algebra, "_products", {})
-    monkeypatch.setattr(algebra, "_interned", {})
+    live = set(algebra._interned.keys())
     expected = verdicts()
     grown = len(algebra._products)
+    algebra._products.clear()  # monkeypatch holds this memo until the test ends
     cap = 64
     monkeypatch.setattr(algebra, "MEMO_CAP", cap)
     monkeypatch.setattr(algebra, "_products", _Watched())
-    monkeypatch.setattr(algebra, "_interned", _Watched())
     _Watched.peak = 0
     assert verdicts() == expected  # starting over mid-run changes no verdict
     assert grown > 4 * cap  # the small cap was hit, several times over
     assert _Watched.peak == cap
+    # the intern table holds no monomial alive: once the memo is empty, the
+    # dropped structures leave no entry in it
+    algebra._products.clear()
+    gc.collect()
+    assert set(algebra._interned.keys()) <= live
