@@ -93,6 +93,10 @@ class Monomial:
         _interned[key] = mono
         return mono
 
+    def __reduce__(self):
+        # copies and unpickled monomials come back through the intern table
+        return (Monomial, (self.factors,))
+
     def __repr__(self) -> str:
         return f"Monomial(factors={self.factors!r})"
 

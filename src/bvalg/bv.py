@@ -27,10 +27,9 @@ x, y monomials or Elements.  `_decide` adds lhs - rhs as a two-sided sum
 from cached brackets and operator values and memoized products: a term
 whose sign, with one more flip for rhs, is even goes into one dict and an
 odd one into the other, so no coefficient is negated.  Equal dicts pass,
-the first gap met in parts order skips (no output shows which), and a
-failing instance returns a callable that builds the two sides, which
-`run_checks` calls only for the certificate it keeps.  The gate rows of a
-partial table are read once per window bound and kept on the structure.
+the first gap met in parts order skips (no output shows which), and only a
+failing instance builds the two sides, for the certificate.  The gate rows
+of a partial table are read once per window bound and kept on the structure.
 """
 
 from __future__ import annotations
@@ -261,13 +260,12 @@ def _add_parts(s: BVStructure, sides: Tuple[Dict[Monomial, Scalar], Dict[Monomia
 
 def _decide(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],
             rhs_label: str, rhs: Sequence[tuple]) -> Outcome:
-    """Outcome of the identity sum(lhs) == sum(rhs), from one two-sided sum;
-    a failing instance's sides are rendered only when its outcome is called."""
+    """Outcome of the identity sum(lhs) == sum(rhs), from one two-sided sum."""
     sides: Tuple[Dict[Monomial, Scalar], Dict[Monomial, Scalar]] = ({}, {})
     gap = _add_parts(s, sides, lhs, rhs)
     if gap is not None or sides[0] == sides[1]:
         return gap
-    return lambda: _sides(s, lhs_label, lhs, rhs_label, rhs)
+    return _sides(s, lhs_label, lhs, rhs_label, rhs)
 
 
 def _sides(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],

@@ -14,10 +14,7 @@ one outcome per check name, as a tuple when there are several names:
   * ``None``: the instance passes;
   * an ``Undefined``: a needed value is missing, the instance is skipped;
   * a dict of strings: the instance fails, and the dict holds the failed
-    sides of the identity;
-  * a callable of no arguments: the instance fails, and calling it returns
-    that dict.  It is called only for the instance that becomes a
-    certificate, so the sides of later failures are never rendered.
+    sides of the identity.
 
 Instances passed over without a call, as a gated window prunes them, are
 counted by the iterable's ``pruned`` after the loop and are skipped for
@@ -29,9 +26,9 @@ Only a failing instance is described.  A check is ``fail`` exactly when it
 has a certificate, ``skipped`` if every instance was skipped, and ``pass``
 otherwise.  Checks that share an enumeration (one identity returning several
 outcomes) see the same instances in the same order.  An identity may decide
-an instance without building either side, as those in `bv` do from the
-two-sided sum of lhs - rhs: a failing instance returns a callable that
-builds the sides, and a blocked one returns the first gap it meets.
+an instance from the two-sided sum of lhs - rhs, as those in `bv` do: it
+builds the two sides only for a failing instance, and a blocked one returns
+the first gap it meets.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ SKIPPED = "skipped"
 # rendered as strings for humans and as sorted (monomial, coefficient)
 # pair lists in JSON.
 DetailValue = Union[str, Element]
-Outcome = Union[None, Undefined, Dict[str, str], Callable[[], Dict[str, str]]]
+Outcome = Union[None, Undefined, Dict[str, str]]
 
 
 def _detail_json(value):
@@ -89,8 +86,7 @@ def run_checks(names: Sequence[str], instances: Iterable[tuple],
                 continue
             result.checked += 1
             if outcome is not None and result.certificate is None:
-                sides = outcome if isinstance(outcome, dict) else outcome()
-                result.certificate = {**describe(*instance), **sides}
+                result.certificate = {**describe(*instance), **outcome}
     pruned = getattr(instances, "pruned", 0)
     for result in results:
         result.skipped += pruned

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import weakref
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -302,6 +304,13 @@ def test_equal_factors_give_one_monomial_object():
     assert Monomial.from_sorted_word([Generator("a", 3)] * 2 + [Generator("b", 4)]) is twins[0]
     other = Monomial(((Generator("a", 3), 2), (Generator("b", 6), 1)))
     assert other is not twins[0] and other != twins[0]
+
+
+def test_copied_and_unpickled_monomials_are_the_interned_object():
+    m = Monomial(((Generator("a", 3), 2), (Generator("b", 4), 1)))
+    assert copy.copy(m) is m and copy.deepcopy(m) is m
+    assert pickle.loads(pickle.dumps(m)) is m
+    assert copy.deepcopy({m: 1}) == {m: 1}
 
 
 def test_intern_table_keeps_no_dropped_monomial_alive(fresh_memo):
