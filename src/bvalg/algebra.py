@@ -320,9 +320,7 @@ class Element:
         """(-1)**exponent * self, by negation."""
         return -self if exponent % 2 else self
 
-    def __mul__(self, other):
-        if not isinstance(other, Element):
-            return self.scale(other)
+    def __mul__(self, other: "Element") -> "Element":
         self._require_same_field(other)
         field = self.field
         mul, signed, char2 = field.mul, field.signed, field.characteristic == 2
@@ -334,9 +332,6 @@ class Element:
                     c = c2 if c1 == 1 else c1 if c2 == 1 else mul(c1, c2)
                     terms.append((prod[0], signed(c, prod[1])))
         return Element._trusted(field, _accumulate(field, {}, terms))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and self.field == other.field
@@ -433,13 +428,11 @@ class WindowTuples:
     number of window tuples its gate passed over."""
 
     def __init__(self, basis: Sequence[Monomial], arity: int, bound: int, symmetric: bool,
-                 defined: Optional[Callable[[Monomial, Monomial], bool]],
-                 rows: Optional[Dict[int, List[bool]]] = None):
+                 gate: Optional[Tuple[Sequence[int], Sequence[int]]]):
         if arity < 1:
             raise ValueError(f"window tuples need arity >= 1, got {arity}")
         self.basis, self.arity, self.bound = basis, arity, bound
-        self.symmetric, self.defined = symmetric, defined
-        self.rows = {} if rows is None else rows
+        self.symmetric, self.gate = symmetric, gate
         self.degrees = [m.degree for m in basis]
         self.pruned = 0
 
@@ -453,50 +446,39 @@ class WindowTuples:
                    for i in range(start, end))
 
     def __iter__(self) -> Iterator[Tuple[Monomial, ...]]:
-        basis, degrees, arity, symmetric, defined, bound = (
-            self.basis, self.degrees, self.arity, self.symmetric, self.defined, self.bound)
+        basis, degrees, arity, symmetric = self.basis, self.degrees, self.arity, self.symmetric
+        letters, partners = self.gate or ((0,) * len(basis),) * 2
         self.pruned = 0
-        rows = self.rows
 
-        def row(j: int) -> List[bool]:
-            """The gate from basis[j] to each monomial that fits beside it."""
-            if j not in rows:
-                x = basis[j]
-                rows[j] = [defined(x, y)
-                           for y in basis[:bisect_right(degrees, bound - degrees[j])]]
-            return rows[j]
-
-        def extend(prefix, gates, start, budget):
+        def extend(prefix, blocked, start, budget):
             left = arity - len(prefix) - 1  # slots after this one
             for i in range(start, bisect_right(degrees, budget)):
                 rest = budget - degrees[i]
-                if gates and not all(gate[i] for gate in gates):
+                if blocked & letters[i]:
                     self.pruned += self.count(left, i if symmetric else 0, rest) if left else 1
                 elif left:
-                    yield from extend(prefix + (basis[i],), gates + [row(i)] if defined else gates,
+                    yield from extend(prefix + (basis[i],), blocked | partners[i],
                                       i if symmetric else 0, rest)
                 else:
                     yield prefix + (basis[i],)
 
-        return extend((), [], 0, bound)
+        return extend((), 0, 0, self.bound)
 
 
 def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
                   symmetric: bool = False,
-                  defined: Optional[Callable[[Monomial, Monomial], bool]] = None,
-                  rows: Optional[Dict[int, List[bool]]] = None) -> WindowTuples:
+                  gate: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> WindowTuples:
     """Tuples of `arity` basis monomials of total degree <= bound, in
     lexicographic order of basis position; with `symmetric`, positions are
     nondecreasing.  The basis must be sorted by degree first, as
     monomial_basis returns it, so each slot ranges over a prefix of it.
 
-    With a gate `defined`, a slot y whose defined(x, y) is false for some
-    earlier slot x is not extended: the tuples under that prefix are not
+    A gate (letters, partners) holds two bit masks per basis position.  A
+    slot at position j is not extended when letters[j] meets partners[i] of
+    some earlier slot at position i: the tuples under that prefix are not
     yielded but counted from the degrees alone into `pruned`.  The tuples
-    yielded are the rest of the window, in the same order.  `rows` keeps the
-    gate read from each basis position, by position; windows over the same
-    basis, bound and gate may share it, so each row is read once."""
-    return WindowTuples(basis, arity, bound, symmetric, defined, rows)
+    yielded are the rest of the window, in the same order."""
+    return WindowTuples(basis, arity, bound, symmetric, gate)
 
 
 # -- graded linear maps -------------------------------------------------------

@@ -5,7 +5,10 @@ a Lie presentation (shift n) with
 
   * the bracket, extended from generator pairs by the Poisson relation
     {a, bc} = {a,b}c + (-1)^((|a|+n-1)|b|) b{a,c}, which `algebra.leibniz`
-    applies in each slot (the first one through shifted antisymmetry), and
+    applies in each slot (the first one through shifted antisymmetry); as
+    the rule reads every letter's image before any product, {x, y} is
+    Undefined exactly when some letter of x and some letter of y have no
+    table entry, and
 
   * an operator of degree n-1, fixed by its values on generators: -d(g)
     for a free structure, the table for a user one.  On a word it is those
@@ -16,10 +19,14 @@ a Lie presentation (shift n) with
 
 User tables may be partial: undefined entries are explicit and verifiers
 report them as skipped coverage rather than guessing.  Over a partial table
-`BVStructure.tuples` gates the window: a tuple in which the cached bracket
-{x, y} of a slot x and a later slot y is Undefined is counted in `pruned`,
-not yielded, and `run_checks` skips it for every check name, as each window
-verifier of arity >= 2 reads the bracket of every such slot pair.
+`BVStructure.tuples` gates the window on two bit masks per basis monomial,
+read once from the table: letters(m), a bit per generator of m, and
+partners(m), a bit per generator with which some letter of m has no entry.
+By the letter-pair rule above, a tuple in which partners(x) meets
+letters(y) for a slot x and a later slot y has an Undefined bracket {x, y};
+it is counted in `pruned`, not yielded, and `run_checks` skips it for every
+check name, as each window verifier of arity >= 2 reads the bracket of
+every such slot pair.
 
 Each window identity is data: lists of lhs and rhs parts (kind, x, y, e),
 each (-1)^e times {x, y} ("bracket"), xy ("product") or bv(x) ("bv"), with
@@ -28,8 +35,7 @@ from cached brackets and operator values and memoized products: a term
 whose sign, with one more flip for rhs, is even goes into one dict and an
 odd one into the other, so no coefficient is negated.  Equal dicts pass,
 the first gap met in parts order skips (no output shows which), and only a
-failing instance builds the two sides, for the certificate.  The gate rows
-of a partial table are read once per window bound and kept on the structure.
+failing instance builds the two sides, for the certificate.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class BVStructure:
         self._bracket_cache: Dict[Tuple[Monomial, Monomial], MaybeElement] = {}
         self._bv_cache: Dict[Monomial, MaybeElement] = {}
         self._basis: Optional[List[Monomial]] = None
-        self._gate_rows: Dict[int, Dict[int, List[bool]]] = {}  # per window bound
+        self._gate: Optional[Tuple[List[int], List[int]]] = None  # (letters, partners)
         if bv_values is None:
             self._generator_values: Dict[Generator, MaybeElement] = {
                 g: -presentation.diff(g.id) for g in self.generators}
@@ -125,15 +131,23 @@ class BVStructure:
         """The window: basis monomial tuples of total degree <= max_degree, else
         the truncation.  Over a partial table, a tuple in which the bracket
         {x, y} of a slot x and a later slot y is Undefined is counted in
-        `pruned`, not yielded (the gate in the module docstring).  The gate
-        rows are read once per window bound and shared by every window."""
+        `pruned`, not yielded (the gate in the module docstring).  The masks
+        are read over the basis at the truncation, of which each window's
+        basis is a prefix."""
         bound = self.truncation if max_degree is None else max_degree
-        defined = rows = None
-        if self._partial:
-            def defined(x, y):
-                return not isinstance(_bracket_monomials(self, x, y), Undefined)
-            rows = self._gate_rows.setdefault(bound, {})
-        return window_tuples(self.basis(bound), arity, bound, defined=defined, rows=rows)
+        if self._partial and self._gate is None:
+            bit = {g: 1 << i for i, g in enumerate(self.generators)}
+            missing = {g: sum(bit[h] for h in self.generators
+                              if self.presentation.table_bracket(self._table, g, h) is None)
+                       for g in self.generators}
+            self._gate = [], []
+            for mono in self.basis():
+                letters = partners = 0
+                for g, _ in mono.factors:
+                    letters, partners = letters | bit[g], partners | missing[g]
+                self._gate[0].append(letters)
+                self._gate[1].append(partners)
+        return window_tuples(self.basis(bound), arity, bound, gate=self._gate)
 
     # -- bracket ----------------------------------------------------------
 

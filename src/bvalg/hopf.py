@@ -96,9 +96,6 @@ class TensorElement:
         """Slotwise product, with the Koszul sign of the tagged letters."""
         return self._lift(Element.__mul__, other)
 
-    def scale(self, coeff) -> "TensorElement":
-        return TensorElement._view(self.arity, self._element.scale(coeff))
-
     def apply_slot(self, slot: int, fn: Callable[[Monomial], MaybeElement],
                    fn_degree: int) -> Union["TensorElement", Undefined]:
         """Apply a map of the given degree to one slot, with the Koszul sign

@@ -84,13 +84,19 @@ def test_basis_counts_exterior_vs_polynomial():
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_gated_window_yields_the_rest_and_counts_what_it_prunes(arity, symmetric):
     basis = monomial_basis(QQ, [X, A, Generator("c", 2)], 7)
+    # a bit per letter; x and a each block a, so the pairs (x, a) and (a, a)
+    # are blocked but (a, x) is not: not symmetric, and false on some diagonals
+    bit = {"x": 1, "a": 2, "c": 4}
+    letters = [sum(bit[g.id] for g, _ in m.factors) for m in basis]
+    partners = [2 if mask & 3 else 0 for mask in letters]
+    position = {m: i for i, m in enumerate(basis)}
 
-    def defined(x, y):  # not symmetric in x and y, and false on some diagonals
-        return (x.degree + 2 * y.degree) % 3 != 1
+    def blocked(x, y):
+        return partners[position[x]] & letters[position[y]]
 
     full = list(window_tuples(basis, arity, 7, symmetric))
-    kept = [t for t in full if all(defined(x, y) for x, y in combinations(t, 2))]
-    window = window_tuples(basis, arity, 7, symmetric, defined)
+    kept = [t for t in full if not any(blocked(x, y) for x, y in combinations(t, 2))]
+    window = window_tuples(basis, arity, 7, symmetric, gate=(letters, partners))
     for _ in range(2):  # a second pass counts afresh
         assert list(window) == kept
         assert window.pruned == len(full) - len(kept)

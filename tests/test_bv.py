@@ -605,6 +605,21 @@ def test_pruned_and_yielded_tuples_make_up_the_window(s, arity):
     assert not any(map(gapped, yielded))
 
 
+def test_a_partial_window_reads_no_bracket(monkeypatch):
+    s = omega2_s3_f2(20)
+    calls = []
+    read = bv._bracket_monomials
+    monkeypatch.setattr(bv, "_bracket_monomials", lambda *args: calls.append(args) or read(*args))
+    pruned = []
+    for arity in (1, 2, 3):
+        window = s.tuples(arity)
+        for _ in window:
+            pass
+        pruned.append(window.pruned)
+    assert calls == []
+    assert pruned[1] > 0 and pruned[2] > 0
+
+
 def test_omega2_counts_at_degree_20_are_the_full_window_oracles():
     report = verify_bv_axioms(omega2_s3_f2(20))
     counts = {c.name: (c.checked, c.skipped) for c in report.checks}

@@ -173,6 +173,22 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
     assert run(capsys, "fixture", name) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("field F0\nshift n=1\ngen a : 2\n", ["check-lie", "{file}"],
+     "{file}:1:7: characteristic 0 is not prime"),
+    ("field F1\nshift n=1\ngen a : 2\n", ["check-lie", "{file}"],
+     "{file}:1:7: characteristic 1 is not prime"),
+    ("", ["fixture", "sphere-lie:1"], "sphere dimension must be >= 2"),
+    ("", ["fixture", "loopspace:2:2"], "need m > n so the sphere is n-connected, got m=2, n=2"),
+    ("", ["fixture", "fd:infinity:F2"], "the stable descriptor is rational only"),
+], ids=["F0", "F1", "sphere-lie:1", "loopspace:2:2", "fd:infinity:F2"])
+def test_out_of_range_input_is_input_error(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "input.lie"
+    path.write_text(text)
+    argv = [arg.format(file=path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(file=path)}\n")
+
+
 def test_json_result_serializes_element_as_pairs(capsys):
     code, out, _ = run(capsys, "free-bv", fixture_path("loops2_s4.lie"),
                        "--apply", "a^3", "--format", "json")

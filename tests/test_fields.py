@@ -82,6 +82,17 @@ def test_floats_rejected():
             TensorElement(field, 2, {(Monomial.unit(), Monomial.unit()): 0.5})
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FieldSpec("foo", 0), ValueError, "unknown field kind 'foo'"),
+    (lambda: QQ.inv(0), ZeroDivisionError, "inverse of zero"),
+    (lambda: Generator("g", -1), ValueError, "generator 'g' has negative degree -1"),
+])
+def test_out_of_range_argument_is_refused_in_one_line(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_field_ops_match_integers_mod_p(a, b):
     f = FieldSpec.prime(7)
