@@ -18,23 +18,27 @@ a Lie presentation (shift n) with
     to build it.
 
 User tables may be partial: undefined entries are explicit and verifiers
-report them as skipped coverage rather than guessing.  Over a partial table
-`BVStructure.tuples` gates the window on two bit masks per basis monomial,
-read once from the table: letters(m), a bit per generator of m, and
-partners(m), a bit per generator with which some letter of m has no entry.
-By the letter-pair rule above, a tuple in which partners(x) meets
-letters(y) for a slot x and a later slot y has an Undefined bracket {x, y};
-it is counted in `pruned`, not yielded, and `run_checks` skips it for every
-check name, as each window verifier of arity >= 2 reads the bracket of
-every such slot pair.
+report them as skipped coverage rather than guessing.  A structure stores
+its table once as {x, y} on ordered generator pairs, a missing pair zero
+in a total table and an Undefined named by its canonical pair in a
+partial one.  `BVStructure.tuples` gates each window on two bit masks per
+basis monomial, read from those pairs: letters(m), a bit per generator of
+m, and partners(m), a bit per generator with which some letter of m has an
+Undefined pair.  By the letter-pair rule above, a tuple in which
+partners(x) meets letters(y) for a slot x and a later slot y has an
+Undefined bracket {x, y}; it is counted in `pruned`, not yielded, and
+`run_checks` skips it for every check name, as each window verifier of
+arity >= 2 reads the bracket of every such slot pair.
 
 Each window identity is data: lists of lhs and rhs parts (kind, x, y, e),
 each (-1)^e times {x, y} ("bracket"), xy ("product") or bv(x) ("bv"), with
-x, y monomials or Elements.  `_decide` adds lhs - rhs as a two-sided sum
-from cached brackets and operator values and memoized products: a term
-whose sign, with one more flip for rhs, is even goes into one dict and an
-odd one into the other, so no coefficient is negated.  Equal dicts pass,
-the first gap met in parts order skips (no output shows which), and only a
+x, y defined monomials or Elements (the gate defines each slot-pair
+bracket, and a verifier returns a gap in bv(a) or bv(b) before it builds
+parts).  `_decide` adds lhs - rhs as a two-sided sum from cached brackets
+and operator values and memoized products: a term whose sign, with one
+more flip for rhs, is even goes into one dict and an odd one into the
+other, so no coefficient is negated.  Equal dicts pass, the first gap read
+(an outer bracket or an operator value of a term) skips, and only a
 failing instance builds the two sides, for the certificate.
 """
 
@@ -73,10 +77,11 @@ class BVStructure:
 
     `d0` is the derivation extending the negated Lie differential (degree
     -1), the first summand of the free operator, and `letters` maps each
-    generator to its one-letter monomial.  User values are stored once, at
-    construction: a value past the truncation as OutOfWindow, a generator
-    without one as Undefined.  The basis is built once, at the truncation,
-    on first use.
+    generator to its one-letter monomial.  Tables are stored once, at
+    construction: the bracket in `_pairs` (the presentation's own pairs
+    unless a partial table is given), user values with one past the
+    truncation as OutOfWindow and a generator without one as Undefined.
+    The basis is built once, at the truncation, on first use.
     """
 
     def __init__(self,
@@ -97,9 +102,9 @@ class BVStructure:
         self.provenance = FREE if bv_values is None else USER
         self.d0 = derivation_from_generator_values(
             self.field, {g: -d for g, d in presentation.differential.items()}, -1, name="d0")
-        self._table = (presentation.brackets if partial_brackets is None
-                       else presentation.canonical_table(partial_brackets))
-        self._partial = partial_brackets is not None  # absent pairs are gaps, not zero
+        self._pairs = presentation.pairs if partial_brackets is None else (
+            presentation.letter_pairs(presentation.canonical_table(partial_brackets),
+                                      lambda key: Undefined(f"bracket [{','.join(key)}]")))
         self._bracket_cache: Dict[Tuple[Monomial, Monomial], MaybeElement] = {}
         self._bv_cache: Dict[Monomial, MaybeElement] = {}
         self._basis: Optional[List[Monomial]] = None
@@ -114,9 +119,6 @@ class BVStructure:
                     value = OutOfWindow(f"bv({key}) out of window", value.max_degree(), truncation)
                 self._generator_values[presentation.gen(key)] = value
 
-    def zero(self) -> Element:
-        return Element.zero(self.field)
-
     def basis(self, max_degree: Optional[int] = None) -> List[Monomial]:
         """The basis up to max_degree, else the truncation; above it, refused."""
         if self._basis is None:
@@ -129,16 +131,16 @@ class BVStructure:
 
     def tuples(self, arity: int, max_degree: Optional[int] = None) -> WindowTuples:
         """The window: basis monomial tuples of total degree <= max_degree, else
-        the truncation.  Over a partial table, a tuple in which the bracket
-        {x, y} of a slot x and a later slot y is Undefined is counted in
-        `pruned`, not yielded (the gate in the module docstring).  The masks
-        are read over the basis at the truncation, of which each window's
-        basis is a prefix."""
+        the truncation.  A tuple in which the bracket {x, y} of a slot x and a
+        later slot y is Undefined, which only a partial table has, is counted
+        in `pruned`, not yielded (the gate in the module docstring).  The
+        masks are read over the basis at the truncation, of which each
+        window's basis is a prefix."""
         bound = self.truncation if max_degree is None else max_degree
-        if self._partial and self._gate is None:
+        if self._gate is None:
             bit = {g: 1 << i for i, g in enumerate(self.generators)}
             missing = {g: sum(bit[h] for h in self.generators
-                              if self.presentation.table_bracket(self._table, g, h) is None)
+                              if isinstance(self._pairs[g, h], Undefined))
                        for g in self.generators}
             self._gate = [], []
             for mono in self.basis():
@@ -152,13 +154,7 @@ class BVStructure:
     # -- bracket ----------------------------------------------------------
 
     def bracket_pair(self, x: Generator, y: Generator) -> MaybeElement:
-        value = self.presentation.table_bracket(self._table, x, y)
-        if value is not None:
-            return value
-        if not self._partial:
-            return self.zero()
-        (a, b), _ = self.presentation.canonical_pair(x, y)  # one name for both orientations
-        return Undefined(f"bracket [{a},{b}]")
+        return self._pairs[x, y]
 
     # -- operator values ----------------------------------------------------
 
@@ -213,11 +209,11 @@ def _bracket_monomials(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeEleme
             value = leibniz(field, m2.word(),
                             lambda y: _bracket_monomials(s, m1, s.letters[y]), parity1)
         elif m1.wordlength == 1:
-            value = s.bracket_pair(m1.word()[0], m2.word()[0])
+            value = s._pairs[m1.word()[0], m2.word()[0]]
         else:
             (y,) = m2.word()
             parity2 = y.degree + s.shift - 1
-            value = leibniz(field, m1.word(), lambda x: s.bracket_pair(y, x), parity2)
+            value = leibniz(field, m1.word(), lambda x: s._pairs[y, x], parity2)
             if isinstance(value, Element):
                 value = value.signed(parity1 * parity2 + 1)
         s._bracket_cache[(m1, m2)] = value
@@ -226,16 +222,8 @@ def _bracket_monomials(s: BVStructure, m1: Monomial, m2: Monomial) -> MaybeEleme
 
 def poisson_bracket(s: BVStructure, a: Element, b: Element) -> MaybeElement:
     """Bilinear Poisson extension of the generator bracket table."""
-    field = s.field
-    out: Dict[Monomial, Scalar] = {}
-    for m1, c1 in a.terms():
-        for m2, c2 in b.terms():
-            value = _bracket_monomials(s, m1, m2)
-            if isinstance(value, Undefined):
-                return value
-            c = c2 if c1 == 1 else c1 if c2 == 1 else field.mul(c1, c2)
-            _accumulate(field, out, value.scale(c)._terms.items())
-    return Element._trusted(field, out)
+    return linear_extension(
+        lambda m1: linear_extension(lambda m2: _bracket_monomials(s, m1, m2), b), a)
 
 
 def _add_parts(s: BVStructure, sides: Tuple[Dict[Monomial, Scalar], Dict[Monomial, Scalar]],
@@ -243,14 +231,12 @@ def _add_parts(s: BVStructure, sides: Tuple[Dict[Monomial, Scalar], Dict[Monomia
     """Add each term of the parts of lhs and rhs (the parts contract in the
     module docstring) into sides[0] when its sign, with one more flip for
     rhs, is even, else into sides[1], so lhs - rhs is sides[0] - sides[1];
-    returns the first gap met, else None."""
+    returns the first gap among the values read, else None."""
     field = s.field
     mul, one = field.mul, field.one()
     char2 = field.characteristic == 2
     for flip, parts in ((0, lhs), (1, rhs)):
         for kind, x, y, exponent in parts:
-            if isinstance(x, Undefined) or isinstance(y, Undefined):
-                return first_undefined(x, y)
             exponent += flip
             for m1, c1 in x._terms.items() if isinstance(x, Element) else ((x, one),):
                 for m2, c2 in y._terms.items() if isinstance(y, Element) else ((y, one),):
@@ -304,7 +290,7 @@ def bracket_part(s: BVStructure, element: Element) -> MaybeElement:
 
 
 def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
-    field = s.field
+    field, pairs = s.field, s._pairs
     out: Dict[Monomial, Scalar] = {}
     word = mono.word()
     k = len(word)
@@ -313,7 +299,7 @@ def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
         prefix[i + 1] = prefix[i] + g.degree
     for i in range(k):
         for j in range(i + 1, k):
-            br = s.bracket_pair(word[i], word[j])
+            br = pairs[word[i], word[j]]
             if isinstance(br, Undefined):
                 return br
             if br.is_zero:
@@ -394,11 +380,12 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
     char2 = s.field.characteristic == 2
 
     def deviation(a, b):
+        bv_a, bv_b = s.bv_monomial(a), s.bv_monomial(b)
         ab = monomial_product(a, b, char2)
-        return _decide(s, "bracket", [("bracket", a, b, 0)], "operator deviation",
-                       ([("bv", ab[0], None, a.degree + ab[1])] if ab else [])
-                       + [("product", s.bv_monomial(a), b, a.degree + 1),
-                          ("product", a, s.bv_monomial(b), 1)])
+        return first_undefined(bv_a, bv_b) or _decide(
+            s, "bracket", [("bracket", a, b, 0)], "operator deviation",
+            ([("bv", ab[0], None, a.degree + ab[1])] if ab else [])
+            + [("product", bv_a, b, a.degree + 1), ("product", a, bv_b, 1)])
 
     return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2, max_degree),
                                     deviation, by_name("a", "b")))
@@ -408,10 +395,11 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
     """bv{a,b} = {bv a, b} + (-1)^(|a|+1) {a, bv b} on basis pairs."""
 
     def compatibility(a, b):
-        return _decide(s, "bv{a,b}", [("bv", _bracket_monomials(s, a, b), None, 0)],
-                       "{bv a,b} + sign*{a,bv b}",
-                       [("bracket", s.bv_monomial(a), b, 0),
-                        ("bracket", a, s.bv_monomial(b), a.degree + 1)])
+        bv_a, bv_b = s.bv_monomial(a), s.bv_monomial(b)
+        return first_undefined(bv_a, bv_b) or _decide(
+            s, "bv{a,b}", [("bv", _bracket_monomials(s, a, b), None, 0)],
+            "{bv a,b} + sign*{a,bv b}",
+            [("bracket", bv_a, b, 0), ("bracket", a, bv_b, a.degree + 1)])
 
     return Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2, max_degree),
                                     compatibility, by_name("a", "b")))
@@ -482,7 +470,7 @@ def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
     gens = [(g,) for g in source.generators]
 
     def image(gen_id: str) -> Element:
-        return assignment.get(gen_id, target.zero())
+        return assignment.get(gen_id, Element.zero(target.field))
 
     def degree(g):
         value = image(g.id)

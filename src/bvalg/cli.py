@@ -137,15 +137,16 @@ def _parse_arg_element(name: str, text: str, source: PresentationSource,
 
 
 def _cmd_ce_homology(args) -> int:
-    from .homology import BoundarySquareError, betti, build_ce_complex
+    from .homology import BoundarySquareError, betti, build_ce_complex, ce_window
     source = _read_source(args.file)
-    antisymmetry = check_antisymmetry(source.presentation)
-    if not antisymmetry.passed:
-        return _finish(antisymmetry, args.format)
     try:
-        complex_ = build_ce_complex(source.presentation,
-                                    args.max_degree if args.max_degree is not None
-                                    else source.truncate)
+        # what the verb cannot compute is refused before any axiom is checked
+        window = ce_window(source.presentation,
+                           source.truncate if args.max_degree is None else args.max_degree)
+        antisymmetry = check_antisymmetry(source.presentation)
+        if not antisymmetry.passed:
+            return _finish(antisymmetry, args.format)
+        complex_ = build_ce_complex(source.presentation, window)
     except BoundarySquareError as exc:
         certificate = {"grade": str(exc.grade), "input": str(exc.source),
                        "d(d(input))": str(exc.composite)}

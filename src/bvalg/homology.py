@@ -102,23 +102,25 @@ def bv_chain_complex(structure: BVStructure) -> ChainComplex:
     return ChainComplex(field, step, basis, boundaries)
 
 
-def build_ce_complex(presentation: LiePresentation,
-                     max_degree: Optional[int] = None) -> ChainComplex:
-    """Homological complex of a shift-0 presentation (operator degree -1).
-
-    For a presentation whose generators are all odd over characteristic
-    other than 2 the algebra is finite and the window defaults to the sum
-    of the generator degrees.
-    """
+def ce_window(presentation: LiePresentation, max_degree: Optional[int] = None) -> int:
+    """The window of a shift-0 presentation's complex: max_degree if given,
+    else the sum of the generator degrees when all are odd away from
+    characteristic 2 (a finite algebra).  Raises ValueError otherwise."""
     if presentation.shift != 0:
         raise ValueError(f"chain complex needs shift 0, got {presentation.shift}")
-    if max_degree is None:
-        if (presentation.field.characteristic != 2
-                and all(g.degree % 2 == 1 for g in presentation.generators)):
-            max_degree = sum(g.degree for g in presentation.generators)
-        else:
-            raise ValueError("max_degree required: the algebra is not finite")
-    return bv_chain_complex(free_bv_structure(presentation, max_degree))
+    if max_degree is not None:
+        return max_degree
+    if (presentation.field.characteristic != 2
+            and all(g.degree % 2 == 1 for g in presentation.generators)):
+        return sum(g.degree for g in presentation.generators)
+    raise ValueError("the algebra is not finite: give --max-degree or a truncate line")
+
+
+def build_ce_complex(presentation: LiePresentation,
+                     max_degree: Optional[int] = None) -> ChainComplex:
+    """Homological complex of a shift-0 presentation (operator degree -1)
+    over the window `ce_window` gives."""
+    return bv_chain_complex(free_bv_structure(presentation, ce_window(presentation, max_degree)))
 
 
 def betti(complex_: ChainComplex) -> List[int]:

@@ -1,10 +1,12 @@
 """Finite graded Lie presentations with a bracket of degree n-1.
 
 A presentation at shift n stores generators with their degrees, one
-orientation of each bracket pair (the other is derived through shifted
-antisymmetry), and an optional differential of degree -1.  The degree rule
-for a tabulated pair is |{x,y}| = |x| + |y| + (n-1); the sign parity of a
-generator x in all Lie-side formulas is |x| + n - 1.
+orientation of each bracket pair, and an optional differential of degree
+-1, and reads its table once (`letter_pairs`) into `pairs`: {x, y} on every
+ordered generator pair, the other orientation through shifted antisymmetry
+and an untabulated pair zero.  The degree rule for a tabulated pair is
+|{x,y}| = |x| + |y| + (n-1); the sign parity of a generator x in all
+Lie-side formulas is |x| + n - 1.
 
 ``desuspend`` converts between shifts: moving a presentation from shift s
 to shift n lowers every degree by n - s and carries the bracket table and
@@ -14,13 +16,14 @@ differential along unchanged (they are read through the shift).
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebra import Element, Generator, linear_extension
+from .algebra import Element, Generator, MaybeElement, linear_extension
 from .fields import FieldSpec
 from .report import FAIL, Report, as_pair, as_triple, by_name, compare, run_checks, vanishes
 
 BracketKey = Tuple[str, str]
+LetterPairs = Dict[Tuple[Generator, Generator], MaybeElement]
 
 
 class LiePresentation:
@@ -37,6 +40,8 @@ class LiePresentation:
             raise ValueError("duplicate generator ids")
         self._by_id = {g.id: g for g in generators}
         self.brackets = self.canonical_table({} if brackets is None else brackets)
+        zero = Element.zero(field)
+        self.pairs = self.letter_pairs(self.brackets, lambda key: zero)
         for x, value in self.differential.items():
             self.gen(x)
             self._require_span(value, f"differential of {x}")
@@ -68,7 +73,7 @@ class LiePresentation:
     def bracket_degree(self, x: Generator, y: Generator) -> int:
         return x.degree + y.degree + self.shift - 1
 
-    def canonical_pair(self, x: Generator, y: Generator) -> Tuple[BracketKey, bool]:
+    def _canonical_pair(self, x: Generator, y: Generator) -> Tuple[BracketKey, bool]:
         """The key under which a table stores the pair, and whether (x, y)
         is its other orientation."""
         if (x.sort_key, x.id) <= (y.sort_key, y.id):
@@ -87,26 +92,29 @@ class LiePresentation:
         for (x, y), value in table.items():
             self._require_span(value, f"bracket [{x},{y}]")
             gx, gy = self.gen(x), self.gen(y)
-            key, flip = self.canonical_pair(gx, gy)
+            key, flip = self._canonical_pair(gx, gy)
             if key in normalized:
                 raise ValueError(f"bracket pair ({x},{y}) tabulated twice")
             normalized[key] = value.signed(self._flip_sign(gx, gy)) if flip else value
         return normalized
 
-    def table_bracket(self, table: Dict[BracketKey, Element], x: Generator,
-                      y: Generator) -> Optional[Element]:
-        """The bracket of x and y in a canonical table (read through shifted
-        antisymmetry for the other orientation), or None when absent."""
-        key, flip = self.canonical_pair(x, y)
-        value = table.get(key)
-        if value is None or not flip:
-            return value
-        return value.signed(self._flip_sign(x, y))
+    def letter_pairs(self, table: Dict[BracketKey, Element],
+                     absent: Callable[[BracketKey], MaybeElement]) -> LetterPairs:
+        """{x, y} for every ordered generator pair (x, y), read from a
+        canonical table: its entry, the other orientation through shifted
+        antisymmetry, and absent(key) where the table has no entry."""
+        pairs: LetterPairs = {}
+        for x in self.generators:
+            for y in self.generators:
+                key, flip = self._canonical_pair(x, y)
+                value = table.get(key)
+                pairs[x, y] = (absent(key) if value is None
+                               else value.signed(self._flip_sign(x, y)) if flip else value)
+        return pairs
 
     def bracket(self, x_id: str, y_id: str) -> Element:
         """Bracket of two generators; untabulated pairs bracket to zero."""
-        value = self.table_bracket(self.brackets, self.gen(x_id), self.gen(y_id))
-        return Element.zero(self.field) if value is None else value
+        return self.pairs[self.gen(x_id), self.gen(y_id)]
 
     def bracket_elements(self, u: Element, v: Element) -> Element:
         """Bilinear extension of the bracket to the generator span."""

@@ -2,7 +2,7 @@ import os
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvalg.algebra import (Element, Generator, GradedMap, Monomial, leibniz, normalize_word,
                            window_tuples)
@@ -296,19 +296,13 @@ def test_peeling_orders_agree_even_without_jacobi():
 
 def test_broken_antisymmetry_fails_the_suite(monkeypatch):
     # two bracket orientations that stop being antisymmetric (injected
-    # behind the accessor) fail bracket-antisymmetry on the generator pair
+    # into the stored table) fail bracket-antisymmetry on the generator pair
     f = GF2
     x, y = Generator("x", 1), Generator("y", 1)
     p = LiePresentation(f, 0, [x, y])
     zero = Element.zero(f)
     s = user_bv_structure(p, 5, bv_values={"x": zero, "y": zero})
-
-    def broken(g1, g2):
-        if (g1.id, g2.id) == ("x", "y"):
-            return gen_elt(f, x)
-        return Element.zero(f)
-
-    monkeypatch.setattr(s, "bracket_pair", broken)
+    monkeypatch.setitem(s._pairs, (x, y), gen_elt(f, x))
     report = verify_bv_axioms(s)
     assert not report.passed
     cert = next(c.certificate for c in report.checks
@@ -628,3 +622,41 @@ def test_omega2_counts_at_degree_20_are_the_full_window_oracles():
     assert {name: counts[name] for name in reference} == reference
     assert counts["bracket-jacobi"] == (433, 25211)
     assert str(report.coverage) == "581/29762"
+
+
+# -- one stored bracket table per structure ------------------------------------------
+
+
+def _loops2_s4():
+    with open(os.path.join(ROOT, "fixtures/loops2_s4.lie"), encoding="utf-8") as handle:
+        return parse_presentation(handle.read()).to_structure()
+
+
+@pytest.mark.parametrize("build", [lambda: omega2_s3_f2(20), _loops2_s4],
+                         ids=["omega2_s3_f2", "loops2_s4"])
+def test_a_structure_reads_its_bracket_table_once(build, monkeypatch):
+    # the table is read into pairs at construction; the suite only looks them up
+    s = build()
+    calls = []
+    for name in ("_canonical_pair", "letter_pairs"):
+        read = getattr(LiePresentation, name)
+        monkeypatch.setattr(LiePresentation, name,
+                            lambda *args, _read=read: calls.append(args) or _read(*args))
+    report = verify_bv_axioms(s)
+    assert report.checks and calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_structures)
+@example(omega2_s3_f2(20))
+def test_window_sums_get_no_undefined_operand(s):
+    operands = []
+
+    def recorded(s_, sides, lhs, rhs=(), _add=bv._add_parts):
+        operands.extend(v for _, x, y, _ in (*lhs, *rhs) for v in (x, y))
+        return _add(s_, sides, lhs, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bv, "_add_parts", recorded)
+        verify_bv_axioms(s)
+    assert not any(isinstance(v, Undefined) for v in operands)

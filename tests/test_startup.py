@@ -20,6 +20,11 @@ VERBS = {
     ("fixture", "omega2-s3-f2", "--verify"): set(),
     ("check-lie", "fixtures/heisenberg.lie"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg",
                                                 "bvalg.fixtures"},
+    ("free-bv", "fixtures/loops2_s4.lie", "--apply", "a^2"): {"bvalg.homology", "bvalg.linalg",
+                                                              "bvalg.fixtures"},
+    ("bracket", "fixtures/loops2_s4.lie", "a", "a"): {"bvalg.homology", "bvalg.linalg",
+                                                      "bvalg.fixtures"},
+    ("descriptor", "--n", "2", "--field", "Q"): {"bvalg.homology", "bvalg.linalg"},
 }
 PROBE = ("import json, sys\n"
          "from bvalg.cli import main\n"
