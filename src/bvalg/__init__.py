@@ -9,10 +9,10 @@ _EXPORTS = {
                 "normalize_word"),
     "fields": ("FieldSpec", "QQ", "GF2"),
     "lie": ("LiePresentation", "check_differential", "check_lie_axioms", "desuspend"),
-    "bv": ("BVStructure", "bv_operator", "free_bv", "free_bv_structure", "poisson_bracket",
+    "bv": ("BVStructure", "free_bv", "free_bv_structure", "poisson_bracket",
            "user_bv_structure", "verify_bv_axioms"),
     "homology": ("ChainComplex", "betti", "build_ce_complex", "bv_chain_complex"),
-    "hopf": ("antipode", "coproduct", "is_coderivation", "primitive_basis"),
+    "hopf": ("antipode", "bv_operator", "coproduct", "is_coderivation", "primitive_basis"),
     "fixtures": ("framed_disks_descriptor", "heisenberg", "load_fixture", "loopspace_model",
                  "omega2_s3_f2", "sphere_loop_lie", "spherical_bv"),
     "dsl": ("parse_presentation", "render_presentation"),

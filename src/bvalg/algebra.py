@@ -423,6 +423,9 @@ def monomial_basis(field: FieldSpec, generators: Sequence[Generator],
     return out
 
 
+DEFAULT_WINDOW = 10  # the degree window when neither the caller nor the input names one
+
+
 class WindowTuples:
     """The iterable `window_tuples` returns; after a pass, `pruned` is the
     number of window tuples its gate passed over."""
@@ -551,10 +554,6 @@ class GradedMap:
         if d != mono.degree + self.degree:
             raise ValueError(
                 f"value of degree {d} on {mono}: expected {mono.degree + self.degree}")
-
-    @staticmethod
-    def zero(field: FieldSpec, degree: Optional[int] = 0, name: str = "0") -> "GradedMap":
-        return GradedMap(field, degree, rule=lambda m: Element.zero(field), name=name)
 
     def value(self, mono: Monomial) -> MaybeElement:
         """Value on a basis monomial, or Undefined at a gap."""

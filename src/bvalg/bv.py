@@ -44,21 +44,18 @@ failing instance builds the two sides, for the certificate.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, WindowTuples, _accumulate, derivation_from_generator_values,
-                      first_undefined, leibniz, linear_extension, monomial_basis,
-                      monomial_product, window_tuples)
-from .fields import FieldSpec, Scalar
+from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, WindowTuples,
+                      _accumulate, derivation_from_generator_values, first_undefined, leibniz,
+                      linear_extension, monomial_basis, monomial_product, window_tuples)
+from .fields import Scalar
 from .lie import LiePresentation
-from .report import (FAIL, Outcome, Report, as_pair, as_triple, by_name, compare,
-                     merge_reports, run_checks, vanishes)
+from .report import (Outcome, Report, as_triple, by_name, merge_reports, run_checks,
+                     vanishes)
 
 FREE = "free"
 USER = "user"
-DEFAULT_WINDOW = 10  # the degree window when neither the caller nor the input names one
 
 
 class OutOfWindow(Undefined):
@@ -150,11 +147,6 @@ class BVStructure:
                 self._gate[0].append(letters)
                 self._gate[1].append(partners)
         return window_tuples(self.basis(bound), arity, bound, gate=self._gate)
-
-    # -- bracket ----------------------------------------------------------
-
-    def bracket_pair(self, x: Generator, y: Generator) -> MaybeElement:
-        return self._pairs[x, y]
 
     # -- operator values ----------------------------------------------------
 
@@ -320,31 +312,6 @@ def free_bv(s: BVStructure, element: Element) -> Element:
     return s.bv_element(element)
 
 
-def bv_operator(s: BVStructure, name: str = "bv") -> GradedMap:
-    """The structure's operator as a graded map (gaps are explicit)."""
-    return GradedMap(s.field, s.shift - 1, rule=s.bv_monomial, name=name)
-
-
-# -- deviation bracket extraction -------------------------------------------------
-
-
-def bracket_from_operator(field: FieldSpec,
-                          op_value: Callable[[Monomial], MaybeElement],
-                          a: Monomial, b: Monomial) -> MaybeElement:
-    """The bracket an operator induces through its deviation from being a
-    product derivation; Undefined when a needed value is missing."""
-    a_elt = Element.from_monomial(field, a)
-    b_elt = Element.from_monomial(field, b)
-    op_ab = linear_extension(op_value, a_elt * b_elt)
-    if isinstance(op_ab, Undefined):
-        return op_ab
-    op_a = op_value(a)
-    op_b = op_value(b)
-    if gap := first_undefined(op_a, op_b):
-        return gap
-    return (op_ab - op_a * b_elt - (a_elt * op_b).signed(a.degree)).signed(a.degree)
-
-
 # -- verifiers --------------------------------------------------------------------
 
 
@@ -453,118 +420,3 @@ def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
             report.details[f"bv({g.id})"] = value
     return report
 
-
-# -- universal extension -----------------------------------------------------------
-
-
-def extend_morphism(assignment: Dict[str, Element], source: BVStructure,
-                    target: BVStructure,
-                    max_degree: Optional[int] = None) -> Tuple[Optional[GradedMap], Report]:
-    """Multiplicative extension of a generator assignment out of a free
-    structure; accepted only if the assignment respects degrees, brackets,
-    and the operators on generators, and then verified to commute with the
-    operators on all basis monomials in the window."""
-    if source.provenance != FREE:
-        raise ValueError("morphism extension needs a free source structure")
-    field = source.field
-    gens = [(g,) for g in source.generators]
-
-    def image(gen_id: str) -> Element:
-        return assignment.get(gen_id, Element.zero(target.field))
-
-    def degree(g):
-        value = image(g.id)
-        d = value.homogeneous_degree()
-        if value.is_zero or d == g.degree:
-            return None
-        return {"degree": str(g.degree), "image": str(value), "image degree": str(d)}
-
-    checks = run_checks(("morphism-degrees",), gens, degree, by_name("generator"))
-    if checks[0].verdict == FAIL:
-        return None, Report(checks=checks)
-
-    def apply_span(value: Element) -> Element:
-        return linear_extension(lambda mono: image(mono.word()[0].id), value)
-
-    def brackets(x, y):
-        return compare("image of bracket", apply_span(source.presentation.bracket(x.id, y.id)),
-                       "bracket of images", poisson_bracket(target, image(x.id), image(y.id)))
-
-    def operators(g):
-        return compare("image of -d(x)", apply_span(source.presentation.diff(g.id)).signed(1),
-                       "bv of image", target.bv_element(image(g.id)))
-
-    checks += run_checks(("morphism-brackets",),
-                         combinations_with_replacement(source.generators, 2), brackets, as_pair)
-    checks += run_checks(("morphism-operators",), gens, operators, by_name("generator"))
-    if any(c.verdict == FAIL for c in checks):
-        return None, Report(checks=checks)
-
-    def extension_rule(mono: Monomial) -> Element:
-        out = Element.unit(target.field)
-        for g in mono.word():
-            out = out * image(g.id)
-        return out
-
-    extension = GradedMap(target.field, 0, rule=extension_rule, name="morphism")
-
-    def commutes(mono):
-        return compare("morphism(bv(m))",
-                       extension.apply(free_bv(source, Element.from_monomial(field, mono))),
-                       "bv(morphism(m))", target.bv_element(extension_rule(mono)))
-
-    checks += run_checks(("morphism-commutes-with-bv",),
-                         source.tuples(1, max_degree), commutes, by_name("input"))
-    report = Report(checks=checks)
-    return (extension if report.passed else None), report
-
-
-# -- sums of operators --------------------------------------------------------------
-
-
-def check_derivation(op: GradedMap, generators: Sequence[Generator],
-                     max_degree: int, op_degree: Optional[int] = None) -> Report:
-    """Product-derivation law on all basis pairs in the window."""
-    field = op.field
-    degree = op.degree if op.degree is not None else op_degree
-    if degree is None:
-        return Report(checks=run_checks(
-            ("derivation-law",), [()],
-            lambda: {"reason": "operator degree unknown; no Koszul sign"}, lambda: {}))
-
-    def law(a, b):
-        a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)
-        lhs = op.apply(a_elt * b_elt)
-        va, vb = op.apply(a_elt), op.apply(b_elt)
-        return first_undefined(lhs, va, vb) or compare(
-            "op(ab)", lhs, "op(a)b + sign*a op(b)",
-            va * b_elt + (a_elt * vb).signed(degree * a.degree))
-
-    pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
-                          symmetric=True)
-    return Report(checks=run_checks(("derivation-law",), pairs, law, by_name("a", "b")))
-
-
-def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
-                          generators: Sequence[Generator],
-                          max_degree: int,
-                          derivation_degree: Optional[int] = None) -> Tuple[GradedMap, Report]:
-    """Sum of a bracket-carrying operator and a product derivation.
-
-    Verifies (i) the derivation law for the second operator and (ii) that
-    the deviation bracket of the sum equals that of the base operator alone
-    on all basis pairs in the window.
-    """
-    field = base_op.field
-    report = check_derivation(derivation_op, generators, max_degree, derivation_degree)
-    total = base_op + derivation_op
-
-    def unchanged(a, b):
-        return compare("bracket of sum", bracket_from_operator(field, total.value, a, b),
-                       "bracket of base", bracket_from_operator(field, base_op.value, a, b))
-
-    pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
-                          symmetric=True)
-    report.checks += run_checks(("bracket-unchanged-by-derivation",), pairs, unchanged,
-                                by_name("a", "b"))
-    return total, report

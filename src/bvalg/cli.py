@@ -207,7 +207,6 @@ def _describe_descriptor(descriptor: StructureDescriptor) -> Report:
 
 
 def _cmd_fixture(args) -> int:
-    from .bv import verify_bv_axioms
     from .fixtures import StructureDescriptor, load_fixture
     try:
         fixture = load_fixture(args.name, args.max_degree)
@@ -222,6 +221,7 @@ def _cmd_fixture(args) -> int:
         return _finish(report, args.format)
     report = _describe_structure(fixture)
     if args.verify:
+        from .bv import verify_bv_axioms
         with Stopwatch() as clock:
             report = merge_reports(report, verify_bv_axioms(fixture))
         report.elapsed = clock.elapsed

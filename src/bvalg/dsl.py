@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from .algebra import Element, Generator, normalize_word, render_element
+from .algebra import DEFAULT_WINDOW, Element, Generator, normalize_word, render_element
 from .fields import FieldSpec
 from .lie import LiePresentation
 
@@ -64,7 +64,6 @@ class PresentationSource:
 
     def window(self, max_degree: Optional[int] = None) -> int:
         """max_degree if given, else the file's truncation, else DEFAULT_WINDOW."""
-        from .bv import DEFAULT_WINDOW  # read at call time: check-lie never loads bv
         return next(w for w in (max_degree, self.truncate, DEFAULT_WINDOW) if w is not None)
 
     def to_structure(self, max_degree: Optional[int] = None) -> BVStructure:

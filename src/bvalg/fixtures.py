@@ -5,16 +5,20 @@ fixture where the operator is nontrivial on the bottom class.
 
 Fixture names are stable CLI identifiers:
     sphere-lie:<m>   loopspace:<n>:<m>   omega2-s3-f2   fd:<n>:<field>
+
+`bv` is imported where a structure is built, so a descriptor loads none.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .algebra import Element, Generator, MaybeElement, Monomial, Undefined
+from .algebra import DEFAULT_WINDOW, Element, Generator, MaybeElement, Monomial, Undefined
 from .fields import FieldSpec, QQ
 from .lie import LiePresentation, desuspend
-from .bv import DEFAULT_WINDOW, BVStructure, free_bv_structure, user_bv_structure
+
+if TYPE_CHECKING:
+    from .bv import BVStructure
 
 MAX_DESCRIPTOR_N = 10_000  # the descriptor lists about n/4 generators
 
@@ -44,6 +48,7 @@ def loopspace_model(n: int, m: int, field: FieldSpec = QQ,
     zero differential.  The degree-(n-1) operator exists for even n only;
     it vanishes on every generator (they are spherical classes).
     """
+    from .bv import free_bv_structure
     if n < 2:
         raise ValueError("need n >= 2")
     if m <= n:
@@ -159,9 +164,10 @@ def spherical_bv(tag: SphericalTag, field: FieldSpec) -> MaybeElement:
 def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     """Mod-2 homology of the double loops on the 3-sphere: polynomial on
     classes u_k of degree 2^k - 1.  The operator is defined on u_1 only,
-    with value u_1^2; every other operator value and every bracket entry is
-    undefined unless supplied by the caller.
+    by the spherical-class rule: its tag's composite, u_1^2; every other
+    operator value and every bracket entry is undefined.
     """
+    from .bv import user_bv_structure
     if max_degree < 1:
         raise ValueError(f"fixture omega2-s3-f2 needs --max-degree >= 1, got {max_degree}")
     field = FieldSpec.prime(2)
@@ -177,7 +183,7 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
                        j=1, eta_composite=u1_squared)
     structure = user_bv_structure(
         presentation, max_degree,
-        bv_values={"u1": u1_squared},
+        bv_values={"u1": spherical_bv(tag, field)},
         partial_brackets={},
         metadata={
             "name": "omega2-s3-f2",

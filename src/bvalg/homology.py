@@ -131,7 +131,3 @@ def betti(complex_: ChainComplex) -> List[int]:
     ranks = {g: rank(matrix, complex_.field) for g, matrix in complex_.boundaries.items()}
     return [complex_.dimension(g) - ranks.get(g, 0) - ranks.get(g - complex_.step, 0)
             for g in range(max(grades) + 1)]
-
-
-def euler_characteristic(complex_: ChainComplex) -> int:
-    return sum((-1) ** g * complex_.dimension(g) for g in range(max(complex_.grades()) + 1))

@@ -1,4 +1,5 @@
-"""Hopf structure of a free graded-commutative algebra.
+"""Hopf structure of a free graded-commutative algebra, and the checks of
+a graded map against it: the API-only module, which no CLI verb loads.
 
 Generators are primitive, the coproduct is an algebra map into the graded
 tensor square, the antipode is solved degree by degree from the convolution
@@ -6,18 +7,28 @@ identity.  A tensor of arity r is an Element over r tagged copies ``g@i`` of
 the generators, as S(V)^{(x)r} = S(V^{+r}): normalize_word gives every sign.
 The coderivation checker verifies  coproduct . op = (op (x) id + id (x) op) .
 coproduct  with the Koszul sign when op moves past the left tensor factor.
+
+The product-side checks read a structure's operator as a graded map
+(`bv_operator`): the derivation law op(ab) = op(a)b + (-1)^(|op||a|) a op(b)
+on basis pairs, and whether adding a derivation to an operator leaves the
+bracket it induces (its deviation from being a derivation) unchanged.  A
+map without a degree has no Koszul sign, so each of these checks fails on it
+with one certificate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, linear_extension, monomial_basis,
-                      normalize_word, window_tuples)
+                      Undefined, WindowTuples, first_undefined, linear_extension,
+                      monomial_basis, normalize_word, window_tuples)
 from .fields import FieldSpec, Scalar
 from .linalg import nullspace
 from .report import Report, by_name, compare, run_checks
+
+if TYPE_CHECKING:
+    from .bv import BVStructure
 
 TensorKey = Tuple[Monomial, ...]
 
@@ -204,15 +215,21 @@ def antipode(element: Element) -> Element:
     return linear_extension(on_monomial, element)
 
 
+def _degree_unknown(check: str) -> Report:
+    """The one outcome of a map check on a map without a degree: a failure,
+    as no Koszul sign can be chosen."""
+    return Report(checks=run_checks(
+        (check,), [()], lambda: {"reason": "operator degree unknown; no Koszul sign"},
+        lambda: {}))
+
+
 def is_coderivation(op: GradedMap, generators: Sequence[Generator],
                     max_degree: int) -> Report:
     """Check the coderivation identity on every basis monomial in the window;
     undefined operator values are skipped, and an unknown degree fails."""
     field, degree = op.field, op.degree
     if degree is None:
-        return Report(checks=run_checks(
-            ("coderivation",), [()],
-            lambda: {"reason": "operator degree unknown; no Koszul sign"}, lambda: {}))
+        return _degree_unknown("coderivation")
     bound = max(max_degree - degree if degree > 0 else max_degree, 0)
 
     def coderivation(mono):
@@ -231,3 +248,82 @@ def is_coderivation(op: GradedMap, generators: Sequence[Generator],
 
     monos = window_tuples(monomial_basis(field, generators, bound), 1, bound)
     return Report(checks=run_checks(("coderivation",), monos, coderivation, by_name("input")))
+
+
+# -- operators as graded maps, and derivations added to them -------------------------
+
+
+def bv_operator(s: BVStructure, name: str = "bv") -> GradedMap:
+    """The structure's operator as a graded map (gaps are explicit)."""
+    return GradedMap(s.field, s.shift - 1, rule=s.bv_monomial, name=name)
+
+
+def bracket_from_operator(field: FieldSpec,
+                          op_value: Callable[[Monomial], MaybeElement],
+                          a: Monomial, b: Monomial) -> MaybeElement:
+    """The bracket an operator induces through its deviation from being a
+    product derivation; Undefined when a needed value is missing."""
+    a_elt = Element.from_monomial(field, a)
+    b_elt = Element.from_monomial(field, b)
+    op_ab = linear_extension(op_value, a_elt * b_elt)
+    if isinstance(op_ab, Undefined):
+        return op_ab
+    op_a = op_value(a)
+    op_b = op_value(b)
+    if gap := first_undefined(op_a, op_b):
+        return gap
+    return (op_ab - op_a * b_elt - (a_elt * op_b).signed(a.degree)).signed(a.degree)
+
+
+def _pair_window(field: FieldSpec, generators: Sequence[Generator],
+                 max_degree: int) -> WindowTuples:
+    """Basis pairs (a, b), a not after b, of total degree <= max_degree."""
+    return window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
+                         symmetric=True)
+
+
+def _derivation_law(op: GradedMap, op_degree: Optional[int], pairs: WindowTuples) -> Report:
+    degree = op.degree if op.degree is not None else op_degree
+    if degree is None:
+        return _degree_unknown("derivation-law")
+    field = op.field
+
+    def law(a, b):
+        a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)
+        lhs = op.apply(a_elt * b_elt)
+        va, vb = op.apply(a_elt), op.apply(b_elt)
+        return first_undefined(lhs, va, vb) or compare(
+            "op(ab)", lhs, "op(a)b + sign*a op(b)",
+            va * b_elt + (a_elt * vb).signed(degree * a.degree))
+
+    return Report(checks=run_checks(("derivation-law",), pairs, law, by_name("a", "b")))
+
+
+def check_derivation(op: GradedMap, generators: Sequence[Generator],
+                     max_degree: int, op_degree: Optional[int] = None) -> Report:
+    """Product-derivation law on all basis pairs in the window."""
+    return _derivation_law(op, op_degree, _pair_window(op.field, generators, max_degree))
+
+
+def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
+                          generators: Sequence[Generator],
+                          max_degree: int,
+                          derivation_degree: Optional[int] = None) -> Tuple[GradedMap, Report]:
+    """Sum of a bracket-carrying operator and a product derivation.
+
+    Verifies (i) the derivation law for the second operator and (ii) that
+    the deviation bracket of the sum equals that of the base operator alone,
+    both on all basis pairs in the window.
+    """
+    field = base_op.field
+    pairs = _pair_window(field, generators, max_degree)
+    report = _derivation_law(derivation_op, derivation_degree, pairs)
+    total = base_op + derivation_op
+
+    def unchanged(a, b):
+        return compare("bracket of sum", bracket_from_operator(field, total.value, a, b),
+                       "bracket of base", bracket_from_operator(field, base_op.value, a, b))
+
+    report.checks += run_checks(("bracket-unchanged-by-derivation",), pairs, unchanged,
+                                by_name("a", "b"))
+    return total, report

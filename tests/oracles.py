@@ -242,7 +242,8 @@ def ref_identity_reports(s):
     operator and comparing them, never by a signed sum, over the whole
     window: `window_tuples` without a gate, so no tuple is pruned."""
     from bvalg.algebra import Element, first_undefined, window_tuples
-    from bvalg.bv import bracket_from_operator, poisson_bracket
+    from bvalg.bv import poisson_bracket
+    from bvalg.hopf import bracket_from_operator
     from bvalg.report import Report, as_triple, by_name, compare, run_checks
 
     def elt(x):

@@ -20,10 +20,10 @@ from bvalg.fields import FieldSpec, GF2, QQ
 from bvalg.fixtures import (SphericalTag, abelian_ungraded, framed_disks_descriptor,
                             heisenberg, loopspace_model, omega2_s3_f2, spherical_bv)
 from bvalg.homology import betti, build_ce_complex
-from bvalg.hopf import (antipode, coproduct, coproduct_monomial, is_coderivation,
-                        primitive_basis)
+from bvalg.hopf import (add_derivation_action, antipode, bv_operator, coproduct,
+                        coproduct_monomial, is_coderivation, primitive_basis)
 from bvalg.hopf import TensorElement
-from bvalg.bv import (add_derivation_action, bv_operator, free_bv, free_bv_structure,
+from bvalg.bv import (free_bv, free_bv_structure,
                       user_bv_structure, verify_bracket_compatibility,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)

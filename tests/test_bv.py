@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,17 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 from bvalg.algebra import (Element, Generator, GradedMap, Monomial, leibniz, normalize_word,
                            window_tuples)
 from bvalg.fields import GF2, QQ, FieldSpec
-from bvalg.lie import LiePresentation
+from bvalg.lie import LiePresentation, check_lie_axioms
 from bvalg import bv
-from bvalg.bv import (FREE, USER, Undefined, add_derivation_action,
-                      bracket_from_operator, bracket_part, bv_operator,
-                      check_derivation, extend_morphism, free_bv,
+from bvalg.bv import (FREE, USER, Undefined, bracket_part, free_bv,
                       free_bv_structure, poisson_bracket, user_bv_structure,
                       verify_bracket_compatibility, verify_bv_axioms,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
 from bvalg.dsl import parse_presentation
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
+from bvalg.hopf import (add_derivation_action, bracket_from_operator, bv_operator,
+                        check_derivation)
 
 from oracles import ref_bracket, ref_identity_reports, ref_operator
 from strategies import ORACLE_SHAPES, seeded_structures, structures
@@ -191,7 +192,9 @@ def test_partial_bracket_table_is_validated(bad, message):
 def test_bracket_gap_is_named_by_its_canonical_pair():
     s = omega2_s3_f2(20)
     u1, u2 = s.presentation.gen("u1"), s.presentation.gen("u2")
-    assert s.bracket_pair(u2, u1) == s.bracket_pair(u1, u2) == Undefined("bracket [u1,u2]")
+    assert (poisson_bracket(s, gen_elt(GF2, u2), gen_elt(GF2, u1))
+            == poisson_bracket(s, gen_elt(GF2, u1), gen_elt(GF2, u2))
+            == Undefined("bracket [u1,u2]"))
 
 
 def _omega_word(s, text):
@@ -435,51 +438,13 @@ def test_bracket_compatibility_on_fixture():
     assert report.passed
 
 
-# -- universal property -------------------------------------------------------------
-
-
-def test_identity_assignment_extends():
-    s = loops24()
-    assignment = {g.id: gen_elt(QQ, g) for g in s.generators}
-    extension, report = extend_morphism(assignment, s, s, max_degree=8)
-    assert report.passed and extension is not None
-    for mono in s.basis(6):
-        assert extension.value(mono) == Element.from_monomial(QQ, mono)
-
-
-def test_collapsing_morphism_needs_bracket_compatibility():
-    source = loops24()
-    abelian = LiePresentation(QQ, 2, [Generator("a", 2), Generator("b", 5)])
-    target = free_bv_structure(abelian, 12)
-    # b must die because {a,a} = b in the source while the target bracket is 0
-    good = {"a": gen_elt(QQ, target.presentation.gen("a")), "b": Element.zero(QQ)}
-    extension, report = extend_morphism(good, source, target, max_degree=8)
-    assert report.passed and extension is not None
-    bad = {"a": gen_elt(QQ, target.presentation.gen("a")),
-           "b": gen_elt(QQ, target.presentation.gen("b"))}
-    extension, report = extend_morphism(bad, source, target, max_degree=8)
-    assert extension is None
-    cert = next(c.certificate for c in report.checks
-                if c.name == "morphism-brackets" and c.verdict == "fail")
-    assert cert["pair"] == "[a,a]"
-
-
-def test_degree_mismatch_rejected():
-    s = loops24()
-    bad = {"a": gen_elt(QQ, s.presentation.gen("b")), "b": Element.zero(QQ)}
-    extension, report = extend_morphism(bad, s, s, max_degree=6)
-    assert extension is None
-    assert report.checks[0].name == "morphism-degrees"
-    assert report.checks[0].verdict == "fail"
-
-
 # -- sums with derivations ------------------------------------------------------------
 
 
 def test_adding_zero_derivation_keeps_everything():
     s = loops24()
     base = bv_operator(s)
-    zero = GradedMap.zero(QQ, 1)
+    zero = GradedMap(QQ, 1, rule=lambda m: Element.zero(QQ))
     total, report = add_derivation_action(base, zero, s.generators, 8)
     assert report.passed
     for mono in s.basis(6):
@@ -570,6 +535,66 @@ def test_signed_sums_give_the_reports_of_both_sides_built(s):
     verifiers = (verify_deviation_identity, verify_bracket_compatibility, verify_gerstenhaber)
     reports = [verify(s).to_json() for verify in verifiers]
     assert reports == [ref.to_json() for ref in ref_identity_reports(s)]
+
+
+# -- valid dg structures with a bracket: rescaled copies of mixed_diff.lie ----------
+
+
+def _mixed_diff():
+    with open(os.path.join(ROOT, "fixtures", "mixed_diff.lie"), encoding="utf-8") as handle:
+        return parse_presentation(handle.read())
+
+
+MIXED_DIFF = _mixed_diff()
+
+
+def rescaled_mixed_diff(field, units):
+    """The copy of mixed_diff.lie over `field` that g -> units[g]*g maps
+    isomorphically onto it: {x,y} = sum b_z z becomes units[x]*units[y]
+    * sum (b_z / units[z]) z, and d x = sum d_z z becomes units[x]
+    * sum (d_z / units[z]) z."""
+    p = MIXED_DIFF.presentation
+
+    def carry(scale, value):
+        return Element(field, {m: field.mul(scale, field.mul(field.coerce(c),
+                                                             field.inv(units[m.word()[0].id])))
+                               for m, c in value.terms()})
+
+    return LiePresentation(
+        field, p.shift, list(p.generators),
+        {(x, y): carry(field.mul(units[x], units[y]), v) for (x, y), v in p.brackets.items()},
+        {x: carry(units[x], v) for x, v in p.differential.items()}, name="mixed-diff-rescaled")
+
+
+MIXED_DIFF_FIELDS = [f for f in (QQ, FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.prime(7))
+                     if check_lie_axioms(rescaled_mixed_diff(
+                         f, {g.id: f.one() for g in MIXED_DIFF.presentation.generators})).passed]
+
+
+@st.composite
+def rescaled_mixed_diffs(draw):
+    field = draw(st.sampled_from(MIXED_DIFF_FIELDS))
+    unit = (st.integers(1, field.characteristic - 1) if field.characteristic else
+            st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)))
+    units = {g.id: field.coerce(draw(unit)) for g in MIXED_DIFF.presentation.generators}
+    return free_bv_structure(rescaled_mixed_diff(field, units), MIXED_DIFF.truncate)
+
+
+def test_mixed_diff_passes_check_lie_over_q_and_odd_primes():
+    assert MIXED_DIFF_FIELDS[0] == QQ and len(MIXED_DIFF_FIELDS) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(rescaled_mixed_diffs())
+def test_rescaled_dg_structures_with_a_bracket_pass_and_agree_with_the_oracle(s):
+    p = s.presentation
+    assert any(not v.is_zero for v in p.brackets.values()) and p.differential
+    assert check_lie_axioms(p).passed
+    report = verify_bv_axioms(s)
+    assert report.passed and report.coverage == 1
+    verifiers = (verify_deviation_identity, verify_bracket_compatibility, verify_gerstenhaber)
+    assert ([verify(s).to_json() for verify in verifiers]
+            == [ref.to_json() for ref in ref_identity_reports(s)])
 
 
 # -- a partial table's window: tuples with an undefined slot pair are pruned -------

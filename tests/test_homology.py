@@ -12,7 +12,7 @@ from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation
 from bvalg.fixtures import abelian_ungraded, heisenberg, loopspace_model
 from bvalg.homology import (BoundarySquareError, ChainComplex, betti, build_ce_complex,
-                            bv_chain_complex, euler_characteristic)
+                            bv_chain_complex)
 from bvalg.linalg import rank
 
 from oracles import betti_from_boundaries, dense_product, fraction_rank
@@ -158,7 +158,7 @@ def test_euler_characteristic_matches_alternating_betti_sum():
                      bv_chain_complex(loopspace_model(2, 4, max_degree=8))):
         values = betti(complex_)
         assert sum((-1) ** g * b for g, b in enumerate(values)) \
-            == euler_characteristic(complex_)
+            == sum((-1) ** g * complex_.dimension(g) for g in range(len(values)))
 
 
 def test_betti_independent_of_pivot_order():

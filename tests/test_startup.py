@@ -24,7 +24,8 @@ VERBS = {
                                                               "bvalg.fixtures"},
     ("bracket", "fixtures/loops2_s4.lie", "a", "a"): {"bvalg.homology", "bvalg.linalg",
                                                       "bvalg.fixtures"},
-    ("descriptor", "--n", "2", "--field", "Q"): {"bvalg.homology", "bvalg.linalg"},
+    ("descriptor", "--n", "2", "--field", "Q"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg"},
+    ("fixture", "fd:2:Q"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg"},
 }
 PROBE = ("import json, sys\n"
          "from bvalg.cli import main\n"
@@ -32,7 +33,8 @@ PROBE = ("import json, sys\n"
          "print(json.dumps(sorted(sys.modules)))\n")
 
 
-@pytest.mark.parametrize("argv", list(VERBS), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(VERBS),
+                         ids=lambda argv: "fixture-fd" if argv[1].startswith("fd:") else argv[0])
 def test_verb_loads_only_its_modules(argv):
     # -S: no site hooks, so sys.modules holds what the verb imported
     done = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv, "--format", "json"],

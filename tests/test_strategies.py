@@ -4,7 +4,7 @@ coordinate oracles rely on, so no fuzz narrows without a failing test."""
 import random
 
 from bvalg.algebra import Element
-from bvalg.bv import FREE, USER
+from bvalg.bv import FREE, USER, poisson_bracket
 
 from strategies import ORACLE_SHAPES, draw_structure
 
@@ -23,7 +23,8 @@ def cells(s):
         reached.add("a bracket or differential of two or more generators")
     if len(gens) == 4:
         reached.add("four generators")
-    bracket_gap = any(not isinstance(s.bracket_pair(x, y), Element)
+    letter = {g: Element.from_monomial(s.field, s.letters[g]) for g in gens}
+    bracket_gap = any(not isinstance(poisson_bracket(s, letter[x], letter[y]), Element)
                       for i, x in enumerate(gens) for y in gens[i:])
     operator_gap = any(not isinstance(s.bv_monomial(s.letters[g]), Element) for g in gens)
     if bracket_gap and operator_gap:
