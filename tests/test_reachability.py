@@ -11,6 +11,7 @@ the API-only module that no verb loads, is not scanned.
 """
 
 import contextlib
+import inspect
 import io
 import os
 import re
@@ -23,7 +24,6 @@ from test_golden import CASES, ROOT
 
 PACKAGE = os.path.dirname(os.path.abspath(bvalg.__file__))
 API_ONLY = {"hopf"}
-CO_NEWLOCALS = 0x2  # set on function code, not on module or class bodies
 LOOPS = os.path.join(ROOT, "fixtures", "loops2_s4.lie")
 EXTRA_CALLS = (["free-bv", LOOPS, "--apply", "a^2", "--format", "json"],
                ["bracket", LOOPS, "a", "a*b", "--format", "json"],
@@ -75,7 +75,9 @@ def _functions():
             for const in stack.pop().co_consts:
                 if hasattr(const, "co_qualname"):
                     stack.append(const)
-                    if const.co_flags & CO_NEWLOCALS and not const.co_name.startswith("<"):
+                    # function code has new locals; module and class bodies do not
+                    if (const.co_flags & inspect.CO_NEWLOCALS
+                            and not const.co_name.startswith("<")):
                         names.add(f"{module}.{const.co_qualname}")
     return names
 
