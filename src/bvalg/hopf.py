@@ -1,5 +1,6 @@
 """Hopf structure of a free graded-commutative algebra, and the checks of
-a graded map against it: the API-only module, which no CLI verb loads.
+a graded map against it and against the product: the API-only module,
+which no CLI verb loads.
 
 Generators are primitive, the coproduct is an algebra map into the graded
 tensor square, the antipode is solved degree by degree from the convolution
@@ -283,6 +284,7 @@ def _pair_window(field: FieldSpec, generators: Sequence[Generator],
 
 
 def _derivation_law(op: GradedMap, op_degree: Optional[int], pairs: WindowTuples) -> Report:
+    """The derivation law on the pairs, with op's degree, else op_degree."""
     degree = op.degree if op.degree is not None else op_degree
     if degree is None:
         return _degree_unknown("derivation-law")
