@@ -252,8 +252,8 @@ class Element:
         return Element._trusted(field, {} if field.is_zero(c) else {mono: c})
 
     @staticmethod
-    def from_generator(field: FieldSpec, gen: Generator, coeff=None) -> "Element":
-        return Element.from_monomial(field, Monomial(((gen, 1),)), coeff)
+    def from_generator(field: FieldSpec, gen: Generator) -> "Element":
+        return Element.from_monomial(field, Monomial(((gen, 1),)))
 
     # -- queries ---------------------------------------------------------
 
@@ -540,10 +540,9 @@ class GradedMap:
     """
 
     def __init__(self, field: FieldSpec, degree: Optional[int],
-                 rule: Callable[[Monomial], MaybeElement], name: str = ""):
+                 rule: Callable[[Monomial], MaybeElement]):
         self.field = field
         self.degree = degree
-        self.name = name
         self._rule = rule
         self._values: Dict[Monomial, MaybeElement] = {}
 
@@ -579,8 +578,7 @@ class GradedMap:
             b = other.value(mono)
             return first_undefined(a, b) or a + b
 
-        return GradedMap(self.field, degree, rule=rule,
-                         name=f"{self.name}+{other.name}".strip("+"))
+        return GradedMap(self.field, degree, rule=rule)
 
 
 def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
@@ -624,10 +622,9 @@ def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
 
 def derivation_from_generator_values(field: FieldSpec,
                                      values: Dict[str, Element],
-                                     degree: int,
-                                     name: str = "derivation") -> GradedMap:
+                                     degree: int) -> GradedMap:
     """The derivation extending generator values by `leibniz`; generators
     absent from `values` map to zero."""
-    return GradedMap(field, degree, name=name,
+    return GradedMap(field, degree,
                      rule=lambda mono: leibniz(field, mono.word(),
                                                lambda g: values.get(g.id), degree))

@@ -86,8 +86,7 @@ class BVStructure:
                  truncation: int,
                  bv_values: Optional[Dict[str, Element]] = None,
                  partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None,
-                 has_bv: bool = True,
-                 metadata: Optional[Dict] = None):
+                 has_bv: bool = True):
         self.presentation = presentation
         self.field = presentation.field
         self.shift = presentation.shift
@@ -95,10 +94,9 @@ class BVStructure:
         self.letters = {g: Monomial(((g, 1),)) for g in self.generators}
         self.truncation = truncation
         self.has_bv = has_bv
-        self.metadata = dict(metadata or {})
         self.provenance = FREE if bv_values is None else USER
         self.d0 = derivation_from_generator_values(
-            self.field, {g: -d for g, d in presentation.differential.items()}, -1, name="d0")
+            self.field, {g: -d for g, d in presentation.differential.items()}, -1)
         self._pairs = presentation.pairs if partial_brackets is None else (
             presentation.letter_pairs(presentation.canonical_table(partial_brackets),
                                       lambda key: Undefined(f"bracket [{','.join(key)}]")))
@@ -172,17 +170,16 @@ class BVStructure:
 
 
 def free_bv_structure(presentation: LiePresentation, truncation: int,
-                      has_bv: bool = True,
-                      metadata: Optional[Dict] = None) -> BVStructure:
-    return BVStructure(presentation, truncation, has_bv=has_bv, metadata=metadata)
+                      has_bv: bool = True) -> BVStructure:
+    return BVStructure(presentation, truncation, has_bv=has_bv)
 
 
 def user_bv_structure(presentation: LiePresentation, truncation: int,
                       bv_values: Dict[str, Element],
-                      partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None,
-                      metadata: Optional[Dict] = None) -> BVStructure:
+                      partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None
+                      ) -> BVStructure:
     return BVStructure(presentation, truncation, bv_values=bv_values,
-                       partial_brackets=partial_brackets, metadata=metadata)
+                       partial_brackets=partial_brackets)
 
 
 # -- the Poisson-extended bracket ------------------------------------------------

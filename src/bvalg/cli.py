@@ -103,10 +103,10 @@ def _element_command(args, compute) -> int:
 
 
 def _cmd_free_bv(args) -> int:
-    from .bv import free_bv
+    from .bv import FREE, free_bv
 
     def compute(source, structure: BVStructure):
-        if structure.provenance != "free":
+        if structure.provenance != FREE:
             raise InputError("free-bv needs a presentation without bv lines")
         element = _parse_arg_element("--apply", args.apply, source, args.max_degree)
         return free_bv(structure, element)

@@ -34,6 +34,8 @@ class FieldSpec:
             if characteristic != 0:
                 raise ValueError("rational field must have characteristic 0")
         elif kind == "prime-field":
+            if characteristic > 2 ** 31 - 1:  # so _is_prime tries at most 46,341 divisors
+                raise ValueError(f"characteristic {characteristic} exceeds 2^31-1")
             if not _is_prime(characteristic):
                 raise ValueError(f"characteristic {characteristic} is not prime")
         else:

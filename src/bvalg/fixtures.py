@@ -21,9 +21,10 @@ if TYPE_CHECKING:
     from .bv import BVStructure
 
 MAX_DESCRIPTOR_N = 10_000  # the descriptor lists about n/4 generators
+STABLE_MAX_DEGREE = 16  # the stable descriptor lists a_3, a_7, ... up to this degree
 
 
-def sphere_loop_lie(m: int, field: FieldSpec = QQ) -> LiePresentation:
+def sphere_loop_lie(m: int) -> LiePresentation:
     """Rational homotopy of the based loops on an m-sphere, as a shift-1
     presentation (ordinary degree-0 Samelson bracket).
 
@@ -35,14 +36,12 @@ def sphere_loop_lie(m: int, field: FieldSpec = QQ) -> LiePresentation:
         raise ValueError("sphere dimension must be >= 2")
     a = Generator("a", m - 1)
     if m % 2 == 1:
-        return LiePresentation(field, 1, [a], name=f"sphere-lie:{m}")
+        return LiePresentation(QQ, 1, [a])
     b = Generator("b", 2 * m - 2)
-    brackets = {("a", "a"): Element.from_generator(field, b)}
-    return LiePresentation(field, 1, [a, b], brackets, name=f"sphere-lie:{m}")
+    return LiePresentation(QQ, 1, [a, b], {("a", "a"): Element.from_generator(QQ, b)})
 
 
-def loopspace_model(n: int, m: int, field: FieldSpec = QQ,
-                    max_degree: int = DEFAULT_WINDOW) -> BVStructure:
+def loopspace_model(n: int, m: int, max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     """Free model for the n-fold loops on an m-sphere over the rationals:
     the free structure on the (n-1)-desuspended sphere presentation, with
     zero differential.  The degree-(n-1) operator exists for even n only;
@@ -53,14 +52,7 @@ def loopspace_model(n: int, m: int, field: FieldSpec = QQ,
         raise ValueError("need n >= 2")
     if m <= n:
         raise ValueError(f"need m > n so the sphere is n-connected, got m={m}, n={n}")
-    if field.kind != "rational":
-        raise ValueError("the loop-space model is rational")
-    presentation = desuspend(sphere_loop_lie(m, field), n)
-    structure = free_bv_structure(
-        presentation, max_degree, has_bv=(n % 2 == 0),
-        metadata={"name": f"loopspace:{n}:{m}",
-                  "spherical": tuple(g.id for g in presentation.generators)})
-    return structure
+    return free_bv_structure(desuspend(sphere_loop_lie(m), n), max_degree, has_bv=(n % 2 == 0))
 
 
 class SOGenerator:
@@ -100,8 +92,7 @@ def _so_exterior_degrees(n: int) -> List[int]:
     return [4 * i - 1 for i in range(1, k + 1)] + [2 * k + 1]
 
 
-def framed_disks_descriptor(n: Union[int, str], field: FieldSpec,
-                            max_degree: int = 16) -> StructureDescriptor:
+def framed_disks_descriptor(n: Union[int, str], field: FieldSpec) -> StructureDescriptor:
     """Operator inventory per n and field.
 
     Over Q: the bracket always, the square-zero operator in degree n-1 iff
@@ -112,7 +103,7 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec,
     if n == "infinity":
         if field.kind != "rational":
             raise ValueError("the stable descriptor is rational only")
-        degrees = [d for d in range(3, max_degree + 1, 4)]
+        degrees = range(3, STABLE_MAX_DEGREE + 1, 4)
         gens = tuple(SOGenerator(d, "trivial") for d in degrees)
         return StructureDescriptor("infinity", field, None, None, gens, True)
     if not isinstance(n, int) or n < 2:
@@ -138,12 +129,11 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec,
 
 class SphericalTag:
     """A homology class in the image of the Hurewicz map, with the data the
-    degree-1 operator rule needs: the witness class of degree j+2 and the
-    image of its composite with the suspended Hopf map (None = unknown)."""
+    degree-1 operator rule needs: the witness class and the image of its
+    composite with the suspended Hopf map (None = unknown)."""
 
-    def __init__(self, witness: str, j: int, eta_composite: Optional[Element]):
+    def __init__(self, witness: str, eta_composite: Optional[Element]):
         self.witness = witness
-        self.j = j
         self.eta_composite = eta_composite
 
 
@@ -152,7 +142,8 @@ def spherical_bv(tag: SphericalTag, field: FieldSpec) -> MaybeElement:
 
     Away from characteristic 2 the suspended Hopf map composite is null, so
     the value is zero; in characteristic 2 it is the stored composite image
-    (the sign -(-1)^j collapses mod 2), or Undefined when not tabulated.
+    (its sign, -(-1)^j for a witness of degree j+2, collapses mod 2), or
+    Undefined when not tabulated.
     """
     if field.characteristic != 2:
         return Element.zero(field)
@@ -176,40 +167,24 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     while 2 ** k - 1 <= max_degree:
         gens.append(Generator(f"u{k}", 2 ** k - 1))
         k += 1
-    presentation = LiePresentation(field, 2, gens, name="omega2-s3-f2")
-    u1 = gens[0]
-    u1_squared = Element.from_monomial(field, Monomial(((u1, 2),)))
+    u1_squared = Element.from_monomial(field, Monomial(((gens[0], 2),)))
     tag = SphericalTag(witness="adjoint of the identity of the 3-sphere",
-                       j=1, eta_composite=u1_squared)
-    structure = user_bv_structure(
-        presentation, max_degree,
-        bv_values={"u1": spherical_bv(tag, field)},
-        partial_brackets={},
-        metadata={
-            "name": "omega2-s3-f2",
-            "spherical": ("u1",),
-            "tags": {"u1": tag},
-            # The diagonal-action operator kills the bottom class; recorded
-            # from prose, not from a displayed formula.
-            "diagonal_bv_u1": Element.zero(field),
-            "diagonal_bv_u1_derived_from_prose": True,
-        })
-    return structure
+                       eta_composite=u1_squared)
+    return user_bv_structure(LiePresentation(field, 2, gens), max_degree,
+                             bv_values={"u1": spherical_bv(tag, field)}, partial_brackets={})
 
 
 def heisenberg(field: FieldSpec = QQ) -> LiePresentation:
     """Three-dimensional Heisenberg algebra, suspended to shift 0 (degree-1
     generators, bracket of degree -1): {x,y} = z."""
     x, y, z = Generator("x", 1), Generator("y", 1), Generator("z", 1)
-    return LiePresentation(field, 0, [x, y, z],
-                           {("x", "y"): Element.from_generator(field, z)},
-                           name="heisenberg")
+    return LiePresentation(field, 0, [x, y, z], {("x", "y"): Element.from_generator(field, z)})
 
 
 def abelian_ungraded(k: int, field: FieldSpec = QQ) -> LiePresentation:
     """Abelian k-dimensional ungraded Lie algebra, suspended to shift 0."""
     gens = [Generator(f"e{i + 1}", 1) for i in range(k)]
-    return LiePresentation(field, 0, gens, name=f"abelian:{k}")
+    return LiePresentation(field, 0, gens)
 
 
 def load_fixture(name: str, max_degree: Optional[int] = None):

@@ -254,9 +254,9 @@ def is_coderivation(op: GradedMap, generators: Sequence[Generator],
 # -- operators as graded maps, and derivations added to them -------------------------
 
 
-def bv_operator(s: BVStructure, name: str = "bv") -> GradedMap:
+def bv_operator(s: BVStructure) -> GradedMap:
     """The structure's operator as a graded map (gaps are explicit)."""
-    return GradedMap(s.field, s.shift - 1, rule=s.bv_monomial, name=name)
+    return GradedMap(s.field, s.shift - 1, rule=s.bv_monomial)
 
 
 def bracket_from_operator(field: FieldSpec,

@@ -29,12 +29,11 @@ LetterPairs = Dict[Tuple[Generator, Generator], MaybeElement]
 class LiePresentation:
     def __init__(self, field: FieldSpec, shift: int, generators: List[Generator],
                  brackets: Optional[Dict[BracketKey, Element]] = None,
-                 differential: Optional[Dict[str, Element]] = None, name: str = ""):
+                 differential: Optional[Dict[str, Element]] = None):
         self.field = field
         self.shift = shift
         self.generators = generators
         self.differential = {} if differential is None else differential
-        self.name = name
         ids = [g.id for g in generators]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate generator ids")
@@ -128,8 +127,8 @@ class LiePresentation:
     def diff_element(self, u: Element) -> Element:
         return linear_extension(lambda mono: self.diff(mono.word()[0].id), u)
 
-    def span_element(self, gen_id: str, coeff=1) -> Element:
-        return Element.from_generator(self.field, self.gen(gen_id), coeff)
+    def span_element(self, gen_id: str) -> Element:
+        return Element.from_generator(self.field, self.gen(gen_id))
 
 
 def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentation:
@@ -158,7 +157,6 @@ def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentati
         generators=new_gens,
         brackets={key: remap(v) for key, v in presentation.brackets.items()},
         differential={x: remap(v) for x, v in presentation.differential.items()},
-        name=presentation.name,
     )
 
 

@@ -58,13 +58,12 @@ def _detail_json(value):
 
 
 class CheckResult:
-    def __init__(self, name: str, verdict: str, checked: int = 0, skipped: int = 0,
-                 certificate: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str, verdict: str):
         self.name = name
         self.verdict = verdict
-        self.checked = checked
-        self.skipped = skipped
-        self.certificate = certificate
+        self.checked = 0
+        self.skipped = 0
+        self.certificate: Optional[Dict[str, str]] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CheckResult) and vars(self) == vars(other)
@@ -133,12 +132,11 @@ def vanishes(label: str, value) -> Outcome:
 class Report:
     def __init__(self, checks: Optional[List[CheckResult]] = None,
                  betti: Optional[List[int]] = None,
-                 details: Optional[Dict[str, DetailValue]] = None,
-                 elapsed: Optional[float] = None):
+                 details: Optional[Dict[str, DetailValue]] = None):
         self.checks = [] if checks is None else checks
         self.betti = betti
         self.details = {} if details is None else details
-        self.elapsed = elapsed
+        self.elapsed: Optional[float] = None
 
     @property
     def passed(self) -> bool:

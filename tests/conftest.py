@@ -1,6 +1,6 @@
 import pytest
 
-from bvalg.algebra import Element, Generator
+from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import FieldSpec, QQ
 
 
@@ -26,4 +26,4 @@ def odd_pair():
 
 
 def span(field, gen, coeff=1):
-    return Element.from_generator(field, gen, coeff)
+    return Element.from_monomial(field, Monomial(((gen, 1),)), coeff)

@@ -4,6 +4,7 @@ the hypothesis strategy `structures()`, whose `st.randoms(use_true_random=False)
 shrinks failures."""
 
 import random
+import weakref
 
 from bvalg.algebra import Element, Generator, Monomial, monomial_basis
 from bvalg.bv import FREE, USER, BVStructure, free_bv_structure, user_bv_structure
@@ -14,6 +15,9 @@ FIELDS = (QQ, GF2, FieldSpec.prime(5))
 MAX_GENERATORS = 3
 MAX_DEGREE = 6
 MAX_ATTEMPTS = 500
+
+# a drawn user structure -> the operator values and bracket table it was built from
+DRAWN = weakref.WeakKeyDictionary()
 
 # the coordinate oracles fuzz free at shifts 0-3 and user at 0 and 2, invalid too
 ORACLE_SHAPES = (dict(valid=False, shifts=(0, 1, 2, 3), window=6),
@@ -27,7 +31,7 @@ def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FRE
     With `valid`, a presentation passing the Lie axioms with sparse values,
     each one generator; without, every pair brackets and every generator with
     a partner one degree down differentiates to a combination of generators."""
-    for attempt in range(MAX_ATTEMPTS):
+    for _ in range(MAX_ATTEMPTS):
         f = rng.choice(fields)
         shift = rng.choice(shifts)
         gens = _propose_generators(rng, f, shift, valid)
@@ -43,8 +47,8 @@ def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FRE
                 # an even {x,x} is zero by antisymmetry away from characteristic 2
                 elif (span and rng.random() >= 0.3 and not
                       (x == y and (x.degree + shift) % 2 == 1 and f.characteristic != 2)):
-                    brackets[(x.id, y.id)] = Element.from_generator(
-                        f, rng.choice(span), rng.choice([1, 1, -1, 2]))
+                    brackets[(x.id, y.id)] = Element.from_monomial(
+                        f, Monomial(((rng.choice(span), 1),)), rng.choice([1, 1, -1, 2]))
         if not valid or rng.random() < 0.4:
             for x in gens:
                 span = [g for g in gens if g.degree == x.degree - 1]
@@ -53,7 +57,7 @@ def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FRE
                         f, {Monomial(((g, 1),)): rng.randint(-2, 2) for g in span})
                 elif span and rng.random() < 0.5:
                     differential[x.id] = Element.from_generator(f, rng.choice(span))
-        p = LiePresentation(f, shift, gens, brackets, differential, name=f"random-{attempt}")
+        p = LiePresentation(f, shift, gens, brackets, differential)
         if valid and not check_lie_axioms(p).passed:
             continue
         return free_bv_structure(p, window) if provenance == FREE else _user(rng, p, window)
@@ -95,8 +99,9 @@ def _user(rng, p, window):
     values = {g.id: Element(p.field, {m: rng.randint(-2, 2) for m in basis
                                       if m.degree == g.degree + p.shift - 1})
               for g in gens if rng.randrange(6)}
-    return user_bv_structure(p, window, values, table,
-                             metadata={"bv_values": values, "brackets": table})
+    s = user_bv_structure(p, window, values, table)
+    DRAWN[s] = values, table
+    return s
 
 
 def seeded_structures(seed: int, **knobs):

@@ -131,7 +131,7 @@ def test_graded_map_degree_validation():
 def test_graded_map_apply_and_gaps():
     table = {mono(X): Element.from_generator(QQ, Y)}
     gm = GradedMap(QQ, 0, rule=lambda m: table.get(m, Undefined(f"map({m})")))
-    assert gm.apply(Element.from_generator(QQ, X, 3)) == Element.from_generator(QQ, Y, 3)
+    assert gm.apply(Element.from_monomial(QQ, mono(X), 3)) == Element.from_monomial(QQ, mono(Y), 3)
     assert isinstance(gm.apply(Element.from_generator(QQ, Y)), Undefined)
     assert isinstance(gm.value(mono(A)), Undefined)
 

@@ -21,14 +21,14 @@ from bvalg.hopf import (add_derivation_action, bracket_from_operator, bv_operato
                         check_derivation)
 
 from oracles import ref_bracket, ref_identity_reports, ref_operator
-from strategies import ORACLE_SHAPES, seeded_structures, structures
+from strategies import DRAWN, ORACLE_SHAPES, seeded_structures, structures
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def gen_elt(field, g, coeff=1):
-    return Element.from_generator(field, g, coeff)
+    return Element.from_monomial(field, Monomial(((g, 1),)), coeff)
 
 
 def loops24():
@@ -327,7 +327,7 @@ def coordinates(s):
     it: operator values on generators and the table on pairs in normal-form
     order, a gap left out.  A free operator is minus the differential on
     generators, and a free table has no gaps; a user structure's drawn values
-    and table are in its metadata."""
+    and table are kept by the sampler."""
     if s.provenance == FREE:
         p, zero = s.presentation, Element.zero(s.field)
         gens = sorted(s.generators, key=lambda g: g.sort_key)
@@ -335,7 +335,7 @@ def coordinates(s):
         table = {(x.id, y.id): p.brackets.get((x.id, y.id), zero)
                  for i, x in enumerate(gens) for y in gens[i:]}
     else:
-        values, table = s.metadata["bv_values"], s.metadata["brackets"]
+        values, table = DRAWN[s]
     letter = {g.id: (g.id, g.degree) for g in s.generators}
     return ({letter[x]: ref_of(v) for x, v in values.items()},
             {(letter[x], letter[y]): ref_of(v) for (x, y), v in table.items()})
@@ -388,9 +388,9 @@ def test_free_structures_pass_everything():
 
 
 def test_square_zero_identities_on_random_presentations():
-    for _, s in zip(range(3), seeded_structures(42)):
+    for i, s in zip(range(3), seeded_structures(42)):
         report = verify_square_zero(s, 8)
-        assert report.passed, s.presentation.name
+        assert report.passed, i
         assert report.coverage == 1
 
 
@@ -563,7 +563,7 @@ def rescaled_mixed_diff(field, units):
     return LiePresentation(
         field, p.shift, list(p.generators),
         {(x, y): carry(field.mul(units[x], units[y]), v) for (x, y), v in p.brackets.items()},
-        {x: carry(units[x], v) for x, v in p.differential.items()}, name="mixed-diff-rescaled")
+        {x: carry(units[x], v) for x, v in p.differential.items()})
 
 
 MIXED_DIFF_FIELDS = [f for f in (QQ, FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.prime(7))

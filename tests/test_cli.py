@@ -181,14 +181,21 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
     ("", ["fixture", "sphere-lie:1"], "sphere dimension must be >= 2"),
     ("", ["fixture", "loopspace:2:2"], "need m > n so the sphere is n-connected, got m=2, n=2"),
     ("", ["fixture", "fd:infinity:F2"], "the stable descriptor is rational only"),
+    # 2^61-1 is prime: trial division to its square root would not end
+    ("field F2305843009213693951\nshift n=1\ngen a : 2\n", ["check-lie", "{file}"],
+     "{file}:1:7: characteristic 2305843009213693951 exceeds 2^31-1"),
+    ("", ["descriptor", "--n", "2", "--field", "F2305843009213693951"],
+     "characteristic 2305843009213693951 exceeds 2^31-1"),
+    ("", ["fixture", "fd:2:F2305843009213693951"],
+     "characteristic 2305843009213693951 exceeds 2^31-1"),
     # both tables fail antisymmetry ({a,a} = b at even shifted parity), but
     # ce-homology builds no complex from either, and says so first
     ("field Q\nshift n=1\ngen a : 2\ngen b : 4\nbracket [a,a] = b\n", ["ce-homology", "{file}"],
      "chain complex needs shift 0, got 1"),
     ("field Q\nshift n=0\ngen a : 1\ngen b : 1\ngen c : 2\nbracket [a,a] = b\n",
      ["ce-homology", "{file}"], "the algebra is not finite: give --max-degree or a truncate line"),
-], ids=["F0", "F1", "sphere-lie:1", "loopspace:2:2", "fd:infinity:F2", "ce-homology-shift-1",
-        "ce-homology-no-window"])
+], ids=["F0", "F1", "sphere-lie:1", "loopspace:2:2", "fd:infinity:F2", "check-lie-F2^61-1",
+        "descriptor-F2^61-1", "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window"])
 def test_out_of_range_input_is_input_error(capsys, tmp_path, text, argv, message):
     path = tmp_path / "input.lie"
     path.write_text(text)

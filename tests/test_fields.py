@@ -40,9 +40,10 @@ def test_prime_field_residues_are_canonical():
     with pytest.raises(ZeroDivisionError):
         FieldSpec.prime(2).coerce(Fraction(1, 6))
     x = Generator("x", 1)
-    assert Element.from_generator(f5, x, 10).is_zero
+    assert Element.from_monomial(f5, Monomial(((x, 1),)), 10).is_zero
     assert Element.unit(f5, 5) == Element.zero(f5)
-    assert Element.from_generator(f5, x, -1) == Element(f5, {Monomial(((x, 1),)): 4})
+    assert Element.from_monomial(f5, Monomial(((x, 1),)), -1) \
+        == Element(f5, {Monomial(((x, 1),)): 4})
 
 
 @pytest.mark.parametrize("value, residue", [(7, 2), (-1, 4), (0, 0), (True, 1), (False, 0),
@@ -75,8 +76,6 @@ def test_floats_rejected():
         with pytest.raises(TypeError):
             Element.from_monomial(field, Monomial(((Generator("x", 1), 1),)), 0.5)
         with pytest.raises(TypeError):
-            Element.from_generator(field, Generator("x", 1), 0.5)
-        with pytest.raises(TypeError):
             Element.unit(field, 0.5)
         with pytest.raises(TypeError):
             TensorElement(field, 2, {(Monomial.unit(), Monomial.unit()): 0.5})
@@ -86,6 +85,10 @@ def test_floats_rejected():
     (lambda: FieldSpec("foo", 0), ValueError, "unknown field kind 'foo'"),
     (lambda: QQ.inv(0), ZeroDivisionError, "inverse of zero"),
     (lambda: Generator("g", -1), ValueError, "generator 'g' has negative degree -1"),
+    (lambda: FieldSpec.prime(2 ** 61 - 1), ValueError,
+     "characteristic 2305843009213693951 exceeds 2^31-1"),
+    (lambda: FieldSpec.parse("F2147483648"), ValueError,
+     "characteristic 2147483648 exceeds 2^31-1"),
 ])
 def test_out_of_range_argument_is_refused_in_one_line(make, error, message):
     with pytest.raises(error) as caught:
@@ -112,7 +115,7 @@ def test_rational_coerce_returns_a_fraction_unchanged():
     assert QQ.coerce(2) == Fraction(2) and type(QQ.coerce(2)) is Fraction
     (_, one), = Element.unit(QQ).terms()
     assert type(one) is Fraction
-    assert Element.from_generator(QQ, Generator("x", 1), 0).is_zero
+    assert Element.from_monomial(QQ, Monomial(((Generator("x", 1), 1),)), 0).is_zero
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, F5])

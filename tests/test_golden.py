@@ -31,7 +31,8 @@ def _lie_files():
             + [os.path.join(HERE, "data", "bad_jacobi.lie"),
                os.path.join(HERE, "data", "bad_bv.lie"),
                os.path.join(HERE, "data", "odd_shift_bv.lie"),
-               os.path.join(HERE, "data", "bad_antisymmetry.lie")])
+               os.path.join(HERE, "data", "bad_antisymmetry.lie"),
+               os.path.join(HERE, "data", "bad_diff_square.lie")])
 
 
 def _cases():
@@ -46,6 +47,11 @@ def _cases():
     for name in FIXTURES:
         cases[f"fixture_{name.replace(':', '-')}_D10"] = [
             "fixture", name, "--verify", "--max-degree", "10"]
+    # the --max-degree paths of a file and of a built-in structure below their truncation
+    cases["check-bv_loops2_s4_D8"] = [
+        "check-bv", os.path.join(ROOT, "fixtures", "loops2_s4.lie"), "--max-degree", "8"]
+    cases["fixture_loopspace-2-4_D8"] = [
+        "fixture", "loopspace:2:4", "--verify", "--max-degree", "8"]
     cases["fixture_omega2-s3-f2_D12"] = [
         "fixture", "omega2-s3-f2", "--verify", "--max-degree", "12"]
     cases["fixture_omega2-s3-f2_D1"] = ["fixture", "omega2-s3-f2", "--max-degree", "1"]

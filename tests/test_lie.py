@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import Element, Generator
+from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import GF2, QQ
 from bvalg.lie import LiePresentation, check_differential, check_lie_axioms, desuspend
 
@@ -9,7 +9,7 @@ from strategies import seeded_structures, structures
 
 
 def gen_elt(field, g, coeff=1):
-    return Element.from_generator(field, g, coeff)
+    return Element.from_monomial(field, Monomial(((g, 1),)), coeff)
 
 
 def sphere_like(field=QQ):

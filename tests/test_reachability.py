@@ -8,9 +8,17 @@ UNREACHED with one reason of the forms in REASON.  Lambdas and
 comprehensions are not counted; a function nested in another counts on its
 own, and a listed function covers the functions nested in it.  `hopf.py`,
 the API-only module that no verb loads, is not scanned.
+
+The same runs read, on entry, the arguments of every defaulted parameter
+of each module-level function and method of the scanned modules.  Each
+such parameter must be set by some verb call to a value that is not its
+default and does not equal it, or be listed in UNVARIED with one reason of
+the forms in REASON; a function listed in UNREACHED covers its parameters.
 """
 
 import contextlib
+import functools
+import importlib
 import inspect
 import io
 import os
@@ -26,11 +34,13 @@ PACKAGE = os.path.dirname(os.path.abspath(bvalg.__file__))
 API_ONLY = {"hopf"}
 LOOPS = os.path.join(ROOT, "fixtures", "loops2_s4.lie")
 EXTRA_CALLS = (["free-bv", LOOPS, "--apply", "a^2", "--format", "json"],
-               ["bracket", LOOPS, "a", "a*b", "--format", "json"],
+               ["bracket", LOOPS, "a", "2*a*b", "--format", "json"],
+               ["free-bv", LOOPS, "--apply", "a^2", "--max-degree", "8"],
+               ["bracket", LOOPS, "a", "a", "--max-degree", "8"],
                ["descriptor", "--n", "4", "--field", "Q"])  # the human report
 
 REASON = re.compile(r"input-error path|Python protocol method|perfbench (tracer hook|caller)"
-                    r"|acceptance criterion \d+|waits for item \d+")
+                    r"|acceptance criterion \d+|waits for item \d+|scripts/\w+\.py caller")
 UNREACHED = {
     "__init__.__getattr__": "Python protocol method",
     "algebra.Monomial.__reduce__": "Python protocol method",
@@ -59,6 +69,17 @@ UNREACHED = {
     "linalg.nullspace": "acceptance criterion 7",
     "report.CheckResult.__eq__": "Python protocol method",
 }
+UNVARIED = {
+    "algebra.window_tuples.symmetric": "acceptance criterion 8",
+    "bv.BVStructure.tuples.max_degree": "acceptance criterion 3",
+    "bv.verify_square_zero.max_degree": "acceptance criterion 3",
+    "bv.verify_deviation_identity.max_degree": "acceptance criterion 3",
+    "bv.verify_bracket_compatibility.max_degree": "acceptance criterion 3",
+    "bv.verify_gerstenhaber.pair_degree": "acceptance criterion 6",
+    "bv.verify_gerstenhaber.triple_degree": "acceptance criterion 6",
+    "bv.verify_bv_axioms.max_degree": "scripts/random_bv_audit.py caller",
+    "bv.verify_bv_axioms.triple_degree": "scripts/random_bv_audit.py caller",
+}
 
 
 def _functions():
@@ -82,13 +103,46 @@ def _functions():
     return names
 
 
-def _entered():
-    """module.qualname of every package function the verbs enter."""
-    codes = set()
+@functools.lru_cache(maxsize=None)
+def _defaulted():
+    """{code: (module.qualname, {parameter: default})} for each module-level
+    function and method of the scanned modules with a defaulted parameter
+    (`__main__` runs the CLI when imported, and defines none)."""
+    table = {}
+    for filename in sorted(os.listdir(PACKAGE)):
+        module, ext = os.path.splitext(filename)
+        if ext != ".py" or module in API_ONLY | {"__main__"}:
+            continue
+        mod = bvalg if module == "__init__" else importlib.import_module(f"bvalg.{module}")
+        for obj in list(vars(mod).values()):
+            for fn in vars(obj).values() if isinstance(obj, type) else (obj,):
+                fn = getattr(fn, "__func__", fn)  # a staticmethod's function
+                if not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                    continue
+                defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                            if p.default is not p.empty}
+                if defaults:
+                    table[fn.__code__] = (f"{module}.{fn.__qualname__}", defaults)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _traced():
+    """(module.qualname of every package function the verbs enter,
+    module.qualname.parameter of every defaulted parameter they set to a
+    value other than its default)."""
+    codes, varied, defaulted = set(), set(), _defaulted()
 
     def hook(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
+            entry = defaulted.get(frame.f_code)
+            if entry is not None:
+                name, defaults = entry
+                arguments = frame.f_locals
+                varied.update(f"{name}.{parameter}" for parameter, default in defaults.items()
+                              if arguments[parameter] is not default
+                              and arguments[parameter] != default)
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -99,9 +153,10 @@ def _entered():
                 main(argv)
     finally:
         sys.setprofile(previous)
-    return {f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
-            for code in codes
-            if os.path.dirname(os.path.abspath(code.co_filename)) == PACKAGE}
+    entered = {f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
+               for code in codes
+               if os.path.dirname(os.path.abspath(code.co_filename)) == PACKAGE}
+    return entered, varied
 
 
 def _listed(name):
@@ -109,9 +164,20 @@ def _listed(name):
 
 
 def test_every_function_is_entered_by_a_verb_or_listed_with_its_reason():
-    functions, entered = _functions(), _entered()
+    functions, (entered, _) = _functions(), _traced()
     assert sorted(n for n in functions - entered if not _listed(n)) == []
     # the list stays exact: each entry exists, no verb enters it, its reason is one form
     assert sorted(set(UNREACHED) - functions) == []
     assert sorted(set(UNREACHED) & entered) == []
     assert [n for n, reason in UNREACHED.items() if not REASON.fullmatch(reason)] == []
+
+
+def test_every_defaulted_parameter_is_set_by_a_verb_or_listed_with_its_reason():
+    parameters = {f"{name}.{parameter}" for name, defaults in _defaulted().values()
+                  if not _listed(name) for parameter in defaults}
+    _, varied = _traced()
+    assert sorted(parameters - varied - set(UNVARIED)) == []
+    # the list stays exact: each entry exists, no verb sets it, its reason is one form
+    assert sorted(set(UNVARIED) - parameters) == []
+    assert sorted(set(UNVARIED) & varied) == []
+    assert [n for n, reason in UNVARIED.items() if not REASON.fullmatch(reason)] == []

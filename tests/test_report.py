@@ -64,9 +64,10 @@ def test_coverage_fraction():
 def test_json_numbers_are_strings_and_elements_are_pairs():
     g = Generator("a", 2)
     element = Element.from_monomial(QQ, Monomial(((g, 2),)), Fraction(-1, 2)) \
-        + Element.from_generator(QQ, g, 3)
-    report = Report(checks=[CheckResult("demo", "pass", 2, 1)],
-                    betti=[1, 2], details={"value": element, "note": "text"})
+        + Element.from_monomial(QQ, Monomial(((g, 1),)), 3)
+    demo = CheckResult("demo", "pass")
+    demo.checked, demo.skipped = 2, 1
+    report = Report(checks=[demo], betti=[1, 2], details={"value": element, "note": "text"})
     doc = report.to_json_dict()
     assert doc["betti"] == ["1", "2"]
     assert doc["verdicts"][0]["checked"] == "2"
