@@ -1,7 +1,7 @@
 """`src/bvalg/` holds what a verb runs.
 
-Every golden invocation (`test_golden.CASES`) and one call each of
-free-bv, bracket and descriptor run in this process under `sys.setprofile`,
+Every golden invocation (`test_golden.CASES`) and the free-bv, bracket and
+descriptor calls in EXTRA_CALLS run in this process under `sys.setprofile`,
 which records each code object entered.  Every named function and method
 compiled from the package's sources must be among them, or be listed in
 UNREACHED with one reason of the forms in REASON.  Lambdas and
