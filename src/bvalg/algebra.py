@@ -430,58 +430,54 @@ class WindowTuples:
     """The iterable `window_tuples` returns; after a pass, `pruned` is the
     number of window tuples its gate passed over."""
 
-    def __init__(self, basis: Sequence[Monomial], arity: int, bound: int, symmetric: bool,
+    def __init__(self, basis: Sequence[Monomial], arity: int, bound: int,
                  gate: Optional[Tuple[Sequence[int], Sequence[int]]]):
         if arity < 1:
             raise ValueError(f"window tuples need arity >= 1, got {arity}")
-        self.basis, self.arity, self.bound = basis, arity, bound
-        self.symmetric, self.gate = symmetric, gate
+        self.basis, self.arity, self.bound, self.gate = basis, arity, bound, gate
         self.degrees = [m.degree for m in basis]
         self.pruned = 0
 
-    def count(self, slots: int, start: int, budget: int) -> int:
-        """How many ways `slots` (>= 1) more slots fill from basis position
-        `start` within `budget`, gate aside."""
+    def count(self, slots: int, budget: int) -> int:
+        """How many ways `slots` (>= 1) more slots fill within `budget`,
+        gate aside."""
         end = bisect_right(self.degrees, budget)
         if slots == 1:
-            return max(end - start, 0)
-        return sum(self.count(slots - 1, i if self.symmetric else 0, budget - self.degrees[i])
-                   for i in range(start, end))
+            return end
+        return sum(self.count(slots - 1, budget - self.degrees[i]) for i in range(end))
 
     def __iter__(self) -> Iterator[Tuple[Monomial, ...]]:
-        basis, degrees, arity, symmetric = self.basis, self.degrees, self.arity, self.symmetric
+        basis, degrees, arity = self.basis, self.degrees, self.arity
         letters, partners = self.gate or ((0,) * len(basis),) * 2
         self.pruned = 0
 
-        def extend(prefix, blocked, start, budget):
+        def extend(prefix, blocked, budget):
             left = arity - len(prefix) - 1  # slots after this one
-            for i in range(start, bisect_right(degrees, budget)):
+            for i in range(bisect_right(degrees, budget)):
                 rest = budget - degrees[i]
                 if blocked & letters[i]:
-                    self.pruned += self.count(left, i if symmetric else 0, rest) if left else 1
+                    self.pruned += self.count(left, rest) if left else 1
                 elif left:
-                    yield from extend(prefix + (basis[i],), blocked | partners[i],
-                                      i if symmetric else 0, rest)
+                    yield from extend(prefix + (basis[i],), blocked | partners[i], rest)
                 else:
                     yield prefix + (basis[i],)
 
-        return extend((), 0, 0, self.bound)
+        return extend((), 0, self.bound)
 
 
 def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
-                  symmetric: bool = False,
                   gate: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> WindowTuples:
     """Tuples of `arity` basis monomials of total degree <= bound, in
-    lexicographic order of basis position; with `symmetric`, positions are
-    nondecreasing.  The basis must be sorted by degree first, as
-    monomial_basis returns it, so each slot ranges over a prefix of it.
+    lexicographic order of basis position.  The basis must be sorted by
+    degree first, as monomial_basis returns it, so each slot ranges over a
+    prefix of it.
 
     A gate (letters, partners) holds two bit masks per basis position.  A
     slot at position j is not extended when letters[j] meets partners[i] of
     some earlier slot at position i: the tuples under that prefix are not
     yielded but counted from the degrees alone into `pruned`.  The tuples
     yielded are the rest of the window, in the same order."""
-    return WindowTuples(basis, arity, bound, symmetric, gate)
+    return WindowTuples(basis, arity, bound, gate)
 
 
 # -- graded linear maps -------------------------------------------------------
@@ -534,12 +530,10 @@ class GradedMap:
 
     The rule returns an Element, or Undefined at a gap: partial operators
     keep explicit gaps and never guess.  Each value is memoized and checked
-    against the degree when first computed.  A degree of None marks an
-    inhomogeneous map (e.g. a sum of maps of different degrees), for which
-    no per-value degree validation is possible.
+    against the degree when first computed.
     """
 
-    def __init__(self, field: FieldSpec, degree: Optional[int],
+    def __init__(self, field: FieldSpec, degree: int,
                  rule: Callable[[Monomial], MaybeElement]):
         self.field = field
         self.degree = degree
@@ -547,7 +541,7 @@ class GradedMap:
         self._values: Dict[Monomial, MaybeElement] = {}
 
     def _check_degree(self, mono: Monomial, val: Element) -> None:
-        if self.degree is None or val.is_zero:
+        if val.is_zero:
             return
         d = val.homogeneous_degree()
         if d != mono.degree + self.degree:
@@ -567,18 +561,6 @@ class GradedMap:
     def apply(self, element: Element) -> MaybeElement:
         """Linear extension; the first gap met is returned as Undefined."""
         return linear_extension(self.value, element)
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        degree = self.degree if self.degree == other.degree else None
-
-        def rule(mono: Monomial) -> MaybeElement:
-            a = self.value(mono)
-            b = other.value(mono)
-            return first_undefined(a, b) or a + b
-
-        return GradedMap(self.field, degree, rule=rule)
 
 
 def leibniz(field: FieldSpec, word: Tuple[Generator, ...],

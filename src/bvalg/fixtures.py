@@ -127,35 +127,27 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec) -> StructureDe
     return StructureDescriptor(n, field, n - 1, bv_degree, tuple(gens), True)
 
 
-class SphericalTag:
-    """A homology class in the image of the Hurewicz map, with the data the
-    degree-1 operator rule needs: the witness class and the image of its
-    composite with the suspended Hopf map (None = unknown)."""
-
-    def __init__(self, witness: str, eta_composite: Optional[Element]):
-        self.witness = witness
-        self.eta_composite = eta_composite
-
-
-def spherical_bv(tag: SphericalTag, field: FieldSpec) -> MaybeElement:
-    """Value of the degree-1 operator on a spherical class.
+def spherical_bv(eta_composite: Optional[Element], field: FieldSpec) -> MaybeElement:
+    """Value of the degree-1 operator on a spherical class (one in the image
+    of the Hurewicz map), given the image of its composite with the
+    suspended Hopf map (None = unknown).
 
     Away from characteristic 2 the suspended Hopf map composite is null, so
-    the value is zero; in characteristic 2 it is the stored composite image
-    (its sign, -(-1)^j for a witness of degree j+2, collapses mod 2), or
+    the value is zero; in characteristic 2 it is the given composite image
+    (its sign, -(-1)^j for a class of degree j+2, collapses mod 2), or
     Undefined when not tabulated.
     """
     if field.characteristic != 2:
         return Element.zero(field)
-    if tag.eta_composite is None:
-        return Undefined(f"eta composite of {tag.witness}")
-    return tag.eta_composite
+    if eta_composite is None:
+        return Undefined("eta composite")
+    return eta_composite
 
 
 def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     """Mod-2 homology of the double loops on the 3-sphere: polynomial on
     classes u_k of degree 2^k - 1.  The operator is defined on u_1 only,
-    by the spherical-class rule: its tag's composite, u_1^2; every other
+    by the spherical-class rule: its Hopf-map composite, u_1^2; every other
     operator value and every bracket entry is undefined.
     """
     from .bv import user_bv_structure
@@ -167,11 +159,11 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     while 2 ** k - 1 <= max_degree:
         gens.append(Generator(f"u{k}", 2 ** k - 1))
         k += 1
+    # u1 is the adjoint of the identity of the 3-sphere
     u1_squared = Element.from_monomial(field, Monomial(((gens[0], 2),)))
-    tag = SphericalTag(witness="adjoint of the identity of the 3-sphere",
-                       eta_composite=u1_squared)
     return user_bv_structure(LiePresentation(field, 2, gens), max_degree,
-                             bv_values={"u1": spherical_bv(tag, field)}, partial_brackets={})
+                             bv_values={"u1": spherical_bv(u1_squared, field)},
+                             partial_brackets={})
 
 
 def heisenberg(field: FieldSpec = QQ) -> LiePresentation:

@@ -12,9 +12,7 @@ coproduct  with the Koszul sign when op moves past the left tensor factor.
 The product-side checks read a structure's operator as a graded map
 (`bv_operator`): the derivation law op(ab) = op(a)b + (-1)^(|op||a|) a op(b)
 on basis pairs, and whether adding a derivation to an operator leaves the
-bracket it induces (its deviation from being a derivation) unchanged.  A
-map without a degree has no Koszul sign, so each of these checks fails on it
-with one certificate.
+bracket it induces (its deviation from being a derivation) unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, WindowTuples, first_undefined, linear_extension,
+                      Undefined, first_undefined, linear_extension,
                       monomial_basis, normalize_word, window_tuples)
 from .fields import FieldSpec, Scalar
 from .linalg import nullspace
@@ -70,14 +68,6 @@ class TensorElement:
     @staticmethod
     def zero(field: FieldSpec, arity: int) -> "TensorElement":
         return TensorElement(field, arity)
-
-    @staticmethod
-    def pure(field: FieldSpec, monos: Sequence[Monomial], coeff=1) -> "TensorElement":
-        return TensorElement(field, len(monos), {tuple(monos): coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return self._element.is_zero
 
     def terms(self) -> List[Tuple[TensorKey, Scalar]]:
         """Split each tagged monomial by slot; the coefficient of m_1 (x) ...
@@ -138,7 +128,7 @@ class TensorElement:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if self._element.is_zero:
             return "0"
         parts = []
         for key, coeff in self.terms():
@@ -216,21 +206,11 @@ def antipode(element: Element) -> Element:
     return linear_extension(on_monomial, element)
 
 
-def _degree_unknown(check: str) -> Report:
-    """The one outcome of a map check on a map without a degree: a failure,
-    as no Koszul sign can be chosen."""
-    return Report(checks=run_checks(
-        (check,), [()], lambda: {"reason": "operator degree unknown; no Koszul sign"},
-        lambda: {}))
-
-
 def is_coderivation(op: GradedMap, generators: Sequence[Generator],
                     max_degree: int) -> Report:
     """Check the coderivation identity on every basis monomial in the window;
-    undefined operator values are skipped, and an unknown degree fails."""
+    undefined operator values are skipped."""
     field, degree = op.field, op.degree
-    if degree is None:
-        return _degree_unknown("coderivation")
     bound = max(max_degree - degree if degree > 0 else max_degree, 0)
 
     def coderivation(mono):
@@ -276,56 +256,34 @@ def bracket_from_operator(field: FieldSpec,
     return (op_ab - op_a * b_elt - (a_elt * op_b).signed(a.degree)).signed(a.degree)
 
 
-def _pair_window(field: FieldSpec, generators: Sequence[Generator],
-                 max_degree: int) -> WindowTuples:
-    """Basis pairs (a, b), a not after b, of total degree <= max_degree."""
-    return window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree,
-                         symmetric=True)
+def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
+                          generators: Sequence[Generator], max_degree: int) -> Report:
+    """Check that a product derivation, added to a bracket-carrying operator,
+    leaves its bracket unchanged.
 
-
-def _derivation_law(op: GradedMap, op_degree: Optional[int], pairs: WindowTuples) -> Report:
-    """The derivation law on the pairs, with op's degree, else op_degree."""
-    degree = op.degree if op.degree is not None else op_degree
-    if degree is None:
-        return _degree_unknown("derivation-law")
-    field = op.field
+    Verifies (i) the derivation law for the second operator and (ii) that
+    the deviation bracket of the sum equals that of the base operator alone,
+    both on all ordered basis pairs in the window.
+    """
+    field, degree = derivation_op.field, derivation_op.degree
+    pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree)
 
     def law(a, b):
         a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)
-        lhs = op.apply(a_elt * b_elt)
-        va, vb = op.apply(a_elt), op.apply(b_elt)
+        lhs = derivation_op.apply(a_elt * b_elt)
+        va, vb = derivation_op.apply(a_elt), derivation_op.apply(b_elt)
         return first_undefined(lhs, va, vb) or compare(
             "op(ab)", lhs, "op(a)b + sign*a op(b)",
             va * b_elt + (a_elt * vb).signed(degree * a.degree))
 
-    return Report(checks=run_checks(("derivation-law",), pairs, law, by_name("a", "b")))
-
-
-def check_derivation(op: GradedMap, generators: Sequence[Generator],
-                     max_degree: int, op_degree: Optional[int] = None) -> Report:
-    """Product-derivation law on all basis pairs in the window."""
-    return _derivation_law(op, op_degree, _pair_window(op.field, generators, max_degree))
-
-
-def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
-                          generators: Sequence[Generator],
-                          max_degree: int,
-                          derivation_degree: Optional[int] = None) -> Tuple[GradedMap, Report]:
-    """Sum of a bracket-carrying operator and a product derivation.
-
-    Verifies (i) the derivation law for the second operator and (ii) that
-    the deviation bracket of the sum equals that of the base operator alone,
-    both on all basis pairs in the window.
-    """
-    field = base_op.field
-    pairs = _pair_window(field, generators, max_degree)
-    report = _derivation_law(derivation_op, derivation_degree, pairs)
-    total = base_op + derivation_op
+    def total(mono):
+        a, b = base_op.value(mono), derivation_op.value(mono)
+        return first_undefined(a, b) or a + b
 
     def unchanged(a, b):
-        return compare("bracket of sum", bracket_from_operator(field, total.value, a, b),
+        return compare("bracket of sum", bracket_from_operator(field, total, a, b),
                        "bracket of base", bracket_from_operator(field, base_op.value, a, b))
 
-    report.checks += run_checks(("bracket-unchanged-by-derivation",), pairs, unchanged,
-                                by_name("a", "b"))
-    return total, report
+    return Report(checks=run_checks(("derivation-law", "bracket-unchanged-by-derivation"),
+                                    pairs, lambda a, b: (law(a, b), unchanged(a, b)),
+                                    by_name("a", "b")))

@@ -17,8 +17,8 @@ from bvalg.algebra import (Element, Generator, Monomial,
 from bvalg.cli import main as cli_main
 from bvalg.dsl import ParseError, parse_presentation, render_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
-from bvalg.fixtures import (SphericalTag, abelian_ungraded, framed_disks_descriptor,
-                            heisenberg, loopspace_model, omega2_s3_f2, spherical_bv)
+from bvalg.fixtures import (abelian_ungraded, framed_disks_descriptor, heisenberg,
+                            loopspace_model, omega2_s3_f2, spherical_bv)
 from bvalg.homology import betti, build_ce_complex
 from bvalg.hopf import (add_derivation_action, antipode, bv_operator, coproduct,
                         coproduct_monomial, is_coderivation, primitive_basis)
@@ -202,8 +202,8 @@ def test_criterion_08_derivations_leave_bracket_unchanged():
             QQ, {"a": Element.from_generator(QQ, b)}, degree=3),
     }
     for label, derivation in derivations.items():
-        total, report = add_derivation_action(base, derivation,
-                                              structure.generators, 10)
+        report = add_derivation_action(base, derivation,
+                                       structure.generators, 10)
         assert report.passed and report.coverage == 1, label
         names = [c.name for c in report.checks]
         assert names == ["derivation-law", "bracket-unchanged-by-derivation"]
@@ -225,14 +225,13 @@ def test_criterion_09_descriptor_and_spherical_battery():
         assert {g.degree for g in trivial} <= {3, 7, 11}
     u1 = Generator("u1", 1)
     square = Element.from_monomial(GF2, Monomial(((u1, 2),)))
-    tags = [SphericalTag("identity of the 3-sphere", square),
-            SphericalTag("null composite", Element.zero(GF2)),
-            SphericalTag("unknown composite", None),
-            SphericalTag("suspension witness", square)]
+    # the composites of the identity of the 3-sphere, a null one, an unknown
+    # one and a suspension's
+    composites = [square, Element.zero(GF2), None, square]
     for p in (3, 5):
         field = FieldSpec.prime(p)
-        for tag in tags:
-            assert spherical_bv(tag, field) == Element.zero(field)
+        for composite in composites:
+            assert spherical_bv(composite, field) == Element.zero(field)
     _pass(9, "descriptor matches the orthogonal-group table for n = 2..6; "
              "spherical operator vanishes over F3 and F5")
 

@@ -17,8 +17,7 @@ from bvalg.bv import (FREE, USER, Undefined, bracket_part, free_bv,
                       verify_square_zero)
 from bvalg.dsl import parse_presentation
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
-from bvalg.hopf import (add_derivation_action, bracket_from_operator, bv_operator,
-                        check_derivation)
+from bvalg.hopf import add_derivation_action, bracket_from_operator, bv_operator
 
 from oracles import ref_bracket, ref_identity_reports, ref_operator
 from strategies import DRAWN, ORACLE_SHAPES, seeded_structures, structures
@@ -443,12 +442,9 @@ def test_bracket_compatibility_on_fixture():
 
 def test_adding_zero_derivation_keeps_everything():
     s = loops24()
-    base = bv_operator(s)
     zero = GradedMap(QQ, 1, rule=lambda m: Element.zero(QQ))
-    total, report = add_derivation_action(base, zero, s.generators, 8)
-    assert report.passed
-    for mono in s.basis(6):
-        assert total.value(mono) == base.value(mono)
+    report = add_derivation_action(bv_operator(s), zero, s.generators, 8)
+    assert report.passed and report.coverage == 1
 
 
 def test_derivation_does_not_change_extracted_bracket():
@@ -460,13 +456,12 @@ def test_derivation_does_not_change_extracted_bracket():
     # a degree-1 derivation: b -> a^3
     cubed = Element.from_monomial(QQ, Monomial(((a, 3),)))
     der = derivation_from_generator_values(QQ, {"b": cubed}, degree=1)
-    total, report = add_derivation_action(base, der, s.generators, 10)
+    report = add_derivation_action(base, der, s.generators, 10)
     assert report.passed
-    # a degree-3 derivation: a -> b (inhomogeneous sum, bracket still fixed)
+    # a degree-3 derivation: a -> b (a sum of two degrees, bracket still fixed)
     der2 = derivation_from_generator_values(QQ, {"a": gen_elt(QQ, b)}, degree=3)
-    total2, report2 = add_derivation_action(base, der2, s.generators, 10)
+    report2 = add_derivation_action(base, der2, s.generators, 10)
     assert report2.passed
-    assert total2.degree is None
 
 
 def test_multiplicative_extension_fails_derivation_law():
@@ -474,17 +469,16 @@ def test_multiplicative_extension_fails_derivation_law():
     a = s.presentation.gen("a")
 
     def multiplicative(mono):
+        # a -> a, b -> 0 on each letter; the unit goes to 0
         if mono.is_unit:
             return Element.zero(QQ)
         out = Element.unit(QQ)
         for g in mono.word():
-            image = (Element.from_monomial(QQ, Monomial(((a, 2),)))
-                     if g.id == "a" else Element.zero(QQ))
-            out = out * image
+            out = out * (Element.from_generator(QQ, a) if g.id == "a" else Element.zero(QQ))
         return out
 
-    op = GradedMap(QQ, None, rule=multiplicative)
-    report = check_derivation(op, s.generators, 6, op_degree=2)
+    op = GradedMap(QQ, 0, rule=multiplicative)
+    report = add_derivation_action(bv_operator(s), op, s.generators, 6)
     assert not report.passed
     cert = report.checks[0].certificate
     assert cert["a"] == "a" and cert["b"] == "a"

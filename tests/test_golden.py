@@ -32,7 +32,8 @@ def _lie_files():
                os.path.join(HERE, "data", "bad_bv.lie"),
                os.path.join(HERE, "data", "odd_shift_bv.lie"),
                os.path.join(HERE, "data", "bad_antisymmetry.lie"),
-               os.path.join(HERE, "data", "bad_diff_square.lie")])
+               os.path.join(HERE, "data", "bad_diff_square.lie"),
+               os.path.join(HERE, "data", "bad_diff_leibniz.lie")])
 
 
 def _cases():

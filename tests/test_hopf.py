@@ -21,7 +21,7 @@ MXY = Monomial(((X, 1), (Y, 1)))
 
 
 def test_coproduct_unit_and_generator():
-    assert coproduct(Element.unit(QQ)) == TensorElement.pure(QQ, (UNIT, UNIT))
+    assert coproduct(Element.unit(QQ)) == TensorElement(QQ, 2, {(UNIT, UNIT): 1})
     expected = TensorElement(QQ, 2, {(MX, UNIT): 1, (UNIT, MX): 1})
     assert coproduct(Element.from_monomial(QQ, MX)) == expected
 
@@ -154,15 +154,6 @@ def test_coproduct_is_algebra_map(w1, w2):
     a = normalize_word(QQ, w1)
     b = normalize_word(QQ, w2)
     assert coproduct(a * b) == coproduct(a) * coproduct(b)
-
-
-def test_coderivation_refuses_unknown_degree():
-    # x is primitive, so left multiplication by x passes at degree 1; adding
-    # the zero map of degree 0 leaves the values but makes the degree unknown
-    op = GradedMap(QQ, 1, rule=lambda m: normalize_word(QQ, (X,) + m.word()))
-    report = is_coderivation(op + zero_map(0), [X, Y], 6)
-    assert [(c.name, c.verdict) for c in report.checks] == [("coderivation", "fail")]
-    assert report.checks[0].certificate == {"reason": "operator degree unknown; no Koszul sign"}
 
 
 # "a"/"a0" and "b"/"b1" sort the other way once tagged ("a0@0" < "a@0"),

@@ -1,4 +1,5 @@
-"""`src/bvalg/` holds what a verb runs.
+"""`src/bvalg/` holds what a verb runs, and `hopf.py` what acceptance
+criteria 7 and 8 run.
 
 Every golden invocation (`test_golden.CASES`) and the free-bv, bracket and
 descriptor calls in EXTRA_CALLS run in this process under `sys.setprofile`,
@@ -7,13 +8,14 @@ compiled from the package's sources must be among them, or be listed in
 UNREACHED with one reason of the forms in REASON.  Lambdas and
 comprehensions are not counted; a function nested in another counts on its
 own, and a listed function covers the functions nested in it.  `hopf.py`,
-the API-only module that no verb loads, is not scanned.
+the API-only module that no verb loads, is judged by the same rules on a
+trace of the two acceptance criteria that use it (HOPF_CRITERIA) instead.
 
 The same runs read, on entry, the arguments of every defaulted parameter
-of each module-level function and method of the scanned modules.  Each
-such parameter must be set by some verb call to a value that is not its
-default and does not equal it, or be listed in UNVARIED with one reason of
-the forms in REASON; a function listed in UNREACHED covers its parameters.
+of each module-level function and method.  Each such parameter must be
+set by some call to a value that is not its default and does not equal
+it, or be listed in UNVARIED with one reason of the forms in REASON; a
+function listed in UNREACHED covers its parameters.
 """
 
 import contextlib
@@ -28,10 +30,12 @@ import sys
 import bvalg
 from bvalg.cli import main
 
+import test_acceptance
 from test_golden import CASES, ROOT
 
 PACKAGE = os.path.dirname(os.path.abspath(bvalg.__file__))
-API_ONLY = {"hopf"}
+HOPF_CRITERIA = (test_acceptance.test_criterion_07_hopf_suite,
+                 test_acceptance.test_criterion_08_derivations_leave_bracket_unchanged)
 LOOPS = os.path.join(ROOT, "fixtures", "loops2_s4.lie")
 EXTRA_CALLS = (["free-bv", LOOPS, "--apply", "a^2", "--format", "json"],
                ["bracket", LOOPS, "a", "2*a*b", "--format", "json"],
@@ -49,7 +53,6 @@ UNREACHED = {
     "algebra.Element.__repr__": "Python protocol method",
     "algebra.Undefined.__eq__": "Python protocol method",
     "algebra.Undefined.__hash__": "Python protocol method",
-    "algebra.GradedMap.__add__": "Python protocol method",
     "dsl.Diagnostic.__init__": "input-error path",
     "dsl.Diagnostic.__str__": "input-error path",
     "dsl.ParseError.__init__": "input-error path",
@@ -65,12 +68,13 @@ UNREACHED = {
     "fixtures.StructureDescriptor.has_bv": "acceptance criterion 9",
     "fixtures.heisenberg": "acceptance criterion 5",
     "fixtures.abelian_ungraded": "acceptance criterion 5",
+    "hopf.TensorElement.__mul__": "Python protocol method",
+    "hopf.TensorElement.__str__": "Python protocol method",
     "lie.LiePresentation.__eq__": "Python protocol method",
     "linalg.nullspace": "acceptance criterion 7",
     "report.CheckResult.__eq__": "Python protocol method",
 }
 UNVARIED = {
-    "algebra.window_tuples.symmetric": "acceptance criterion 8",
     "bv.BVStructure.tuples.max_degree": "acceptance criterion 3",
     "bv.verify_square_zero.max_degree": "acceptance criterion 3",
     "bv.verify_deviation_identity.max_degree": "acceptance criterion 3",
@@ -84,11 +88,11 @@ UNVARIED = {
 
 def _functions():
     """module.qualname of every named function compiled from the package's
-    scanned modules."""
+    modules."""
     names = set()
     for filename in sorted(os.listdir(PACKAGE)):
         module, ext = os.path.splitext(filename)
-        if ext != ".py" or module in API_ONLY:
+        if ext != ".py":
             continue
         with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
             stack = [compile(handle.read(), filename, "exec")]
@@ -106,12 +110,12 @@ def _functions():
 @functools.lru_cache(maxsize=None)
 def _defaulted():
     """{code: (module.qualname, {parameter: default})} for each module-level
-    function and method of the scanned modules with a defaulted parameter
-    (`__main__` runs the CLI when imported, and defines none)."""
+    function and method with a defaulted parameter (`__main__` runs the CLI
+    when imported, and defines none)."""
     table = {}
     for filename in sorted(os.listdir(PACKAGE)):
         module, ext = os.path.splitext(filename)
-        if ext != ".py" or module in API_ONLY | {"__main__"}:
+        if ext != ".py" or module == "__main__":
             continue
         mod = bvalg if module == "__init__" else importlib.import_module(f"bvalg.{module}")
         for obj in list(vars(mod).values()):
@@ -126,10 +130,23 @@ def _defaulted():
     return table
 
 
-@functools.lru_cache(maxsize=None)
-def _traced():
-    """(module.qualname of every package function the verbs enter,
-    module.qualname.parameter of every defaulted parameter they set to a
+def _run_verbs():
+    for argv in [case + ["--format", "json"] for case in CASES.values()] + list(EXTRA_CALLS):
+        main(argv)
+
+
+def _run_hopf_criteria():
+    for criterion in HOPF_CRITERIA:
+        criterion()
+
+
+def _in_hopf(name):
+    return name.startswith("hopf.")
+
+
+def _trace(run):
+    """(module.qualname of every package function that run() enters,
+    module.qualname.parameter of every defaulted parameter it sets to a
     value other than its default)."""
     codes, varied, defaulted = set(), set(), _defaulted()
 
@@ -147,16 +164,24 @@ def _traced():
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        for argv in [case + ["--format", "json"] for case in CASES.values()] + list(EXTRA_CALLS):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                main(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            run()
     finally:
         sys.setprofile(previous)
     entered = {f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
                for code in codes
                if os.path.dirname(os.path.abspath(code.co_filename)) == PACKAGE}
     return entered, varied
+
+
+@functools.lru_cache(maxsize=None)
+def _traced():
+    """`_trace` of the verb calls for every module but hopf, and of the
+    hopf criteria for hopf."""
+    (verb_entered, verb_varied), (hopf_entered, hopf_varied) = (
+        _trace(_run_verbs), _trace(_run_hopf_criteria))
+    return ({n for n in verb_entered if not _in_hopf(n)} | set(filter(_in_hopf, hopf_entered)),
+            {n for n in verb_varied if not _in_hopf(n)} | set(filter(_in_hopf, hopf_varied)))
 
 
 def _listed(name):
