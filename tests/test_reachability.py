@@ -144,10 +144,10 @@ def _in_hopf(name):
     return name.startswith("hopf.")
 
 
-def _trace(run):
+def _trace(run, judged):
     """(module.qualname of every package function that run() enters,
     module.qualname.parameter of every defaulted parameter it sets to a
-    value other than its default)."""
+    value other than its default), each kept where judged(module.qualname)."""
     codes, varied, defaulted = set(), set(), _defaulted()
 
     def hook(frame, event, arg):
@@ -171,17 +171,15 @@ def _trace(run):
     entered = {f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_qualname}"
                for code in codes
                if os.path.dirname(os.path.abspath(code.co_filename)) == PACKAGE}
-    return entered, varied
+    return set(filter(judged, entered)), set(filter(judged, varied))
 
 
 @functools.lru_cache(maxsize=None)
 def _traced():
-    """`_trace` of the verb calls for every module but hopf, and of the
-    hopf criteria for hopf."""
-    (verb_entered, verb_varied), (hopf_entered, hopf_varied) = (
-        _trace(_run_verbs), _trace(_run_hopf_criteria))
-    return ({n for n in verb_entered if not _in_hopf(n)} | set(filter(_in_hopf, hopf_entered)),
-            {n for n in verb_varied if not _in_hopf(n)} | set(filter(_in_hopf, hopf_varied)))
+    """hopf judged by the criteria that use it, every other module by the verbs."""
+    verbs = _trace(_run_verbs, lambda name: not _in_hopf(name))
+    criteria = _trace(_run_hopf_criteria, _in_hopf)
+    return verbs[0] | criteria[0], verbs[1] | criteria[1]
 
 
 def _listed(name):
