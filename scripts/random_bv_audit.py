@@ -2,12 +2,11 @@
 """Randomized audit of the free-operator identities.
 
 Draws seeded free structures on random Lie presentations from the sampler
-in tests/strategies.py and runs verify_bv_axioms on each: the square-zero,
-deviation, bracket-compatibility and Gerstenhaber suites.  Prints one line
-per presentation and a summary.
+in tests/strategies.py, each truncated at the degree window, and runs
+verify_bv_axioms on each: the square-zero, deviation, bracket-compatibility
+and Gerstenhaber suites.  Prints one line per presentation and a summary.
 
-Usage: python scripts/random_bv_audit.py [--count N] [--seed S]
-       [--pair-degree D] [--triple-degree D]
+Usage: python scripts/random_bv_audit.py [--count N] [--seed S] [--max-degree D]
 """
 
 import argparse
@@ -24,15 +23,14 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--count", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pair-degree", type=int, default=10)
-    parser.add_argument("--triple-degree", type=int, default=8)
+    parser.add_argument("--max-degree", type=int, default=10)
     args = parser.parse_args()
 
     failures = 0
-    drawn = seeded_structures(args.seed, basis_budget=80, window=args.pair_degree)
+    drawn = seeded_structures(args.seed, basis_budget=80, window=args.max_degree)
     for i, structure in zip(range(args.count), drawn):
         presentation = structure.presentation
-        report = verify_bv_axioms(structure, args.pair_degree, args.triple_degree)
+        report = verify_bv_axioms(structure)
         checked = sum(c.checked for c in report.checks)
         shape = ", ".join(f"{g.id}:{g.degree}" for g in presentation.generators)
         brackets = sum(1 for v in presentation.brackets.values() if not v.is_zero)

@@ -427,11 +427,20 @@ DEFAULT_WINDOW = 10  # the degree window when neither the caller nor the input n
 
 
 class WindowTuples:
-    """The iterable `window_tuples` returns; after a pass, `pruned` is the
-    number of window tuples its gate passed over."""
+    """Tuples of `arity` basis monomials of total degree <= bound, in
+    lexicographic order of basis position.  The basis must be sorted by
+    degree first, as monomial_basis returns it, so each slot ranges over a
+    prefix of it.
+
+    A gate (letters, partners) holds two bit masks per basis position.  A
+    slot at position j is not extended when letters[j] meets partners[i] of
+    some earlier slot at position i: the tuples under that prefix are not
+    yielded but counted from the degrees alone into `pruned`, which after a
+    pass is the number of window tuples the gate passed over.  The tuples
+    yielded are the rest of the window, in the same order."""
 
     def __init__(self, basis: Sequence[Monomial], arity: int, bound: int,
-                 gate: Optional[Tuple[Sequence[int], Sequence[int]]]):
+                 gate: Optional[Tuple[Sequence[int], Sequence[int]]] = None):
         if arity < 1:
             raise ValueError(f"window tuples need arity >= 1, got {arity}")
         self.basis, self.arity, self.bound, self.gate = basis, arity, bound, gate
@@ -463,21 +472,6 @@ class WindowTuples:
                     yield prefix + (basis[i],)
 
         return extend((), 0, self.bound)
-
-
-def window_tuples(basis: Sequence[Monomial], arity: int, bound: int,
-                  gate: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> WindowTuples:
-    """Tuples of `arity` basis monomials of total degree <= bound, in
-    lexicographic order of basis position.  The basis must be sorted by
-    degree first, as monomial_basis returns it, so each slot ranges over a
-    prefix of it.
-
-    A gate (letters, partners) holds two bit masks per basis position.  A
-    slot at position j is not extended when letters[j] meets partners[i] of
-    some earlier slot at position i: the tuples under that prefix are not
-    yielded but counted from the degrees alone into `pruned`.  The tuples
-    yielded are the rest of the window, in the same order."""
-    return WindowTuples(basis, arity, bound, gate)
 
 
 # -- graded linear maps -------------------------------------------------------

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, WindowTuples,
                       _accumulate, derivation_from_generator_values, first_undefined, leibniz,
-                      linear_extension, monomial_basis, monomial_product, window_tuples)
+                      linear_extension, monomial_basis, monomial_product)
 from .fields import Scalar
 from .lie import LiePresentation
 from .report import (Outcome, Report, as_triple, by_name, merge_reports, run_checks,
@@ -114,24 +114,17 @@ class BVStructure:
                     value = OutOfWindow(f"bv({key}) out of window", value.max_degree(), truncation)
                 self._generator_values[presentation.gen(key)] = value
 
-    def basis(self, max_degree: Optional[int] = None) -> List[Monomial]:
-        """The basis up to max_degree, else the truncation; above it, refused."""
+    def basis(self) -> List[Monomial]:
+        """The basis at the truncation."""
         if self._basis is None:
             self._basis = monomial_basis(self.field, self.generators, self.truncation)
-        if max_degree is None or max_degree == self.truncation:
-            return self._basis
-        if max_degree > self.truncation:
-            raise ValueError(f"window {max_degree} exceeds the truncation {self.truncation}")
-        return [mono for mono in self._basis if mono.degree <= max_degree]
+        return self._basis
 
-    def tuples(self, arity: int, max_degree: Optional[int] = None) -> WindowTuples:
-        """The window: basis monomial tuples of total degree <= max_degree, else
-        the truncation.  A tuple in which the bracket {x, y} of a slot x and a
+    def tuples(self, arity: int) -> WindowTuples:
+        """The window: basis monomial tuples of total degree <= the
+        truncation.  A tuple in which the bracket {x, y} of a slot x and a
         later slot y is Undefined, which only a partial table has, is counted
-        in `pruned`, not yielded (the gate in the module docstring).  The
-        masks are read over the basis at the truncation, of which each
-        window's basis is a prefix."""
-        bound = self.truncation if max_degree is None else max_degree
+        in `pruned`, not yielded (the gate in the module docstring)."""
         if self._gate is None:
             bit = {g: 1 << i for i, g in enumerate(self.generators)}
             missing = {g: sum(bit[h] for h in self.generators
@@ -144,7 +137,7 @@ class BVStructure:
                     letters, partners = letters | bit[g], partners | missing[g]
                 self._gate[0].append(letters)
                 self._gate[1].append(partners)
-        return window_tuples(self.basis(bound), arity, bound, gate=self._gate)
+        return WindowTuples(self.basis(), arity, self.truncation, self._gate)
 
     # -- operator values ----------------------------------------------------
 
@@ -312,11 +305,11 @@ def free_bv(s: BVStructure, element: Element) -> Element:
 # -- verifiers --------------------------------------------------------------------
 
 
-def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Report:
+def verify_square_zero(s: BVStructure) -> Report:
     """Square-zero identities on every basis monomial in the window; for free
     structures the two summands and their anticommutator are checked
     separately."""
-    monos = list(s.tuples(1, max_degree))
+    monos = list(s.tuples(1))
     checks = []
     if s.provenance == FREE and s.has_bv:
         def summands(mono):
@@ -338,7 +331,7 @@ def verify_square_zero(s: BVStructure, max_degree: Optional[int] = None) -> Repo
                                              by_name("input")))
 
 
-def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) -> Report:
+def verify_deviation_identity(s: BVStructure) -> Report:
     """The bracket equals the operator's deviation from being a derivation,
     (-1)^|a| (bv(ab) - bv(a) b) - a bv(b), on every basis pair in the window."""
     char2 = s.field.characteristic == 2
@@ -351,11 +344,11 @@ def verify_deviation_identity(s: BVStructure, max_degree: Optional[int] = None) 
             ([("bv", ab[0], None, a.degree + ab[1])] if ab else [])
             + [("product", bv_a, b, a.degree + 1), ("product", a, bv_b, 1)])
 
-    return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2, max_degree),
+    return Report(checks=run_checks(("bv-deviation-is-bracket",), s.tuples(2),
                                     deviation, by_name("a", "b")))
 
 
-def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = None) -> Report:
+def verify_bracket_compatibility(s: BVStructure) -> Report:
     """bv{a,b} = {bv a, b} + (-1)^(|a|+1) {a, bv b} on basis pairs."""
 
     def compatibility(a, b):
@@ -365,16 +358,14 @@ def verify_bracket_compatibility(s: BVStructure, max_degree: Optional[int] = Non
             "{bv a,b} + sign*{a,bv b}",
             [("bracket", bv_a, b, 0), ("bracket", a, bv_b, a.degree + 1)])
 
-    return Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2, max_degree),
+    return Report(checks=run_checks(("bv-bracket-compatibility",), s.tuples(2),
                                     compatibility, by_name("a", "b")))
 
 
-def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
-                        triple_degree: Optional[int] = None) -> Report:
+def verify_gerstenhaber(s: BVStructure) -> Report:
     """Shifted antisymmetry on pairs; Jacobi and the Poisson relation on
     triples of basis monomials (one enumeration, so a triple pruned for an
-    undefined inner bracket skips both); the triple window defaults to the
-    pair window."""
+    undefined inner bracket skips both)."""
     char2 = s.field.characteristic == 2
 
     def antisymmetry(a, b):
@@ -396,21 +387,17 @@ def verify_gerstenhaber(s: BVStructure, pair_degree: Optional[int] = None,
                         [("product", inner_ab, c, 0), ("product", b, inner_ac, pa * b.degree)]))
 
     return Report(checks=(
-        run_checks(("bracket-antisymmetry",), s.tuples(2, pair_degree), antisymmetry,
-                   by_name("a", "b"))
-        + run_checks(("bracket-jacobi", "poisson-relation"),
-                     s.tuples(3, pair_degree if triple_degree is None else triple_degree),
-                     jacobi_and_poisson, as_triple)))
+        run_checks(("bracket-antisymmetry",), s.tuples(2), antisymmetry, by_name("a", "b"))
+        + run_checks(("bracket-jacobi", "poisson-relation"), s.tuples(3), jacobi_and_poisson,
+                     as_triple)))
 
 
-def verify_bv_axioms(s: BVStructure, max_degree: Optional[int] = None,
-                     triple_degree: Optional[int] = None) -> Report:
+def verify_bv_axioms(s: BVStructure) -> Report:
     """Full suite: square-zero, deviation identity and bracket compatibility
     (given an operator), then Gerstenhaber; partial structures yield coverage < 1."""
-    operator_suites = (verify_square_zero(s, max_degree),
-                       verify_deviation_identity(s, max_degree),
-                       verify_bracket_compatibility(s, max_degree)) if s.has_bv else ()
-    report = merge_reports(*operator_suites, verify_gerstenhaber(s, max_degree, triple_degree))
+    operator_suites = (verify_square_zero(s), verify_deviation_identity(s),
+                       verify_bracket_compatibility(s)) if s.has_bv else ()
+    report = merge_reports(*operator_suites, verify_gerstenhaber(s))
     for g in s.generators:
         value = s.bv_monomial(s.letters[g])
         if isinstance(value, Element):

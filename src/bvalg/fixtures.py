@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .algebra import DEFAULT_WINDOW, Element, Generator, MaybeElement, Monomial, Undefined
+from .algebra import DEFAULT_WINDOW, Element, Generator, Monomial
 from .fields import FieldSpec, QQ
 from .lie import LiePresentation, desuspend
 
@@ -127,20 +127,17 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec) -> StructureDe
     return StructureDescriptor(n, field, n - 1, bv_degree, tuple(gens), True)
 
 
-def spherical_bv(eta_composite: Optional[Element], field: FieldSpec) -> MaybeElement:
+def spherical_bv(eta_composite: Element, field: FieldSpec) -> Element:
     """Value of the degree-1 operator on a spherical class (one in the image
     of the Hurewicz map), given the image of its composite with the
-    suspended Hopf map (None = unknown).
+    suspended Hopf map.
 
     Away from characteristic 2 the suspended Hopf map composite is null, so
     the value is zero; in characteristic 2 it is the given composite image
-    (its sign, -(-1)^j for a class of degree j+2, collapses mod 2), or
-    Undefined when not tabulated.
+    (its sign, -(-1)^j for a class of degree j+2, collapses mod 2).
     """
     if field.characteristic != 2:
         return Element.zero(field)
-    if eta_composite is None:
-        return Undefined("eta composite")
     return eta_composite
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, first_undefined, linear_extension,
-                      monomial_basis, normalize_word, window_tuples)
+                      Undefined, WindowTuples, first_undefined, linear_extension,
+                      monomial_basis, normalize_word)
 from .fields import FieldSpec, Scalar
 from .linalg import nullspace
 from .report import Report, by_name, compare, run_checks
@@ -227,7 +227,7 @@ def is_coderivation(op: GradedMap, generators: Sequence[Generator],
         return compare("coproduct of image", coproduct(value),
                        "coderivation expansion", left + right)
 
-    monos = window_tuples(monomial_basis(field, generators, bound), 1, bound)
+    monos = WindowTuples(monomial_basis(field, generators, bound), 1, bound)
     return Report(checks=run_checks(("coderivation",), monos, coderivation, by_name("input")))
 
 
@@ -266,7 +266,7 @@ def add_derivation_action(base_op: GradedMap, derivation_op: GradedMap,
     both on all ordered basis pairs in the window.
     """
     field, degree = derivation_op.field, derivation_op.degree
-    pairs = window_tuples(monomial_basis(field, generators, max_degree), 2, max_degree)
+    pairs = WindowTuples(monomial_basis(field, generators, max_degree), 2, max_degree)
 
     def law(a, b):
         a_elt, b_elt = Element.from_monomial(field, a), Element.from_monomial(field, b)

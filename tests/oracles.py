@@ -240,8 +240,8 @@ def ref_identity_reports(s):
     and verify_gerstenhaber on structure s at its truncation, each instance
     decided by building both sides as Elements from the public bracket and
     operator and comparing them, never by a signed sum, over the whole
-    window: `window_tuples` without a gate, so no tuple is pruned."""
-    from bvalg.algebra import Element, first_undefined, window_tuples
+    window: `WindowTuples` without a gate, so no tuple is pruned."""
+    from bvalg.algebra import Element, WindowTuples, first_undefined
     from bvalg.bv import poisson_bracket
     from bvalg.hopf import bracket_from_operator
     from bvalg.report import Report, as_triple, by_name, compare, run_checks
@@ -288,7 +288,7 @@ def ref_identity_reports(s):
         return jacobi, poisson
 
     def window(arity):
-        return window_tuples(s.basis(), arity, s.truncation)
+        return WindowTuples(s.basis(), arity, s.truncation)
 
     pairs = by_name("a", "b")
     return (Report(checks=run_checks(("bv-deviation-is-bracket",), window(2), deviation,

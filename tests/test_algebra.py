@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvalg import algebra
-from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
+from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined, WindowTuples,
                            derivation_from_generator_values, monomial_basis,
-                           normalize_word, window_tuples)
+                           normalize_word)
 from bvalg.bv import verify_bv_axioms
 from bvalg.dsl import parse_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
@@ -93,9 +93,9 @@ def test_gated_window_yields_the_rest_and_counts_what_it_prunes(arity):
     def blocked(x, y):
         return partners[position[x]] & letters[position[y]]
 
-    full = list(window_tuples(basis, arity, 7))
+    full = list(WindowTuples(basis, arity, 7))
     kept = [t for t in full if not any(blocked(x, y) for x, y in combinations(t, 2))]
-    window = window_tuples(basis, arity, 7, gate=(letters, partners))
+    window = WindowTuples(basis, arity, 7, gate=(letters, partners))
     for _ in range(2):  # a second pass counts afresh
         assert list(window) == kept
         assert window.pruned == len(full) - len(kept)
@@ -104,7 +104,7 @@ def test_gated_window_yields_the_rest_and_counts_what_it_prunes(arity):
 
 def test_window_of_no_slots_is_refused():
     with pytest.raises(ValueError, match="arity >= 1, got 0"):
-        window_tuples(monomial_basis(QQ, [X], 3), 0, 3)
+        WindowTuples(monomial_basis(QQ, [X], 3), 0, 3)
 
 
 def test_basis_rejects_degree_zero():

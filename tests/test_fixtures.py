@@ -54,7 +54,7 @@ def test_loopspace_model_odd_n_has_no_operator():
 def test_loopspace_model_2_3_exterior():
     s = loopspace_model(2, 3)
     assert [(g.id, g.degree) for g in s.generators] == [("a", 1)]
-    for mono in s.basis(8):
+    for mono in s.basis():
         assert free_bv(s, Element.from_monomial(QQ, mono)).is_zero
 
 
@@ -68,10 +68,10 @@ def test_loopspace_model_rejects_small_spheres():
 def test_rational_spherical_vanishing_with_full_verification():
     for n in (2, 4):
         for m in (n + 1, n + 2):
-            s = loopspace_model(n, m, max_degree=10)
+            s = loopspace_model(n, m, max_degree=8)
             for g in s.generators:
                 assert free_bv(s, Element.from_generator(QQ, g)).is_zero
-            report = verify_bv_axioms(s, 8, 6)
+            report = verify_bv_axioms(s)
             assert report.passed and report.coverage == 1
 
 
@@ -114,7 +114,7 @@ def test_spherical_bv_away_from_char_two_is_zero():
     u1 = Generator("u1", 1)
     composite = Element.from_monomial(GF2, Monomial(((u1, 2),)))
     for field in (F3, F5):
-        for image in (composite, Element.zero(GF2), None):
+        for image in (composite, Element.zero(GF2)):
             assert spherical_bv(image, field) == Element.zero(field)
 
 
@@ -123,7 +123,6 @@ def test_spherical_bv_char_two_uses_stored_composite():
     composite = Element.from_monomial(GF2, Monomial(((u1, 2),)))
     assert spherical_bv(composite, GF2) == composite
     assert spherical_bv(Element.zero(GF2), GF2).is_zero
-    assert isinstance(spherical_bv(None, GF2), Undefined)
 
 
 def test_omega2_generators_and_bottom_value():

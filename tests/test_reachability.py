@@ -44,7 +44,7 @@ EXTRA_CALLS = (["free-bv", LOOPS, "--apply", "a^2", "--format", "json"],
                ["descriptor", "--n", "4", "--field", "Q"])  # the human report
 
 REASON = re.compile(r"input-error path|Python protocol method|perfbench (tracer hook|caller)"
-                    r"|acceptance criterion \d+|waits for item \d+|scripts/\w+\.py caller")
+                    r"|acceptance criterion \d+|waits for item \d+")
 UNREACHED = {
     "__init__.__getattr__": "Python protocol method",
     "algebra.Monomial.__reduce__": "Python protocol method",
@@ -74,16 +74,7 @@ UNREACHED = {
     "linalg.nullspace": "acceptance criterion 7",
     "report.CheckResult.__eq__": "Python protocol method",
 }
-UNVARIED = {
-    "bv.BVStructure.tuples.max_degree": "acceptance criterion 3",
-    "bv.verify_square_zero.max_degree": "acceptance criterion 3",
-    "bv.verify_deviation_identity.max_degree": "acceptance criterion 3",
-    "bv.verify_bracket_compatibility.max_degree": "acceptance criterion 3",
-    "bv.verify_gerstenhaber.pair_degree": "acceptance criterion 6",
-    "bv.verify_gerstenhaber.triple_degree": "acceptance criterion 6",
-    "bv.verify_bv_axioms.max_degree": "scripts/random_bv_audit.py caller",
-    "bv.verify_bv_axioms.triple_degree": "scripts/random_bv_audit.py caller",
-}
+UNVARIED = {}
 
 
 def _functions():
