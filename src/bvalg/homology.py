@@ -4,7 +4,9 @@ The complex is the structure's operator (generator values extended by the
 Leibniz rule, plus the bracket contraction), graded by total degree; the
 boundary out of the top grade of the window is zero, so the Euler
 characteristic over the window always matches the alternating sum of the
-chain dimensions.
+chain dimensions.  Each boundary is stored sparse, one column per source
+basis monomial holding only its nonzero coefficients, and is checked and
+ranked over those entries alone.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from .algebra import Element, Monomial, Undefined
 from .fields import FieldSpec, Scalar
 from .bv import BVStructure, free_bv_structure
 from .lie import LiePresentation
-from .linalg import rank
-
-Matrix = List[List[Scalar]]
+from .linalg import SparseRow, rank
 
 
 class BoundarySquareError(ValueError):
@@ -32,10 +32,14 @@ class BoundarySquareError(ValueError):
 
 
 class ChainComplex:
-    """Grade-indexed exact boundary matrices with a fixed degree step."""
+    """Grade-indexed exact boundaries with a fixed degree step.
+
+    boundaries[g] holds one sparse column per monomial of basis[g]: a dict
+    from the index of a monomial of basis[g + step] to its nonzero
+    coefficient."""
 
     def __init__(self, field: FieldSpec, step: int, basis: Dict[int, List[Monomial]],
-                 boundaries: Dict[int, Matrix]):
+                 boundaries: Dict[int, List[SparseRow]]):
         self.field = field
         self.step = step
         self.basis = basis
@@ -43,27 +47,21 @@ class ChainComplex:
         self.__post_init__()  # a method of its own: perfbench times it as homology.complex_check
 
     def __post_init__(self) -> None:
-        """Check d∘d = 0, multiplying over the nonzero entries only."""
+        """Check d∘d = 0, composing the sparse columns."""
         field = self.field
         for g in sorted(self.basis):
             first = self.boundaries.get(g)
             second = self.boundaries.get(g + self.step)
             if not first or not second:
                 continue
-            second_columns = [[(i, row[k]) for i, row in enumerate(second)
-                               if not field.is_zero(row[k])]
-                              for k in range(len(second[0]))]
-            for j, source in enumerate(self.basis[g]):
+            for j, column in enumerate(first):
                 composite: Dict[int, Scalar] = {}
-                for k, row in enumerate(first):
-                    if field.is_zero(row[j]):
-                        continue
-                    for i, y in second_columns[k]:
-                        composite[i] = field.add(composite.get(i, field.zero()),
-                                                 field.mul(y, row[j]))
+                for k, y in column.items():
+                    for i, x in second[k].items():
+                        composite[i] = field.add(composite.get(i, 0), field.mul(x, y))
                 if any(not field.is_zero(c) for c in composite.values()):
                     target = self.basis[g + 2 * self.step]
-                    raise BoundarySquareError(g, source, Element(
+                    raise BoundarySquareError(g, self.basis[g][j], Element(
                         field, {target[i]: c for i, c in composite.items()}))
 
     def dimension(self, grade: int) -> int:
@@ -83,22 +81,23 @@ def bv_chain_complex(structure: BVStructure) -> ChainComplex:
     basis: Dict[int, List[Monomial]] = {d: [] for d in range(structure.truncation + 1)}
     for mono in structure.basis():
         basis[mono.degree].append(mono)
-    boundaries: Dict[int, Matrix] = {}
+    boundaries: Dict[int, List[SparseRow]] = {}
     for g in sorted(basis):
-        target = basis.get(g + step, [])
-        row_of = {m: i for i, m in enumerate(target)}
-        matrix = [[field.zero()] * len(basis[g]) for _ in target]
-        for col, mono in enumerate(basis[g]):
+        row_of = {m: i for i, m in enumerate(basis.get(g + step, []))}
+        columns = []
+        for mono in basis[g]:
             value = structure.bv_monomial(mono)
             if isinstance(value, Undefined):
                 raise ValueError(f"operator undefined on {mono}: no chain complex")
-            for m, coeff in value.terms():
+            column = {}
+            for m, coeff in value._terms.items():
                 row = row_of.get(m)
                 if row is not None:
-                    matrix[row][col] = coeff
+                    column[row] = coeff
                 elif g + step in basis:
                     raise ValueError(f"boundary of {mono} not homogeneous in total degree")
-        boundaries[g] = matrix
+            columns.append(column)
+        boundaries[g] = columns
     return ChainComplex(field, step, basis, boundaries)
 
 
@@ -124,10 +123,11 @@ def build_ce_complex(presentation: LiePresentation,
 
 
 def betti(complex_: ChainComplex) -> List[int]:
-    """dim ker(out of grade) - rank (into grade), for each grade 0..top."""
+    """dim ker(out of grade) - rank (into grade), for each grade 0..top; a
+    boundary's columns are ranked as rows, since a transpose has the same rank."""
     grades = complex_.grades()
     if not grades:
         return []
-    ranks = {g: rank(matrix, complex_.field) for g, matrix in complex_.boundaries.items()}
+    ranks = {g: rank(columns, complex_.field) for g, columns in complex_.boundaries.items()}
     return [complex_.dimension(g) - ranks.get(g, 0) - ranks.get(g - complex_.step, 0)
             for g in range(max(grades) + 1)]

@@ -23,7 +23,7 @@ from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
                       Undefined, WindowTuples, first_undefined, linear_extension,
                       monomial_basis, normalize_word)
 from .fields import FieldSpec, Scalar
-from .linalg import nullspace
+from .linalg import SparseRow, nullspace
 from .report import Report, by_name, compare, run_checks
 
 if TYPE_CHECKING:
@@ -172,16 +172,13 @@ def primitive_basis(field: FieldSpec, generators: Sequence[Generator],
     if degree <= 0:
         return []
     source = [m for m in monomial_basis(field, generators, degree) if m.degree == degree]
-    columns = [reduced_coproduct(Element.from_monomial(field, m))._element for m in source]
-    rows: Dict[Monomial, int] = {}
-    for column in columns:
-        for mono in column.monomials():
-            rows.setdefault(mono, len(rows))
-    matrix = [[field.zero()] * len(source) for _ in range(max(len(rows), 1))]
-    for col, column in enumerate(columns):
-        for mono, coeff in column.terms():
-            matrix[rows[mono]][col] = coeff
-    return [Element(field, dict(zip(source, vec))) for vec in nullspace(matrix, field)]
+    rows: Dict[Monomial, SparseRow] = {}
+    for col, m in enumerate(source):
+        column = reduced_coproduct(Element.from_monomial(field, m))._element
+        for mono, coeff in column._terms.items():
+            rows.setdefault(mono, {})[col] = coeff
+    return [Element(field, {source[col]: c for col, c in vec.items()})
+            for vec in nullspace(list(rows.values()), len(source), field)]
 
 
 def antipode(element: Element) -> Element:

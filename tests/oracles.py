@@ -1,6 +1,6 @@
 """Independent oracles for the test suite, with no imports from the package
-under test: tiny Fraction-only linear algebra, and a term-by-term reference
-for the free graded-commutative algebra.  `ref_identity_reports` alone
+under test: tiny dense linear algebra over Fraction and over residues mod p,
+and a term-by-term reference for the free graded-commutative algebra.  `ref_identity_reports` alone
 imports the package: it runs the BV identities with both sides built."""
 
 from fractions import Fraction
@@ -30,6 +30,38 @@ def fraction_rank(matrix):
         if row == n_rows:
             break
     return rank
+
+
+def modp_rank(matrix, p):
+    """Rank over F_p by plain Gaussian elimination on residues; Fraction
+    entries are read as numerator / denominator mod p."""
+    m = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in row]
+         for row in matrix]
+    if not m or not m[0]:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def densify(columns, n_rows):
+    """The dense matrix (rows = targets) of sparse columns, each a dict from
+    row index to entry; absent entries are 0."""
+    return [[column.get(i, 0) for column in columns] for i in range(n_rows)]
 
 
 def betti_from_boundaries(dimensions, boundaries, step):

@@ -15,10 +15,17 @@ from bvalg.homology import (BoundarySquareError, ChainComplex, betti, build_ce_c
                             bv_chain_complex)
 from bvalg.linalg import rank
 
-from oracles import betti_from_boundaries, dense_product, fraction_rank
+from oracles import betti_from_boundaries, dense_product, densify, fraction_rank
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
+
+
+def dense_boundaries(complex_):
+    """Each boundary of the complex as a dense matrix, rows = target basis."""
+    return {g: densify(columns, complex_.dimension(g + complex_.step))
+            for g, columns in complex_.boundaries.items()}
 
 
 def load_heisenberg_oracle():
@@ -54,7 +61,7 @@ def test_single_generator_with_forced_zero_bracket():
     complex_ = build_ce_complex(p)
     assert sum(complex_.dimension(g) for g in complex_.grades()) == 2
     assert all(all(all(x == 0 for x in row) for row in m)
-               for m in complex_.boundaries.values())
+               for m in dense_boundaries(complex_).values())
 
 
 def test_ce_rejects_wrong_shift():
@@ -82,26 +89,46 @@ def test_loopspace_complex_betti_frozen():
     assert values == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     # independent rank oracle over the same boundary matrices
     dims = {g: complex_.dimension(g) for g in complex_.grades()}
-    oracle = betti_from_boundaries(dims, complex_.boundaries, complex_.step)
+    oracle = betti_from_boundaries(dims, dense_boundaries(complex_), complex_.step)
     assert oracle == values
 
 
 def test_engine_rank_matches_oracle_on_boundaries():
     complex_ = build_ce_complex(heisenberg())
-    for matrix in complex_.boundaries.values():
-        assert rank(matrix, QQ) == fraction_rank(matrix)
+    dense = dense_boundaries(complex_)
+    for g, columns in complex_.boundaries.items():
+        assert rank(columns, QQ) == fraction_rank(dense[g])
+
+
+def heisenberg7(field):
+    """h_7 at shift 0: [x_i, y_i] = 3z for i = 1, 2, 3."""
+    z = Generator("z", 1)
+    gens = [Generator(f"{s}{i}", 1) for i in (1, 2, 3) for s in "xy"] + [z]
+    return LiePresentation(field, 0, gens, {
+        (f"x{i}", f"y{i}"): Element(field, {Monomial(((z, 1),)): 3}) for i in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("presentation", [heisenberg(), heisenberg7(QQ), heisenberg7(F7)],
+                         ids=["h3-Q", "h7-Q", "h7-F7"])
+def test_boundary_columns_store_no_zero(presentation):
+    complex_ = build_ce_complex(presentation)
+    field = complex_.field
+    for g, columns in complex_.boundaries.items():
+        assert len(columns) == complex_.dimension(g)
+        for column in columns:
+            assert all(not field.is_zero(x) and field.coerce(x) == x for x in column.values())
+            assert all(0 <= i < complex_.dimension(g + complex_.step) for i in column)
 
 
 def test_boundary_composite_checked_on_construction():
     field = QQ
     g = Generator("e", 1)
     basis = {0: [Monomial.unit()], 1: [Monomial(((g, 1),))]}
-    bad = {1: [[Fraction(1)]], 0: []}
     with pytest.raises(ValueError):
         # a "boundary" whose composite with itself cannot vanish: rig a
         # 1x1 identity in both directions
         ChainComplex(field, -1, {0: basis[0], 1: basis[1], 2: basis[1]},
-                     {2: [[Fraction(1)]], 1: [[Fraction(1)]], 0: []})
+                     {2: [{0: Fraction(1)}], 1: [{0: Fraction(1)}], 0: [{}]})
 
 
 @st.composite
@@ -142,7 +169,9 @@ def test_square_check_matches_dense_oracle(field, data):
              for g, n in ((0, len(second)), (1, len(first)), (2, len(first[0])))}
     composite = dense_product(second, first, field.characteristic or None)
     nonzero = [j for j in range(len(first[0])) if any(row[j] != 0 for row in composite)]
-    boundaries = {2: first, 1: second, 0: []}
+    columns = [[{i: row[j] for i, row in enumerate(m) if row[j] != 0} for j in range(len(m[0]))]
+               for m in (first, second)]
+    boundaries = {2: columns[0], 1: columns[1], 0: [{} for _ in second]}
     if not nonzero:
         ChainComplex(field, -1, basis, boundaries)
         return
@@ -164,10 +193,11 @@ def test_euler_characteristic_matches_alternating_betti_sum():
 def test_betti_independent_of_pivot_order():
     complex_ = build_ce_complex(heisenberg())
     expected = betti(complex_)
+    dense = dense_boundaries(complex_)
     rng = random.Random(3)
     for _ in range(5):
         permuted = {}
-        for g, matrix in complex_.boundaries.items():
+        for g, matrix in dense.items():
             rows = [row[:] for row in matrix]
             rng.shuffle(rows)
             cols = list(range(len(rows[0]))) if rows and rows[0] else []
@@ -175,6 +205,7 @@ def test_betti_independent_of_pivot_order():
             permuted[g] = [[row[c] for c in cols] for row in rows] if cols else rows
         dims = {g: complex_.dimension(g) for g in complex_.grades()}
         assert betti_from_boundaries(dims, permuted, complex_.step) == expected
-        for g in permuted:
-            assert rank(permuted[g], QQ) == rank(complex_.boundaries[g], QQ)
+        for g, matrix in permuted.items():
+            rows = [{c: x for c, x in enumerate(row) if x != 0} for row in matrix]
+            assert rank(rows, QQ) == rank(complex_.boundaries[g], QQ)
 
