@@ -4,8 +4,8 @@ A matrix is a list of sparse rows: dicts from column index to entry, each
 entry a nonzero canonical scalar of the field (as an `Element` stores its
 coefficients), and no zero is ever stored.  One Gauss-Jordan elimination
 with field inverses serves both fields: rank and nullspace both read the
-reduced row echelon form.  That form is unique, so its rows and pivot
-columns (in column order) are byte-stable whatever the order of the rows.
+reduced row echelon form.  That form is unique, so its rows and its pivot
+columns (in column order) do not depend on the order of the input rows.
 """
 
 from __future__ import annotations
