@@ -11,7 +11,7 @@ _EXPORTS = {
     "lie": ("LiePresentation", "check_differential", "check_lie_axioms", "desuspend"),
     "bv": ("BVStructure", "free_bv", "free_bv_structure", "poisson_bracket",
            "user_bv_structure", "verify_bv_axioms"),
-    "homology": ("ChainComplex", "betti", "build_ce_complex", "bv_chain_complex"),
+    "homology": ("ChainComplex", "betti", "build_ce_complex"),
     "hopf": ("antipode", "bv_operator", "coproduct", "is_coderivation", "primitive_basis"),
     "fixtures": ("framed_disks_descriptor", "heisenberg", "load_fixture", "loopspace_model",
                  "omega2_s3_f2", "sphere_loop_lie", "spherical_bv"),

@@ -1,21 +1,30 @@
-"""Chain complexes from a structure's operator, and exact Betti numbers.
+"""Chevalley-Eilenberg complexes of shift-0 presentations, and exact Betti
+numbers.
 
-The complex is the structure's operator (generator values extended by the
-Leibniz rule, plus the bracket contraction), graded by total degree; the
-boundary out of the top grade of the window is zero, so the Euler
-characteristic over the window always matches the alternating sum of the
-chain dimensions.  Each boundary is stored sparse, one column per source
-basis monomial holding only its nonzero coefficients, and is checked and
-ranked over those entries alone.
+At shift 0 every generator is odd (a Lie algebra element, suspended), so
+the complex is the exterior algebra on the generators in every
+characteristic, F2 included.  A cell is a subset of the generators, held as
+a bit mask over their `sort_key` order; its basis monomial is the product of
+its letters, and the cells of a grade are ordered as `Monomial.order_key`
+orders those monomials.  The boundary is the bracket contraction
+
+    d(x_0 ... x_(k-1)) = sum over i < j of (-1)^(i+j) [x_i, x_j] x_0 ..^i ..^j .. x_(k-1),
+
+with each letter of [x_i, x_j] moved to its place past the remaining
+letters below it (one sign each) and dropped where it is one of them.  Each
+grade 0..window has its cells, and cells above the window are left out.
+Each boundary is stored sparse, one column per source cell holding only its
+nonzero coefficients, and is checked (d∘d = 0) and ranked over those
+entries alone.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Optional
 
-from .algebra import Element, Monomial, Undefined
+from .algebra import Element, Monomial
 from .fields import FieldSpec, Scalar
-from .bv import BVStructure, free_bv_structure
 from .lie import LiePresentation
 from .linalg import SparseRow, rank
 
@@ -71,55 +80,76 @@ class ChainComplex:
         return sorted(self.basis)
 
 
-def bv_chain_complex(structure: BVStructure) -> ChainComplex:
-    """The complex of the structure's operator over its basis, by degree.
-
-    Boundary terms that would leave the window at the top grade are zeroed
-    (the operator itself is exact; the truncation is the complex's).
-    """
-    field, step = structure.field, structure.shift - 1
-    basis: Dict[int, List[Monomial]] = {d: [] for d in range(structure.truncation + 1)}
-    for mono in structure.basis():
-        basis[mono.degree].append(mono)
-    boundaries: Dict[int, List[SparseRow]] = {}
-    for g in sorted(basis):
-        row_of = {m: i for i, m in enumerate(basis.get(g + step, []))}
-        columns = []
-        for mono in basis[g]:
-            value = structure.bv_monomial(mono)
-            if isinstance(value, Undefined):
-                raise ValueError(f"operator undefined on {mono}: no chain complex")
-            column = {}
-            for m, coeff in value._terms.items():
-                row = row_of.get(m)
-                if row is not None:
-                    column[row] = coeff
-                elif g + step in basis:
-                    raise ValueError(f"boundary of {mono} not homogeneous in total degree")
-            columns.append(column)
-        boundaries[g] = columns
-    return ChainComplex(field, step, basis, boundaries)
-
-
 def ce_window(presentation: LiePresentation, max_degree: Optional[int] = None) -> int:
     """The window of a shift-0 presentation's complex: max_degree if given,
-    else the sum of the generator degrees when all are odd away from
-    characteristic 2 (a finite algebra).  Raises ValueError otherwise."""
+    else the sum of the generator degrees (the top exterior cell).  Raises
+    ValueError at another shift, at an even generator, or at a nonzero
+    differential, which the exterior complex does not read."""
     if presentation.shift != 0:
         raise ValueError(f"chain complex needs shift 0, got {presentation.shift}")
+    for g in presentation.generators:
+        if g.degree % 2 == 0:
+            raise ValueError(
+                f"ce-homology needs odd generators at shift 0: {g.id} has degree {g.degree}")
+    if any(not value.is_zero for value in presentation.differential.values()):
+        raise ValueError("ce-homology needs a zero differential at shift 0")
     if max_degree is not None:
         return max_degree
-    if (presentation.field.characteristic != 2
-            and all(g.degree % 2 == 1 for g in presentation.generators)):
-        return sum(g.degree for g in presentation.generators)
-    raise ValueError("the algebra is not finite: give --max-degree or a truncate line")
+    return sum(g.degree for g in presentation.generators)
 
 
 def build_ce_complex(presentation: LiePresentation,
                      max_degree: Optional[int] = None) -> ChainComplex:
-    """Homological complex of a shift-0 presentation (operator degree -1)
+    """The exterior complex of a shift-0 presentation (boundary degree -1)
     over the window `ce_window` gives."""
-    return bv_chain_complex(free_bv_structure(presentation, ce_window(presentation, max_degree)))
+    window = ce_window(presentation, max_degree)
+    field = presentation.field
+    gens = sorted(presentation.generators, key=lambda g: g.sort_key)
+    position = {g: q for q, g in enumerate(gens)}
+    # per nonzero bracket of positions a < b: its two bits, the bits below
+    # each, and each bracket letter's bit with its coefficient and negative
+    brackets = []
+    for a, b in combinations(range(len(gens)), 2):
+        value = presentation.pairs[gens[a], gens[b]]
+        if not value.is_zero:
+            brackets.append(((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1,
+                             [(1 << position[m.word()[0]], c, field.neg(c))
+                              for m, c in value._terms.items()]))
+    cells: Dict[int, List[int]] = {d: [] for d in range(window + 1)}
+    basis: Dict[int, List[Monomial]] = {d: [] for d in range(window + 1)}
+    for k in range(len(gens) + 1):
+        for letters in combinations(range(len(gens)), k):
+            degree = sum(gens[q].degree for q in letters)
+            if degree <= window:
+                cells[degree].append(sum(1 << q for q in letters))
+                basis[degree].append(Monomial(tuple((gens[q], 1) for q in letters)))
+    boundaries: Dict[int, List[SparseRow]] = {}
+    for g, sources in cells.items():
+        row_of = {cell: i for i, cell in enumerate(cells.get(g - 1, ()))}
+        columns = []
+        for j, cell in enumerate(sources):
+            column: SparseRow = {}
+            for pair, below_a, below_b, terms in brackets:
+                if cell & pair != pair:
+                    continue
+                rest = cell ^ pair
+                sign = (cell & below_a).bit_count() + (cell & below_b).bit_count()
+                for bit, c, neg_c in terms:
+                    if rest & bit:
+                        continue
+                    row = row_of.get(rest | bit)
+                    if row is None:
+                        raise ValueError(
+                            f"boundary of {basis[g][j]} not homogeneous in total degree")
+                    x = neg_c if (sign + (rest & (bit - 1)).bit_count()) % 2 else c
+                    total = field.add(column[row], x) if row in column else x
+                    if field.is_zero(total):
+                        del column[row]
+                    else:
+                        column[row] = total
+            columns.append(column)
+        boundaries[g] = columns
+    return ChainComplex(field, -1, basis, boundaries)
 
 
 def betti(complex_: ChainComplex) -> List[int]:

@@ -1,9 +1,13 @@
 """Independent oracles for the test suite, with no imports from the package
 under test: tiny dense linear algebra over Fraction and over residues mod p,
-and a term-by-term reference for the free graded-commutative algebra.  `ref_identity_reports` alone
-imports the package: it runs the BV identities with both sides built."""
+the exterior Chevalley-Eilenberg complex from generator subsets, and a
+term-by-term reference for the free graded-commutative algebra.  Two
+functions import the package: `ref_identity_reports` runs the BV identities
+with both sides built, and `bv_chain_complex` builds the complex of a BV
+structure's operator."""
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def fraction_rank(matrix):
@@ -64,21 +68,77 @@ def densify(columns, n_rows):
     return [[column.get(i, 0) for column in columns] for i in range(n_rows)]
 
 
-def betti_from_boundaries(dimensions, boundaries, step):
+def betti_from_boundaries(dimensions, boundaries, step, p=0):
     """Betti numbers of a finite complex given per-grade boundary matrices.
 
     dimensions: dict grade -> chain dimension; boundaries: dict grade ->
     matrix of the map out of that grade (rows = target basis); step: grade
-    shift of the boundary.
+    shift of the boundary; p: 0 ranks over Q (`fraction_rank`), a prime over
+    F_p (`modp_rank`).
     """
+    def rank(matrix):
+        return modp_rank(matrix, p) if p else fraction_rank(matrix)
+
     out = []
     top = max(dimensions)
     for g in range(top + 1):
         dim = dimensions.get(g, 0)
-        rank_out = fraction_rank(boundaries.get(g, []))
-        rank_in = fraction_rank(boundaries.get(g - step, []))
+        rank_out = rank(boundaries.get(g, []))
+        rank_in = rank(boundaries.get(g - step, []))
         out.append(dim - rank_out - rank_in)
     return out
+
+
+def exterior_ce_complex(generators, brackets, p, window=None):
+    """The Chevalley-Eilenberg complex of a Lie algebra on odd generators,
+    as (dimensions, boundaries) for `betti_from_boundaries` with step -1.
+
+    generators: (id, degree) pairs, each degree odd; brackets: (x, y) ->
+    {z: coefficient}, one orientation per pair, [y, x] = -[x, y]; p: 0 for
+    Q or a prime.  A cell is a combination of generator ids in the listed
+    order, of total degree <= window (all of them when window is None), and
+
+        d(c_0 ... c_(k-1)) = sum over i < j of (-1)^(i+j) [c_i, c_j] c_0 ..^i ..^j .. c_(k-1),
+
+    each word z c_0 ..^i ..^j .. sorted into the listed order by adjacent
+    swaps, one sign per swap, and zero when z repeats a letter."""
+    order = [g for g, _ in generators]
+    degree = dict(generators)
+    top = sum(degree.values()) if window is None else window
+    cells = {g: [] for g in range(top + 1)}
+    for k in range(len(order) + 1):
+        for cell in combinations(order, k):
+            if sum(degree[x] for x in cell) <= top:
+                cells[sum(degree[x] for x in cell)].append(cell)
+
+    def bracket(x, y):
+        if (x, y) in brackets:
+            return brackets[x, y]
+        return {z: -c for z, c in brackets.get((y, x), {}).items()}
+
+    def sorted_word(word):
+        letters, swaps = list(word), 0
+        for i in range(len(letters)):
+            for j in range(len(letters) - 1 - i):
+                if order.index(letters[j]) > order.index(letters[j + 1]):
+                    letters[j], letters[j + 1] = letters[j + 1], letters[j]
+                    swaps += 1
+        return tuple(letters), swaps
+
+    boundaries = {}
+    for g, sources in cells.items():
+        row_of = {cell: r for r, cell in enumerate(cells.get(g - 1, []))}
+        matrix = [[Fraction(0)] * len(sources) for _ in row_of]
+        for col, cell in enumerate(sources):
+            for i, j in combinations(range(len(cell)), 2):
+                rest = cell[:i] + cell[i + 1:j] + cell[j + 1:]
+                for z, c in bracket(cell[i], cell[j]).items():
+                    if z in rest:
+                        continue
+                    target, swaps = sorted_word((z,) + rest)
+                    matrix[row_of[target]][col] += Fraction(c) * (-1) ** (i + j + swaps)
+        boundaries[g] = [[ref_scalar(x, p) for x in row] for row in matrix]
+    return {g: len(sources) for g, sources in cells.items()}, boundaries
 
 
 def dense_product(a, b, modulus=None):
@@ -88,6 +148,38 @@ def dense_product(a, b, modulus=None):
                 Fraction(0))
             for j in range(len(b[0]))] for i in range(len(a))]
     return out if modulus is None else [[x % modulus for x in row] for row in out]
+
+
+def bv_chain_complex(structure):
+    """The complex of a BV structure's operator over its basis, by degree,
+    as a `bvalg.homology.ChainComplex` of step shift - 1.  Boundary terms that
+    would leave the window at the top grade are zeroed (the operator itself
+    is exact; the truncation is the complex's)."""
+    from bvalg.algebra import Undefined
+    from bvalg.homology import ChainComplex
+
+    step = structure.shift - 1
+    basis = {d: [] for d in range(structure.truncation + 1)}
+    for mono in structure.basis():
+        basis[mono.degree].append(mono)
+    boundaries = {}
+    for g in sorted(basis):
+        row_of = {m: i for i, m in enumerate(basis.get(g + step, []))}
+        columns = []
+        for mono in basis[g]:
+            value = structure.bv_monomial(mono)
+            if isinstance(value, Undefined):
+                raise ValueError(f"operator undefined on {mono}: no chain complex")
+            column = {}
+            for m, coeff in value._terms.items():
+                row = row_of.get(m)
+                if row is not None:
+                    column[row] = coeff
+                elif g + step in basis:
+                    raise ValueError(f"boundary of {mono} not homogeneous in total degree")
+            columns.append(column)
+        boundaries[g] = columns
+    return ChainComplex(structure.field, step, basis, boundaries)
 
 
 # -- reference algebra kernel --------------------------------------------------

@@ -11,11 +11,11 @@ from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation
 from bvalg.fixtures import abelian_ungraded, heisenberg, loopspace_model
-from bvalg.homology import (BoundarySquareError, ChainComplex, betti, build_ce_complex,
-                            bv_chain_complex)
+from bvalg.homology import BoundarySquareError, ChainComplex, betti, build_ce_complex
 from bvalg.linalg import rank
 
-from oracles import betti_from_boundaries, dense_product, densify, fraction_rank
+from oracles import (betti_from_boundaries, bv_chain_complex, dense_product, densify,
+                     exterior_ce_complex, fraction_rank)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 F5 = FieldSpec.prime(5)
@@ -71,12 +71,21 @@ def test_ce_rejects_wrong_shift():
 
 
 def test_ce_window_required_when_not_finite():
-    # over F2 degree-1 generators are polynomial, so the algebra is infinite
+    # the complex is exterior in every characteristic: over F2 one degree-1
+    # generator spans 1 and x, and needs no window
     p = LiePresentation(GF2, 0, [Generator("x", 1)])
-    with pytest.raises(ValueError):
-        build_ce_complex(p)
-    # abelian with zero differential: homology is the polynomial algebra itself
-    assert betti(build_ce_complex(p, 3)) == [1, 1, 1, 1]
+    assert betti(build_ce_complex(p)) == [1, 1]
+
+
+def test_ce_refuses_even_generator_and_differential():
+    even = LiePresentation(QQ, 0, [Generator("a", 1), Generator("c", 2)])
+    with pytest.raises(ValueError, match="^ce-homology needs odd generators at shift 0: "
+                                         "c has degree 2$"):
+        build_ce_complex(even, 4)
+    x, y = Generator("x", 1), Generator("y", 1)
+    with pytest.raises(ValueError, match="zero differential"):
+        build_ce_complex(LiePresentation(QQ, 0, [x, y], differential={
+            "x": Element.from_generator(QQ, y)}))
 
 
 def test_loopspace_complex_betti_frozen():
@@ -106,6 +115,74 @@ def heisenberg7(field):
     gens = [Generator(f"{s}{i}", 1) for i in (1, 2, 3) for s in "xy"] + [z]
     return LiePresentation(field, 0, gens, {
         (f"x{i}", f"y{i}"): Element(field, {Monomial(((z, 1),)): 3}) for i in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("presentation, expected", [
+    (heisenberg(GF2), [1, 2, 2, 1]),
+    (heisenberg7(GF2), [1, 6, 14, 15, 15, 14, 6, 1]),  # Skoldberg 2005
+    (heisenberg7(QQ), [1, 6, 14, 14, 14, 14, 6, 1]),
+], ids=["h3-F2", "h7-F2", "h7-Q"])
+def test_heisenberg_known_answers(presentation, expected):
+    # no window: the exterior complex is finite in every characteristic
+    assert betti(build_ce_complex(presentation)) == expected
+    p = presentation.field.characteristic
+    generators = [(g.id, g.degree) for g in presentation.generators]
+    brackets = {key: {m.word()[0].id: c for m, c in value.terms()}
+                for key, value in presentation.brackets.items()}
+    assert betti_from_boundaries(*exterior_ce_complex(generators, brackets, p), -1, p) == expected
+
+
+@st.composite
+def odd_lie_algebra(draw):
+    """(generators, brackets, p, window, nilpotent): up to six odd generators
+    of degree 1 or 3, declared in shuffled order (not their (degree, id)
+    order), and a table of degree -1 with small coefficients.  Half the time
+    the table is two-step nilpotent (the generators after a drawn cut are
+    central and take every bracket, so Jacobi holds); otherwise any pair may
+    take any value, and Jacobi may fail."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(["a", "b", "c", "d", "e", "f"]))[:n]
+    generators = [(x, draw(st.sampled_from([1, 1, 1, 3]))) for x in ids]
+    degree = dict(generators)
+    central = set(ids[draw(st.integers(2, max(2, n - 1))):]) if draw(st.booleans()) else None
+    coefficients = [1, -1, 2, 3] + ([Fraction(1, 2)] if p == 0 else [])
+    brackets = {}
+    for i, x in enumerate(ids):
+        for y in ids[i + 1:]:
+            if central is not None and (x in central or y in central):
+                continue
+            span = [z for z in ids if degree[z] == degree[x] + degree[y] - 1
+                    and (central is None or z in central)]
+            value = {z: draw(st.sampled_from(coefficients))
+                     for z in span if draw(st.booleans())}
+            if value:
+                brackets[x, y] = value
+    window = draw(st.one_of(st.none(), st.integers(0, sum(degree.values()))))
+    return generators, brackets, p, window, central is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=odd_lie_algebra())
+def test_exterior_complex_matches_oracle(draw):
+    generators, brackets, p, window, nilpotent = draw
+    field = FieldSpec.prime(p) if p else QQ
+    gens = {x: Generator(x, d) for x, d in generators}
+    presentation = LiePresentation(field, 0, list(gens.values()), {
+        key: Element(field, {Monomial(((gens[z], 1),)): c for z, c in value.items()})
+        for key, value in brackets.items()})
+    dimensions, boundaries = exterior_ce_complex(generators, brackets, p, window)
+    squares = [dense_product(boundaries[g - 1], boundaries[g], p or None)
+               for g in boundaries
+               if dimensions[g] and dimensions.get(g - 1) and dimensions.get(g - 2)]
+    if any(x != 0 for square in squares for row in square for x in row):
+        assert not nilpotent
+        with pytest.raises(BoundarySquareError):
+            build_ce_complex(presentation, window)
+        return
+    complex_ = build_ce_complex(presentation, window)
+    assert {g: complex_.dimension(g) for g in complex_.grades()} == dimensions
+    assert betti(complex_) == betti_from_boundaries(dimensions, boundaries, -1, p)
 
 
 @pytest.mark.parametrize("presentation", [heisenberg(), heisenberg7(QQ), heisenberg7(F7)],

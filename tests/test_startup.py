@@ -16,7 +16,7 @@ NEVER_LOADED = {"dataclasses", "inspect", "bvalg.hopf"}
 # verb and arguments -> further modules that verb must not load
 VERBS = {
     ("check-bv", "fixtures/loops2_s4.lie"): {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"},
-    ("ce-homology", "fixtures/heisenberg.lie"): {"bvalg.fixtures"},
+    ("ce-homology", "fixtures/heisenberg.lie"): {"bvalg.bv", "bvalg.fixtures"},
     ("fixture", "omega2-s3-f2", "--verify"): set(),
     ("check-lie", "fixtures/heisenberg.lie"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg",
                                                 "bvalg.fixtures"},
