@@ -19,7 +19,7 @@ from bvalg.dsl import parse_presentation
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
 from bvalg.hopf import add_derivation_action, bracket_from_operator, bv_operator
 
-from oracles import ref_bracket, ref_identity_reports, ref_operator
+from oracles import ref_add, ref_bracket, ref_identity_reports, ref_operator
 from strategies import DRAWN, ORACLE_SHAPES, seeded_structures, structures
 
 
@@ -388,6 +388,46 @@ def test_square_zero_identities_on_random_presentations():
         report = verify_square_zero(s)
         assert report.passed, i
         assert report.coverage == 1
+
+
+def engine_of(s, x):
+    """A reference dict as an Element of the structure."""
+    letter = {(g.id, g.degree): g for g in s.generators}
+    return Element(s.field, {Monomial.from_sorted_word([letter[l] for l in word]): c
+                             for word, c in x.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(**ORACLE_SHAPES[0]))
+def test_square_zero_matches_reference(s):
+    # d0 from the generator values alone, d1 from the bracket table alone
+    values, brackets = coordinates(s)
+    p = s.field.characteristic
+
+    def d0(x):
+        return ref_operator(x, values, {}, p)
+
+    def d1(x):
+        return ref_operator(x, {}, brackets, p)
+
+    def operator(x):
+        return ref_add(d0(x), d1(x), p)
+
+    squares = {"d0-squared": lambda x: d0(d0(x)),
+               "d1-squared": lambda x: d1(d1(x)),
+               "d0-d1-anticommute": lambda x: ref_add(d0(d1(x)), d1(d0(x)), p),
+               "bv-squared": lambda x: operator(operator(x))}
+    words = [(mono, *ref_of(Element.from_monomial(s.field, mono))) for mono in s.basis()]
+    report = verify_square_zero(s)
+    assert [c.name for c in report.checks] == list(squares)
+    for check, square in zip(report.checks, squares.values()):
+        failing = [(mono, value) for mono, word in words if (value := square({word: 1}))]
+        assert (check.checked, check.skipped) == (len(words), 0), check.name
+        assert check.verdict == ("fail" if failing else "pass"), check.name
+        if failing:
+            mono, value = failing[0]
+            assert check.certificate == {"input": str(mono),
+                                         "value": str(engine_of(s, value))}, check.name
 
 
 def test_operator_with_nonzero_square_fails():

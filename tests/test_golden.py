@@ -58,6 +58,14 @@ def _cases():
     cases["fixture_omega2-s3-f2_D1"] = ["fixture", "omega2-s3-f2", "--max-degree", "1"]
     cases["fixture_omega2-s3-f2_D1_verify"] = [
         "fixture", "omega2-s3-f2", "--verify", "--max-degree", "1"]
+    # the element verbs: one operator value with both summands, one without a
+    # differential, and a bracket that the Leibniz rule extends
+    cases["free-bv_mixed_diff"] = [
+        "free-bv", os.path.join(ROOT, "fixtures", "mixed_diff.lie"), "--apply", "x*y"]
+    cases["free-bv_loops2_s4"] = [
+        "free-bv", os.path.join(ROOT, "fixtures", "loops2_s4.lie"), "--apply", "a^2"]
+    cases["bracket_loops2_s4"] = [
+        "bracket", os.path.join(ROOT, "fixtures", "loops2_s4.lie"), "a", "2*a*b"]
     return cases
 
 
