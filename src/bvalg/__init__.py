@@ -5,14 +5,13 @@ Public names load their module on first use (PEP 562 ``__getattr__``)."""
 from importlib import import_module
 
 _EXPORTS = {
-    "algebra": ("Element", "Generator", "GradedMap", "Monomial", "monomial_basis",
-                "normalize_word"),
+    "algebra": ("Element", "Generator", "Monomial", "monomial_basis", "normalize_word"),
     "fields": ("FieldSpec", "QQ", "GF2"),
     "lie": ("LiePresentation", "check_differential", "check_lie_axioms", "desuspend"),
-    "bv": ("BVStructure", "free_bv", "free_bv_structure", "poisson_bracket",
-           "user_bv_structure", "verify_bv_axioms"),
+    "bv": ("BVStructure", "free_bv", "poisson_bracket", "verify_bv_axioms"),
     "homology": ("ChainComplex", "betti", "build_ce_complex"),
-    "hopf": ("antipode", "bv_operator", "coproduct", "is_coderivation", "primitive_basis"),
+    "hopf": ("GradedMap", "antipode", "bv_operator", "coproduct", "is_coderivation",
+             "primitive_basis"),
     "fixtures": ("framed_disks_descriptor", "heisenberg", "load_fixture", "loopspace_model",
                  "omega2_s3_f2", "sphere_loop_lie", "spherical_bv"),
     "dsl": ("parse_presentation", "render_presentation"),

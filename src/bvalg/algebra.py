@@ -474,7 +474,7 @@ class WindowTuples:
         return extend((), 0, self.bound)
 
 
-# -- graded linear maps -------------------------------------------------------
+# -- gaps, linear extension and the Leibniz rule -------------------------------
 
 
 class Undefined:
@@ -519,44 +519,6 @@ def linear_extension(fn: Callable[[Monomial], MaybeElement],
     return Element._trusted(element.field, out)
 
 
-class GradedMap:
-    """Linear map on basis monomials, of a fixed degree, given by a rule.
-
-    The rule returns an Element, or Undefined at a gap: partial operators
-    keep explicit gaps and never guess.  Each value is memoized and checked
-    against the degree when first computed.
-    """
-
-    def __init__(self, field: FieldSpec, degree: int,
-                 rule: Callable[[Monomial], MaybeElement]):
-        self.field = field
-        self.degree = degree
-        self._rule = rule
-        self._values: Dict[Monomial, MaybeElement] = {}
-
-    def _check_degree(self, mono: Monomial, val: Element) -> None:
-        if val.is_zero:
-            return
-        d = val.homogeneous_degree()
-        if d != mono.degree + self.degree:
-            raise ValueError(
-                f"value of degree {d} on {mono}: expected {mono.degree + self.degree}")
-
-    def value(self, mono: Monomial) -> MaybeElement:
-        """Value on a basis monomial, or Undefined at a gap."""
-        val = self._values.get(mono)
-        if val is None:
-            val = self._rule(mono)
-            if isinstance(val, Element):
-                self._check_degree(mono, val)
-            self._values[mono] = val
-        return val
-
-    def apply(self, element: Element) -> MaybeElement:
-        """Linear extension; the first gap met is returned as Undefined."""
-        return linear_extension(self.value, element)
-
-
 def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
             image: Callable[[Generator], Optional[MaybeElement]],
             degree: int) -> MaybeElement:
@@ -594,13 +556,3 @@ def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
                 _accumulate(field, out, terms)
         prefix_degree += g.degree
     return Element._trusted(field, out)
-
-
-def derivation_from_generator_values(field: FieldSpec,
-                                     values: Dict[str, Element],
-                                     degree: int) -> GradedMap:
-    """The derivation extending generator values by `leibniz`; generators
-    absent from `values` map to zero."""
-    return GradedMap(field, degree,
-                     rule=lambda mono: leibniz(field, mono.word(),
-                                               lambda g: values.get(g.id), degree))

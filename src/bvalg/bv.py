@@ -12,10 +12,12 @@ a Lie presentation (shift n) with
 
   * an operator of degree n-1, fixed by its values on generators: -d(g)
     for a free structure, the table for a user one.  On a word it is those
-    values extended by the Leibniz rule (with the odd sign of d0) plus the
+    values extended by the Leibniz rule (with an odd sign) plus the
     wordlength-lowering bracket contraction.  The deviation identity
     bv(ab) = (-1)^|a|{a,b} + bv(a)b + (-1)^|a| a bv(b) is checked, not used
-    to build it.
+    to build it.  On a free structure the first summand keeps wordlength
+    and the contraction lowers it by one, so the free square-zero suite
+    reads the square of the operator by wordlength.
 
 User tables may be partial: undefined entries are explicit and verifiers
 report them as skipped coverage rather than guessing.  A structure stores
@@ -47,8 +49,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, WindowTuples,
-                      _accumulate, derivation_from_generator_values, first_undefined, leibniz,
-                      linear_extension, monomial_basis, monomial_product)
+                      _accumulate, first_undefined, leibniz, linear_extension, monomial_basis,
+                      monomial_product)
 from .fields import Scalar
 from .lie import LiePresentation
 from .report import (Outcome, Report, as_triple, by_name, merge_reports, run_checks,
@@ -72,13 +74,11 @@ class OutOfWindow(Undefined):
 class BVStructure:
     """Algebra + bracket + (possibly partial) degree-(n-1) operator.
 
-    `d0` is the derivation extending the negated Lie differential (degree
-    -1), the first summand of the free operator, and `letters` maps each
-    generator to its one-letter monomial.  Tables are stored once, at
-    construction: the bracket in `_pairs` (the presentation's own pairs
-    unless a partial table is given), user values with one past the
-    truncation as OutOfWindow and a generator without one as Undefined.
-    The basis is built once, at the truncation, on first use.
+    `letters` maps each generator to its one-letter monomial.  Tables are
+    stored once, at construction: the bracket in `_pairs` (the
+    presentation's own pairs unless a partial table is given), user values
+    with one past the truncation as OutOfWindow and a generator without one
+    as Undefined.  The basis is built once, at the truncation, on first use.
     """
 
     def __init__(self,
@@ -95,8 +95,6 @@ class BVStructure:
         self.truncation = truncation
         self.has_bv = has_bv
         self.provenance = FREE if bv_values is None else USER
-        self.d0 = derivation_from_generator_values(
-            self.field, {g: -d for g, d in presentation.differential.items()}, -1)
         self._pairs = presentation.pairs if partial_brackets is None else (
             presentation.letter_pairs(presentation.canonical_table(partial_brackets),
                                       lambda key: Undefined(f"bracket [{','.join(key)}]")))
@@ -143,10 +141,10 @@ class BVStructure:
 
     def bv_monomial(self, mono: Monomial) -> MaybeElement:
         """Operator value on a basis monomial: the bracket contraction plus
-        the generator values extended by the Leibniz rule (odd sign, as for
-        d0); the contraction comes first, so a bracket gap returns before
-        any Leibniz product.  Undefined at a gap, and OutOfWindow where a
-        stored table value lies past the truncation."""
+        the generator values extended by the Leibniz rule (odd sign); the
+        contraction comes first, so a bracket gap returns before any Leibniz
+        product.  Undefined at a gap, and OutOfWindow where a stored table
+        value lies past the truncation."""
         if not self.has_bv:
             return Undefined("no bv operator")
         value = self._bv_cache.get(mono)
@@ -160,19 +158,6 @@ class BVStructure:
 
     def bv_element(self, element: Element) -> MaybeElement:
         return linear_extension(self.bv_monomial, element)
-
-
-def free_bv_structure(presentation: LiePresentation, truncation: int,
-                      has_bv: bool = True) -> BVStructure:
-    return BVStructure(presentation, truncation, has_bv=has_bv)
-
-
-def user_bv_structure(presentation: LiePresentation, truncation: int,
-                      bv_values: Dict[str, Element],
-                      partial_brackets: Optional[Dict[Tuple[str, str], Element]] = None
-                      ) -> BVStructure:
-    return BVStructure(presentation, truncation, bv_values=bv_values,
-                       partial_brackets=partial_brackets)
 
 
 # -- the Poisson-extended bracket ------------------------------------------------
@@ -264,14 +249,10 @@ def _sides(s: BVStructure, lhs_label: str, lhs: Sequence[tuple],
 # -- the free operator ----------------------------------------------------------
 
 
-def bracket_part(s: BVStructure, element: Element) -> MaybeElement:
+def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
     """Wordlength-lowering contraction: sum over position pairs i < j of
     {x_i, x_j} wedge (the word with both letters deleted), with the sign
     (-1)^(|x_i|) (-1)^(n_ij) where (-1)^(n_ij) moves x_i, x_j to the front."""
-    return linear_extension(lambda mono: _contract_monomial(s, mono), element)
-
-
-def _contract_monomial(s: BVStructure, mono: Monomial) -> MaybeElement:
     field, pairs = s.field, s._pairs
     out: Dict[Monomial, Scalar] = {}
     word = mono.word()
@@ -306,29 +287,28 @@ def free_bv(s: BVStructure, element: Element) -> Element:
 
 
 def verify_square_zero(s: BVStructure) -> Report:
-    """Square-zero identities on every basis monomial in the window; for free
-    structures the two summands and their anticommutator are checked
-    separately."""
-    monos = list(s.tuples(1))
-    checks = []
-    if s.provenance == FREE and s.has_bv:
-        def summands(mono):
-            d0 = s.d0.value(mono)
-            d1 = bracket_part(s, Element.from_monomial(s.field, mono))
-            return (vanishes("value", s.d0.apply(d0)),
-                    vanishes("value", bracket_part(s, d1)),
-                    vanishes("value", s.d0.apply(d1) + bracket_part(s, d0)))
+    """bv(bv(m)) = 0 on every basis monomial m in the window.  On a free
+    structure, whose summands d0 and d1 keep wordlength and lower it by one,
+    the terms of the square that lower the wordlength of m by 0, 2 and 1
+    are d0^2, d1^2 and d0 d1 + d1 d0 on m, each checked on its own first;
+    bv-squared reads the whole square, so a term in no part fails it."""
+    split = s.provenance == FREE and s.has_bv
+    names = ("d0-squared", "d1-squared", "d0-d1-anticommute") if split else ()
 
-        checks += run_checks(("d0-squared", "d1-squared", "d0-d1-anticommute"),
-                             monos, summands, by_name("input"))
-
-    def bv_squared(mono):
+    def square(mono):
         value = s.bv_monomial(mono)
         second = value if isinstance(value, Undefined) else s.bv_element(value)
-        return vanishes("value", second)
+        if not split:
+            return vanishes("value", second)
+        # a free operator has no gaps; its square's terms by wordlength drop
+        parts: Dict[int, Dict[Monomial, Scalar]] = {0: {}, 2: {}, 1: {}}
+        for m, c in second._terms.items():
+            parts.setdefault(mono.wordlength - m.wordlength, {})[m] = c
+        return (*(vanishes("value", Element._trusted(s.field, parts[drop]))
+                  for drop in (0, 2, 1)), vanishes("value", second))
 
-    return Report(checks=checks + run_checks(("bv-squared",), monos, bv_squared,
-                                             by_name("input")))
+    return Report(checks=run_checks(names + ("bv-squared",), s.tuples(1), square,
+                                    by_name("input")))
 
 
 def verify_deviation_identity(s: BVStructure) -> Report:

@@ -47,12 +47,12 @@ def loopspace_model(n: int, m: int, max_degree: int = DEFAULT_WINDOW) -> BVStruc
     zero differential.  The degree-(n-1) operator exists for even n only;
     it vanishes on every generator (they are spherical classes).
     """
-    from .bv import free_bv_structure
+    from .bv import BVStructure
     if n < 2:
         raise ValueError("need n >= 2")
     if m <= n:
         raise ValueError(f"need m > n so the sphere is n-connected, got m={m}, n={n}")
-    return free_bv_structure(desuspend(sphere_loop_lie(m), n), max_degree, has_bv=(n % 2 == 0))
+    return BVStructure(desuspend(sphere_loop_lie(m), n), max_degree, has_bv=(n % 2 == 0))
 
 
 class SOGenerator:
@@ -147,7 +147,7 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
     by the spherical-class rule: its Hopf-map composite, u_1^2; every other
     operator value and every bracket entry is undefined.
     """
-    from .bv import user_bv_structure
+    from .bv import BVStructure
     if max_degree < 1:
         raise ValueError(f"fixture omega2-s3-f2 needs --max-degree >= 1, got {max_degree}")
     field = FieldSpec.prime(2)
@@ -158,9 +158,8 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
         k += 1
     # u1 is the adjoint of the identity of the 3-sphere
     u1_squared = Element.from_monomial(field, Monomial(((gens[0], 2),)))
-    return user_bv_structure(LiePresentation(field, 2, gens), max_degree,
-                             bv_values={"u1": spherical_bv(u1_squared, field)},
-                             partial_brackets={})
+    return BVStructure(LiePresentation(field, 2, gens), max_degree,
+                       bv_values={"u1": spherical_bv(u1_squared, field)}, partial_brackets={})
 
 
 def heisenberg(field: FieldSpec = QQ) -> LiePresentation:

@@ -1,6 +1,8 @@
-"""Hopf structure of a free graded-commutative algebra, and the checks of
-a graded map against it and against the product: the API-only module,
-which no CLI verb loads.
+"""Graded maps and derivations, the Hopf structure of a free
+graded-commutative algebra, and the checks of a graded map against it and
+against the product: the API-only module, which no CLI verb loads.  A
+derivation extends its generator values by the one Leibniz rule,
+`algebra.leibniz`.
 
 Generators are primitive, the coproduct is an algebra map into the graded
 tensor square, the antipode is solved degree by degree from the convolution
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import (Element, Generator, GradedMap, MaybeElement, Monomial,
-                      Undefined, WindowTuples, first_undefined, linear_extension,
-                      monomial_basis, normalize_word)
+from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, WindowTuples,
+                      first_undefined, leibniz, linear_extension, monomial_basis,
+                      normalize_word)
 from .fields import FieldSpec, Scalar
 from .linalg import SparseRow, nullspace
 from .report import Report, by_name, compare, run_checks
@@ -30,6 +32,60 @@ if TYPE_CHECKING:
     from .bv import BVStructure
 
 TensorKey = Tuple[Monomial, ...]
+
+
+# -- graded maps and derivations ----------------------------------------------------
+
+
+class GradedMap:
+    """Linear map on basis monomials, of a fixed degree, given by a rule.
+
+    The rule returns an Element, or Undefined at a gap: partial operators
+    keep explicit gaps and never guess.  Each value is memoized and checked
+    against the degree when first computed.
+    """
+
+    def __init__(self, field: FieldSpec, degree: int,
+                 rule: Callable[[Monomial], MaybeElement]):
+        self.field = field
+        self.degree = degree
+        self._rule = rule
+        self._values: Dict[Monomial, MaybeElement] = {}
+
+    def _check_degree(self, mono: Monomial, val: Element) -> None:
+        if val.is_zero:
+            return
+        d = val.homogeneous_degree()
+        if d != mono.degree + self.degree:
+            raise ValueError(
+                f"value of degree {d} on {mono}: expected {mono.degree + self.degree}")
+
+    def value(self, mono: Monomial) -> MaybeElement:
+        """Value on a basis monomial, or Undefined at a gap."""
+        val = self._values.get(mono)
+        if val is None:
+            val = self._rule(mono)
+            if isinstance(val, Element):
+                self._check_degree(mono, val)
+            self._values[mono] = val
+        return val
+
+    def apply(self, element: Element) -> MaybeElement:
+        """Linear extension; the first gap met is returned as Undefined."""
+        return linear_extension(self.value, element)
+
+
+def derivation_from_generator_values(field: FieldSpec,
+                                     values: Dict[str, Element],
+                                     degree: int) -> GradedMap:
+    """The derivation extending generator values by `leibniz`; generators
+    absent from `values` map to zero."""
+    return GradedMap(field, degree,
+                     rule=lambda mono: leibniz(field, mono.word(),
+                                               lambda g: values.get(g.id), degree))
+
+
+# -- tensors and the coproduct ---------------------------------------------------------
 
 
 def _tag(g: Generator, slot: int) -> Generator:

@@ -7,7 +7,7 @@ import random
 import weakref
 
 from bvalg.algebra import Element, Generator, Monomial, monomial_basis
-from bvalg.bv import FREE, USER, BVStructure, free_bv_structure, user_bv_structure
+from bvalg.bv import FREE, USER, BVStructure
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation, check_lie_axioms
 
@@ -60,7 +60,7 @@ def draw_structure(rng: random.Random, valid: bool = True, provenance: str = FRE
         p = LiePresentation(f, shift, gens, brackets, differential)
         if valid and not check_lie_axioms(p).passed:
             continue
-        return free_bv_structure(p, window) if provenance == FREE else _user(rng, p, window)
+        return BVStructure(p, window) if provenance == FREE else _user(rng, p, window)
     raise RuntimeError("no valid random presentation found")
 
 
@@ -99,7 +99,7 @@ def _user(rng, p, window):
     values = {g.id: Element(p.field, {m: rng.randint(-2, 2) for m in basis
                                       if m.degree == g.degree + p.shift - 1})
               for g in gens if rng.randrange(6)}
-    s = user_bv_structure(p, window, values, table)
+    s = BVStructure(p, window, values, table)
     DRAWN[s] = values, table
     return s
 

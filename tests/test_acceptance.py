@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from bvalg.algebra import (Element, Generator, Monomial,
-                           derivation_from_generator_values)
+from bvalg.algebra import Element, Generator, Monomial
 from bvalg.cli import main as cli_main
 from bvalg.dsl import ParseError, parse_presentation, render_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
@@ -21,10 +20,10 @@ from bvalg.fixtures import (abelian_ungraded, framed_disks_descriptor, heisenber
                             loopspace_model, omega2_s3_f2, spherical_bv)
 from bvalg.homology import betti, build_ce_complex
 from bvalg.hopf import (add_derivation_action, antipode, bv_operator, coproduct,
-                        coproduct_monomial, is_coderivation, primitive_basis)
+                        coproduct_monomial, derivation_from_generator_values,
+                        is_coderivation, primitive_basis)
 from bvalg.hopf import TensorElement
-from bvalg.bv import (free_bv, free_bv_structure,
-                      user_bv_structure, verify_bracket_compatibility,
+from bvalg.bv import (BVStructure, free_bv, verify_bracket_compatibility,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
 
@@ -60,7 +59,7 @@ def battery():
     three of them with nonzero structure constants."""
     structures = [loopspace_model(2, 4, max_degree=WINDOW),
                   loopspace_model(4, 6, max_degree=WINDOW),
-                  free_bv_structure(_mixed_differential_presentation(), WINDOW)]
+                  BVStructure(_mixed_differential_presentation(), WINDOW)]
     drawn = seeded_structures(BATTERY_SEED, basis_budget=80, window=WINDOW)
     with_brackets, without = [], []
     while len(with_brackets) < 3 or len(with_brackets) + len(without) < 5:
@@ -122,7 +121,7 @@ def test_criterion_04_recursion_matches_free_operator(battery):
     for i, structure in enumerate(battery):
         values = {g.id: free_bv(structure, Element.from_generator(structure.field, g))
                   for g in structure.generators}
-        twin = user_bv_structure(structure.presentation, WINDOW, values)
+        twin = BVStructure(structure.presentation, WINDOW, values)
         for mono in structure.basis():
             recursed = twin.bv_monomial(mono)
             direct = free_bv(structure, Element.from_monomial(structure.field, mono))

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvalg import algebra
-from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined, WindowTuples,
-                           derivation_from_generator_values, monomial_basis,
-                           normalize_word)
+from bvalg.algebra import (Element, Generator, Monomial, Undefined, WindowTuples,
+                           monomial_basis, normalize_word)
 from bvalg.bv import verify_bv_axioms
+from bvalg.hopf import GradedMap, derivation_from_generator_values
 from bvalg.dsl import parse_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
 

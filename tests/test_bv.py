@@ -5,19 +5,18 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bvalg.algebra import (Element, Generator, GradedMap, Monomial, WindowTuples, leibniz,
-                           normalize_word)
+from bvalg.algebra import Element, Generator, Monomial, WindowTuples, leibniz, normalize_word
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation, check_lie_axioms
 from bvalg import bv
-from bvalg.bv import (FREE, USER, Undefined, bracket_part, free_bv,
-                      free_bv_structure, poisson_bracket, user_bv_structure,
+from bvalg.bv import (FREE, USER, BVStructure, Undefined, free_bv, poisson_bracket,
                       verify_bracket_compatibility, verify_bv_axioms,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
 from bvalg.dsl import parse_presentation
 from bvalg.fixtures import loopspace_model, omega2_s3_f2
-from bvalg.hopf import add_derivation_action, bracket_from_operator, bv_operator
+from bvalg.hopf import (GradedMap, add_derivation_action, bracket_from_operator, bv_operator,
+                        derivation_from_generator_values)
 
 from oracles import ref_add, ref_bracket, ref_identity_reports, ref_operator
 from strategies import DRAWN, ORACLE_SHAPES, seeded_structures, structures
@@ -43,7 +42,13 @@ def mixed_differential_structure():
                         brackets={("x", "y"): gen_elt(f, gz),
                                   ("y", "y"): gen_elt(f, gw)},
                         differential={"x": gen_elt(f, gy), "z": gen_elt(f, gw)})
-    return free_bv_structure(p, 10)
+    return BVStructure(p, 10)
+
+
+def part(element, wordlength):
+    """The terms of an element of one wordlength."""
+    return Element(element.field,
+                   {m: c for m, c in element.terms() if m.wordlength == wordlength})
 
 
 # -- Poisson bracket -------------------------------------------------------------
@@ -61,7 +66,7 @@ def test_bracket_extends_by_poisson_relation():
     f = QQ
     ga, gb, gc = Generator("a", 1), Generator("b", 2), Generator("c", 4)
     p = LiePresentation(f, 2, [ga, gb, gc], {("a", "b"): gen_elt(f, gc)})
-    s = free_bv_structure(p, 10)
+    s = BVStructure(p, 10)
     b = gen_elt(f, gb)
     expected = (b * gen_elt(f, gc)).scale(2)
     assert poisson_bracket(s, gen_elt(f, ga), b * b) == expected
@@ -73,20 +78,22 @@ def test_bracket_of_generators_matches_table():
     assert poisson_bracket(s, a, a) == gen_elt(QQ, s.presentation.gen("b"))
 
 
-# -- the two summands of the free operator ----------------------------------------
+# -- the two summands of the free operator, read by wordlength --------------------
+#
+# The differential part keeps wordlength; the bracket contraction lowers it by one.
 
 
 def test_differential_part_zero_without_differential():
     s = loops24()
     for mono in s.basis():
-        assert s.d0.apply(Element.from_monomial(QQ, mono)).is_zero
+        assert part(free_bv(s, Element.from_monomial(QQ, mono)), mono.wordlength).is_zero
 
 
 def test_differential_part_single_letter():
     s = mixed_differential_structure()
     x = gen_elt(QQ, s.presentation.gen("x"))
     y = gen_elt(QQ, s.presentation.gen("y"))
-    assert s.d0.apply(x) == -y
+    assert part(free_bv(s, x), 1) == -y
 
 
 def test_differential_part_two_letters():
@@ -94,24 +101,24 @@ def test_differential_part_two_letters():
     f = QQ
     gx, gy, gz = Generator("x", 3), Generator("y", 2), Generator("z", 5)
     p = LiePresentation(f, 2, [gx, gy, gz], differential={"x": gen_elt(f, gy)})
-    s = free_bv_structure(p, 10)
+    s = BVStructure(p, 10)
     xz = gen_elt(f, gx) * gen_elt(f, gz)
     expected = -(gen_elt(f, gy) * gen_elt(f, gz))
-    assert s.d0.apply(xz) == expected
+    assert part(free_bv(s, xz), 2) == expected
 
 
 def test_bracket_part_vanishes_on_single_letters():
     s = loops24()
     for g in s.generators:
-        assert bracket_part(s, gen_elt(QQ, g)).is_zero
+        assert part(free_bv(s, gen_elt(QQ, g)), 0).is_zero
 
 
 def test_bracket_part_on_squares_and_cubes():
     s = loops24()
     a = gen_elt(QQ, s.presentation.gen("a"))
     b = gen_elt(QQ, s.presentation.gen("b"))
-    assert bracket_part(s, a * a) == b
-    assert bracket_part(s, a * a * a) == (a * b).scale(3)
+    assert part(free_bv(s, a * a), 1) == b
+    assert part(free_bv(s, a * a * a), 2) == (a * b).scale(3)
 
 
 def test_free_bv_values():
@@ -135,7 +142,7 @@ def test_free_bv_on_mixed_differential_fixture():
 
 def test_abelian_zero_differential_gives_zero_operator():
     p = LiePresentation(QQ, 2, [Generator("a", 1), Generator("b", 2)])
-    s = free_bv_structure(p, 8)
+    s = BVStructure(p, 8)
     for mono in s.basis():
         assert free_bv(s, Element.from_monomial(QQ, mono)).is_zero
 
@@ -151,7 +158,7 @@ def test_bv_extend_unit_is_zero():
 def test_bv_extend_matches_free_operator():
     for s in (loops24(), mixed_differential_structure()):
         values = {g.id: free_bv(s, gen_elt(s.field, g)) for g in s.generators}
-        twin = user_bv_structure(s.presentation, s.truncation, values)
+        twin = BVStructure(s.presentation, s.truncation, values)
         for mono in s.basis():
             elt = Element.from_monomial(s.field, mono)
             assert twin.bv_monomial(mono) == free_bv(s, elt), str(mono)
@@ -165,7 +172,7 @@ def test_bv_extend_char2_square():
     u1 = base.presentation.gen("u1")
     u2 = base.presentation.gen("u2")
     c = gen_elt(f, u2)
-    s = user_bv_structure(base.presentation, 6,
+    s = BVStructure(base.presentation, 6,
                           bv_values={"u1": Element.from_monomial(f, Monomial(((u1, 2),)))},
                           partial_brackets={("u1", "u1"): c})
     sq = Monomial(((u1, 2),))
@@ -185,7 +192,7 @@ def test_partial_bracket_table_is_validated(bad, message):
         "wrong-field": {("u1", "u1"): gen_elt(QQ, u2)},
     }[bad]
     with pytest.raises(ValueError, match=message):
-        user_bv_structure(base.presentation, 6, bv_values={}, partial_brackets=table)
+        BVStructure(base.presentation, 6, bv_values={}, partial_brackets=table)
 
 
 def test_bracket_gap_is_named_by_its_canonical_pair():
@@ -248,9 +255,9 @@ def test_operator_values_are_keyed_by_generator_id():
     p = LiePresentation(f, 3, [x])
     value = Element.from_monomial(f, Monomial(((x, 2),)))
     with pytest.raises(KeyError):
-        user_bv_structure(p, 8, {Monomial(((x, 2),)): value})
+        BVStructure(p, 8, {Monomial(((x, 2),)): value})
     with pytest.raises(KeyError):
-        user_bv_structure(p, 8, {"q": value})
+        BVStructure(p, 8, {"q": value})
 
 
 def test_basis_is_built_once_at_the_truncation():
@@ -287,7 +294,7 @@ def test_peeling_orders_agree_even_without_jacobi():
     p = LiePresentation(f, 0, [x, y, z],
                         {("x", "y"): gen_elt(f, x), ("y", "z"): gen_elt(f, y)})
     zero = Element.zero(f)
-    s = user_bv_structure(p, 5, bv_values={"x": zero, "y": zero, "z": zero})
+    s = BVStructure(p, 5, bv_values={"x": zero, "y": zero, "z": zero})
     mono = Monomial(((x, 1), (y, 1), (z, 1)))
     value = s.bv_monomial(mono)
     assert isinstance(value, Element)
@@ -300,7 +307,7 @@ def test_broken_antisymmetry_fails_the_suite(monkeypatch):
     x, y = Generator("x", 1), Generator("y", 1)
     p = LiePresentation(f, 0, [x, y])
     zero = Element.zero(f)
-    s = user_bv_structure(p, 5, bv_values={"x": zero, "y": zero})
+    s = BVStructure(p, 5, bv_values={"x": zero, "y": zero})
     monkeypatch.setitem(s._pairs, (x, y), gen_elt(f, x))
     report = verify_bv_axioms(s)
     assert not report.passed
@@ -435,7 +442,7 @@ def test_operator_with_nonzero_square_fails():
     f = QQ
     x = Generator("x", 2)
     p = LiePresentation(f, 3, [x])
-    s = user_bv_structure(p, 8, bv_values={"x": Element.from_monomial(f, Monomial(((x, 2),)))})
+    s = BVStructure(p, 8, bv_values={"x": Element.from_monomial(f, Monomial(((x, 2),)))})
     report = verify_square_zero(s)
     assert not report.passed
     cert = next(c.certificate for c in report.checks if c.verdict == "fail")
@@ -472,7 +479,6 @@ def test_adding_zero_derivation_keeps_everything():
 
 
 def test_derivation_does_not_change_extracted_bracket():
-    from bvalg.algebra import derivation_from_generator_values
     s = loops24()
     base = bv_operator(s)
     a = s.presentation.gen("a")
@@ -595,7 +601,7 @@ def rescaled_mixed_diffs(draw):
     unit = (st.integers(1, field.characteristic - 1) if field.characteristic else
             st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)))
     units = {g.id: field.coerce(draw(unit)) for g in MIXED_DIFF.presentation.generators}
-    return free_bv_structure(rescaled_mixed_diff(field, units), MIXED_DIFF.truncate)
+    return BVStructure(rescaled_mixed_diff(field, units), MIXED_DIFF.truncate)
 
 
 def test_mixed_diff_passes_check_lie_over_q_and_odd_primes():

@@ -12,12 +12,12 @@ import os
 
 import pytest
 
-from bvalg.algebra import Element, Generator, GradedMap, Monomial, normalize_word
-from bvalg.bv import free_bv_structure, verify_gerstenhaber, verify_square_zero
+from bvalg.algebra import Element, Generator, Monomial, normalize_word
+from bvalg.bv import BVStructure, verify_gerstenhaber, verify_square_zero
 from bvalg.cli import main
 from bvalg.fields import QQ
 from bvalg.fixtures import loopspace_model
-from bvalg.hopf import add_derivation_action, bv_operator, is_coderivation
+from bvalg.hopf import GradedMap, add_derivation_action, bv_operator, is_coderivation
 from bvalg.lie import LiePresentation, check_antisymmetry, check_lie_axioms
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -132,7 +132,7 @@ def square_zero_checks():
     x, y, w = Generator("x", 3), Generator("y", 2), Generator("w", 1)
     p = LiePresentation(QQ, 2, [x, y, w],
                         differential={"x": gen_elt(y), "y": gen_elt(w)})
-    return verify_square_zero(free_bv_structure(p, 6)).checks
+    return verify_square_zero(BVStructure(p, 6)).checks
 
 
 def poisson_checks():

@@ -70,7 +70,7 @@ def test_ce_rejects_wrong_shift():
         build_ce_complex(p, 4)
 
 
-def test_ce_window_required_when_not_finite():
+def test_ce_needs_no_window_over_f2():
     # the complex is exterior in every characteristic: over F2 one degree-1
     # generator spans 1 and x, and needs no window
     p = LiePresentation(GF2, 0, [Generator("x", 1)])

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.algebra import (Element, Generator, GradedMap, Monomial, Undefined,
-                           monomial_basis, normalize_word)
+from bvalg.algebra import Element, Generator, Monomial, Undefined, monomial_basis, normalize_word
 from bvalg.fields import FieldSpec, GF2, QQ
-from bvalg.hopf import (TensorElement, antipode, bv_operator, coproduct, coproduct_monomial,
-                        is_coderivation, primitive_basis, reduced_coproduct)
+from bvalg.hopf import (GradedMap, TensorElement, antipode, bv_operator, coproduct,
+                        coproduct_monomial, is_coderivation, primitive_basis,
+                        reduced_coproduct)
 from bvalg.fixtures import loopspace_model
 
 from oracles import ref_coproduct

@@ -1,6 +1,8 @@
-"""Start-up: each CLI verb loads only the modules it runs, and the package's
-public names resolve, on first use, to their defining modules' objects."""
+"""Start-up: each CLI verb loads only the modules it runs and at most a
+pinned number of `bvalg` source lines, and the package's public names
+resolve, on first use, to their defining modules' objects."""
 
+import functools
 import json
 import os
 import subprocess
@@ -13,19 +15,22 @@ import bvalg
 
 ROOT = Path(__file__).resolve().parent.parent
 NEVER_LOADED = {"dataclasses", "inspect", "bvalg.hopf"}
-# verb and arguments -> further modules that verb must not load
+# verb and arguments -> (further modules that verb must not load, the most lines
+# of bvalg source it may load: every line of each module file, __init__ included)
 VERBS = {
-    ("check-bv", "fixtures/loops2_s4.lie"): {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"},
-    ("ce-homology", "fixtures/heisenberg.lie"): {"bvalg.bv", "bvalg.fixtures"},
-    ("fixture", "omega2-s3-f2", "--verify"): set(),
-    ("check-lie", "fixtures/heisenberg.lie"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg",
-                                                "bvalg.fixtures"},
-    ("free-bv", "fixtures/loops2_s4.lie", "--apply", "a^2"): {"bvalg.homology", "bvalg.linalg",
-                                                              "bvalg.fixtures"},
-    ("bracket", "fixtures/loops2_s4.lie", "a", "a"): {"bvalg.homology", "bvalg.linalg",
-                                                      "bvalg.fixtures"},
-    ("descriptor", "--n", "2", "--field", "Q"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg"},
-    ("fixture", "fd:2:Q"): {"bvalg.bv", "bvalg.homology", "bvalg.linalg"},
+    ("check-bv", "fixtures/loops2_s4.lie"): (
+        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2271),
+    ("ce-homology", "fixtures/heisenberg.lie"): ({"bvalg.bv", "bvalg.fixtures"}, 2122),
+    ("fixture", "omega2-s3-f2", "--verify"): (set(), 2471),
+    ("check-lie", "fixtures/heisenberg.lie"): (
+        {"bvalg.bv", "bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 1885),
+    ("free-bv", "fixtures/loops2_s4.lie", "--apply", "a^2"): (
+        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2271),
+    ("bracket", "fixtures/loops2_s4.lie", "a", "a"): (
+        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2271),
+    ("descriptor", "--n", "2", "--field", "Q"): (
+        {"bvalg.bv", "bvalg.homology", "bvalg.linalg"}, 2085),
+    ("fixture", "fd:2:Q"): ({"bvalg.bv", "bvalg.homology", "bvalg.linalg"}, 2085),
 }
 PROBE = ("import json, sys\n"
          "from bvalg.cli import main\n"
@@ -33,17 +38,39 @@ PROBE = ("import json, sys\n"
          "print(json.dumps(sorted(sys.modules)))\n")
 
 
-@pytest.mark.parametrize("argv", list(VERBS),
-                         ids=lambda argv: "fixture-fd" if argv[1].startswith("fd:") else argv[0])
-def test_verb_loads_only_its_modules(argv):
+def _verb_id(argv):
+    return "fixture-fd" if argv[1].startswith("fd:") else argv[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded(argv):
+    """The modules a fresh process has loaded after running the verb."""
     # -S: no site hooks, so sys.modules holds what the verb imported
     done = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv, "--format", "json"],
                           capture_output=True, text=True, cwd=ROOT, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    return frozenset(json.loads(done.stdout.splitlines()[-1]))
+
+
+def source_lines(modules):
+    """Lines of the bvalg module files among `modules`, __init__ included."""
+    package = ROOT / "src" / "bvalg"
+    return sum(len((package / f"{name.partition('.')[2] or '__init__'}.py")
+                   .read_text(encoding="utf-8").splitlines())
+               for name in modules if name.split(".")[0] == "bvalg")
+
+
+@pytest.mark.parametrize("argv", list(VERBS), ids=_verb_id)
+def test_verb_loads_only_its_modules(argv):
+    loaded = _loaded(argv)
     assert "bvalg.cli" in loaded
-    assert sorted(loaded & (NEVER_LOADED | VERBS[argv])) == []
+    assert sorted(loaded & (NEVER_LOADED | VERBS[argv][0])) == []
+
+
+@pytest.mark.parametrize("argv", list(VERBS), ids=_verb_id)
+def test_verb_loads_at_most_its_source_lines(argv):
+    assert source_lines(_loaded(argv)) <= VERBS[argv][1]
 
 
 @pytest.mark.parametrize("name", bvalg.__all__)
