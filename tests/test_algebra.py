@@ -12,9 +12,9 @@ from bvalg import algebra
 from bvalg.algebra import (Element, Generator, Monomial, Undefined, WindowTuples,
                            monomial_basis, normalize_word)
 from bvalg.bv import verify_bv_axioms
-from bvalg.hopf import GradedMap, derivation_from_generator_values
 from bvalg.dsl import parse_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
+from bvalg.hopf import GradedMap, derivation_from_generator_values
 
 from oracles import ref_add, ref_mul, ref_normalize_word, ref_scale, ref_terms
 from strategies import seeded_structures
