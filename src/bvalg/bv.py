@@ -103,8 +103,9 @@ class BVStructure:
         self._basis: Optional[List[Monomial]] = None
         self._gate: Optional[Tuple[List[int], List[int]]] = None  # (letters, partners)
         if bv_values is None:
+            zero = Element.zero(self.field)
             self._generator_values: Dict[Generator, MaybeElement] = {
-                g: -presentation.diff(g.id) for g in self.generators}
+                g: -presentation.differential.get(g.id, zero) for g in self.generators}
         else:
             self._generator_values = {g: Undefined(f"bv({g.id})") for g in self.generators}
             for key, value in bv_values.items():

@@ -98,14 +98,16 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec) -> StructureDe
     Over Q: the bracket always, the square-zero operator in degree n-1 iff
     n is even (the adjoined orthogonal generator), every a_{4i-1} acting
     trivially.  Characteristic p is supported at n = 2 only, where the
-    operator exists and spherical vanishing holds iff p != 2.
+    operator exists.  Spherical vanishing is whether `spherical_bv` sends a
+    nonzero composite (the unit) to zero.
     """
+    vanishes = spherical_bv(Element.unit(field), field).is_zero
     if n == "infinity":
         if field.kind != "rational":
             raise ValueError("the stable descriptor is rational only")
         degrees = range(3, STABLE_MAX_DEGREE + 1, 4)
         gens = tuple(SOGenerator(d, "trivial") for d in degrees)
-        return StructureDescriptor("infinity", field, None, None, gens, True)
+        return StructureDescriptor("infinity", field, None, None, gens, vanishes)
     if not isinstance(n, int) or n < 2:
         raise ValueError("need n >= 2 or 'infinity'")
     if n > MAX_DESCRIPTOR_N:
@@ -113,9 +115,7 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec) -> StructureDe
     if field.kind != "rational":
         if n != 2:
             raise ValueError(f"descriptor over {field} is only available for n = 2")
-        return StructureDescriptor(
-            2, field, 1, 1, (SOGenerator(1, "bv"),),
-            spherical_bv_vanishes=(field.characteristic != 2))
+        return StructureDescriptor(2, field, 1, 1, (SOGenerator(1, "bv"),), vanishes)
     degrees = _so_exterior_degrees(n)
     gens = [SOGenerator(d, "trivial") for d in degrees]
     bv_degree = None
@@ -124,7 +124,7 @@ def framed_disks_descriptor(n: Union[int, str], field: FieldSpec) -> StructureDe
         # the a_{4i-1} family stays trivial even when degrees coincide (n = 4)
         gens[-1] = SOGenerator(degrees[-1], "bv")
         bv_degree = n - 1
-    return StructureDescriptor(n, field, n - 1, bv_degree, tuple(gens), True)
+    return StructureDescriptor(n, field, n - 1, bv_degree, tuple(gens), vanishes)
 
 
 def spherical_bv(eta_composite: Element, field: FieldSpec) -> Element:

@@ -41,16 +41,15 @@ class BoundarySquareError(ValueError):
 
 
 class ChainComplex:
-    """Grade-indexed exact boundaries with a fixed degree step.
+    """Grade-indexed exact boundaries, each lowering the grade by one.
 
     boundaries[g] holds one sparse column per monomial of basis[g]: a dict
-    from the index of a monomial of basis[g + step] to its nonzero
+    from the index of a monomial of basis[g - 1] to its nonzero
     coefficient."""
 
-    def __init__(self, field: FieldSpec, step: int, basis: Dict[int, List[Monomial]],
+    def __init__(self, field: FieldSpec, basis: Dict[int, List[Monomial]],
                  boundaries: Dict[int, List[SparseRow]]):
         self.field = field
-        self.step = step
         self.basis = basis
         self.boundaries = boundaries
         self.__post_init__()  # a method of its own: perfbench times it as homology.complex_check
@@ -60,7 +59,7 @@ class ChainComplex:
         field = self.field
         for g in sorted(self.basis):
             first = self.boundaries.get(g)
-            second = self.boundaries.get(g + self.step)
+            second = self.boundaries.get(g - 1)
             if not first or not second:
                 continue
             for j, column in enumerate(first):
@@ -69,7 +68,7 @@ class ChainComplex:
                     for i, x in second[k].items():
                         composite[i] = field.add(composite.get(i, 0), field.mul(x, y))
                 if any(not field.is_zero(c) for c in composite.values()):
-                    target = self.basis[g + 2 * self.step]
+                    target = self.basis[g - 2]
                     raise BoundarySquareError(g, self.basis[g][j], Element(
                         field, {target[i]: c for i, c in composite.items()}))
 
@@ -83,16 +82,15 @@ class ChainComplex:
 def ce_window(presentation: LiePresentation, max_degree: Optional[int] = None) -> int:
     """The window of a shift-0 presentation's complex: max_degree if given,
     else the sum of the generator degrees (the top exterior cell).  Raises
-    ValueError at another shift, at an even generator, or at a nonzero
-    differential, which the exterior complex does not read."""
+    ValueError at another shift or at an even generator.  The differential,
+    which the exterior complex does not read, is then zero: a value of
+    degree |x| - 1 would need an even generator."""
     if presentation.shift != 0:
         raise ValueError(f"chain complex needs shift 0, got {presentation.shift}")
     for g in presentation.generators:
         if g.degree % 2 == 0:
             raise ValueError(
                 f"ce-homology needs odd generators at shift 0: {g.id} has degree {g.degree}")
-    if any(not value.is_zero for value in presentation.differential.values()):
-        raise ValueError("ce-homology needs a zero differential at shift 0")
     if max_degree is not None:
         return max_degree
     return sum(g.degree for g in presentation.generators)
@@ -149,15 +147,12 @@ def build_ce_complex(presentation: LiePresentation,
                         column[row] = total
             columns.append(column)
         boundaries[g] = columns
-    return ChainComplex(field, -1, basis, boundaries)
+    return ChainComplex(field, basis, boundaries)
 
 
 def betti(complex_: ChainComplex) -> List[int]:
     """dim ker(out of grade) - rank (into grade), for each grade 0..top; a
     boundary's columns are ranked as rows, since a transpose has the same rank."""
-    grades = complex_.grades()
-    if not grades:
-        return []
     ranks = {g: rank(columns, complex_.field) for g, columns in complex_.boundaries.items()}
-    return [complex_.dimension(g) - ranks.get(g, 0) - ranks.get(g - complex_.step, 0)
-            for g in range(max(grades) + 1)]
+    return [complex_.dimension(g) - ranks.get(g, 0) - ranks.get(g + 1, 0)
+            for g in range(max(complex_.grades()) + 1)]

@@ -4,9 +4,10 @@ A presentation at shift n stores generators with their degrees, one
 orientation of each bracket pair, and an optional differential of degree
 -1, and reads its table once (`letter_pairs`) into `pairs`: {x, y} on every
 ordered generator pair, the other orientation through shifted antisymmetry
-and an untabulated pair zero.  The degree rule for a tabulated pair is
-|{x,y}| = |x| + |y| + (n-1); the sign parity of a generator x in all
-Lie-side formulas is |x| + n - 1.
+and an untabulated pair zero.  The grading holds by construction: a
+bracket value has degree |x| + |y| + (n-1) and a differential value
+|x| - 1, or the presentation is refused (ValueError).  The sign parity of
+a generator x in all Lie-side formulas is |x| + n - 1.
 
 ``desuspend`` converts between shifts: moving a presentation from shift s
 to shift n lowers every degree by n - s and carries the bracket table and
@@ -20,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import Element, Generator, MaybeElement, linear_extension
 from .fields import FieldSpec
-from .report import FAIL, Report, as_pair, as_triple, by_name, compare, run_checks, vanishes
+from .report import Report, as_pair, as_triple, by_name, compare, run_checks, vanishes
 
 BracketKey = Tuple[str, str]
 LetterPairs = Dict[Tuple[Generator, Generator], MaybeElement]
@@ -42,13 +43,13 @@ class LiePresentation:
         zero = Element.zero(field)
         self.pairs = self.letter_pairs(self.brackets, lambda key: zero)
         for x, value in self.differential.items():
-            self.gen(x)
-            self._require_span(value, f"differential of {x}")
+            self._require_span(value, f"differential of {x}", self.gen(x).degree - 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LiePresentation) and vars(self) == vars(other)
 
-    def _require_span(self, value: Element, what: str) -> None:
+    def _require_span(self, value: Element, what: str, degree: int) -> None:
+        """A table value lies in the span of the generators of `degree`."""
         if value.field != self.field:
             raise ValueError(f"{what}: field mismatch")
         for mono in value.monomials():
@@ -57,6 +58,8 @@ class LiePresentation:
             g = mono.word()[0]
             if self._by_id.get(g.id) != g:
                 raise ValueError(f"{what}: unknown generator {g.id!r}")
+            if g.degree != degree:
+                raise ValueError(f"{what}: degree {degree} expected, got {g.degree}")
 
     # -- access ------------------------------------------------------------
 
@@ -86,11 +89,12 @@ class LiePresentation:
     def canonical_table(self, table: Dict[BracketKey, Element]) -> Dict[BracketKey, Element]:
         """A bracket table keyed by canonical pairs, the other orientation
         moved over by shifted antisymmetry.  Values must lie in the generator
-        span over this field, and each unordered pair may appear once."""
+        span of degree |x| + |y| + n - 1 over this field, and each unordered
+        pair may appear once."""
         normalized: Dict[BracketKey, Element] = {}
         for (x, y), value in table.items():
-            self._require_span(value, f"bracket [{x},{y}]")
             gx, gy = self.gen(x), self.gen(y)
+            self._require_span(value, f"bracket [{x},{y}]", self.bracket_degree(gx, gy))
             key, flip = self._canonical_pair(gx, gy)
             if key in normalized:
                 raise ValueError(f"bracket pair ({x},{y}) tabulated twice")
@@ -110,25 +114,6 @@ class LiePresentation:
                 pairs[x, y] = (absent(key) if value is None
                                else value.signed(self._flip_sign(x, y)) if flip else value)
         return pairs
-
-    def bracket(self, x_id: str, y_id: str) -> Element:
-        """Bracket of two generators; untabulated pairs bracket to zero."""
-        return self.pairs[self.gen(x_id), self.gen(y_id)]
-
-    def bracket_elements(self, u: Element, v: Element) -> Element:
-        """Bilinear extension of the bracket to the generator span."""
-        return linear_extension(
-            lambda mu: linear_extension(
-                lambda mv: self.bracket(mu.word()[0].id, mv.word()[0].id), v), u)
-
-    def diff(self, gen_id: str) -> Element:
-        return self.differential.get(gen_id, Element.zero(self.field))
-
-    def diff_element(self, u: Element) -> Element:
-        return linear_extension(lambda mono: self.diff(mono.word()[0].id), u)
-
-    def span_element(self, gen_id: str) -> Element:
-        return Element.from_generator(self.field, self.gen(gen_id))
 
 
 def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentation:
@@ -160,38 +145,26 @@ def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentati
     )
 
 
-def _degree_outcome(expected: int, value: Element):
-    got = value.homogeneous_degree()
-    if value.is_zero or got == expected:
-        return None
-    return {"expected degree": str(expected), "value": str(value), "value degree": str(got)}
+def _extend(fn: Callable[[Generator], Element], value: Element) -> Element:
+    """fn, a map on generators, extended linearly to a span element."""
+    return linear_extension(lambda mono: fn(mono.word()[0]), value)
 
 
 def check_lie_axioms(presentation: LiePresentation) -> Report:
     """Shifted antisymmetry and Jacobi on all generator pairs and triples,
-    then check_differential's checks when the presentation has a differential.
-
-    A degree mismatch in the table is a structural error reported before
-    (and instead of) the antisymmetry and Jacobi checks.
-    """
-    p = presentation
-
-    def bracket_degree(x_id, y_id):
-        return _degree_outcome(p.bracket_degree(p.gen(x_id), p.gen(y_id)),
-                               p.brackets[(x_id, y_id)])
+    then check_differential's checks when the presentation has a differential."""
+    p, pairs = presentation, presentation.pairs
 
     def jacobi(x, y, z):
-        lhs = p.bracket_elements(p.span_element(x.id), p.bracket(y.id, z.id))
-        first = p.bracket_elements(p.bracket(x.id, y.id), p.span_element(z.id))
-        second = p.bracket_elements(p.span_element(y.id), p.bracket(x.id, z.id))
+        lhs = _extend(lambda g: pairs[x, g], pairs[y, z])
+        first = _extend(lambda g: pairs[g, z], pairs[x, y])
+        second = _extend(lambda g: pairs[y, g], pairs[x, z])
         return compare("lhs {x,{y,z}}", lhs, "rhs {{x,y},z} + sign*{y,{x,z}}",
                        first + second.signed(p.parity(x) * p.parity(y)))
 
-    checks = run_checks(("bracket-degree",), sorted(p.brackets), bracket_degree, as_pair)
-    if checks[0].verdict != FAIL:
-        checks += (check_antisymmetry(p).checks
-                   + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi,
-                                as_triple))
+    checks = (check_antisymmetry(p).checks
+              + run_checks(("bracket-jacobi",), product(p.generators, repeat=3), jacobi,
+                           as_triple))
     if p.differential:
         checks += check_differential(p).checks
     return Report(checks=checks)
@@ -203,43 +176,36 @@ def check_antisymmetry(presentation: LiePresentation) -> Report:
     p = presentation
 
     def antisymmetry(x, y):
-        lhs = p.bracket(x.id, y.id)
+        lhs = p.pairs[x, y]
         if x == y and p.parity(x) % 2 == 0 and p.field.characteristic != 2:
             # antisymmetry forces 2{x,x} = 0 here, so {x,x} = 0 away from char 2
             outcome = vanishes("value", lhs)
             return outcome and {"constraint": "even shifted parity forces {x,x} = 0",
                                 **outcome}
-        return compare("lhs", lhs, "rhs", p.bracket(y.id, x.id).signed(p._flip_sign(x, y)))
+        return compare("lhs", lhs, "rhs", p.pairs[y, x].signed(p._flip_sign(x, y)))
 
     return Report(checks=run_checks(("bracket-antisymmetry",),
                                     product(p.generators, repeat=2), antisymmetry, as_pair))
 
 
 def check_differential(presentation: LiePresentation) -> Report:
-    """d has degree -1, squares to zero, and is a bracket derivation."""
-    p = presentation
+    """d squares to zero and is a bracket derivation."""
+    p, pairs = presentation, presentation.pairs
+    zero = Element.zero(p.field)
 
-    def degree(x_id):
-        return _degree_outcome(p.gen(x_id).degree - 1, p.differential[x_id])
-
-    checks = run_checks(("differential-degree",), [(x,) for x in sorted(p.differential)],
-                        degree, by_name("generator"))
-    if checks[0].verdict == FAIL:
-        return Report(checks=checks)
+    def d(g: Generator) -> Element:
+        return p.differential.get(g.id, zero)
 
     def square(x):
-        return vanishes("d(d(x))", p.diff_element(p.diff(x.id)))
+        return vanishes("d(d(x))", _extend(d, d(x)))
 
     def leibniz(x, y):
-        rhs = (p.bracket_elements(p.diff(x.id), p.span_element(y.id))
-               + p.bracket_elements(p.span_element(x.id), p.diff(y.id)).signed(p.parity(x)))
-        return compare("d{x,y}", p.diff_element(p.bracket(x.id, y.id)),
-                       "{dx,y} + sign*{x,dy}", rhs)
+        rhs = (_extend(lambda g: pairs[g, y], d(x))
+               + _extend(lambda g: pairs[x, g], d(y)).signed(p.parity(x)))
+        return compare("d{x,y}", _extend(d, pairs[x, y]), "{dx,y} + sign*{x,dy}", rhs)
 
     return Report(checks=(
-        checks
-        + run_checks(("differential-squared",), product(p.generators, repeat=1), square,
-                     by_name("generator"))
+        run_checks(("differential-squared",), product(p.generators, repeat=1), square,
+                   by_name("generator"))
         + run_checks(("differential-bracket-derivation",), product(p.generators, repeat=2),
                      leibniz, as_pair)))
-

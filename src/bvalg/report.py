@@ -213,6 +213,4 @@ def merge_reports(*reports: Report) -> Report:
     for r in reports:
         merged.checks.extend(r.checks)
         merged.details.update(r.details)
-        if r.betti is not None:
-            merged.betti = r.betti
     return merged

@@ -151,20 +151,24 @@ def dense_product(a, b, modulus=None):
 
 
 def bv_chain_complex(structure):
-    """The complex of a BV structure's operator over its basis, by degree,
-    as a `bvalg.homology.ChainComplex` of step shift - 1.  Boundary terms that
-    would leave the window at the top grade are zeroed (the operator itself
-    is exact; the truncation is the complex's)."""
+    """The complex of a BV structure's operator over its basis, as a
+    `bvalg.homology.ChainComplex`, whose boundaries lower the grade by one.
+    The operator has degree shift - 1, which must be -1 (grade g holds
+    degree g) or 1 (grade g holds degree truncation - g).  Boundary terms
+    that would leave the window at the top degree are zeroed (the operator
+    itself is exact; the truncation is the complex's)."""
     from bvalg.algebra import Undefined
     from bvalg.homology import ChainComplex
 
-    step = structure.shift - 1
-    basis = {d: [] for d in range(structure.truncation + 1)}
+    if structure.shift not in (0, 2):
+        raise ValueError(f"operator of degree {structure.shift - 1}: not a boundary")
+    top = structure.truncation
+    basis = {g: [] for g in range(top + 1)}
     for mono in structure.basis():
-        basis[mono.degree].append(mono)
+        basis[mono.degree if structure.shift == 0 else top - mono.degree].append(mono)
     boundaries = {}
     for g in sorted(basis):
-        row_of = {m: i for i, m in enumerate(basis.get(g + step, []))}
+        row_of = {m: i for i, m in enumerate(basis.get(g - 1, []))}
         columns = []
         for mono in basis[g]:
             value = structure.bv_monomial(mono)
@@ -175,11 +179,11 @@ def bv_chain_complex(structure):
                 row = row_of.get(m)
                 if row is not None:
                     column[row] = coeff
-                elif g + step in basis:
+                elif g - 1 in basis:
                     raise ValueError(f"boundary of {mono} not homogeneous in total degree")
             columns.append(column)
         boundaries[g] = columns
-    return ChainComplex(structure.field, step, basis, boundaries)
+    return ChainComplex(structure.field, basis, boundaries)
 
 
 # -- reference algebra kernel --------------------------------------------------

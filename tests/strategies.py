@@ -93,7 +93,7 @@ def _user(rng, p, window):
     """The table with about one pair in six left out, and on about five generators
     in six a value with coefficients in -2..2 on the monomials of degree |g| + n - 1."""
     gens = sorted(p.generators, key=lambda g: g.sort_key)
-    table = {(x.id, y.id): p.bracket(x.id, y.id)
+    table = {(x.id, y.id): p.pairs[x, y]
              for i, x in enumerate(gens) for y in gens[i:] if rng.randrange(6)}
     basis = monomial_basis(p.field, gens, window)
     values = {g.id: Element(p.field, {m: rng.randint(-2, 2) for m in basis

@@ -181,15 +181,17 @@ def test_bv_extend_char2_square():
 
 @pytest.mark.parametrize("bad, message", [("outside-span", "generator span"),
                                           ("both-orientations", "tabulated twice"),
-                                          ("wrong-field", "field mismatch")])
+                                          ("wrong-field", "field mismatch"),
+                                          ("wrong-degree", "degree 5 expected, got 3")])
 def test_partial_bracket_table_is_validated(bad, message):
     base = omega2_s3_f2(6)
     u1, u2 = base.presentation.gen("u1"), base.presentation.gen("u2")
     table = {
         "outside-span": {("u1", "u1"): Element.from_monomial(GF2, Monomial(((u1, 2),)))},
-        "both-orientations": {("u1", "u2"): gen_elt(GF2, u2),
+        "both-orientations": {("u1", "u2"): Element.zero(GF2),
                               ("u2", "u1"): Element.zero(GF2)},
         "wrong-field": {("u1", "u1"): gen_elt(QQ, u2)},
+        "wrong-degree": {("u1", "u2"): gen_elt(GF2, u2)},
     }[bad]
     with pytest.raises(ValueError, match=message):
         BVStructure(base.presentation, 6, bv_values={}, partial_brackets=table)

@@ -1,9 +1,14 @@
+import contextlib
+import io
+import json
+
 import pytest
 
 from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import FieldSpec, GF2, QQ
 from bvalg.lie import check_lie_axioms
 from bvalg.bv import OutOfWindow, Undefined, free_bv, poisson_bracket, verify_bv_axioms
+from bvalg.cli import main
 from bvalg.fixtures import (StructureDescriptor, framed_disks_descriptor, load_fixture,
                             loopspace_model, omega2_s3_f2, spherical_bv, sphere_loop_lie)
 
@@ -21,8 +26,9 @@ def test_sphere_lie_odd_is_abelian():
 def test_sphere_lie_even_has_self_bracket():
     p = sphere_loop_lie(4)
     assert [(g.id, g.degree) for g in p.generators] == [("a", 3), ("b", 6)]
-    assert str(p.bracket("a", "a")) == "b"
-    assert p.bracket("a", "b").is_zero
+    a, b = p.generators
+    assert str(p.pairs[a, a]) == "b"
+    assert p.pairs[a, b].is_zero
     q = sphere_loop_lie(2)
     assert [(g.id, g.degree) for g in q.generators] == [("a", 1), ("b", 2)]
 
@@ -123,6 +129,19 @@ def test_spherical_bv_char_two_uses_stored_composite():
     composite = Element.from_monomial(GF2, Monomial(((u1, 2),)))
     assert spherical_bv(composite, GF2) == composite
     assert spherical_bv(Element.zero(GF2), GF2).is_zero
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, F3, F5], ids=str)
+def test_fd_fixture_states_the_spherical_rule(field):
+    # the descriptor's flag is what spherical_bv does to a nonzero composite,
+    # here the square of a degree-1 class
+    u1 = Generator("u1", 1)
+    composite = Element.from_monomial(field, Monomial(((u1, 2),)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fixture", f"fd:2:{field}", "--format", "json"]) == 0
+    vanishes = json.loads(out.getvalue())["details"]["spherical-bv-vanishes"]
+    assert vanishes == str(spherical_bv(composite, field).is_zero).lower()
 
 
 def test_omega2_generators_and_bottom_value():

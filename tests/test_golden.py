@@ -1,9 +1,10 @@
-"""Golden outputs: the JSON report and exit code of every shipped input.
+"""Golden outputs: the report and exit code of every shipped input.
 
-Each case runs one CLI invocation with ``--format json`` and compares its
-stdout and exit code byte for byte with ``tests/data/golden/<case>.out``,
-whose first line is ``exit: <code>``.  Refactors of the verifiers must keep
-every verdict, count, coverage figure and certificate identical.
+Each case runs one CLI invocation, with its format (``--format json``, and
+``--format human`` for the cases named ``*_human``), and compares its stdout
+and exit code byte for byte with ``tests/data/golden/<case>.out``, whose
+first line is ``exit: <code>``.  Refactors of the verifiers must keep every
+verdict, count, coverage figure and certificate identical.
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -66,6 +67,13 @@ def _cases():
         "free-bv", os.path.join(ROOT, "fixtures", "loops2_s4.lie"), "--apply", "a^2"]
     cases["bracket_loops2_s4"] = [
         "bracket", os.path.join(ROOT, "fixtures", "loops2_s4.lie"), "a", "2*a*b"]
+    cases = {case: argv + ["--format", "json"] for case, argv in cases.items()}
+    # human reports of the verb that prints no elapsed time: a failing
+    # certificate, and the Betti line
+    cases["ce-homology_bad_antisymmetry_human"] = [
+        "ce-homology", os.path.join(HERE, "data", "bad_antisymmetry.lie"), "--format", "human"]
+    cases["ce-homology_heisenberg_human"] = [
+        "ce-homology", os.path.join(ROOT, "fixtures", "heisenberg.lie"), "--format", "human"]
     return cases
 
 
@@ -75,7 +83,7 @@ CASES = _cases()
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--format", "json"])
+        code = main(argv)
     return f"exit: {code}\n" + out.getvalue()
 
 

@@ -32,31 +32,16 @@ def test_desuspended_sphere_passes_at_shift_two():
     assert [(g.id, g.degree) for g in p.generators] == [("a", 2), ("b", 5)]
     assert check_lie_axioms(p).passed
     # the carried table reads through the shift
-    assert str(p.bracket("a", "a")) == "b"
+    a = p.gen("a")
+    assert str(p.pairs[a, a]) == "b"
 
 
 def test_degree_mismatch_is_structural_error():
     # inserting {a,b} = a violates the degree rule: 2 + 5 + 1 = 8, got 2
     a, b = Generator("a", 2), Generator("b", 5)
-    p = LiePresentation(QQ, 2, [a, b], {("a", "a"): gen_elt(QQ, b),
+    with pytest.raises(ValueError, match=r"^bracket \[a,b\]: degree 8 expected, got 2$"):
+        LiePresentation(QQ, 2, [a, b], {("a", "a"): gen_elt(QQ, b),
                                         ("a", "b"): gen_elt(QQ, a)})
-    report = check_lie_axioms(p)
-    assert not report.passed
-    assert report.checks[0].name == "bracket-degree"
-    cert = report.checks[0].certificate
-    assert cert["expected degree"] == "8"
-    # axiom checks do not run after a structural failure
-    assert len(report.checks) == 1
-
-
-def test_lie_checks_append_the_differential_even_after_a_degree_failure():
-    x, y = Generator("x", 2), Generator("y", 1)
-    p = LiePresentation(QQ, 1, [x, y], {("x", "x"): gen_elt(QQ, y)},
-                        differential={"x": gen_elt(QQ, y)})
-    report = check_lie_axioms(p)
-    assert [c.name for c in report.checks] == ["bracket-degree"] + [
-        c.name for c in check_differential(p).checks]
-    assert report.checks[0].verdict == "fail" and report.checks[1:] == check_differential(p).checks
 
 
 def test_even_parity_self_bracket_forced_to_zero():
@@ -101,12 +86,16 @@ def test_differential_on_abelian_pair():
 def test_differential_degree_error():
     # d a = b needs |b| = |a| - 1 = 2; 6 fails
     p = sphere_like()
-    p2 = LiePresentation(QQ, 1, list(p.generators), dict(p.brackets),
-                         {"a": gen_elt(QQ, p.gen("b"))})
-    report = check_differential(p2)
-    assert not report.passed
-    assert report.checks[0].name == "differential-degree"
-    assert report.checks[0].certificate["expected degree"] == "2"
+    with pytest.raises(ValueError, match="^differential of a: degree 2 expected, got 6$"):
+        LiePresentation(QQ, 1, list(p.generators), dict(p.brackets),
+                        {"a": gen_elt(QQ, p.gen("b"))})
+
+
+def test_ill_graded_differential_is_refused_before_any_suite():
+    # d x = y with |y| = 1, where |x| - 1 = 2: no suite gets a verdict on it
+    x, y = Generator("x", 3), Generator("y", 1)
+    with pytest.raises(ValueError, match="^differential of x: degree 2 expected, got 1$"):
+        LiePresentation(QQ, 2, [x, y], differential={"x": gen_elt(QQ, y)})
 
 
 def test_differential_square_must_vanish():
@@ -163,11 +152,11 @@ def test_suspension_raises_degrees_for_shift_zero():
 def test_bracket_accessor_derives_other_orientation():
     p = desuspend(sphere_like(), 2)
     # {b,a} = -(-1)^((5+1)(2+1)) {a,b} and {a,b} = 0 here
-    assert p.bracket("b", "a").is_zero
+    assert p.pairs[p.gen("b"), p.gen("a")].is_zero
     f = QQ
     x, y, z = Generator("x", 1), Generator("y", 1), Generator("z", 3)
     q = LiePresentation(f, 2, [x, y, z], {("x", "y"): gen_elt(f, z)})
-    assert q.bracket("y", "x") == gen_elt(f, z, -1)
+    assert q.pairs[y, x] == gen_elt(f, z, -1)
 
 
 def test_duplicate_bracket_orientations_rejected():

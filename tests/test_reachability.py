@@ -122,7 +122,7 @@ def _defaulted():
 
 
 def _run_verbs():
-    for argv in [case + ["--format", "json"] for case in CASES.values()] + list(EXTRA_CALLS):
+    for argv in list(CASES.values()) + list(EXTRA_CALLS):
         main(argv)
 
 

@@ -90,8 +90,7 @@ def test_human_rendering_includes_certificates_and_result():
 
 def test_merge_reports_combines_checks_and_details():
     r1 = Report(checks=[CheckResult("one", "pass")], details={"k": "v"})
-    r2 = Report(checks=[CheckResult("two", "pass")], betti=[1])
+    r2 = Report(checks=[CheckResult("two", "pass")])
     merged = merge_reports(r1, r2)
     assert [c.name for c in merged.checks] == ["one", "two"]
     assert merged.details == {"k": "v"}
-    assert merged.betti == [1]
