@@ -81,10 +81,11 @@ class ChainComplex:
 
 def ce_window(presentation: LiePresentation, max_degree: Optional[int] = None) -> int:
     """The window of a shift-0 presentation's complex: max_degree if given,
-    else the sum of the generator degrees (the top exterior cell).  Raises
-    ValueError at another shift or at an even generator.  The differential,
-    which the exterior complex does not read, is then zero: a value of
-    degree |x| - 1 would need an even generator."""
+    else the sum of the generator degrees (the top exterior cell), so every
+    complex has grade 0.  Raises ValueError at a negative max_degree, at
+    another shift or at an even generator.  The differential, which the
+    exterior complex does not read, is then zero: a value of degree |x| - 1
+    would need an even generator."""
     if presentation.shift != 0:
         raise ValueError(f"chain complex needs shift 0, got {presentation.shift}")
     for g in presentation.generators:
@@ -92,6 +93,8 @@ def ce_window(presentation: LiePresentation, max_degree: Optional[int] = None) -
             raise ValueError(
                 f"ce-homology needs odd generators at shift 0: {g.id} has degree {g.degree}")
     if max_degree is not None:
+        if max_degree < 0:
+            raise ValueError(f"chain complex needs a window >= 0, got {max_degree}")
         return max_degree
     return sum(g.degree for g in presentation.generators)
 

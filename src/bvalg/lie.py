@@ -132,9 +132,7 @@ def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentati
         new_gens.append(ng)
 
     def remap(value: Element) -> Element:
-        return linear_extension(
-            lambda mono: Element.from_generator(presentation.field, mapping[mono.word()[0].id]),
-            value)
+        return _extend(lambda g: Element.from_generator(presentation.field, mapping[g.id]), value)
 
     return LiePresentation(
         field=presentation.field,

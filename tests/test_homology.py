@@ -77,6 +77,12 @@ def test_ce_needs_no_window_over_f2():
     assert betti(build_ce_complex(p)) == [1, 1]
 
 
+def test_ce_refuses_a_negative_window():
+    # every complex has grade 0, so betti never sees an empty one
+    with pytest.raises(ValueError, match="^chain complex needs a window >= 0, got -1$"):
+        build_ce_complex(heisenberg(), -1)
+
+
 def test_ce_refuses_even_generator_and_differential():
     even = LiePresentation(QQ, 0, [Generator("a", 1), Generator("c", 2)])
     with pytest.raises(ValueError, match="^ce-homology needs odd generators at shift 0: "
