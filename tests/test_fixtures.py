@@ -133,10 +133,8 @@ def test_spherical_bv_char_two_uses_stored_composite():
 
 @pytest.mark.parametrize("field", [QQ, GF2, F3, F5], ids=str)
 def test_fd_fixture_states_the_spherical_rule(field):
-    # the descriptor's flag is what spherical_bv does to a nonzero composite,
-    # here the square of a degree-1 class
-    u1 = Generator("u1", 1)
-    composite = Element.from_monomial(field, Monomial(((u1, 2),)))
+    # the descriptor's flag is what spherical_bv does to a nonzero composite
+    composite = Element.from_generator(field, Generator("y", 2))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["fixture", f"fd:2:{field}", "--format", "json"]) == 0
