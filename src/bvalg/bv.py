@@ -109,6 +109,8 @@ class BVStructure:
         else:
             self._generator_values = {g: Undefined(f"bv({g.id})") for g in self.generators}
             for key, value in bv_values.items():
+                if value.field != self.field:
+                    raise ValueError(f"bv({key}): field mismatch")
                 if value.max_degree() > truncation:
                     value = OutOfWindow(f"bv({key}) out of window", value.max_degree(), truncation)
                 self._generator_values[presentation.gen(key)] = value

@@ -1,21 +1,19 @@
-"""Command-line driver.
+"""Command-line driver: the verbs that `build_parser` declares.
 
-Verbs: check-lie, check-bv, free-bv, bracket, ce-homology, fixture,
-descriptor.  Exit codes: 0 all checks pass, 1 axiom failure, 2 input
-error, 3 internal error (a fault of bvalg, reported in one line on
-stderr).  ``--format json`` emits one deterministic JSON document per run.
-A verb imports what only it needs (bv, homology, fixtures) when it runs.
+Exit codes: 0 all checks pass, 1 axiom failure, 2 input error, 3 internal
+error (a fault of bvalg, reported in one line on stderr).  ``--format
+json`` emits one deterministic JSON document per run.  A verb imports
+what only it needs (bv, homology, fixtures) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .algebra import Undefined
 from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
-from .fields import FieldSpec
 from .lie import LiePresentation, check_antisymmetry, check_lie_axioms
 from .report import Report, Stopwatch, merge_reports, run_checks
 
@@ -90,8 +88,6 @@ def _cmd_check_bv(args) -> int:
 def _element_command(args, compute) -> int:
     source, structure = _read_structure(args)
     result = compute(source, structure)
-    if isinstance(result, Undefined):
-        raise InputError(f"value undefined: blocked by {result.blocking}")
     for mono in result.monomials():
         if mono.degree > structure.truncation:
             raise InputError(
@@ -210,8 +206,8 @@ def _cmd_fixture(args) -> int:
     from .fixtures import StructureDescriptor, load_fixture
     try:
         fixture = load_fixture(args.name, args.max_degree)
-    except (KeyError, ValueError) as exc:
-        raise InputError(exc.args[0]) from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if isinstance(fixture, StructureDescriptor):
         return _finish(_describe_descriptor(fixture), args.format)
     if isinstance(fixture, LiePresentation):
@@ -228,30 +224,11 @@ def _cmd_fixture(args) -> int:
     return _finish(report, args.format)
 
 
-def _cmd_descriptor(args) -> int:
-    from .fixtures import framed_disks_descriptor
-    try:
-        descriptor = framed_disks_descriptor(args.n, FieldSpec.parse(args.field))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return _finish(_describe_descriptor(descriptor), args.format)
-
-
 def _window_arg(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
-
-
-def _n_arg(text: str) -> Union[int, str]:
-    if text == "infinity":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'infinity', got {text!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, max_degree: bool = True) -> None:
@@ -292,17 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_ce_homology)
 
-    p = sub.add_parser("fixture", help="inspect or verify a named fixture")
+    p = sub.add_parser("fixture", help="a named fixture; fd:<n>:<field> is the operator table")
     p.add_argument("name")
     p.add_argument("--verify", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_fixture)
-
-    p = sub.add_parser("descriptor", help="operator inventory for n and a field")
-    p.add_argument("--n", required=True, type=_n_arg)
-    p.add_argument("--field", required=True)
-    _add_common(p, max_degree=False)
-    p.set_defaults(func=_cmd_descriptor)
 
     return parser
 

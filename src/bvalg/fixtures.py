@@ -197,4 +197,4 @@ def load_fixture(name: str, max_degree: Optional[int] = None):
         n: Union[int, str] = (parts[1] if parts[1] == "infinity"
                               else integer("n", parts[1], " or 'infinity'"))
         return framed_disks_descriptor(n, FieldSpec.parse(parts[2]))
-    raise KeyError(f"unknown fixture {name!r}")
+    raise ValueError(f"unknown fixture {name!r}")

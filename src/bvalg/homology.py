@@ -128,7 +128,7 @@ def build_ce_complex(presentation: LiePresentation,
     for g, sources in cells.items():
         row_of = {cell: i for i, cell in enumerate(cells.get(g - 1, ()))}
         columns = []
-        for j, cell in enumerate(sources):
+        for cell in sources:
             column: SparseRow = {}
             for pair, below_a, below_b, terms in brackets:
                 if cell & pair != pair:
@@ -138,10 +138,7 @@ def build_ce_complex(presentation: LiePresentation,
                 for bit, c, neg_c in terms:
                     if rest & bit:
                         continue
-                    row = row_of.get(rest | bit)
-                    if row is None:
-                        raise ValueError(
-                            f"boundary of {basis[g][j]} not homogeneous in total degree")
+                    row = row_of[rest | bit]  # a bracket value has degree |x|+|y|-1
                     x = neg_c if (sign + (rest & (bit - 1)).bit_count()) % 2 else c
                     total = field.add(column[row], x) if row in column else x
                     if field.is_zero(total):

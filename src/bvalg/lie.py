@@ -67,7 +67,7 @@ class LiePresentation:
         try:
             return self._by_id[gen_id]
         except KeyError:
-            raise KeyError(f"unknown generator {gen_id!r}") from None
+            raise ValueError(f"unknown generator {gen_id!r}") from None
 
     def parity(self, g: Generator) -> int:
         return g.degree + self.shift - 1

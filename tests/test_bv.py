@@ -256,10 +256,18 @@ def test_operator_values_are_keyed_by_generator_id():
     x = Generator("x", 2)
     p = LiePresentation(f, 3, [x])
     value = Element.from_monomial(f, Monomial(((x, 2),)))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown generator "):
         BVStructure(p, 8, {Monomial(((x, 2),)): value})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown generator 'q'$"):
         BVStructure(p, 8, {"q": value})
+
+
+def test_operator_value_over_another_field_is_refused():
+    a, b = Generator("a", 3), Generator("b", 1)
+    p = LiePresentation(QQ, 2, [a, b])
+    f3 = FieldSpec.prime(3)
+    with pytest.raises(ValueError, match=r"^bv\(a\): field mismatch$"):
+        BVStructure(p, 8, bv_values={"a": Element.from_monomial(f3, Monomial(((b, 4),)))})
 
 
 def test_basis_is_built_once_at_the_truncation():

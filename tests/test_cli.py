@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,9 +8,13 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.cli import main
+from bvalg.cli import build_parser, main
 
-FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+FIXTURE_DIR = os.path.join(ROOT, "fixtures")
+# the subcommands build_parser declares, in order
+VERBS = [name for action in build_parser()._actions
+         if isinstance(action, argparse._SubParsersAction) for name in action.choices]
 
 
 def fixture_path(name):
@@ -90,6 +95,13 @@ def test_free_bv_out_of_window_is_input_error(capsys, tmp_path):
     assert (code, err) == (2, line)
     code, _, err = run(capsys, "bracket", str(small), "a", "a")
     assert (code, err) == (2, line)
+
+
+def test_free_bv_on_a_user_operator_is_input_error(capsys, tmp_path):
+    user = tmp_path / "user.lie"
+    user.write_text("field Q\nshift n=2\ngen a : 2\nbv a = 0\ntruncate 4\n")
+    assert run(capsys, "free-bv", str(user), "--apply", "a") == (
+        2, "", "error: free-bv needs a presentation without bv lines\n")
 
 
 def test_bracket_command(capsys):
@@ -179,13 +191,12 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
     ("field F1\nshift n=1\ngen a : 2\n", ["check-lie", "{file}"],
      "{file}:1:7: characteristic 1 is not prime"),
     ("", ["fixture", "sphere-lie:1"], "sphere dimension must be >= 2"),
+    ("", ["fixture", "loopspace:1:3"], "need n >= 2"),
     ("", ["fixture", "loopspace:2:2"], "need m > n so the sphere is n-connected, got m=2, n=2"),
     ("", ["fixture", "fd:infinity:F2"], "the stable descriptor is rational only"),
     # 2^61-1 is prime: trial division to its square root would not end
     ("field F2305843009213693951\nshift n=1\ngen a : 2\n", ["check-lie", "{file}"],
      "{file}:1:7: characteristic 2305843009213693951 exceeds 2^31-1"),
-    ("", ["descriptor", "--n", "2", "--field", "F2305843009213693951"],
-     "characteristic 2305843009213693951 exceeds 2^31-1"),
     ("", ["fixture", "fd:2:F2305843009213693951"],
      "characteristic 2305843009213693951 exceeds 2^31-1"),
     # both tables fail antisymmetry ({a,a} = b at even shifted parity), but
@@ -197,14 +208,29 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
     # a window does not make an even generator computable
     ("field Q\nshift n=0\ngen a : 1\ngen c : 2\ntruncate 4\n", ["ce-homology", "{file}"],
      "ce-homology needs odd generators at shift 0: c has degree 2"),
-], ids=["F0", "F1", "sphere-lie:1", "loopspace:2:2", "fd:infinity:F2", "check-lie-F2^61-1",
-        "descriptor-F2^61-1", "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window",
+], ids=["F0", "F1", "sphere-lie:1", "loopspace:1:3", "loopspace:2:2", "fd:infinity:F2", "check-lie-F2^61-1",
+        "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window",
         "ce-homology-even-with-window"])
 def test_out_of_range_input_is_input_error(capsys, tmp_path, text, argv, message):
     path = tmp_path / "input.lie"
     path.write_text(text)
     argv = [arg.format(file=path) for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message.format(file=path)}\n")
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.lie", "No such file or directory"), ("", "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_input_is_input_error(capsys, tmp_path, name, reason):
+    path = os.path.join(tmp_path, name)
+    assert run(capsys, "check-lie", path) == (2, "", f"error: {path}: {reason}\n")
+
+
+def test_readme_command_line_names_every_verb():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        block = handle.read().split("## Command line", 1)[1].split("```", 2)[1]
+    assert [line.split()[1] for line in block.splitlines()
+            if line.startswith("bvalg ")] == VERBS
 
 
 def test_json_result_serializes_element_as_pairs(capsys):
@@ -216,11 +242,9 @@ def test_json_result_serializes_element_as_pairs(capsys):
 
 
 def test_descriptor_command(capsys):
-    code, out, _ = run(capsys, "descriptor", "--n", "3", "--field", "Q")
+    code, out, _ = run(capsys, "fixture", "fd:3:Q")
     assert code == 0
     assert "bv = absent" in out
-    code, out, _ = run(capsys, "descriptor", "--n", "4", "--field", "Q")
-    assert "bv = degree 3" in out
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -267,20 +291,9 @@ def test_negative_window_is_input_error(capsys, argv):
     assert "--max-degree" in err and "Traceback" not in err
 
 
-def test_descriptor_non_integer_n_is_input_error(capsys):
-    code, out, err = run(capsys, "descriptor", "--n", "abc", "--field", "Q")
-    assert code == 2
-    assert out == ""
-    assert "--n" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["descriptor", "--n", "99999999999", "--field", "Q"],
-    ["fixture", "fd:99999999999:Q"],
-])
-def test_descriptor_n_past_the_bound_is_input_error(capsys, argv):
+def test_descriptor_n_past_the_bound_is_input_error(capsys):
     # refused before the generator list is built
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "fixture", "fd:99999999999:Q")
     assert (code, out, err) == (2, "", "error: need n <= 10000 or 'infinity', got 99999999999\n")
 
 
@@ -387,22 +400,20 @@ def lie_texts(draw):
 @st.composite
 def invocations(draw, path):
     window = ["--max-degree", str(draw(st.integers(0, 6)))]
-    verb = draw(st.sampled_from(["check-lie", "check-bv", "free-bv", "bracket",
-                                 "ce-homology", "fixture", "descriptor"]))
+    verb = draw(st.sampled_from(VERBS))
     argv = {
         "check-lie": [verb, path],
         "check-bv": [verb, path] + window,
         "free-bv": [verb, path, "--apply", draw(EXPRESSIONS)] + window,
         "bracket": [verb, path, draw(EXPRESSIONS), draw(EXPRESSIONS)] + window,
         "ce-homology": [verb, path] + window,
-        "fixture": [verb, draw(st.sampled_from([
-            "sphere-lie:2", "sphere-lie:3", "sphere-lie:x", "loopspace:2:3",
-            "loopspace:4:6", "loopspace:1:3", "omega2-s3-f2", "fd:2:F2", "fd:3:Q",
-            "fd:infinity:Q", "fd:2:F4", "fd:10001:Q", "unknown"]))]
+        "fixture": [verb, draw(st.one_of(
+            st.sampled_from(["sphere-lie:2", "sphere-lie:3", "sphere-lie:x", "loopspace:2:3",
+                             "loopspace:4:6", "loopspace:1:3", "omega2-s3-f2", "unknown"]),
+            st.builds("fd:{}:{}".format,
+                      st.sampled_from(["2", "3", "4", "infinity", "-1", "abc", "10001"]),
+                      st.sampled_from(["Q", "F2", "F3", "F4", "x"]))))]
         + draw(st.sampled_from([[], ["--verify"]])) + window,
-        "descriptor": [verb, "--n", draw(st.sampled_from(["2", "3", "4", "infinity", "-1",
-                                                          "abc", "10001"])),
-                       "--field", draw(st.sampled_from(["Q", "F2", "F3", "F4", "x"]))],
     }[verb]
     return argv + ["--format", draw(st.sampled_from(["human", "json"]))]
 

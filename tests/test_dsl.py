@@ -127,6 +127,11 @@ def test_bv_line_round_trip_char2():
     assert again == source
 
 
+def test_field_name_and_characteristic_may_be_two_tokens():
+    source = parse_presentation("field F 7\nshift n=1\ngen a : 2\n")
+    assert str(source.presentation.field) == "F7"
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nfield Q\nshift n=1  # trailing\ngen a : 2\n"
     source = parse_presentation(text)

@@ -186,5 +186,5 @@ def test_fixture_registry():
     assert load_fixture("omega2-s3-f2", 3).generators == omega2_s3_f2(3).generators
     assert isinstance(load_fixture("fd:3:Q"), StructureDescriptor)
     assert isinstance(load_fixture("fd:infinity:Q"), StructureDescriptor)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown fixture 'nonsense'$"):
         load_fixture("nonsense")

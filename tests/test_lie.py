@@ -44,6 +44,24 @@ def test_degree_mismatch_is_structural_error():
                                         ("a", "b"): gen_elt(QQ, a)})
 
 
+def test_duplicate_generator_ids_are_refused():
+    with pytest.raises(ValueError, match="^duplicate generator ids$"):
+        LiePresentation(QQ, 2, [Generator("a", 2), Generator("a", 3)])
+
+
+def test_value_naming_an_unknown_generator_is_refused():
+    # c has the expected degree 2 + 2 + 1 = 5 but is not a generator of the presentation
+    a, b = Generator("a", 2), Generator("b", 5)
+    with pytest.raises(ValueError, match=r"^bracket \[a,a\]: unknown generator 'c'$"):
+        LiePresentation(QQ, 2, [a, b], {("a", "a"): gen_elt(QQ, Generator("c", 5))})
+
+
+@pytest.mark.parametrize("table, key", [("brackets", ("a", "z")), ("differential", "z")])
+def test_undeclared_id_in_a_table_key_is_refused(table, key):
+    with pytest.raises(ValueError, match="^unknown generator 'z'$"):
+        LiePresentation(QQ, 2, [Generator("a", 2)], **{table: {key: Element.zero(QQ)}})
+
+
 def test_even_parity_self_bracket_forced_to_zero():
     # |x| + n - 1 = 2 is even, so {x,x} must vanish away from char 2
     x, y = Generator("x", 2), Generator("y", 4)

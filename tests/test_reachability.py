@@ -2,7 +2,7 @@
 criteria 7 and 8 run.
 
 Every golden invocation (`test_golden.CASES`) and the free-bv, bracket and
-descriptor calls in EXTRA_CALLS run in this process under `sys.setprofile`,
+fixture calls in EXTRA_CALLS run in this process under `sys.setprofile`,
 which records each code object entered.  Every named function and method
 compiled from the package's sources must be among them, or be listed in
 UNREACHED with one reason of the forms in REASON.  Lambdas and
@@ -39,7 +39,7 @@ HOPF_CRITERIA = (test_acceptance.test_criterion_07_hopf_suite,
 LOOPS = os.path.join(ROOT, "fixtures", "loops2_s4.lie")
 EXTRA_CALLS = (["free-bv", LOOPS, "--apply", "a^2", "--max-degree", "8"],
                ["bracket", LOOPS, "a", "a", "--max-degree", "8"],
-               ["descriptor", "--n", "4", "--field", "Q"])  # the human report
+               ["fixture", "fd:4:Q"])  # the human report
 
 REASON = re.compile(r"input-error path|Python protocol method|perfbench (tracer hook|caller)"
                     r"|acceptance criterion \d+|waits for item \d+")
