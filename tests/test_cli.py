@@ -208,8 +208,8 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
     # a window does not make an even generator computable
     ("field Q\nshift n=0\ngen a : 1\ngen c : 2\ntruncate 4\n", ["ce-homology", "{file}"],
      "ce-homology needs odd generators at shift 0: c has degree 2"),
-], ids=["F0", "F1", "sphere-lie:1", "loopspace:1:3", "loopspace:2:2", "fd:infinity:F2", "check-lie-F2^61-1",
-        "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window",
+], ids=["F0", "F1", "sphere-lie:1", "loopspace:1:3", "loopspace:2:2", "fd:infinity:F2",
+        "check-lie-F2^61-1", "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window",
         "ce-homology-even-with-window"])
 def test_out_of_range_input_is_input_error(capsys, tmp_path, text, argv, message):
     path = tmp_path / "input.lie"
