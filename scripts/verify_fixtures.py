@@ -29,7 +29,9 @@ def main() -> int:
     worst = 0
     for name in FIXTURES:
         print(f"== fixture {name}")
-        code = cli_main(["fixture", name, "--verify",
+        # a framed-disks table has no identities, and refuses --verify
+        verify = [] if name.startswith("fd:") else ["--verify"]
+        code = cli_main(["fixture", name, *verify,
                          "--max-degree", str(args.max_degree),
                          "--format", args.format])
         worst = max(worst, code)

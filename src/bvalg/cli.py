@@ -133,16 +133,15 @@ def _parse_arg_element(name: str, text: str, source: PresentationSource,
 
 
 def _cmd_ce_homology(args) -> int:
-    from .homology import BoundarySquareError, betti, build_ce_complex, ce_window
-    source = _read_source(args.file)
+    from .homology import BoundarySquareError, betti, build_ce_complex, ce_top_grade
+    presentation = _read_source(args.file).presentation
     try:
         # what the verb cannot compute is refused before any axiom is checked
-        window = ce_window(source.presentation,
-                           source.truncate if args.max_degree is None else args.max_degree)
-        antisymmetry = check_antisymmetry(source.presentation)
+        ce_top_grade(presentation)
+        antisymmetry = check_antisymmetry(presentation)
         if not antisymmetry.passed:
             return _finish(antisymmetry, args.format)
-        complex_ = build_ce_complex(source.presentation, window)
+        complex_ = build_ce_complex(presentation)
     except BoundarySquareError as exc:
         certificate = {"grade": str(exc.grade), "input": str(exc.source),
                        "d(d(input))": str(exc.composite)}
@@ -151,8 +150,7 @@ def _cmd_ce_homology(args) -> int:
                        args.format)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = Report(betti=betti(complex_))
-    _emit(report, args.format)
+    _emit(Report(betti=betti(complex_)), args.format)
     return EXIT_PASS
 
 
@@ -209,6 +207,8 @@ def _cmd_fixture(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if isinstance(fixture, StructureDescriptor):
+        if args.verify:
+            raise InputError(f"fixture {args.name!r} is a table: --verify has nothing to check")
         return _finish(_describe_descriptor(fixture), args.format)
     if isinstance(fixture, LiePresentation):
         report = _describe_presentation(fixture)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ce-homology", help="Betti numbers of a shift-0 presentation")
     p.add_argument("file")
-    _add_common(p)
+    _add_common(p, max_degree=False)
     p.set_defaults(func=_cmd_ce_homology)
 
     p = sub.add_parser("fixture", help="a named fixture; fd:<n>:<field> is the operator table")

@@ -11,8 +11,8 @@ orders those monomials.  The boundary is the bracket contraction
     d(x_0 ... x_(k-1)) = sum over i < j of (-1)^(i+j) [x_i, x_j] x_0 ..^i ..^j .. x_(k-1),
 
 with each letter of [x_i, x_j] moved to its place past the remaining
-letters below it (one sign each) and dropped where it is one of them.  Each
-grade 0..window has its cells, and cells above the window are left out.
+letters below it (one sign each) and dropped where it is one of them.  All
+2^k cells of k generators are built, grades 0 to the sum of their degrees.
 Each boundary is stored sparse, one column per source cell holding only its
 nonzero coefficients, and is checked (d∘d = 0) and ranked over those
 entries alone.
@@ -21,12 +21,15 @@ entries alone.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .algebra import Element, Monomial
 from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
 from .linalg import SparseRow, rank
+
+# the most generators ce-homology accepts: the whole complex has 2^k cells
+MAX_CE_GENERATORS = 16
 
 
 class BoundarySquareError(ValueError):
@@ -79,31 +82,28 @@ class ChainComplex:
         return sorted(self.basis)
 
 
-def ce_window(presentation: LiePresentation, max_degree: Optional[int] = None) -> int:
-    """The window of a shift-0 presentation's complex: max_degree if given,
-    else the sum of the generator degrees (the top exterior cell), so every
-    complex has grade 0.  Raises ValueError at a negative max_degree, at
-    another shift or at an even generator.  The differential, which the
-    exterior complex does not read, is then zero: a value of degree |x| - 1
-    would need an even generator."""
+def ce_top_grade(presentation: LiePresentation) -> int:
+    """The top grade of a shift-0 presentation's complex: the sum of the
+    generator degrees.  Raises ValueError, before any cell is enumerated, at
+    another shift, at an even generator or past MAX_CE_GENERATORS generators.
+    The differential, which the exterior complex does not read, is then
+    zero: a value of degree |x| - 1 would need an even generator."""
     if presentation.shift != 0:
         raise ValueError(f"chain complex needs shift 0, got {presentation.shift}")
     for g in presentation.generators:
         if g.degree % 2 == 0:
             raise ValueError(
                 f"ce-homology needs odd generators at shift 0: {g.id} has degree {g.degree}")
-    if max_degree is not None:
-        if max_degree < 0:
-            raise ValueError(f"chain complex needs a window >= 0, got {max_degree}")
-        return max_degree
+    if len(presentation.generators) > MAX_CE_GENERATORS:
+        raise ValueError(f"ce-homology needs at most {MAX_CE_GENERATORS} generators "
+                         f"(2^k cells), got {len(presentation.generators)}")
     return sum(g.degree for g in presentation.generators)
 
 
-def build_ce_complex(presentation: LiePresentation,
-                     max_degree: Optional[int] = None) -> ChainComplex:
-    """The exterior complex of a shift-0 presentation (boundary degree -1)
-    over the window `ce_window` gives."""
-    window = ce_window(presentation, max_degree)
+def build_ce_complex(presentation: LiePresentation) -> ChainComplex:
+    """The exterior complex of a shift-0 presentation (boundary degree -1),
+    every grade 0..`ce_top_grade`."""
+    top = ce_top_grade(presentation)
     field = presentation.field
     gens = sorted(presentation.generators, key=lambda g: g.sort_key)
     position = {g: q for q, g in enumerate(gens)}
@@ -116,14 +116,13 @@ def build_ce_complex(presentation: LiePresentation,
             brackets.append(((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1,
                              [(1 << position[m.word()[0]], c, field.neg(c))
                               for m, c in value._terms.items()]))
-    cells: Dict[int, List[int]] = {d: [] for d in range(window + 1)}
-    basis: Dict[int, List[Monomial]] = {d: [] for d in range(window + 1)}
+    cells: Dict[int, List[int]] = {d: [] for d in range(top + 1)}
+    basis: Dict[int, List[Monomial]] = {d: [] for d in range(top + 1)}
     for k in range(len(gens) + 1):
         for letters in combinations(range(len(gens)), k):
             degree = sum(gens[q].degree for q in letters)
-            if degree <= window:
-                cells[degree].append(sum(1 << q for q in letters))
-                basis[degree].append(Monomial(tuple((gens[q], 1) for q in letters)))
+            cells[degree].append(sum(1 << q for q in letters))
+            basis[degree].append(Monomial(tuple((gens[q], 1) for q in letters)))
     boundaries: Dict[int, List[SparseRow]] = {}
     for g, sources in cells.items():
         row_of = {cell: i for i, cell in enumerate(cells.get(g - 1, ()))}

@@ -89,14 +89,14 @@ def betti_from_boundaries(dimensions, boundaries, step, p=0):
     return out
 
 
-def exterior_ce_complex(generators, brackets, p, window=None):
+def exterior_ce_complex(generators, brackets, p):
     """The Chevalley-Eilenberg complex of a Lie algebra on odd generators,
     as (dimensions, boundaries) for `betti_from_boundaries` with step -1.
 
     generators: (id, degree) pairs, each degree odd; brackets: (x, y) ->
     {z: coefficient}, one orientation per pair, [y, x] = -[x, y]; p: 0 for
     Q or a prime.  A cell is a combination of generator ids in the listed
-    order, of total degree <= window (all of them when window is None), and
+    order (all 2^k of them, the empty one included), and
 
         d(c_0 ... c_(k-1)) = sum over i < j of (-1)^(i+j) [c_i, c_j] c_0 ..^i ..^j .. c_(k-1),
 
@@ -104,12 +104,10 @@ def exterior_ce_complex(generators, brackets, p, window=None):
     swaps, one sign per swap, and zero when z repeats a letter."""
     order = [g for g, _ in generators]
     degree = dict(generators)
-    top = sum(degree.values()) if window is None else window
-    cells = {g: [] for g in range(top + 1)}
+    cells = {g: [] for g in range(sum(degree.values()) + 1)}
     for k in range(len(order) + 1):
         for cell in combinations(order, k):
-            if sum(degree[x] for x in cell) <= top:
-                cells[sum(degree[x] for x in cell)].append(cell)
+            cells[sum(degree[x] for x in cell)].append(cell)
 
     def bracket(x, y):
         if (x, y) in brackets:

@@ -122,17 +122,41 @@ def test_ce_homology_rejects_wrong_shift(capsys):
     assert "shift 0" in err
 
 
-def test_ce_homology_non_complex_is_axiom_failure(capsys):
-    # [x,y] = x, [y,z] = y fails Jacobi, so the boundary does not square to zero
+def test_ce_homology_non_complex_is_axiom_failure(capsys, tmp_path):
+    # [x,y] = x, [y,z] = y fails Jacobi, so the boundary does not square to
+    # zero; a truncate line below grade 3 does not hide it
     bad = os.path.join(os.path.dirname(__file__), "data", "bad_jacobi.lie")
-    code, out, err = run(capsys, "ce-homology", bad, "--format", "json")
-    assert code == 1
-    assert err == ""
-    doc = json.loads(out)
-    assert doc["verdicts"] == [{"check": "boundary-squared", "checked": "1",
-                                "skipped": "0", "verdict": "fail"}]
-    assert doc["certificates"] == [{"check": "boundary-squared", "grade": "3",
-                                    "input": "x*y*z", "d(d(input))": "-x"}]
+    with open(bad, encoding="utf-8") as handle:
+        text = handle.read()
+    assert "truncate 3\n" in text
+    truncated = tmp_path / "bad_jacobi_truncate_2.lie"
+    truncated.write_text(text.replace("truncate 3\n", "truncate 2\n"))
+    for path in (bad, str(truncated)):
+        code, out, err = run(capsys, "ce-homology", path, "--format", "json")
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["verdicts"] == [{"check": "boundary-squared", "checked": "1",
+                                    "skipped": "0", "verdict": "fail"}]
+        assert doc["certificates"] == [{"check": "boundary-squared", "grade": "3",
+                                        "input": "x*y*z", "d(d(input))": "-x"}]
+
+
+def test_ce_homology_refuses_past_its_generator_bound(capsys, tmp_path):
+    # 2^40 cells: refused before antisymmetry is checked or any cell enumerated
+    path = tmp_path / "many.lie"
+    path.write_text("field Q\nshift n=0\n" + "".join(f"gen g{i} : 1\n" for i in range(40))
+                    + "truncate 2\n")
+    assert run(capsys, "ce-homology", str(path)) == (
+        2, "", "error: ce-homology needs at most 16 generators (2^k cells), got 40\n")
+
+
+def test_ce_homology_takes_no_window(capsys):
+    code, out, err = run(capsys, "ce-homology", fixture_path("heisenberg.lie"),
+                         "--max-degree", "3")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err and "Traceback" not in err
 
 
 def test_fixture_verify_loopspace(capsys):
@@ -170,6 +194,12 @@ def test_fixture_descriptor_name(capsys):
     assert "a3(trivial), a3(bv)" in out
 
 
+def test_fixture_descriptor_refuses_verify(capsys):
+    # a table carries no identity, so no verdict may be printed for it
+    assert run(capsys, "fixture", "fd:4:Q", "--verify") == (
+        2, "", "error: fixture 'fd:4:Q' is a table: --verify has nothing to check\n")
+
+
 def test_fixture_unknown_name(capsys):
     code, _, err = run(capsys, "fixture", "unknown:thing")
     assert code == 2
@@ -205,7 +235,7 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
      "chain complex needs shift 0, got 1"),
     ("field Q\nshift n=0\ngen a : 1\ngen b : 1\ngen c : 2\nbracket [a,a] = b\n",
      ["ce-homology", "{file}"], "ce-homology needs odd generators at shift 0: c has degree 2"),
-    # a window does not make an even generator computable
+    # nor does a truncate line, which ce-homology does not read
     ("field Q\nshift n=0\ngen a : 1\ngen c : 2\ntruncate 4\n", ["ce-homology", "{file}"],
      "ce-homology needs odd generators at shift 0: c has degree 2"),
 ], ids=["F0", "F1", "sphere-lie:1", "loopspace:1:3", "loopspace:2:2", "fd:infinity:F2",
@@ -281,7 +311,6 @@ def test_json_failure_carries_certificate(capsys, tmp_path):
     ["check-bv", fixture_path("loops2_s4.lie")],
     ["free-bv", fixture_path("loops2_s4.lie"), "--apply", "a"],
     ["bracket", fixture_path("loops2_s4.lie"), "a", "a"],
-    ["ce-homology", fixture_path("heisenberg.lie")],
     ["fixture", "loopspace:2:4", "--verify"],
 ])
 def test_negative_window_is_input_error(capsys, argv):
@@ -406,7 +435,7 @@ def invocations(draw, path):
         "check-bv": [verb, path] + window,
         "free-bv": [verb, path, "--apply", draw(EXPRESSIONS)] + window,
         "bracket": [verb, path, draw(EXPRESSIONS), draw(EXPRESSIONS)] + window,
-        "ce-homology": [verb, path] + window,
+        "ce-homology": [verb, path],
         "fixture": [verb, draw(st.one_of(
             st.sampled_from(["sphere-lie:2", "sphere-lie:3", "sphere-lie:x", "loopspace:2:3",
                              "loopspace:4:6", "loopspace:1:3", "omega2-s3-f2", "unknown"]),

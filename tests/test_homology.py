@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvalg.algebra import Element, Generator, Monomial
+from bvalg.cli import main
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation
 from bvalg.fixtures import abelian_ungraded, heisenberg, loopspace_model
@@ -67,7 +68,7 @@ def test_single_generator_with_forced_zero_bracket():
 def test_ce_rejects_wrong_shift():
     p = LiePresentation(QQ, 2, [Generator("a", 2)])
     with pytest.raises(ValueError):
-        build_ce_complex(p, 4)
+        build_ce_complex(p)
 
 
 def test_ce_needs_no_window_over_f2():
@@ -77,17 +78,11 @@ def test_ce_needs_no_window_over_f2():
     assert betti(build_ce_complex(p)) == [1, 1]
 
 
-def test_ce_refuses_a_negative_window():
-    # every complex has grade 0, so betti never sees an empty one
-    with pytest.raises(ValueError, match="^chain complex needs a window >= 0, got -1$"):
-        build_ce_complex(heisenberg(), -1)
-
-
 def test_ce_refuses_even_generator_and_differential():
     even = LiePresentation(QQ, 0, [Generator("a", 1), Generator("c", 2)])
     with pytest.raises(ValueError, match="^ce-homology needs odd generators at shift 0: "
                                          "c has degree 2$"):
-        build_ce_complex(even, 4)
+        build_ce_complex(even)
     # a nonzero differential on odd generators is ill-graded, so none reaches the complex
     x, y = Generator("x", 1), Generator("y", 1)
     with pytest.raises(ValueError, match=r"^differential of x: degree 0 expected, got 1$"):
@@ -137,9 +132,20 @@ def test_heisenberg_known_answers(presentation, expected):
     assert betti_from_boundaries(*exterior_ce_complex(generators, brackets, p), -1, p) == expected
 
 
+def test_nonabelian_dimension_two_known_answer(capsys, tmp_path):
+    # [x,y] = x: x = d(x*y) bounds, so H_1 = 1 and H_2 = 0; the file's
+    # truncate line does not cut the complex, whose top grade is 2
+    path = tmp_path / "affine.lie"
+    path.write_text("field Q\nshift n=0\ngen x : 1\ngen y : 1\nbracket [x,y] = x\ntruncate 1\n")
+    assert main(["ce-homology", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == ["1", "1", "0"]
+    assert betti_from_boundaries(*exterior_ce_complex(
+        [("x", 1), ("y", 1)], {("x", "y"): {"x": 1}}, 0), -1) == [1, 1, 0]
+
+
 @st.composite
 def odd_lie_algebra(draw):
-    """(generators, brackets, p, window, nilpotent): up to six odd generators
+    """(generators, brackets, p, nilpotent): up to six odd generators
     of degree 1 or 3, declared in shuffled order (not their (degree, id)
     order), and a table of degree -1 with small coefficients.  Half the time
     the table is two-step nilpotent (the generators after a drawn cut are
@@ -163,29 +169,28 @@ def odd_lie_algebra(draw):
                      for z in span if draw(st.booleans())}
             if value:
                 brackets[x, y] = value
-    window = draw(st.one_of(st.none(), st.integers(0, sum(degree.values()))))
-    return generators, brackets, p, window, central is not None
+    return generators, brackets, p, central is not None
 
 
 @settings(max_examples=200, deadline=None)
 @given(draw=odd_lie_algebra())
 def test_exterior_complex_matches_oracle(draw):
-    generators, brackets, p, window, nilpotent = draw
+    generators, brackets, p, nilpotent = draw
     field = FieldSpec.prime(p) if p else QQ
     gens = {x: Generator(x, d) for x, d in generators}
     presentation = LiePresentation(field, 0, list(gens.values()), {
         key: Element(field, {Monomial(((gens[z], 1),)): c for z, c in value.items()})
         for key, value in brackets.items()})
-    dimensions, boundaries = exterior_ce_complex(generators, brackets, p, window)
+    dimensions, boundaries = exterior_ce_complex(generators, brackets, p)
     squares = [dense_product(boundaries[g - 1], boundaries[g], p or None)
                for g in boundaries
                if dimensions[g] and dimensions.get(g - 1) and dimensions.get(g - 2)]
     if any(x != 0 for square in squares for row in square for x in row):
         assert not nilpotent
         with pytest.raises(BoundarySquareError):
-            build_ce_complex(presentation, window)
+            build_ce_complex(presentation)
         return
-    complex_ = build_ce_complex(presentation, window)
+    complex_ = build_ce_complex(presentation)
     assert {g: complex_.dimension(g) for g in complex_.grades()} == dimensions
     assert betti(complex_) == betti_from_boundaries(dimensions, boundaries, -1, p)
 

@@ -20,7 +20,7 @@ NEVER_LOADED = {"dataclasses", "inspect", "bvalg.hopf"}
 VERBS = {
     ("check-bv", "fixtures/loops2_s4.lie"): (
         {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2207),
-    ("ce-homology", "fixtures/heisenberg.lie"): ({"bvalg.bv", "bvalg.fixtures"}, 2050),
+    ("ce-homology", "fixtures/heisenberg.lie"): ({"bvalg.bv", "bvalg.fixtures"}, 2049),
     ("fixture", "omega2-s3-f2", "--verify"): (set(), 2407),
     ("check-lie", "fixtures/heisenberg.lie"): (
         {"bvalg.bv", "bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 1818),
