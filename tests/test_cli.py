@@ -142,15 +142,6 @@ def test_ce_homology_non_complex_is_axiom_failure(capsys, tmp_path):
                                         "input": "x*y*z", "d(d(input))": "-x"}]
 
 
-def test_ce_homology_refuses_past_its_generator_bound(capsys, tmp_path):
-    # 2^40 cells: refused before antisymmetry is checked or any cell enumerated
-    path = tmp_path / "many.lie"
-    path.write_text("field Q\nshift n=0\n" + "".join(f"gen g{i} : 1\n" for i in range(40))
-                    + "truncate 2\n")
-    assert run(capsys, "ce-homology", str(path)) == (
-        2, "", "error: ce-homology needs at most 16 generators (2^k cells), got 40\n")
-
-
 def test_ce_homology_takes_no_window(capsys):
     code, out, err = run(capsys, "ce-homology", fixture_path("heisenberg.lie"),
                          "--max-degree", "3")
@@ -194,12 +185,6 @@ def test_fixture_descriptor_name(capsys):
     assert "a3(trivial), a3(bv)" in out
 
 
-def test_fixture_descriptor_refuses_verify(capsys):
-    # a table carries no identity, so no verdict may be printed for it
-    assert run(capsys, "fixture", "fd:4:Q", "--verify") == (
-        2, "", "error: fixture 'fd:4:Q' is a table: --verify has nothing to check\n")
-
-
 def test_fixture_unknown_name(capsys):
     code, _, err = run(capsys, "fixture", "unknown:thing")
     assert code == 2
@@ -235,12 +220,18 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
      "chain complex needs shift 0, got 1"),
     ("field Q\nshift n=0\ngen a : 1\ngen b : 1\ngen c : 2\nbracket [a,a] = b\n",
      ["ce-homology", "{file}"], "ce-homology needs odd generators at shift 0: c has degree 2"),
-    # nor does a truncate line, which ce-homology does not read
+    # a truncate line, which ce-homology does not read, changes nothing
     ("field Q\nshift n=0\ngen a : 1\ngen c : 2\ntruncate 4\n", ["ce-homology", "{file}"],
      "ce-homology needs odd generators at shift 0: c has degree 2"),
+    # 2^40 cells: refused before antisymmetry is checked or any cell enumerated
+    ("field Q\nshift n=0\n" + "".join(f"gen g{i} : 1\n" for i in range(40)) + "truncate 2\n",
+     ["ce-homology", "{file}"], "ce-homology needs at most 16 generators (2^k cells), got 40"),
+    # a table carries no identity, so no verdict may be printed for it
+    ("", ["fixture", "fd:4:Q", "--verify"],
+     "fixture 'fd:4:Q' is a table: --verify has nothing to check"),
 ], ids=["F0", "F1", "sphere-lie:1", "loopspace:1:3", "loopspace:2:2", "fd:infinity:F2",
         "check-lie-F2^61-1", "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window",
-        "ce-homology-even-with-window"])
+        "ce-homology-even-with-window", "ce-homology-40-generators", "fd:4:Q-verify"])
 def test_out_of_range_input_is_input_error(capsys, tmp_path, text, argv, message):
     path = tmp_path / "input.lie"
     path.write_text(text)
