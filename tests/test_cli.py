@@ -302,6 +302,8 @@ def test_json_failure_carries_certificate(capsys, tmp_path):
     ["check-bv", fixture_path("loops2_s4.lie")],
     ["free-bv", fixture_path("loops2_s4.lie"), "--apply", "a"],
     ["bracket", fixture_path("loops2_s4.lie"), "a", "a"],
+    # ce-homology takes no window at all, so a negative one is refused too
+    ["ce-homology", fixture_path("heisenberg.lie")],
     ["fixture", "loopspace:2:4", "--verify"],
 ])
 def test_negative_window_is_input_error(capsys, argv):
