@@ -3,7 +3,7 @@
 Exit codes: 0 all checks pass, 1 axiom failure, 2 input error, 3 internal
 error (a fault of bvalg, reported in one line on stderr).  ``--format
 json`` emits one deterministic JSON document per run.  A verb imports
-what only it needs (bv, homology, fixtures) when it runs.
+what only it needs (dsl, bv, homology, fixtures) when it runs.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .algebra import Undefined
-from .dsl import ParseError, PresentationSource, parse_presentation, parse_element_text
 from .lie import LiePresentation, check_antisymmetry, check_lie_axioms
 from .report import Report, Stopwatch, merge_reports, run_checks
 
 if TYPE_CHECKING:
     from .bv import BVStructure
+    from .dsl import PresentationSource
     from .fixtures import StructureDescriptor
 
 EXIT_PASS = 0
@@ -32,11 +32,16 @@ class InputError(Exception):
 
 
 def _read_source(path: str) -> PresentationSource:
+    from .dsl import ParseError, parse_presentation
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        # as bytes, so a decode error's offset is the file's (splitlines ends lines at \r)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from exc
     try:
         return parse_presentation(text)
     except ParseError as exc:
@@ -125,6 +130,7 @@ def _parse_arg_element(name: str, text: str, source: PresentationSource,
                        max_degree: Optional[int]):
     """Parse an element argument; a diagnostic names the argument and its
     column, in argparse's `argument <name>:` shape."""
+    from .dsl import ParseError, parse_element_text
     try:
         return parse_element_text(text, source, max_degree)
     except ParseError as exc:

@@ -33,7 +33,6 @@ the first gap it meets.
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -49,6 +48,33 @@ SKIPPED = "skipped"
 # pair lists in JSON.
 DetailValue = Union[str, Element]
 Outcome = Union[None, Undefined, Dict[str, str]]
+
+
+_ESCAPES = dict(zip('"\\\b\f\n\r\t', ['\\"', "\\\\", "\\b", "\\f", "\\n", "\\r", "\\t"]))
+
+
+def json_text(value) -> str:
+    """What json.dumps(value, sort_keys=True, separators=(",", ":")) writes for
+    a tree of str, list and dict with str keys, written here so that no verb
+    pays json's import; any other value raises TypeError."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+        out = []
+        for c in value:  # ASCII out, as json's ensure_ascii writes it
+            n = ord(c)
+            if n > 0xffff:  # a surrogate pair
+                n -= 0x10000
+                out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
+            else:
+                out.append(_ESCAPES.get(c) or (c if 0x20 <= n < 0x7f else f"\\u{n:04x}"))
+        return '"' + "".join(out) + '"'
+    if isinstance(value, list):
+        return "[" + ",".join(map(json_text, value)) + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        return "{" + ",".join(json_text(key) + ":" + json_text(item)
+                              for key, item in sorted(value.items())) + "}"
+    raise TypeError(f"no JSON text for a {type(value).__name__}: a tree holds str, list, dict")
 
 
 def _detail_json(value):
@@ -176,7 +202,7 @@ class Report:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return json_text(self.to_json_dict())
 
     def render_human(self) -> str:
         lines = []

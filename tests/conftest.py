@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import FieldSpec, QQ
+
+# Tier-1 draws the same examples on every run and reads no example database, so
+# two runs of one tree reach the same code.  `--hypothesis-profile=default`
+# (with `--hypothesis-seed=<n>` to repeat a run) searches with fresh draws.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -247,6 +247,18 @@ def test_unreadable_input_is_input_error(capsys, tmp_path, name, reason):
     assert run(capsys, "check-lie", path) == (2, "", f"error: {path}: {reason}\n")
 
 
+@pytest.mark.parametrize("verb, rest", [
+    ("check-lie", []), ("check-bv", []), ("ce-homology", []),
+    ("free-bv", ["--apply", "a"]), ("bracket", ["a", "a"]),
+], ids=["check-lie", "check-bv", "ce-homology", "free-bv", "bracket"])
+def test_non_utf8_input_is_input_error(capsys, tmp_path, verb, rest):
+    path = tmp_path / "latin1.lie"
+    path.write_bytes(b"field Q\nshift n=0\ngen a : 1\n# caf\xe9\n")
+    # one line that names the file and the first byte that is not UTF-8
+    assert run(capsys, verb, str(path), *rest) == (
+        2, "", f"error: {path}: not UTF-8: byte 0xe9 at offset 33\n")
+
+
 def test_readme_command_line_names_every_verb():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         block = handle.read().split("## Command line", 1)[1].split("```", 2)[1]

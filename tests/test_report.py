@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from bvalg.algebra import Element, Generator, Monomial, Undefined
 from bvalg.fields import QQ
-from bvalg.report import CheckResult, Report, by_name, merge_reports, run_checks
+from bvalg.report import CheckResult, Report, by_name, json_text, merge_reports, run_checks
 
 GAP = Undefined("bracket [u,u]")
 
@@ -94,3 +97,34 @@ def test_merge_reports_combines_checks_and_details():
     merged = merge_reports(r1, r2)
     assert [c.name for c in merged.checks] == ["one", "two"]
     assert merged.details == {"k": "v"}
+
+
+# any code point, lone surrogates included, with the ones json escapes drawn often
+CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\\x00\x1f\x7f\b\f\n\r\t \x80\u2028\ud800\udfff\U0001f600\U0010ffff')
+TEXT = st.text(CHARS, max_size=6)
+TREES = st.recursive(TEXT, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES)
+def test_json_text_is_what_json_dumps_writes(tree):
+    assert json_text(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES, st.sampled_from([None, 0, 7, True, 1.5, ("a",)]),
+       st.lists(st.none() | TEXT, max_size=3))
+def test_json_text_refuses_a_leaf_that_is_not_text(tree, leaf, wrappers):
+    # the leaf sits inside lists (beside a drawn tree) and dicts (under a drawn key)
+    for key in wrappers:
+        leaf = [tree, leaf] if key is None else {key: leaf}
+    with pytest.raises(TypeError):
+        json_text(leaf)
+
+
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": "b", None: "c"}, [{("a",): "b"}]])
+def test_json_text_refuses_a_key_that_is_not_text(tree):
+    with pytest.raises(TypeError):
+        json_text(tree)
