@@ -229,9 +229,14 @@ def test_fixture_name_with_a_bad_number_names_the_field(capsys, name, message):
     # a table carries no identity, so no verdict may be printed for it
     ("", ["fixture", "fd:4:Q", "--verify"],
      "fixture 'fd:4:Q' is a table: --verify has nothing to check"),
+    # a written fraction over F_p needs its denominator to be a unit; the
+    # column is the numerator's
+    ("field F7\nshift n=0\ngen x : 1\ngen y : 1\ngen z : 1\nbracket [x,y] = 1/7*z\n",
+     ["check-lie", "{file}"], "{file}:6:17: malformed number: denominator divisible by 7"),
 ], ids=["F0", "F1", "sphere-lie:1", "loopspace:1:3", "loopspace:2:2", "fd:infinity:F2",
         "check-lie-F2^61-1", "fd:2:F2^61-1", "ce-homology-shift-1", "ce-homology-no-window",
-        "ce-homology-even-with-window", "ce-homology-40-generators", "fd:4:Q-verify"])
+        "ce-homology-even-with-window", "ce-homology-40-generators", "fd:4:Q-verify",
+        "F7-denominator-divisible-by-7"])
 def test_out_of_range_input_is_input_error(capsys, tmp_path, text, argv, message):
     path = tmp_path / "input.lie"
     path.write_text(text)

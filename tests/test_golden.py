@@ -54,6 +54,10 @@ def _cases():
     # the --max-degree paths of a file and of a built-in structure below their truncation
     cases["check-bv_loops2_s4_D8"] = [
         "check-bv", os.path.join(ROOT, "fixtures", "loops2_s4.lie"), "--max-degree", "8"]
+    # an F_p file whose coefficients are written fractions, as the benchmark's h9 copies are
+    h5_f7 = os.path.join(HERE, "data", "h5_f7.lie")
+    cases["check-lie_h5_f7"] = ["check-lie", h5_f7]
+    cases["ce-homology_h5_f7"] = ["ce-homology", h5_f7]
     cases["fixture_loopspace-2-4_D8"] = [
         "fixture", "loopspace:2:4", "--verify", "--max-degree", "8"]
     cases["fixture_omega2-s3-f2_D12"] = [

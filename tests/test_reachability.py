@@ -57,7 +57,6 @@ UNREACHED = {
     "dsl.PresentationSource.__eq__": "Python protocol method",
     "dsl.PresentationSource.to_lie_presentation": "perfbench caller",
     "dsl._LineError.__init__": "input-error path",
-    "dsl._LineParser.column": "input-error path",
     "dsl._LineParser.fail": "input-error path",
     "dsl.render_presentation": "acceptance criterion 10",
     "fields.FieldSpec.__hash__": "Python protocol method",
@@ -71,7 +70,6 @@ UNREACHED = {
     "hopf.TensorElement.__str__": "Python protocol method",
     "lie.LiePresentation.__eq__": "Python protocol method",
     "linalg.nullspace": "acceptance criterion 7",
-    "linalg._add_multiple": "acceptance criterion 7",
     "report.CheckResult.__eq__": "Python protocol method",
 }
 UNVARIED = {}
