@@ -1,4 +1,4 @@
-"""Command-line driver: the verbs that `build_parser` declares.
+"""Command-line driver: the verbs that `VERBS` declares, read by `parse_args`.
 
 Exit codes: 0 all checks pass, 1 axiom failure, 2 input error, 3 internal
 error (a fault of bvalg, reported in one line on stderr).  ``--format
@@ -8,8 +8,8 @@ what only it needs (dsl, bv, homology, fixtures) when it runs.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .algebra import Undefined
@@ -230,65 +230,134 @@ def _cmd_fixture(args) -> int:
     return _finish(report, args.format)
 
 
+def _format_arg(text: str) -> str:
+    if text not in ("human", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'human', 'json')")
+    return text
+
+
 def _window_arg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise ValueError(f"must be >= 0, got {value}")
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, max_degree: bool = True) -> None:
-    parser.add_argument("--format", choices=("human", "json"), default="human")
-    if max_degree:
-        parser.add_argument("--max-degree", type=_window_arg, default=None)
+_REQUIRED = object()
+# an option: (name, metavar, converter, default); a flag has neither metavar nor
+# converter, and an option whose default is _REQUIRED must be given
+_FORMAT = ("--format", "{human,json}", _format_arg, "human")
+_WINDOW = ("--max-degree", "D", _window_arg, None)
+# verb -> (handler, positionals, options, help); the handler is looked up when
+# main runs, so that a replaced _cmd_* function takes effect
+VERBS = {
+    "check-lie": ("_cmd_check_lie", ("file",), (_FORMAT,),
+                  "verify the Lie axioms of a presentation"),
+    "check-bv": ("_cmd_check_bv", ("file",), (_FORMAT, _WINDOW),
+                 "verify the bracket/operator axioms"),
+    "free-bv": ("_cmd_free_bv", ("file",),
+                (("--apply", "ELEMENT", str, _REQUIRED), _FORMAT, _WINDOW),
+                "apply the free operator to an element"),
+    "bracket": ("_cmd_bracket", ("file", "a", "b"), (_FORMAT, _WINDOW),
+                "bracket of two elements"),
+    "ce-homology": ("_cmd_ce_homology", ("file",), (_FORMAT,),
+                    "Betti numbers of a shift-0 presentation"),
+    "fixture": ("_cmd_fixture", ("name",), (("--verify", None, None, False), _FORMAT, _WINDOW),
+                "a named fixture; fd:<n>:<field> is the operator table"),
+}
+HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bvalg")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """A malformed command line; args are (verb, or None at the top level, message)."""
 
-    p = sub.add_parser("check-lie", help="verify the Lie axioms of a presentation")
-    p.add_argument("file")
-    _add_common(p, max_degree=False)
-    p.set_defaults(func=_cmd_check_lie)
 
-    p = sub.add_parser("check-bv", help="verify the bracket/operator axioms")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_bv)
+def _usage(verb: Optional[str]) -> str:
+    if verb is None:
+        return "usage: bvalg [-h] {" + ",".join(VERBS) + "} ..."
+    _, positionals, options, _ = VERBS[verb]
+    words = [f"bvalg {verb} [-h]"]
+    for name, metavar, _, default in options:
+        word = name if metavar is None else f"{name} {metavar}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return "usage: " + " ".join(words + list(positionals))
 
-    p = sub.add_parser("free-bv", help="apply the free operator to an element")
-    p.add_argument("file")
-    p.add_argument("--apply", required=True, metavar="ELEMENT")
-    _add_common(p)
-    p.set_defaults(func=_cmd_free_bv)
 
-    p = sub.add_parser("bracket", help="bracket of two elements")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bracket)
+def _help(verb: Optional[str]) -> str:
+    if verb is not None:
+        return f"{_usage(verb)}\n\n{VERBS[verb][3]}"
+    width = max(map(len, VERBS))
+    return "\n".join([_usage(None), "", "verbs:"]
+                     + [f"  {name:{width}}  {entry[3]}" for name, entry in VERBS.items()])
 
-    p = sub.add_parser("ce-homology", help="Betti numbers of a shift-0 presentation")
-    p.add_argument("file")
-    _add_common(p, max_degree=False)
-    p.set_defaults(func=_cmd_ce_homology)
 
-    p = sub.add_parser("fixture", help="a named fixture; fd:<n>:<field> is the operator table")
-    p.add_argument("name")
-    p.add_argument("--verify", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fixture)
-
-    return parser
+def parse_args(argv: List[str]) -> Tuple[Optional[str], Optional[SimpleNamespace]]:
+    """(verb, its arguments by name) from argv, or (verb, None) when -h or
+    --help asks for its help (verb None: the top level's).  An argument that
+    starts with '--' is an option, given as `--name value` or `--name=value`
+    anywhere after the verb; any other is a positional, so an element may
+    start with '-'.  A malformed command line raises UsageError."""
+    if not argv:
+        raise UsageError(None, "the following arguments are required: command")
+    verb = argv[0]
+    if verb in HELP:
+        return None, None
+    if verb not in VERBS:
+        raise UsageError(None, f"argument command: invalid choice: {verb!r} (choose from "
+                         + ", ".join(map(repr, VERBS)) + ")")
+    _, names, options, _ = VERBS[verb]
+    declared = {option[0]: option for option in options}
+    values = {name: default for name, _, _, default in options}
+    positionals = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in HELP:
+            return verb, None
+        if not arg.startswith("--"):
+            positionals.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in declared:
+            raise UsageError(verb, f"unrecognized arguments: {arg}")
+        convert = declared[name][2]
+        if convert is None:
+            if eq:
+                raise UsageError(verb, f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(verb, f"argument {name}: expected one argument")
+        try:
+            values[name] = convert(value)
+        except ValueError as exc:
+            raise UsageError(verb, f"argument {name}: {exc}") from None
+    if len(positionals) > len(names):
+        raise UsageError(verb, "unrecognized arguments: " + " ".join(positionals[len(names):]))
+    missing = [*names[len(positionals):], *(n for n, v in values.items() if v is _REQUIRED)]
+    if missing:
+        raise UsageError(verb, "the following arguments are required: " + ", ".join(missing))
+    values.update(zip(names, positionals))
+    return verb, SimpleNamespace(**{n.lstrip("-").replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        verb, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        verb, message = exc.args
+        prog = "bvalg" if verb is None else f"bvalg {verb}"
+        print(f"{_usage(verb)}\n{prog}: error: {message}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args is None:
+        print(_help(verb))
+        return EXIT_PASS
+    try:
+        return globals()[VERBS[verb][0]](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -18,7 +18,6 @@ bracket, diff and bv lines are degree-checked against the declared shift.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .algebra import DEFAULT_WINDOW, Element, Generator, normalize_word, render_element
@@ -213,14 +212,14 @@ def _parse_term(parser: _LineParser, span_only: bool, what: str,
         raise parser.fail(f"expected {what}")
     if tok.kind == "int":
         coeff = parser.natural("number")
+        den = 1
         if parser.take("/"):
             column = parser.column()
             den = parser.natural("denominator")
             if den == 0:
                 raise parser.fail("malformed number: zero denominator", column)
-            coeff = Fraction(coeff, den)
         try:
-            coeff = field.coerce(coeff)
+            coeff = field.quotient(coeff, den)
         except ZeroDivisionError as exc:
             raise parser.fail(f"malformed number: {exc}", tok.column) from exc
         if not parser.take("*"):

@@ -2,15 +2,22 @@
 
 Rationals are `fractions.Fraction` (always in lowest terms with positive
 denominator); elements of F_p are canonical residues in range(p).  No
-floating point is used anywhere.
+floating point is used anywhere.  `fractions` (with `decimal` and
+`numbers`) is imported when the first rational field is built, and `QQ` is
+built on first use, so a verb over F_p never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import TYPE_CHECKING, Union
 
-Scalar = Union[Fraction, int]
+if TYPE_CHECKING:
+    from fractions import Fraction
+else:
+    Fraction = None  # fractions.Fraction once a rational field is built
+
+Scalar = Union["Fraction", int]
 
 
 def _is_prime(p: int) -> bool:
@@ -33,6 +40,9 @@ class FieldSpec:
         if kind == "rational":
             if characteristic != 0:
                 raise ValueError("rational field must have characteristic 0")
+            global Fraction
+            import fractions
+            Fraction = fractions.Fraction
         elif kind == "prime-field":
             if characteristic > 2 ** 31 - 1:  # so _is_prime tries at most 46,341 divisors
                 raise ValueError(f"characteristic {characteristic} exceeds 2^31-1")
@@ -76,19 +86,26 @@ class FieldSpec:
 
     def coerce(self, value) -> Scalar:
         """Bring an int or Fraction into canonical form for this field.
-        A Fraction is already canonical over Q and comes back unchanged."""
+        A Fraction is already canonical over Q and comes back unchanged;
+        over F_p it is read by its numerator and denominator, as `quotient`."""
         if type(value) is int and self.characteristic:
-            return value % self.characteristic  # before the ABC check isinstance(-, Fraction)
+            return value % self.characteristic
         if isinstance(value, float):
             raise TypeError("floating point scalars are not allowed")
         if self.kind == "rational":
             return value if type(value) is Fraction else Fraction(value)
+        return self.quotient(value.numerator, value.denominator)
+
+    def quotient(self, n: int, d: int) -> Scalar:
+        """n/d for integers n and d != 0: a Fraction over Q, n * d^-1 mod p
+        over F_p, which needs p not to divide d once n/d is in lowest terms."""
+        if self.kind == "rational":
+            return Fraction(n, d)
         p = self.characteristic
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            return value.numerator * pow(value.denominator, -1, p) % p
-        return int(value) % p
+        g = gcd(n, d)
+        if d // g % p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        return n // g * pow(d // g, -1, p) % p
 
     def zero(self) -> Scalar:
         return Fraction(0) if self.kind == "rational" else 0
@@ -137,5 +154,13 @@ class FieldSpec:
         return str(a)
 
 
-QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
+
+
+def __getattr__(name: str):
+    """QQ, built on first use and then kept (PEP 562)."""
+    if name != "QQ":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global QQ
+    QQ = FieldSpec.rationals()
+    return QQ

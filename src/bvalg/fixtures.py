@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from .algebra import DEFAULT_WINDOW, Element, Generator, Monomial
-from .fields import FieldSpec, QQ
+from .fields import FieldSpec
 from .lie import LiePresentation, desuspend
 
 if TYPE_CHECKING:
@@ -32,6 +32,7 @@ def sphere_loop_lie(m: int) -> LiePresentation:
     vanishes).  Even m: a in degree m-1 and b = {a,a} in degree 2m-2, all
     other brackets zero.
     """
+    from .fields import QQ
     if m < 2:
         raise ValueError("sphere dimension must be >= 2")
     a = Generator("a", m - 1)
@@ -162,15 +163,20 @@ def omega2_s3_f2(max_degree: int = DEFAULT_WINDOW) -> BVStructure:
                        bv_values={"u1": spherical_bv(u1_squared, field)}, partial_brackets={})
 
 
-def heisenberg(field: FieldSpec = QQ) -> LiePresentation:
+def heisenberg(field: Optional[FieldSpec] = None) -> LiePresentation:
     """Three-dimensional Heisenberg algebra, suspended to shift 0 (degree-1
-    generators, bracket of degree -1): {x,y} = z."""
+    generators, bracket of degree -1): {x,y} = z.  Over QQ by default."""
+    from .fields import QQ
+    field = QQ if field is None else field
     x, y, z = Generator("x", 1), Generator("y", 1), Generator("z", 1)
     return LiePresentation(field, 0, [x, y, z], {("x", "y"): Element.from_generator(field, z)})
 
 
-def abelian_ungraded(k: int, field: FieldSpec = QQ) -> LiePresentation:
-    """Abelian k-dimensional ungraded Lie algebra, suspended to shift 0."""
+def abelian_ungraded(k: int, field: Optional[FieldSpec] = None) -> LiePresentation:
+    """Abelian k-dimensional ungraded Lie algebra, suspended to shift 0,
+    over QQ by default."""
+    from .fields import QQ
+    field = QQ if field is None else field
     gens = [Generator(f"e{i + 1}", 1) for i in range(k)]
     return LiePresentation(field, 0, gens)
 

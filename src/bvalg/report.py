@@ -34,7 +34,7 @@ the first gap it meets.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from .algebra import Element, Undefined, element_to_pairs, first_undefined
@@ -169,11 +169,15 @@ class Report:
         return all(c.verdict != FAIL for c in self.checks)
 
     @property
-    def coverage(self) -> Fraction:
+    def coverage(self) -> str:
+        """checked / (checked + skipped) over every check, in lowest terms as
+        str(Fraction) writes it ("581/29762", "1"); "1" when nothing was counted."""
         checked = sum(c.checked for c in self.checks)
-        skipped = sum(c.skipped for c in self.checks)
-        total = checked + skipped
-        return Fraction(checked, total) if total else Fraction(1)
+        total = checked + sum(c.skipped for c in self.checks)
+        if not total:
+            return "1"
+        g = gcd(checked, total)
+        return str(checked // g) if g == total else f"{checked // g}/{total // g}"
 
     def certificates(self) -> List[Dict[str, str]]:
         out = []
@@ -193,7 +197,7 @@ class Report:
         doc = {
             "verdicts": verdicts,
             "certificates": self.certificates(),
-            "coverage": str(self.coverage),
+            "coverage": self.coverage,
             "betti": [str(b) for b in self.betti] if self.betti is not None else [],
         }
         if self.details:

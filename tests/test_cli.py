@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -8,13 +7,13 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvalg.cli import build_parser, main
+from bvalg import cli
+from bvalg.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 FIXTURE_DIR = os.path.join(ROOT, "fixtures")
-# the subcommands build_parser declares, in order
-VERBS = [name for action in build_parser()._actions
-         if isinstance(action, argparse._SubParsersAction) for name in action.choices]
+# the verbs cli.VERBS declares, in order
+VERBS = list(cli.VERBS)
 
 
 def fixture_path(name):
@@ -22,10 +21,7 @@ def fixture_path(name):
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects malformed arguments this way
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -262,6 +258,81 @@ def test_non_utf8_input_is_input_error(capsys, tmp_path, verb, rest):
     # one line that names the file and the first byte that is not UTF-8
     assert run(capsys, verb, str(path), *rest) == (
         2, "", f"error: {path}: not UTF-8: byte 0xe9 at offset 33\n")
+
+
+# -- the command line: one table of verbs, read without argparse --------------------
+
+LOOPS = fixture_path("loops2_s4.lie")
+HEISENBERG = fixture_path("heisenberg.lie")
+
+
+@pytest.mark.parametrize("argv, verb, message", [
+    ([], None, "the following arguments are required: command"),
+    (["check-all", HEISENBERG], None, "argument command: invalid choice: 'check-all' "
+     "(choose from 'check-lie', 'check-bv', 'free-bv', 'bracket', 'ce-homology', 'fixture')"),
+    (["check-lie"], "check-lie", "the following arguments are required: file"),
+    (["bracket", LOOPS, "a"], "bracket", "the following arguments are required: b"),
+    (["free-bv", LOOPS], "free-bv", "the following arguments are required: --apply"),
+    (["check-lie", HEISENBERG, "extra"], "check-lie", "unrecognized arguments: extra"),
+    (["check-lie", HEISENBERG, "--bogus"], "check-lie", "unrecognized arguments: --bogus"),
+    # an option is named in full: no abbreviation is read
+    (["check-bv", LOOPS, "--max", "8"], "check-bv", "unrecognized arguments: --max"),
+    (["check-bv", LOOPS, "--max-degree"], "check-bv",
+     "argument --max-degree: expected one argument"),
+    (["free-bv", LOOPS, "--apply", "--format", "json"], "free-bv",
+     "argument --apply: expected one argument"),
+    (["check-bv", LOOPS, "--max-degree", "x"], "check-bv",
+     "argument --max-degree: invalid int value: 'x'"),
+    (["check-bv", LOOPS, "--max-degree=-1"], "check-bv",
+     "argument --max-degree: must be >= 0, got -1"),
+    (["check-lie", HEISENBERG, "--format", "xml"], "check-lie",
+     "argument --format: invalid choice: 'xml' (choose from 'human', 'json')"),
+    (["check-bv", LOOPS, "--verify"], "check-bv", "unrecognized arguments: --verify"),
+    (["fixture", "omega2-s3-f2", "--verify=yes"], "fixture",
+     "argument --verify: ignored explicit argument 'yes'"),
+], ids=["no-verb", "unknown-verb", "missing-file", "missing-b", "missing-apply",
+        "extra-positional", "unknown-option", "abbreviated-option", "window-without-value",
+        "apply-without-value", "window-not-int", "negative-window", "format-xml",
+        "verify-on-check-bv", "verify-with-value"])
+def test_malformed_command_line_is_a_usage_error(capsys, argv, verb, message):
+    code, out, err = run(capsys, *argv)
+    prog = "bvalg" if verb is None else f"bvalg {verb}"
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()  # argparse's shape: a usage line, then the error
+    assert usage.startswith(f"usage: {prog} [-h] ")
+    assert error == f"{prog}: error: {message}"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("verb", [None] + VERBS)
+def test_help_lists_what_the_table_declares(capsys, verb, flag):
+    code, out, err = run(capsys, *([flag] if verb is None else [verb, flag, "--bogus"]))
+    assert (code, err) == (0, "")
+    if verb is None:
+        for name, (_, _, _, text) in cli.VERBS.items():
+            assert f"  {name} " in out and text in out
+        return
+    _, positionals, options, text = cli.VERBS[verb]
+    usage = out.splitlines()[0].replace("[", " ").replace("]", " ").split()
+    assert usage[:3] == ["usage:", "bvalg", verb]
+    assert [word for word in usage if word.startswith("--")] == [o[0] for o in options]
+    assert usage[-len(positionals):] == list(positionals)
+    assert text in out
+
+
+def test_options_are_read_anywhere_after_the_verb_in_either_form(capsys):
+    expected = run(capsys, "bracket", LOOPS, "a", "2*a*b", "--format", "json",
+                   "--max-degree", "8")
+    assert expected[0] == 0
+    for argv in (["bracket", "--format=json", LOOPS, "--max-degree=8", "a", "2*a*b"],
+                 ["bracket", "--max-degree", "8", LOOPS, "a", "--format", "json", "2*a*b"]):
+        assert run(capsys, *argv) == expected
+
+
+def test_an_element_argument_may_start_with_a_minus_sign(capsys):
+    # only '--' starts an option, and -h its help
+    assert run(capsys, "bracket", LOOPS, "-a", "a") == (0, "result = -b\ncoverage: 1\n"
+                                                          "result: PASS\n", "")
 
 
 def test_readme_command_line_names_every_verb():

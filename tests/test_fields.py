@@ -108,6 +108,23 @@ def test_rational_string_round_trip(q):
     assert Fraction(QQ.render(QQ.coerce(q))) == q
 
 
+@given(st.sampled_from([QQ, GF2, FieldSpec.prime(3), F5, FieldSpec.prime(7)]),
+       st.integers(-60, 60), st.integers(-60, 60).filter(bool))
+def test_quotient_is_the_coerced_fraction(field, n, d):
+    # the written n/d of the presentation format, which reduces before it divides:
+    # 7/7 is 1 over F7, and 1/7 has no value there
+    q = Fraction(n, d)
+    p = field.characteristic
+    if p and q.denominator % p == 0:
+        for divide in (lambda: field.quotient(n, d), lambda: field.coerce(q)):
+            with pytest.raises(ZeroDivisionError) as caught:
+                divide()
+            assert str(caught.value) == f"denominator divisible by {p}"
+        return
+    assert field.quotient(n, d) == field.coerce(q)
+    assert field.quotient(n, d) == (q if not p else q.numerator * pow(q.denominator, -1, p) % p)
+
+
 def test_rational_coerce_returns_a_fraction_unchanged():
     q = Fraction(-3, 4)
     assert QQ.coerce(q) == q

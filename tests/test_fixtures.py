@@ -78,7 +78,7 @@ def test_rational_spherical_vanishing_with_full_verification():
             for g in s.generators:
                 assert free_bv(s, Element.from_generator(QQ, g)).is_zero
             report = verify_bv_axioms(s)
-            assert report.passed and report.coverage == 1
+            assert report.passed and report.coverage == "1"
 
 
 def test_descriptor_table_matches_orthogonal_groups():
@@ -177,7 +177,7 @@ def test_omega2_partial_brackets_are_undefined():
     u1_elt = Element.from_generator(GF2, u1)
     assert isinstance(poisson_bracket(s, u1_elt, u1_elt), Undefined)
     report = verify_bv_axioms(s)
-    assert report.passed and report.coverage < 1
+    assert report.passed and report.coverage != "1"
 
 
 def test_fixture_registry():

@@ -39,7 +39,8 @@ HOPF_CRITERIA = (test_acceptance.test_criterion_07_hopf_suite,
 LOOPS = os.path.join(ROOT, "fixtures", "loops2_s4.lie")
 EXTRA_CALLS = (["free-bv", LOOPS, "--apply", "a^2", "--max-degree", "8"],
                ["bracket", LOOPS, "a", "a", "--max-degree", "8"],
-               ["fixture", "fd:4:Q"])  # the human report
+               ["fixture", "fd:4:Q"],  # the human report
+               ["fixture", "--help"])
 
 REASON = re.compile(r"input-error path|Python protocol method|perfbench (tracer hook|caller)"
                     r"|acceptance criterion \d+|waits for item \d+")

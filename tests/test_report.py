@@ -60,8 +60,16 @@ def test_pruned_instances_are_skipped_by_every_check():
 
 def test_coverage_fraction():
     report = Report(checks=[run_one([None, None, None, GAP])])
-    assert report.coverage == Fraction(3, 4)
-    assert Report().coverage == 1
+    assert report.coverage == "3/4"
+    assert Report().coverage == "1"
+
+
+@given(st.integers(0, 10 ** 12), st.integers(0, 10 ** 12))
+def test_coverage_is_the_text_of_the_reduced_fraction(checked, skipped):
+    result = CheckResult("demo", "pass")
+    result.checked, result.skipped = checked, skipped
+    total = checked + skipped
+    assert Report(checks=[result]).coverage == (str(Fraction(checked, total)) if total else "1")
 
 
 def test_json_numbers_are_strings_and_elements_are_pairs():

@@ -14,21 +14,25 @@ import pytest
 import bvalg
 
 ROOT = Path(__file__).resolve().parent.parent
-NEVER_LOADED = {"dataclasses", "inspect", "json", "bvalg.hopf"}
+NEVER_LOADED = {"argparse", "dataclasses", "gettext", "inspect", "json", "locale", "bvalg.hopf"}
+# a verb over F_p never meets a rational
+NO_RATIONALS = {"decimal", "fractions"}
 # verb and arguments -> (further modules that verb must not load, the most lines
 # of bvalg source it may load: every line of each module file, __init__ included)
 VERBS = {
     ("check-bv", "fixtures/loops2_s4.lie"): (
-        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2239),
-    ("ce-homology", "fixtures/heisenberg.lie"): ({"bvalg.bv", "bvalg.fixtures"}, 2081),
-    ("fixture", "omega2-s3-f2", "--verify"): ({"bvalg.dsl"}, 2072),
+        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2336),
+    ("ce-homology", "fixtures/heisenberg.lie"): ({"bvalg.bv", "bvalg.fixtures"}, 2178),
+    ("ce-homology", "tests/data/h5_f7.lie"): (
+        {"bvalg.bv", "bvalg.fixtures", *NO_RATIONALS}, 2178),
+    ("fixture", "omega2-s3-f2", "--verify"): ({"bvalg.dsl", *NO_RATIONALS}, 2176),
     ("check-lie", "fixtures/heisenberg.lie"): (
-        {"bvalg.bv", "bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 1850),
+        {"bvalg.bv", "bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 1947),
     ("free-bv", "fixtures/loops2_s4.lie", "--apply", "a^2"): (
-        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2239),
+        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2336),
     ("bracket", "fixtures/loops2_s4.lie", "a", "a"): (
-        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2239),
-    ("fixture", "fd:2:Q"): ({"bvalg.bv", "bvalg.homology", "bvalg.linalg", "bvalg.dsl"}, 1683),
+        {"bvalg.homology", "bvalg.linalg", "bvalg.fixtures"}, 2336),
+    ("fixture", "fd:2:Q"): ({"bvalg.bv", "bvalg.homology", "bvalg.linalg", "bvalg.dsl"}, 1787),
 }
 # the modules are listed before json is imported to print them
 PROBE = ("import sys\n"
@@ -40,7 +44,7 @@ PROBE = ("import sys\n"
 
 
 def _verb_id(argv):
-    return "fixture-fd" if argv[1].startswith("fd:") else argv[0]
+    return {"fd:2:Q": "fixture-fd", "tests/data/h5_f7.lie": "ce-homology-F7"}.get(argv[1], argv[0])
 
 
 @functools.lru_cache(maxsize=None)
