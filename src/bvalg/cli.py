@@ -268,7 +268,7 @@ VERBS = {
     "fixture": ("_cmd_fixture", ("name",), (("--verify", None, None, False), _FORMAT, _WINDOW),
                 "a named fixture; fd:<n>:<field> is the operator table"),
 }
-HELP = ("-h", "--help")
+_HELP = ("-h", "--help")
 
 
 class UsageError(Exception):
@@ -303,7 +303,7 @@ def parse_args(argv: List[str]) -> Tuple[Optional[str], Optional[SimpleNamespace
     if not argv:
         raise UsageError(None, "the following arguments are required: command")
     verb = argv[0]
-    if verb in HELP:
+    if verb in _HELP:
         return None, None
     if verb not in VERBS:
         raise UsageError(None, f"argument command: invalid choice: {verb!r} (choose from "
@@ -314,7 +314,7 @@ def parse_args(argv: List[str]) -> Tuple[Optional[str], Optional[SimpleNamespace
     positionals = []
     rest = iter(argv[1:])
     for arg in rest:
-        if arg in HELP:
+        if arg in _HELP:
             return verb, None
         if not arg.startswith("--"):
             positionals.append(arg)
