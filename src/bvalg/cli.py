@@ -1,20 +1,22 @@
 """Command-line driver: the verbs that `VERBS` declares, read by `parse_args`.
 
-Exit codes: 0 all checks pass, 1 axiom failure, 2 input error, 3 internal
-error (a fault of bvalg, reported in one line on stderr).  ``--format
-json`` emits one deterministic JSON document per run.  A verb imports
-what only it needs (dsl, bv, homology, fixtures) when it runs.
+A verb's handler returns its Report, and `main` alone prints it (``--format
+json``: one deterministic JSON document per run) and picks the exit code:
+0 all checks pass, 1 axiom failure, 2 input error, 3 internal error (a
+fault of bvalg, reported in one line on stderr).  A verb imports what only
+it needs (dsl, bv, homology, fixtures) when it runs.
 """
 
 from __future__ import annotations
 
 import sys
+from time import perf_counter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .algebra import Undefined
+from .algebra import Element, Undefined
 from .lie import LiePresentation, check_antisymmetry, check_lie_axioms
-from .report import Report, Stopwatch, merge_reports, run_checks
+from .report import Report, merge_reports, run_checks
 
 if TYPE_CHECKING:
     from .bv import BVStructure
@@ -61,69 +63,48 @@ def _read_structure(args) -> Tuple[PresentationSource, BVStructure]:
     return source, source.to_structure(args.max_degree)
 
 
-def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        print(report.to_json())
-    else:
-        print(report.render_human())
+def _timed(verify, subject) -> Report:
+    """verify(subject), with the seconds it took as the report's elapsed time."""
+    start = perf_counter()
+    report = verify(subject)
+    report.elapsed = perf_counter() - start
+    return report
 
 
-def _finish(report: Report, fmt: str) -> int:
-    _emit(report, fmt)
-    return EXIT_PASS if report.passed else EXIT_AXIOM_FAILURE
+def _cmd_check_lie(args) -> Report:
+    return _timed(check_lie_axioms, _read_source(args.file).presentation)
 
 
-def _cmd_check_lie(args) -> int:
-    source = _read_source(args.file)
-    with Stopwatch() as clock:
-        report = check_lie_axioms(source.presentation)
-    report.elapsed = clock.elapsed
-    return _finish(report, args.format)
-
-
-def _cmd_check_bv(args) -> int:
+def _cmd_check_bv(args) -> Report:
     from .bv import verify_bv_axioms
-    _, structure = _read_structure(args)
-    with Stopwatch() as clock:
-        report = verify_bv_axioms(structure)
-    report.elapsed = clock.elapsed
-    return _finish(report, args.format)
+    return _timed(verify_bv_axioms, _read_structure(args)[1])
 
 
-def _element_command(args, compute) -> int:
-    source, structure = _read_structure(args)
-    result = compute(source, structure)
+def _in_window(result: Element, truncation: int) -> Report:
+    """The report of an element result, refused if a term leaves the window."""
     for mono in result.monomials():
-        if mono.degree > structure.truncation:
+        if mono.degree > truncation:
             raise InputError(
                 f"result out of window: term {mono} of degree "
-                f"{mono.degree} exceeds truncation {structure.truncation}")
-    report = Report(details={"result": result})
-    _emit(report, args.format)
-    return EXIT_PASS
+                f"{mono.degree} exceeds truncation {truncation}")
+    return Report(details={"result": result})
 
 
-def _cmd_free_bv(args) -> int:
+def _cmd_free_bv(args) -> Report:
     from .bv import FREE, free_bv
-
-    def compute(source, structure: BVStructure):
-        if structure.provenance != FREE:
-            raise InputError("free-bv needs a presentation without bv lines")
-        element = _parse_arg_element("--apply", args.apply, source, args.max_degree)
-        return free_bv(structure, element)
-
-    return _element_command(args, compute)
+    source, structure = _read_structure(args)
+    if structure.provenance != FREE:
+        raise InputError("free-bv needs a presentation without bv lines")
+    element = _parse_arg_element("--apply", args.apply, source, args.max_degree)
+    return _in_window(free_bv(structure, element), structure.truncation)
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args) -> Report:
     from .bv import poisson_bracket
-
-    def compute(source, structure: BVStructure):
-        a = _parse_arg_element("a", args.a, source, args.max_degree)
-        b = _parse_arg_element("b", args.b, source, args.max_degree)
-        return poisson_bracket(structure, a, b)
-
-    return _element_command(args, compute)
+    source, structure = _read_structure(args)
+    a = _parse_arg_element("a", args.a, source, args.max_degree)
+    b = _parse_arg_element("b", args.b, source, args.max_degree)
+    return _in_window(poisson_bracket(structure, a, b), structure.truncation)
 
 
 def _parse_arg_element(name: str, text: str, source: PresentationSource,
@@ -138,7 +119,7 @@ def _parse_arg_element(name: str, text: str, source: PresentationSource,
             f"column {d.column}: {d.message}" for d in exc.diagnostics)) from exc
 
 
-def _cmd_ce_homology(args) -> int:
+def _cmd_ce_homology(args) -> Report:
     from .homology import BoundarySquareError, betti, build_ce_complex, ce_top_grade
     presentation = _read_source(args.file).presentation
     try:
@@ -146,24 +127,21 @@ def _cmd_ce_homology(args) -> int:
         ce_top_grade(presentation)
         antisymmetry = check_antisymmetry(presentation)
         if not antisymmetry.passed:
-            return _finish(antisymmetry, args.format)
+            return antisymmetry
         complex_ = build_ce_complex(presentation)
     except BoundarySquareError as exc:
         certificate = {"grade": str(exc.grade), "input": str(exc.source),
                        "d(d(input))": str(exc.composite)}
-        return _finish(Report(checks=run_checks(("boundary-squared",), [()],
-                                                lambda: certificate, lambda: {})),
-                       args.format)
+        return Report(checks=run_checks(("boundary-squared",), [()],
+                                        lambda: certificate, lambda: {}))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(Report(betti=betti(complex_)), args.format)
-    return EXIT_PASS
+    return Report(betti=betti(complex_))
 
 
 def _describe_structure(structure: BVStructure) -> Report:
     from .bv import OutOfWindow
     report = Report()
-    p = structure.presentation
     report.details["field"] = str(structure.field)
     report.details["shift"] = str(structure.shift)
     report.details["truncation"] = str(structure.truncation)
@@ -206,7 +184,7 @@ def _describe_descriptor(descriptor: StructureDescriptor) -> Report:
     return report
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args) -> Report:
     from .fixtures import StructureDescriptor, load_fixture
     try:
         fixture = load_fixture(args.name, args.max_degree)
@@ -215,19 +193,15 @@ def _cmd_fixture(args) -> int:
     if isinstance(fixture, StructureDescriptor):
         if args.verify:
             raise InputError(f"fixture {args.name!r} is a table: --verify has nothing to check")
-        return _finish(_describe_descriptor(fixture), args.format)
+        return _describe_descriptor(fixture)
     if isinstance(fixture, LiePresentation):
         report = _describe_presentation(fixture)
-        if args.verify:
-            report = merge_reports(report, check_lie_axioms(fixture))
-        return _finish(report, args.format)
+        return merge_reports(report, check_lie_axioms(fixture)) if args.verify else report
     report = _describe_structure(fixture)
-    if args.verify:
-        from .bv import verify_bv_axioms
-        with Stopwatch() as clock:
-            report = merge_reports(report, verify_bv_axioms(fixture))
-        report.elapsed = clock.elapsed
-    return _finish(report, args.format)
+    if not args.verify:
+        return report
+    from .bv import verify_bv_axioms
+    return _timed(lambda structure: merge_reports(report, verify_bv_axioms(structure)), fixture)
 
 
 def _format_arg(text: str) -> str:
@@ -357,7 +331,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_help(verb))
         return EXIT_PASS
     try:
-        return globals()[VERBS[verb][0]](args)
+        report = globals()[VERBS[verb][0]](args)
+        print(report.to_json() if args.format == "json" else report.render_human())
+        return EXIT_PASS if report.passed else EXIT_AXIOM_FAILURE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

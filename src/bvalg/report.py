@@ -33,7 +33,6 @@ the first gap it meets.
 
 from __future__ import annotations
 
-import time
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -226,16 +225,6 @@ class Report:
             lines.append(f"elapsed: {self.elapsed:.3f}s")
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
-
-
-class Stopwatch:
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._start
-        return False
 
 
 def merge_reports(*reports: Report) -> Report:
