@@ -135,6 +135,11 @@ def test_graded_map_apply_and_gaps():
     assert isinstance(gm.value(mono(A)), Undefined)
 
 
+def test_arithmetic_across_two_fields_is_refused():
+    with pytest.raises(ValueError, match="^field mismatch: Q vs F2$"):
+        Element.unit(QQ) + Element.unit(GF2)
+
+
 def test_derivation_extension_leibniz():
     image = Element.from_generator(QQ, B)
     der = derivation_from_generator_values(QQ, {"a": image}, degree=3)

@@ -155,6 +155,11 @@ def test_bv_extend_unit_is_zero():
     assert s.bv_element(Element.unit(GF2)).is_zero
 
 
+def test_free_operator_is_refused_on_a_user_structure():
+    with pytest.raises(ValueError, match="^free operator requested on a user-supplied structure$"):
+        free_bv(omega2_s3_f2(4), Element.unit(GF2))
+
+
 def test_bv_extend_matches_free_operator():
     for s in (loops24(), mixed_differential_structure()):
         values = {g.id: free_bv(s, gen_elt(s.field, g)) for g in s.generators}

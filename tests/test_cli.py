@@ -538,10 +538,7 @@ def test_fuzzed_inputs_exit_by_the_contract(text, data):
         argv = data.draw(invocations(path))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects malformed arguments this way
-                code = exc.code
+            code = main(argv)
     # exit 3, an internal error, breaks the contract like a traceback would
     assert code in (0, 1, 2), (argv, text, err.getvalue())
 

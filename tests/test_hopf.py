@@ -73,6 +73,16 @@ def test_primitives_low_degree_equal_generator_span():
     assert primitive_basis(QQ, gens, 1) == []
 
 
+def test_no_primitives_at_degree_zero_or_below():
+    assert primitive_basis(QQ, [X, Y], 0) == [] and primitive_basis(QQ, [X, Y], -1) == []
+
+
+def test_tensor_elements_of_two_arities_do_not_add():
+    pair = TensorElement(QQ, 2, {(UNIT, UNIT): 1})
+    with pytest.raises(ValueError, match="^tensor arity mismatch$"):
+        pair + TensorElement(QQ, 1, {(UNIT,): 1})
+
+
 def test_reduced_coproduct_middle_term():
     m = Monomial(((A2, 2),))
     reduced = reduced_coproduct(Element.from_monomial(QQ, m))
@@ -145,6 +155,15 @@ def test_coderivation_skips_undefined_values():
     report = is_coderivation(op, [X, Y], 2)
     assert report.checks[0].verdict == "skipped"
     assert report.coverage == "0"
+
+
+def test_coderivation_skips_a_gap_on_a_coproduct_factor():
+    # defined on 1 and on xy, not on x or y: xy is skipped, since its
+    # coproduct has the factors x and y, and only 1 is checked
+    zero = Element.zero(QQ)
+    op = GradedMap(QQ, 1, rule=lambda m: zero if m in (UNIT, MXY) else Undefined(f"op({m})"))
+    (check,) = is_coderivation(op, [X, Y], 3).checks
+    assert (check.verdict, check.checked, check.skipped) == ("pass", 1, 3)
 
 
 @settings(max_examples=40, deadline=None)
