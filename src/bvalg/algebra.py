@@ -220,7 +220,7 @@ class Element:
         clean: Dict[Monomial, Scalar] = {}
         for mono, coeff in (terms or {}).items():
             c = field.coerce(coeff)
-            if not field.is_zero(c):
+            if c:
                 clean[mono] = c
         self._terms = clean
 
@@ -249,7 +249,7 @@ class Element:
         if coeff is None:
             return Element._trusted(field, {mono: field.one()})
         c = field.coerce(coeff)
-        return Element._trusted(field, {} if field.is_zero(c) else {mono: c})
+        return Element._trusted(field, {mono: c} if c else {})
 
     @staticmethod
     def from_generator(field: FieldSpec, gen: Generator) -> "Element":
@@ -311,7 +311,7 @@ class Element:
         c = field.coerce(coeff)
         if c == 1:
             return self
-        if field.is_zero(c):
+        if not c:
             return Element.zero(field)
         mul = field.mul
         return Element._trusted(field, {m: mul(cc, c) for m, cc in self._terms.items()})
@@ -358,11 +358,11 @@ def render_element(element: Element) -> str:
         negative = field.kind == "rational" and coeff < 0
         mag = -coeff if negative else coeff
         if mono.is_unit:
-            body = field.render(mag)
+            body = str(mag)
         elif mag == field.one():
             body = str(mono)
         else:
-            body = f"{field.render(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:
@@ -372,7 +372,7 @@ def render_element(element: Element) -> str:
 
 def element_to_pairs(element: Element) -> List[Tuple[str, str]]:
     """Element as a sorted list of (monomial string, coefficient string)."""
-    return [(str(m), element.field.render(c)) for m, c in element.terms()]
+    return [(str(m), str(c)) for m, c in element.terms()]
 
 
 def normalize_word(field: FieldSpec, word: Sequence[Generator], coeff=1) -> Element:
@@ -383,7 +383,7 @@ def normalize_word(field: FieldSpec, word: Sequence[Generator], coeff=1) -> Elem
     """
     normal = _normal_form(word, field.characteristic == 2)
     c = field.coerce(coeff)
-    if normal is None or field.is_zero(c):
+    if normal is None or not c:
         return Element.zero(field)
     mono, parity = normal
     return Element._trusted(field, {mono: field.signed(c, parity)})

@@ -223,7 +223,7 @@ def _parse_term(parser: _LineParser, span_only: bool, what: str,
         except ZeroDivisionError as exc:
             raise parser.fail(f"malformed number: {exc}", tok.column) from exc
         if not parser.take("*"):
-            if span_only and not field.is_zero(coeff):
+            if span_only and coeff:
                 raise parser.fail(not_linear, tok.column)
             return Element.unit(field, coeff)
     word: List[Generator] = []

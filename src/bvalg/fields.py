@@ -2,9 +2,10 @@
 
 Rationals are `fractions.Fraction` (always in lowest terms with positive
 denominator); elements of F_p are canonical residues in range(p).  No
-floating point is used anywhere.  `fractions` (with `decimal` and
-`numbers`) is imported when the first rational field is built, and `QQ` is
-built on first use, so a verb over F_p never loads it.
+floating point is used anywhere.  A scalar is a number: its truth value
+is its zero test, and its str() the text the DSL reads back.  `fractions`
+(with `decimal` and `numbers`) is imported when the first rational field is
+built, and `QQ` is built on first use, so a verb over F_p never loads it.
 """
 
 from __future__ import annotations
@@ -129,14 +130,11 @@ class FieldSpec:
         return -a if self.kind == "rational" else (-a) % self.characteristic
 
     def inv(self, a: Scalar) -> Scalar:
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "rational":
             return 1 / Fraction(a)
         return pow(int(a), -1, self.characteristic)
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
 
     def sign(self, exponent: int) -> Scalar:
         """(-1)**exponent as a field element."""
@@ -145,13 +143,6 @@ class FieldSpec:
     def signed(self, a: Scalar, exponent: int) -> Scalar:
         """(-1)**exponent * a, by negation: how every sign is applied."""
         return self.neg(a) if exponent % 2 else a
-
-    # -- parsing / rendering -----------------------------------------------
-
-    def render(self, a: Scalar) -> str:
-        """Canonical exact string, parseable as a coefficient by the
-        presentation parser (`dsl`)."""
-        return str(a)
 
 
 GF2 = FieldSpec.prime(2)

@@ -70,7 +70,7 @@ class ChainComplex:
                 for k, y in column.items():
                     for i, x in second[k].items():
                         composite[i] = field.add(composite.get(i, 0), field.mul(x, y))
-                if any(not field.is_zero(c) for c in composite.values()):
+                if any(composite.values()):
                     target = self.basis[g - 2]
                     raise BoundarySquareError(g, self.basis[g][j], Element(
                         field, {target[i]: c for i, c in composite.items()}))
@@ -140,7 +140,7 @@ def build_ce_complex(presentation: LiePresentation) -> ChainComplex:
                     row = row_of[rest | bit]  # a bracket value has degree |x|+|y|-1
                     x = neg_c if (sign + (rest & (bit - 1)).bit_count()) % 2 else c
                     total = field.add(column[row], x) if row in column else x
-                    if field.is_zero(total):
+                    if not total:
                         del column[row]
                     else:
                         column[row] = total

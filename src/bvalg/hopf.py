@@ -189,7 +189,7 @@ class TensorElement:
         parts = []
         for key, coeff in self.terms():
             body = " (x) ".join(str(m) for m in key)
-            parts.append(f"{self.field.render(coeff)}*[{body}]")
+            parts.append(f"{coeff}*[{body}]")
         return " + ".join(parts)
 
 

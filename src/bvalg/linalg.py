@@ -47,7 +47,7 @@ def _add_multiple(row: SparseRow, factor: Scalar, pivot_row: SparseRow,
     """row += factor * pivot_row in place, dropping the entries that cancel."""
     for k, y in pivot_row.items():
         x = field.add(row.get(k, 0), field.mul(factor, y))
-        if field.is_zero(x):
+        if not x:
             del row[k]
         else:
             row[k] = x

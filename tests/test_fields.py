@@ -27,7 +27,7 @@ def test_rational_arithmetic_is_exact():
     assert a == Fraction(-1, 2)
     assert QQ.add(a, QQ.neg(a)) == 0
     assert QQ.mul(a, QQ.inv(a)) == 1
-    assert QQ.render(a) == "-1/2"
+    assert str(a) == "-1/2"
 
 
 def test_prime_field_residues_are_canonical():
@@ -105,7 +105,7 @@ def test_field_ops_match_integers_mod_p(a, b):
 
 @given(st.fractions(max_denominator=30))
 def test_rational_string_round_trip(q):
-    assert Fraction(QQ.render(QQ.coerce(q))) == q
+    assert Fraction(str(QQ.coerce(q))) == q
 
 
 @given(st.sampled_from([QQ, GF2, FieldSpec.prime(3), F5, FieldSpec.prime(7)]),
