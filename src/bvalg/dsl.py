@@ -28,7 +28,9 @@ if TYPE_CHECKING:
     from .bv import BVStructure
 
 
-class Diagnostic:
+class Diagnostic(Exception):
+    """A line's failure at a column: what `_LineParser.fail` returns to raise."""
+
     def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
@@ -96,12 +98,6 @@ class _Token:
         self.column = column
 
 
-class _LineError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
-
-
 class _State:
     def __init__(self) -> None:
         self.field: Optional[FieldSpec] = None
@@ -114,7 +110,7 @@ class _State:
 
 
 class _LineParser:
-    """Cursor over the tokens of one line; every failure is a _LineError."""
+    """Cursor over the tokens of one line; every failure is a Diagnostic."""
 
     def __init__(self, line: str, line_no: int, state: _State):
         self.line_no = line_no
@@ -146,8 +142,8 @@ class _LineParser:
             return tok.column
         return self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
 
-    def fail(self, message: str, column: Optional[int] = None) -> _LineError:
-        return _LineError(Diagnostic(self.line_no, column or self.column(), message))
+    def fail(self, message: str, column: Optional[int] = None) -> Diagnostic:
+        return Diagnostic(self.line_no, column or self.column(), message)
 
     def take(self, sym: str) -> Optional[_Token]:
         """The next token if it is the symbol `sym`, consumed; else None."""
@@ -322,8 +318,8 @@ def parse_presentation(text: str) -> PresentationSource:
             state.attempted.add(head.group("ident"))
         try:
             _statement(_LineParser(line, line_no, state))
-        except _LineError as exc:
-            errors.append(exc.diagnostic)
+        except Diagnostic as exc:
+            errors.append(exc)
     for header in ("field", "shift"):
         if getattr(state, header) is None and header not in state.attempted:
             errors.append(Diagnostic(1, 1, f"missing {header} declaration"))
@@ -362,5 +358,5 @@ def parse_element_text(text: str, source: PresentationSource,
     try:
         return _parse_element(_LineParser(text, 1, state), False, "element",
                               source.window(max_degree))
-    except _LineError as exc:
-        raise ParseError([exc.diagnostic]) from exc
+    except Diagnostic as exc:
+        raise ParseError([exc]) from exc

@@ -57,7 +57,6 @@ UNREACHED = {
     "dsl.ParseError.__init__": "input-error path",
     "dsl.PresentationSource.__eq__": "Python protocol method",
     "dsl.PresentationSource.to_lie_presentation": "perfbench caller",
-    "dsl._LineError.__init__": "input-error path",
     "dsl._LineParser.fail": "input-error path",
     "dsl.render_presentation": "acceptance criterion 10",
     "fields.FieldSpec.__hash__": "Python protocol method",
