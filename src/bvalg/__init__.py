@@ -7,13 +7,13 @@ from importlib import import_module
 _EXPORTS = {
     "algebra": ("Element", "Generator", "Monomial", "monomial_basis", "normalize_word"),
     "fields": ("FieldSpec", "QQ", "GF2"),
-    "lie": ("LiePresentation", "check_differential", "check_lie_axioms", "desuspend"),
+    "lie": ("LiePresentation", "check_differential", "check_lie_axioms"),
     "bv": ("BVStructure", "free_bv", "poisson_bracket", "verify_bv_axioms"),
     "homology": ("ChainComplex", "betti", "build_ce_complex"),
     "hopf": ("GradedMap", "antipode", "bv_operator", "coproduct", "is_coderivation",
              "primitive_basis"),
-    "fixtures": ("framed_disks_descriptor", "heisenberg", "load_fixture", "loopspace_model",
-                 "omega2_s3_f2", "sphere_loop_lie", "spherical_bv"),
+    "fixtures": ("desuspend", "framed_disks_descriptor", "heisenberg", "load_fixture",
+                 "loopspace_model", "omega2_s3_f2", "sphere_loop_lie", "spherical_bv"),
     "dsl": ("parse_presentation", "render_presentation"),
     "report": ("Report",),
 }

@@ -18,11 +18,11 @@ Monomials are interned when made: one factor key, one object, so every
 cache keyed on monomials compares and hashes them by identity.  The
 product of two monomials is sorted once: ``monomial_product`` keeps it in
 a memo keyed by the pair and by whether the characteristic is 2, as a
-monomial and a sign parity.  The memo starts over when it reaches
-``MEMO_CAP`` entries, so it does not grow past it however many structures a
-process builds; the intern table holds monomials weakly and keeps none
-alive.
-Every sum is built in one dict by ``_accumulate``, without a copy per term.
+monomial and a sign parity.  The memo starts over at ``MEMO_CAP`` entries,
+however many structures a process builds, and the intern table holds
+monomials weakly.  Every sum is built in one dict by ``_accumulate``,
+without a copy per term.  The Leibniz rule and the window tuples, which
+only the BV verbs run on these products, are in ``bv``.
 
 Monomials are kept in a normal form: factors sorted by (degree, id).
 Over characteristic other than 2 an odd-degree generator squares to
@@ -32,7 +32,6 @@ at most 1; over characteristic 2 the algebra is fully polynomial.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 from weakref import WeakValueDictionary
@@ -426,55 +425,7 @@ def monomial_basis(field: FieldSpec, generators: Sequence[Generator],
 DEFAULT_WINDOW = 10  # the degree window when neither the caller nor the input names one
 
 
-class WindowTuples:
-    """Tuples of `arity` basis monomials of total degree <= bound, in
-    lexicographic order of basis position.  The basis must be sorted by
-    degree first, as monomial_basis returns it, so each slot ranges over a
-    prefix of it.
-
-    A gate (letters, partners) holds two bit masks per basis position.  A
-    slot at position j is not extended when letters[j] meets partners[i] of
-    some earlier slot at position i: the tuples under that prefix are not
-    yielded but counted from the degrees alone into `pruned`, which after a
-    pass is the number of window tuples the gate passed over.  The tuples
-    yielded are the rest of the window, in the same order."""
-
-    def __init__(self, basis: Sequence[Monomial], arity: int, bound: int,
-                 gate: Optional[Tuple[Sequence[int], Sequence[int]]] = None):
-        if arity < 1:
-            raise ValueError(f"window tuples need arity >= 1, got {arity}")
-        self.basis, self.arity, self.bound, self.gate = basis, arity, bound, gate
-        self.degrees = [m.degree for m in basis]
-        self.pruned = 0
-
-    def count(self, slots: int, budget: int) -> int:
-        """How many ways `slots` (>= 1) more slots fill within `budget`,
-        gate aside."""
-        end = bisect_right(self.degrees, budget)
-        if slots == 1:
-            return end
-        return sum(self.count(slots - 1, budget - self.degrees[i]) for i in range(end))
-
-    def __iter__(self) -> Iterator[Tuple[Monomial, ...]]:
-        basis, degrees, arity = self.basis, self.degrees, self.arity
-        letters, partners = self.gate or ((0,) * len(basis),) * 2
-        self.pruned = 0
-
-        def extend(prefix, blocked, budget):
-            left = arity - len(prefix) - 1  # slots after this one
-            for i in range(bisect_right(degrees, budget)):
-                rest = budget - degrees[i]
-                if blocked & letters[i]:
-                    self.pruned += self.count(left, rest) if left else 1
-                elif left:
-                    yield from extend(prefix + (basis[i],), blocked | partners[i], rest)
-                else:
-                    yield prefix + (basis[i],)
-
-        return extend((), 0, self.bound)
-
-
-# -- gaps, linear extension and the Leibniz rule -------------------------------
+# -- gaps and linear extension ------------------------------------------------
 
 
 class Undefined:
@@ -517,42 +468,3 @@ def linear_extension(fn: Callable[[Monomial], MaybeElement],
             return value
         _accumulate(element.field, out, value.scale(coeff)._terms.items())
     return Element._trusted(element.field, out)
-
-
-def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
-            image: Callable[[Generator], Optional[MaybeElement]],
-            degree: int) -> MaybeElement:
-    """The Leibniz rule on a word x_1...x_k: the sum over i of
-    x_1...x_{i-1} image(x_i) x_{i+1}...x_k, signed by moving a
-    degree-`degree` map past x_1...x_{i-1}.  An image of None is zero.
-    Images are read in word order, and the first gap is returned as soon as
-    it is read, before any product.
-
-    A term x_1...x_{i-1} v x_{i+1}...x_k is (-1)^(|v| (|x_1|+...+|x_{i-1}|))
-    v times the word without x_i, so each is one memoized product."""
-    images = []
-    for g in word:
-        value = image(g)
-        if isinstance(value, Undefined):
-            return value
-        images.append(value)
-    signed, char2 = field.signed, field.characteristic == 2
-    out: Dict[Monomial, Scalar] = {}
-    prefix_degree = 0
-    rest = _MISSING
-    for i, (g, value) in enumerate(zip(word, images)):
-        if i and g is not word[i - 1]:
-            rest = _MISSING  # deleting any letter of one run leaves the same word
-        if value is not None and value._terms:
-            if rest is _MISSING:
-                rest = _normal_form(word[:i] + word[i + 1:], char2)
-            if rest is not None:
-                terms = []
-                for mono, coeff in value._terms.items():
-                    prod = monomial_product(mono, rest[0], char2)
-                    if prod is not None:
-                        exponent = (degree + mono.degree) * prefix_degree + rest[1] + prod[1]
-                        terms.append((prod[0], signed(coeff, exponent)))
-                _accumulate(field, out, terms)
-        prefix_degree += g.degree
-    return Element._trusted(field, out)

@@ -4,7 +4,7 @@ A structure couples a free graded-commutative algebra on the generators of
 a Lie presentation (shift n) with
 
   * the bracket, extended from generator pairs by the Poisson relation
-    {a, bc} = {a,b}c + (-1)^((|a|+n-1)|b|) b{a,c}, which `algebra.leibniz`
+    {a, bc} = {a,b}c + (-1)^((|a|+n-1)|b|) b{a,c}, which `leibniz`
     applies in each slot (the first one through shifted antisymmetry); as
     the rule reads every letter's image before any product, {x, y} is
     Undefined exactly when some letter of x and some letter of y have no
@@ -46,12 +46,13 @@ failing instance builds the two sides, for the certificate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, WindowTuples,
-                      _accumulate, first_undefined, leibniz, linear_extension, monomial_basis,
-                      monomial_product)
-from .fields import Scalar
+from .algebra import (_MISSING, Element, Generator, MaybeElement, Monomial, Undefined,
+                      _accumulate, _normal_form, first_undefined, linear_extension,
+                      monomial_basis, monomial_product)
+from .fields import FieldSpec, Scalar
 from .lie import LiePresentation
 from .report import (Outcome, Report, as_triple, by_name, merge_reports, run_checks,
                      vanishes)
@@ -69,6 +70,93 @@ class OutOfWindow(Undefined):
         super().__init__(blocking)
         self.degree = degree
         self.limit = limit
+
+
+class WindowTuples:
+    """Tuples of `arity` basis monomials of total degree <= bound, in
+    lexicographic order of basis position.  The basis must be sorted by
+    degree first, as monomial_basis returns it, so each slot ranges over a
+    prefix of it.
+
+    A gate (letters, partners) holds two bit masks per basis position.  A
+    slot at position j is not extended when letters[j] meets partners[i] of
+    some earlier slot at position i: the tuples under that prefix are not
+    yielded but counted from the degrees alone into `pruned`, which after a
+    pass is the number of window tuples the gate passed over.  The tuples
+    yielded are the rest of the window, in the same order."""
+
+    def __init__(self, basis: Sequence[Monomial], arity: int, bound: int,
+                 gate: Optional[Tuple[Sequence[int], Sequence[int]]] = None):
+        if arity < 1:
+            raise ValueError(f"window tuples need arity >= 1, got {arity}")
+        self.basis, self.arity, self.bound, self.gate = basis, arity, bound, gate
+        self.degrees = [m.degree for m in basis]
+        self.pruned = 0
+
+    def count(self, slots: int, budget: int) -> int:
+        """How many ways `slots` (>= 1) more slots fill within `budget`,
+        gate aside."""
+        end = bisect_right(self.degrees, budget)
+        if slots == 1:
+            return end
+        return sum(self.count(slots - 1, budget - self.degrees[i]) for i in range(end))
+
+    def __iter__(self) -> Iterator[Tuple[Monomial, ...]]:
+        basis, degrees, arity = self.basis, self.degrees, self.arity
+        letters, partners = self.gate or ((0,) * len(basis),) * 2
+        self.pruned = 0
+
+        def extend(prefix, blocked, budget):
+            left = arity - len(prefix) - 1  # slots after this one
+            for i in range(bisect_right(degrees, budget)):
+                rest = budget - degrees[i]
+                if blocked & letters[i]:
+                    self.pruned += self.count(left, rest) if left else 1
+                elif left:
+                    yield from extend(prefix + (basis[i],), blocked | partners[i], rest)
+                else:
+                    yield prefix + (basis[i],)
+
+        return extend((), 0, self.bound)
+
+
+def leibniz(field: FieldSpec, word: Tuple[Generator, ...],
+            image: Callable[[Generator], Optional[MaybeElement]],
+            degree: int) -> MaybeElement:
+    """The Leibniz rule on a word x_1...x_k: the sum over i of
+    x_1...x_{i-1} image(x_i) x_{i+1}...x_k, signed by moving a
+    degree-`degree` map past x_1...x_{i-1}.  An image of None is zero.
+    Images are read in word order, and the first gap is returned as soon as
+    it is read, before any product.
+
+    A term x_1...x_{i-1} v x_{i+1}...x_k is (-1)^(|v| (|x_1|+...+|x_{i-1}|))
+    v times the word without x_i, so each is one memoized product."""
+    images = []
+    for g in word:
+        value = image(g)
+        if isinstance(value, Undefined):
+            return value
+        images.append(value)
+    signed, char2 = field.signed, field.characteristic == 2
+    out: Dict[Monomial, Scalar] = {}
+    prefix_degree = 0
+    rest = _MISSING
+    for i, (g, value) in enumerate(zip(word, images)):
+        if i and g is not word[i - 1]:
+            rest = _MISSING  # deleting any letter of one run leaves the same word
+        if value is not None and value._terms:
+            if rest is _MISSING:
+                rest = _normal_form(word[:i] + word[i + 1:], char2)
+            if rest is not None:
+                terms = []
+                for mono, coeff in value._terms.items():
+                    prod = monomial_product(mono, rest[0], char2)
+                    if prod is not None:
+                        exponent = (degree + mono.degree) * prefix_degree + rest[1] + prod[1]
+                        terms.append((prod[0], signed(coeff, exponent)))
+                _accumulate(field, out, terms)
+        prefix_degree += g.degree
+    return Element._trusted(field, out)
 
 
 class BVStructure:

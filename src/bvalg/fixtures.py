@@ -1,7 +1,8 @@
-"""Built-in algebraic fixtures: rational homotopy of spheres, loop-space
-models, the orthogonal-group structure descriptor, the spherical-class
-rule for the degree-1 operator, and the characteristic-2 double-loop
-fixture where the operator is nontrivial on the bottom class.
+"""Built-in algebraic fixtures: rational homotopy of spheres, their
+desuspensions and loop-space models, the orthogonal-group structure
+descriptor, the spherical-class rule for the degree-1 operator, and the
+characteristic-2 double-loop fixture where the operator is nontrivial on
+the bottom class.
 
 Fixture names are stable CLI identifiers:
     sphere-lie:<m>   loopspace:<n>:<m>   omega2-s3-f2   fd:<n>:<field>
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .algebra import DEFAULT_WINDOW, Element, Generator, Monomial
+from .algebra import DEFAULT_WINDOW, Element, Generator, Monomial, linear_extension
 from .fields import FieldSpec
-from .lie import LiePresentation, desuspend
+from .lie import LiePresentation
 
 if TYPE_CHECKING:
     from .bv import BVStructure
@@ -40,6 +41,34 @@ def sphere_loop_lie(m: int) -> LiePresentation:
         return LiePresentation(QQ, 1, [a])
     b = Generator("b", 2 * m - 2)
     return LiePresentation(QQ, 1, [a, b], {("a", "a"): Element.from_generator(QQ, b)})
+
+
+def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentation:
+    """Move a presentation to another shift, lowering each generator degree
+    by (target_shift - shift) and carrying the bracket table and differential
+    along unchanged (they are read through the shift).  Raises on negative
+    resulting degrees."""
+    delta = target_shift - presentation.shift
+    new_gens = []
+    for g in presentation.generators:
+        d = g.degree - delta
+        if d < 0:
+            raise ValueError(
+                f"desuspension by {delta} sends {g.id!r} to negative degree {d}")
+        new_gens.append(Generator(g.id, d))
+    mapping = {g.id: g for g in new_gens}
+
+    def remap(value: Element) -> Element:
+        return linear_extension(lambda mono: Element.from_generator(
+            presentation.field, mapping[mono.word()[0].id]), value)
+
+    return LiePresentation(
+        field=presentation.field,
+        shift=target_shift,
+        generators=new_gens,
+        brackets={key: remap(v) for key, v in presentation.brackets.items()},
+        differential={x: remap(v) for x, v in presentation.differential.items()},
+    )
 
 
 def loopspace_model(n: int, m: int, max_degree: int = DEFAULT_WINDOW) -> BVStructure:

@@ -4,9 +4,9 @@ numbers.
 At shift 0 every generator is odd (a Lie algebra element, suspended), so
 the complex is the exterior algebra on the generators in every
 characteristic, F2 included.  A cell is a subset of the generators, held as
-a bit mask over their `sort_key` order; its basis monomial is the product of
-its letters, and the cells of a grade are ordered as `Monomial.order_key`
-orders those monomials.  The boundary is the bracket contraction
+a bit mask over their `sort_key` order, and a grade lists its cells as
+`Monomial.order_key` orders their monomials; only a failing d∘d check builds
+monomials, for its certificate.  The boundary is the bracket contraction
 
     d(x_0 ... x_(k-1)) = sum over i < j of (-1)^(i+j) [x_i, x_j] x_0 ..^i ..^j .. x_(k-1),
 
@@ -46,11 +46,12 @@ class BoundarySquareError(ValueError):
 class ChainComplex:
     """Grade-indexed exact boundaries, each lowering the grade by one.
 
-    boundaries[g] holds one sparse column per monomial of basis[g]: a dict
-    from the index of a monomial of basis[g - 1] to its nonzero
-    coefficient."""
+    basis[g] lists the cells of grade g (bit masks in the exterior complex,
+    which builds monomials only for a failing d∘d check's certificate), and
+    boundaries[g] one sparse column per cell: a dict from the index of a
+    cell of basis[g - 1] to its nonzero coefficient."""
 
-    def __init__(self, field: FieldSpec, basis: Dict[int, List[Monomial]],
+    def __init__(self, field: FieldSpec, basis: Dict[int, list],
                  boundaries: Dict[int, List[SparseRow]]):
         self.field = field
         self.basis = basis
@@ -117,12 +118,9 @@ def build_ce_complex(presentation: LiePresentation) -> ChainComplex:
                              [(1 << position[m.word()[0]], c, field.neg(c))
                               for m, c in value._terms.items()]))
     cells: Dict[int, List[int]] = {d: [] for d in range(top + 1)}
-    basis: Dict[int, List[Monomial]] = {d: [] for d in range(top + 1)}
     for k in range(len(gens) + 1):
         for letters in combinations(range(len(gens)), k):
-            degree = sum(gens[q].degree for q in letters)
-            cells[degree].append(sum(1 << q for q in letters))
-            basis[degree].append(Monomial(tuple((gens[q], 1) for q in letters)))
+            cells[sum(gens[q].degree for q in letters)].append(sum(1 << q for q in letters))
     boundaries: Dict[int, List[SparseRow]] = {}
     for g, sources in cells.items():
         row_of = {cell: i for i, cell in enumerate(cells.get(g - 1, ()))}
@@ -146,7 +144,17 @@ def build_ce_complex(presentation: LiePresentation) -> ChainComplex:
                         column[row] = total
             columns.append(column)
         boundaries[g] = columns
-    return ChainComplex(field, basis, boundaries)
+    try:
+        return ChainComplex(field, cells, boundaries)
+    except BoundarySquareError as exc:
+        grade, source, composite = exc.grade, exc.source, exc.composite._terms
+
+    def monomial(cell: int) -> Monomial:
+        return Monomial(tuple((g, 1) for q, g in enumerate(gens) if cell >> q & 1))
+
+    # raised outside the handler, so no error over cells is its context
+    raise BoundarySquareError(grade, monomial(source), Element(
+        field, {monomial(cell): c for cell, c in composite.items()}))
 
 
 def betti(complex_: ChainComplex) -> List[int]:

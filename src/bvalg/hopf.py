@@ -2,7 +2,7 @@
 graded-commutative algebra, and the checks of a graded map against it and
 against the product: the API-only module, which no CLI verb loads.  A
 derivation extends its generator values by the one Leibniz rule,
-`algebra.leibniz`.
+`bv.leibniz`.
 
 Generators are primitive, the coproduct is an algebra map into the graded
 tensor square, the antipode is solved degree by degree from the convolution
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, WindowTuples,
-                      first_undefined, leibniz, linear_extension, monomial_basis,
-                      normalize_word)
+from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, first_undefined,
+                      linear_extension, monomial_basis, normalize_word)
+from .bv import WindowTuples, leibniz
 from .fields import FieldSpec, Scalar
 from .linalg import SparseRow, nullspace
 from .report import Report, by_name, compare, run_checks

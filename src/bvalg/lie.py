@@ -8,10 +8,6 @@ and an untabulated pair zero.  The grading holds by construction: a
 bracket value has degree |x| + |y| + (n-1) and a differential value
 |x| - 1, or the presentation is refused (ValueError).  The sign parity of
 a generator x in all Lie-side formulas is |x| + n - 1.
-
-``desuspend`` converts between shifts: moving a presentation from shift s
-to shift n lowers every degree by n - s and carries the bracket table and
-differential along unchanged (they are read through the shift).
 """
 
 from __future__ import annotations
@@ -114,33 +110,6 @@ class LiePresentation:
                 pairs[x, y] = (absent(key) if value is None
                                else value.signed(self._flip_sign(x, y)) if flip else value)
         return pairs
-
-
-def desuspend(presentation: LiePresentation, target_shift: int) -> LiePresentation:
-    """Move a presentation to another shift, lowering each generator degree
-    by (target_shift - shift).  Raises on negative resulting degrees."""
-    delta = target_shift - presentation.shift
-    mapping: Dict[str, Generator] = {}
-    new_gens = []
-    for g in presentation.generators:
-        d = g.degree - delta
-        if d < 0:
-            raise ValueError(
-                f"desuspension by {delta} sends {g.id!r} to negative degree {d}")
-        ng = Generator(g.id, d)
-        mapping[g.id] = ng
-        new_gens.append(ng)
-
-    def remap(value: Element) -> Element:
-        return _extend(lambda g: Element.from_generator(presentation.field, mapping[g.id]), value)
-
-    return LiePresentation(
-        field=presentation.field,
-        shift=target_shift,
-        generators=new_gens,
-        brackets={key: remap(v) for key, v in presentation.brackets.items()},
-        differential={x: remap(v) for x, v in presentation.differential.items()},
-    )
 
 
 def _extend(fn: Callable[[Generator], Element], value: Element) -> Element:

@@ -1,10 +1,11 @@
 """Independent oracles for the test suite, with no imports from the package
 under test: tiny dense linear algebra over Fraction and over residues mod p,
 the exterior Chevalley-Eilenberg complex from generator subsets, and a
-term-by-term reference for the free graded-commutative algebra.  Two
+term-by-term reference for the free graded-commutative algebra.  Three
 functions import the package: `ref_identity_reports` runs the BV identities
-with both sides built, and `bv_chain_complex` builds the complex of a BV
-structure's operator."""
+with both sides built, `bv_chain_complex` builds the complex of a BV
+structure's operator, and `monomial_ce_complex` the exterior complex over a
+basis of monomials."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -137,6 +138,31 @@ def exterior_ce_complex(generators, brackets, p):
                     matrix[row_of[target]][col] += Fraction(c) * (-1) ** (i + j + swaps)
         boundaries[g] = [[ref_scalar(x, p) for x in row] for row in matrix]
     return {g: len(sources) for g, sources in cells.items()}, boundaries
+
+
+def monomial_ce_complex(presentation):
+    """The exterior complex of a shift-0 presentation as a
+    `bvalg.homology.ChainComplex` over one `Monomial` per generator subset,
+    the basis `build_ce_complex` built before its cells were bit masks:
+    each grade filled by subset size, then in order of combinations of the
+    generators sorted by `sort_key`.  The boundaries are
+    `exterior_ce_complex`'s over the generators listed in that order, so a
+    failing d∘d check raises the `BoundarySquareError` of that basis."""
+    from bvalg.algebra import Monomial
+    from bvalg.homology import ChainComplex
+
+    gens = sorted(presentation.generators, key=lambda g: g.sort_key)
+    basis = {d: [] for d in range(sum(g.degree for g in gens) + 1)}
+    for k in range(len(gens) + 1):
+        for letters in combinations(gens, k):
+            basis[sum(g.degree for g in letters)].append(Monomial(tuple((g, 1) for g in letters)))
+    brackets = {key: {m.word()[0].id: c for m, c in value.terms()}
+                for key, value in presentation.brackets.items()}
+    dimensions, dense = exterior_ce_complex([(g.id, g.degree) for g in gens], brackets,
+                                            presentation.field.characteristic)
+    boundaries = {g: [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+                      for j in range(dimensions[g])] for g, matrix in dense.items()}
+    return ChainComplex(presentation.field, basis, boundaries)
 
 
 def dense_product(a, b, modulus=None):
@@ -367,8 +393,8 @@ def ref_identity_reports(s):
     decided by building both sides as Elements from the public bracket and
     operator and comparing them, never by a signed sum, over the whole
     window: `WindowTuples` without a gate, so no tuple is pruned."""
-    from bvalg.algebra import Element, WindowTuples, first_undefined
-    from bvalg.bv import poisson_bracket
+    from bvalg.algebra import Element, first_undefined
+    from bvalg.bv import WindowTuples, poisson_bracket
     from bvalg.hopf import bracket_from_operator
     from bvalg.report import Report, as_triple, by_name, compare, run_checks
 

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvalg import algebra
-from bvalg.algebra import (Element, Generator, Monomial, Undefined, WindowTuples,
-                           monomial_basis, normalize_word)
-from bvalg.bv import verify_bv_axioms
+from bvalg.algebra import Element, Generator, Monomial, Undefined, monomial_basis, normalize_word
+from bvalg.bv import WindowTuples, verify_bv_axioms
 from bvalg.dsl import parse_presentation
 from bvalg.fields import FieldSpec, GF2, QQ
 from bvalg.hopf import GradedMap, derivation_from_generator_values

@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bvalg.algebra import Element, Generator, Monomial, WindowTuples, leibniz, normalize_word
+from bvalg.algebra import Element, Generator, Monomial, normalize_word
 from bvalg.fields import GF2, QQ, FieldSpec
 from bvalg.lie import LiePresentation, check_lie_axioms
 from bvalg import bv
-from bvalg.bv import (FREE, USER, BVStructure, Undefined, free_bv, poisson_bracket,
-                      verify_bracket_compatibility, verify_bv_axioms,
+from bvalg.bv import (FREE, USER, BVStructure, Undefined, WindowTuples, free_bv, leibniz,
+                      poisson_bracket, verify_bracket_compatibility, verify_bv_axioms,
                       verify_deviation_identity, verify_gerstenhaber,
                       verify_square_zero)
 from bvalg.dsl import parse_presentation

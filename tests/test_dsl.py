@@ -7,10 +7,10 @@ import pytest
 
 from bvalg.algebra import Element
 from bvalg.fields import QQ
-from bvalg.lie import LiePresentation, desuspend
+from bvalg.lie import LiePresentation
 from bvalg.dsl import (ParseError, PresentationSource, parse_element_text,
                        parse_presentation, render_presentation)
-from bvalg.fixtures import sphere_loop_lie
+from bvalg.fixtures import desuspend, sphere_loop_lie
 
 from strategies import seeded_structures
 

@@ -3,6 +3,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from bvalg.homology import BoundarySquareError, ChainComplex, betti, build_ce_co
 from bvalg.linalg import rank
 
 from oracles import (betti_from_boundaries, bv_chain_complex, dense_product, densify,
-                     exterior_ce_complex, fraction_rank)
+                     exterior_ce_complex, fraction_rank, monomial_ce_complex)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 F5 = FieldSpec.prime(5)
@@ -172,15 +173,20 @@ def odd_lie_algebra(draw):
     return generators, brackets, p, central is not None
 
 
+def drawn_presentation(generators, brackets, p):
+    """The shift-0 presentation of an `odd_lie_algebra` draw."""
+    field = FieldSpec.prime(p) if p else QQ
+    gens = {x: Generator(x, d) for x, d in generators}
+    return LiePresentation(field, 0, list(gens.values()), {
+        key: Element(field, {Monomial(((gens[z], 1),)): c for z, c in value.items()})
+        for key, value in brackets.items()})
+
+
 @settings(max_examples=200, deadline=None)
 @given(draw=odd_lie_algebra())
 def test_exterior_complex_matches_oracle(draw):
     generators, brackets, p, nilpotent = draw
-    field = FieldSpec.prime(p) if p else QQ
-    gens = {x: Generator(x, d) for x, d in generators}
-    presentation = LiePresentation(field, 0, list(gens.values()), {
-        key: Element(field, {Monomial(((gens[z], 1),)): c for z, c in value.items()})
-        for key, value in brackets.items()})
+    presentation = drawn_presentation(generators, brackets, p)
     dimensions, boundaries = exterior_ce_complex(generators, brackets, p)
     squares = [dense_product(boundaries[g - 1], boundaries[g], p or None)
                for g in boundaries
@@ -193,6 +199,37 @@ def test_exterior_complex_matches_oracle(draw):
     complex_ = build_ce_complex(presentation)
     assert {g: complex_.dimension(g) for g in complex_.grades()} == dimensions
     assert betti(complex_) == betti_from_boundaries(dimensions, boundaries, -1, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=odd_lie_algebra())
+def test_cells_are_the_monomial_basis_in_order(draw):
+    # each grade lists bit masks over the generators in sort_key order, read
+    # back as exactly that grade's generator subsets in Monomial.order_key
+    # order; a d∘d failure names the same monomials as the monomial basis
+    presentation = drawn_presentation(*draw[:3])
+    gens = sorted(presentation.generators, key=lambda g: g.sort_key)
+    try:
+        reference = monomial_ce_complex(presentation)
+    except BoundarySquareError as exc:
+        reference = exc
+    if isinstance(reference, BoundarySquareError):
+        with pytest.raises(BoundarySquareError) as exc:
+            build_ce_complex(presentation)
+        assert (exc.value.grade, exc.value.source, exc.value.composite) \
+            == (reference.grade, reference.source, reference.composite)
+        assert exc.value.__context__ is None  # no error over bit-mask cells escapes
+        return
+    complex_ = build_ce_complex(presentation)
+    subsets = [Monomial(tuple((g, 1) for g in letters))
+               for k in range(len(gens) + 1) for letters in combinations(gens, k)]
+    assert complex_.grades() == reference.grades()
+    for g in complex_.grades():
+        read_back = [Monomial(tuple((x, 1) for q, x in enumerate(gens) if cell >> q & 1))
+                     for cell in complex_.basis[g]]
+        assert read_back == sorted((m for m in subsets if m.degree == g),
+                                   key=Monomial.order_key) == reference.basis[g]
+    assert complex_.boundaries == reference.boundaries
 
 
 @pytest.mark.parametrize("presentation", [heisenberg(), heisenberg7(QQ), heisenberg7(F7)],

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from bvalg.algebra import Element, Generator, Monomial
 from bvalg.fields import GF2, QQ
-from bvalg.lie import LiePresentation, check_differential, check_lie_axioms, desuspend
+from bvalg.fixtures import desuspend
+from bvalg.lie import LiePresentation, check_differential, check_lie_axioms
 
 from strategies import seeded_structures, structures
 
