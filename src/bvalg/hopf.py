@@ -19,17 +19,14 @@ bracket it induces (its deviation from being a derivation) unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (Element, Generator, MaybeElement, Monomial, Undefined, first_undefined,
                       linear_extension, monomial_basis, normalize_word)
-from .bv import WindowTuples, leibniz
+from .bv import BVStructure, WindowTuples, leibniz
 from .fields import FieldSpec, Scalar
 from .linalg import SparseRow, nullspace
 from .report import Report, by_name, compare, run_checks
-
-if TYPE_CHECKING:
-    from .bv import BVStructure
 
 TensorKey = Tuple[Monomial, ...]
 
